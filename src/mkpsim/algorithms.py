@@ -54,9 +54,9 @@ from .simnet import (
     Bottom,
     CapacityReport,
     ConsensusPair,
+    Delivery,
     FinalDirective,
     ItemOffer,
-    Message,
     Node,
     RunMetrics,
     Send,
@@ -162,6 +162,10 @@ class GreedySource(SourceNode):
     def recorded_assignment(self) -> Assignment:
         return self.assignment
 
+    def halting_phase(self) -> int:
+        """The phase in which this protocol's source halts (its closed form)."""
+        raise NotImplementedError
+
     def _finish(self) -> list[Send]:
         """Run the reassignment pass (if any) and halt; returns directives."""
         out: list[Send] = []
@@ -197,7 +201,7 @@ class BatchProcessor(ProcessorNode):
         self.rounds_sent = 0
         self.phase = 0
 
-    def step(self, inbox: list[Message]) -> list[Send]:
+    def step(self, inbox: list[Delivery]) -> list[Send]:
         self.phase += 1
         got_dispatch = False
         directives = []
@@ -229,7 +233,11 @@ class BatchSource(GreedySource):
         self.rounds_done = 0
         self.cursor = 0
 
-    def step(self, inbox: list[Message]) -> list[Send]:
+    def halting_phase(self) -> int:
+        # 2R, plus the reassignment phase for modified; no rounds: phase 1
+        return max(1, 2 * self.rounds_total + (1 if self.with_final else 0))
+
+    def step(self, inbox: list[Delivery]) -> list[Send]:
         self.phase += 1
         reports: dict[int, int] = {}
         for msg in inbox:
@@ -283,7 +291,7 @@ class BroadcastProcessor(ProcessorNode):
         self.current_weight: int | None = None
         self.my_report: ConsensusPair | None = None
 
-    def step(self, inbox: list[Message]) -> list[Send]:
+    def step(self, inbox: list[Delivery]) -> list[Send]:
         offers: list[WeightOffer] = []
         pairs: list[ConsensusPair] = []
         directives: list[FinalDirective] = []
@@ -346,7 +354,10 @@ class BroadcastSource(GreedySource):
         self.idx = 0
         self.pending: int | None = None  # item id awaiting this round's winner
 
-    def step(self, inbox: list[Message]) -> list[Send]:
+    def halting_phase(self) -> int:
+        return 3 * self.inst.m + 1
+
+    def step(self, inbox: list[Delivery]) -> list[Send]:
         self.phase += 1
         winners = []
         for msg in inbox:
@@ -369,7 +380,8 @@ class BroadcastSource(GreedySource):
             item = self.order[self.idx]
             self.idx += 1
             self.pending = item.id
-            return [(j, WeightOffer(item.weight)) for j in range(1, self.inst.n + 1)]
+            offer = WeightOffer(item.weight)
+            return [(j, offer) for j in range(1, self.inst.n + 1)]
         return self._finish()
 
 
@@ -398,7 +410,7 @@ class TreeProcessor(ProcessorNode):
         self.current_weight: int | None = None
         self.child_pairs: list[ConsensusPair] = []
 
-    def step(self, inbox: list[Message]) -> list[Send]:
+    def step(self, inbox: list[Delivery]) -> list[Send]:
         self.phase += 1
         offset = (self.phase - 1) % self.period + 1
         directives = []
@@ -459,7 +471,10 @@ class TreeSource(GreedySource):
         super().__init__(inst, with_final=True)
         self.period = inst.n.bit_length() - 1 + 3  # floor(log2 n) + 3
 
-    def step(self, inbox: list[Message]) -> list[Send]:
+    def halting_phase(self) -> int:
+        return self.inst.m * self.period if self.inst.m else 1
+
+    def step(self, inbox: list[Delivery]) -> list[Send]:
         self.phase += 1
         offset = (self.phase - 1) % self.period + 1
         round_index = (self.phase - 1) // self.period
@@ -469,10 +484,8 @@ class TreeSource(GreedySource):
                 raise SimulationFault("S: consensus result arrived off schedule")
             if offset == 1:
                 if round_index < self.inst.m:
-                    item = self.order[round_index]
-                    return [
-                        (j, WeightOffer(item.weight)) for j in range(1, self.inst.n + 1)
-                    ]
+                    offer = WeightOffer(self.order[round_index].weight)
+                    return [(j, offer) for j in range(1, self.inst.n + 1)]
                 return self._finish()  # m == 0: nothing to dispatch
             return []
 
@@ -528,11 +541,9 @@ def _check_run(inst: Instance, assignment: Assignment, processors: dict[int, Pro
     violation = check_feasible(assignment, inst)
     if violation is not None:
         raise SimulationFault(f"protocol produced an infeasible assignment: {violation}")
+    # check_feasible has proved ``remaining`` equal to a recount of the loads
     for j, proc in processors.items():
-        load = sum(
-            inst.item(i).weight for i, k in assignment.placement.items() if k == j - 1
-        )
-        if proc.remaining != inst.capacities[j - 1] - load:
+        if proc.remaining != assignment.remaining[j - 1]:
             raise SimulationFault(
                 f"p{j} remaining capacity {proc.remaining} disagrees with the "
                 f"source's record"
@@ -546,10 +557,13 @@ def _finish_result(
     processors: dict[int, ProcessorNode],
     rounds: int,
 ) -> RunResult:
+    # The run's own phase bound, not the engine's fixed default: one phase
+    # past the source's halt delivers the last sends, and then it must end.
     assignment, metrics, trace = run_protocol(
         build_network(inst.n, with_tree=isinstance(source, TreeSource)),
         source,
         processors,
+        max_phases=source.halting_phase() + 1,
     )
     _check_run(inst, assignment, processors)
     pre = source.pre_final_assignment

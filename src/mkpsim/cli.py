@@ -25,7 +25,7 @@ from .harness import (
     verify_sweep,
 )
 from .oracle import exact_optimum
-from .simnet import render_trace
+from .simnet import SimulationFault, render_trace
 
 USAGE_ERROR = 2
 INVARIANT_ERROR = 1
@@ -206,6 +206,9 @@ def main(argv=None) -> int:
     except (InstanceFormatError, OSError, ValueError) as exc:
         print(f"mkpsim: error: {exc}", file=sys.stderr)
         return USAGE_ERROR
+    except SimulationFault as exc:
+        print(f"mkpsim: invariant violated: {exc}", file=sys.stderr)
+        return INVARIANT_ERROR
 
 
 def entry() -> None:

@@ -18,14 +18,25 @@ bookkeeping at the processors) are not counted as communication phases.
 Phases in which nobody speaks still count if the source is still running --
 a silent phase is meaningful in a synchronous protocol.
 
-Determinism: within a phase, deliveries are ordered by (sender, recipient),
-node steps run in fixed id order, and programs are required to be
-deterministic, so identical inputs produce byte-identical traces.
+Deliveries: each send becomes exactly one :class:`Delivery` record (phase,
+sender, recipient, payload).  The engine appends it to the trace and to the
+recipient's inbox for the next phase, so programs read the same records the
+trace keeps.  The per-phase counts in :class:`RunMetrics` are taken as each
+phase closes.
+
+Determinism: within a phase, deliveries are ordered by (sender, recipient).
+The engine gets that order without sorting a whole phase: nodes step in
+ascending id order, so sender order holds by construction, and each node's
+own sends are stably sorted by recipient when it sent more than one, so two
+sends to the same recipient keep the order the node emitted them in.
+Programs are required to be deterministic, so identical inputs produce
+byte-identical traces.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import attrgetter
 
 from .core import Assignment
 
@@ -88,11 +99,43 @@ Payload = (
 )
 
 
-@dataclass(frozen=True)
-class Message:
-    sender: int
-    recipient: int
-    payload: Payload
+class Delivery:
+    """One delivered message, stamped with the phase in which it was sent.
+
+    The engine builds exactly one record per point-to-point delivery: the
+    recipient finds it in its inbox one phase later and the trace keeps the
+    same object.  Records are immutable by contract -- neither the engine
+    nor any node program assigns to a field -- and use ``__slots__`` rather
+    than a frozen dataclass or a named tuple, because both of those make
+    building a record or reading its fields several times slower, and the
+    engine builds one per delivery while the programs read them all.
+    Records compare and hash by value.
+    """
+
+    __slots__ = ("phase", "sender", "recipient", "payload")
+
+    def __init__(self, phase: int, sender: int, recipient: int, payload: Payload):
+        self.phase = phase
+        self.sender = sender
+        self.recipient = recipient
+        self.payload = payload
+
+    def _key(self) -> tuple:
+        return (self.phase, self.sender, self.recipient, self.payload)
+
+    def __eq__(self, other):
+        if not isinstance(other, Delivery):
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self) -> int:
+        return hash(self._key())
+
+    def __repr__(self) -> str:
+        return (
+            f"Delivery(phase={self.phase!r}, sender={self.sender!r}, "
+            f"recipient={self.recipient!r}, payload={self.payload!r})"
+        )
 
 
 # (recipient, payload); the engine stamps the sender.
@@ -154,7 +197,7 @@ def build_network(n: int, with_tree: bool = False) -> Network:
 class Node:
     """A deterministic step function: inbox -> outbox, state held on self."""
 
-    def step(self, inbox: list[Message]) -> list[Send]:
+    def step(self, inbox: list[Delivery]) -> list[Send]:
         raise NotImplementedError
 
 
@@ -170,15 +213,6 @@ class SourceNode(Node):
 # ---------------------------------------------------------------------------
 # Trace and metrics
 # ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class Delivery:
-    """One delivered message, stamped with the phase in which it was sent."""
-    phase: int
-    sender: int
-    recipient: int
-    payload: Payload
-
 
 Trace = tuple[Delivery, ...]
 
@@ -235,12 +269,35 @@ def render_payload(payload: Payload) -> str:
     raise TypeError(f"unknown payload {payload!r}")
 
 
+class _Memo(dict):
+    """A dict that fills a missing key with ``render(key)`` on first use."""
+
+    def __init__(self, render):
+        super().__init__()
+        self.render = render
+
+    def __missing__(self, key):
+        value = self[key] = self.render(key)
+        return value
+
+
 def render_trace(trace: Trace) -> str:
-    """Line-oriented dump, one delivery per line: ``phase from to payload``."""
-    lines = [
-        f"{d.phase} {node_name(d.sender)} {node_name(d.recipient)} {render_payload(d.payload)}"
-        for d in trace
-    ]
+    """Line-oriented dump, one delivery per line: ``phase from to payload``.
+
+    Each node name is rendered once, and each payload once per object: a
+    broadcast hands the same payload object to every recipient.  Payloads are
+    memoised by identity, which is sound because the trace keeps every one of
+    them alive while the dump is built.
+    """
+    names = _Memo(node_name)
+    texts: dict[int, str] = {}
+    lines = []
+    for d in trace:
+        payload = d.payload
+        text = texts.get(id(payload))
+        if text is None:
+            text = texts[id(payload)] = render_payload(payload)
+        lines.append(f"{d.phase} {names[d.sender]} {names[d.recipient]} {text}")
     return "\n".join(lines) + ("\n" if lines else "")
 
 
@@ -249,6 +306,8 @@ def render_trace(trace: Trace) -> str:
 # ---------------------------------------------------------------------------
 
 DEFAULT_MAX_PHASES = 1_000_000
+
+_by_recipient = attrgetter("recipient")
 
 
 def run_protocol(
@@ -267,14 +326,18 @@ def run_protocol(
 
     Faults (raised as :class:`SimulationFault`, never silently dropped):
     a message addressed to a nonexistent node or to the node itself, a
-    message sent after the source halted, and a message delivered to the
-    already-halted source.
+    message sent after the source halted, a message delivered to the
+    already-halted source, and a run that needs more than ``max_phases``
+    phases.  Each send is checked in the order its node emitted it.
     """
-    if sorted(processors) != list(range(1, network.n + 1)):
+    n = network.n
+    if sorted(processors) != list(range(1, n + 1)):
         raise SimulationFault("processor programs must cover ids 1..n exactly")
+    steps = [source.step] + [processors[j].step for j in range(1, n + 1)]
 
-    in_flight: list[Message] = []
     log: list[Delivery] = []
+    per_phase: list[tuple[int, int]] = []
+    inboxes: list[list[Delivery]] = [[] for _ in range(n + 1)]
     phase = 0
     halt_phase: int | None = None
 
@@ -283,25 +346,16 @@ def run_protocol(
         if phase > max_phases:
             raise SimulationFault(f"protocol did not terminate within {max_phases} phases")
 
-        inboxes: dict[int, list[Message]] = {}
-        for msg in sorted(in_flight, key=lambda msg: (msg.sender, msg.recipient)):
-            inboxes.setdefault(msg.recipient, []).append(msg)
-        in_flight = []
-
         was_halted = source.halted
-        if was_halted and SOURCE in inboxes:
+        if was_halted and inboxes[SOURCE]:
             raise SimulationFault("message delivered to the halted source")
 
-        outgoing: list[Message] = []
-        for node_id in range(network.n + 1):
-            if node_id == SOURCE:
-                if was_halted:
-                    continue
-                sends = source.step(inboxes.get(SOURCE, []))
-            else:
-                sends = processors[node_id].step(inboxes.get(node_id, []))
-            for recipient, payload in sends:
-                if not network.is_node(recipient):
+        phase_start = len(log)
+        next_inboxes: list[list[Delivery]] = [[] for _ in range(n + 1)]
+        for node_id in range(1 if was_halted else 0, n + 1):
+            node_start = len(log)
+            for recipient, payload in steps[node_id](inboxes[node_id]):
+                if not 0 <= recipient <= n:
                     raise SimulationFault(
                         f"{node_name(node_id)} sent to nonexistent node {recipient}"
                     )
@@ -311,20 +365,25 @@ def run_protocol(
                     raise SimulationFault(
                         f"{node_name(node_id)} sent a message after the source halted"
                     )
-                outgoing.append(Message(node_id, recipient, payload))
+                delivery = Delivery(phase, node_id, recipient, payload)
+                log.append(delivery)
+                next_inboxes[recipient].append(delivery)
+            # Nodes step in id order, so the log is already in sender order;
+            # a stable sort of this node's own sends puts it in (sender,
+            # recipient) order.  Each inbox is filled in sender order and,
+            # per sender, in emission order -- what that sort leaves it.
+            if len(log) - node_start > 1:
+                log[node_start:] = sorted(log[node_start:], key=_by_recipient)
+        inboxes = next_inboxes
 
-        outgoing.sort(key=lambda msg: (msg.sender, msg.recipient))
-        for msg in outgoing:
-            log.append(Delivery(phase, msg.sender, msg.recipient, msg.payload))
-        in_flight = outgoing
+        sent = len(log) - phase_start
+        if sent:
+            per_phase.append((phase, sent))
+        if source.halted:
+            if halt_phase is None:
+                halt_phase = phase
+            if not sent:
+                break
 
-        if source.halted and halt_phase is None:
-            halt_phase = phase
-        if source.halted and not in_flight:
-            break
-
-    counts: dict[int, int] = {}
-    for d in log:
-        counts[d.phase] = counts.get(d.phase, 0) + 1
-    metrics = RunMetrics(len(log), halt_phase, tuple(sorted(counts.items())))
+    metrics = RunMetrics(len(log), halt_phase, tuple(per_phase))
     return source.recorded_assignment(), metrics, tuple(log)

@@ -1,13 +1,19 @@
+import hashlib
+
 import pytest
 from hypothesis import given, settings
 
 from mkpsim import (
+    ALGORITHMS,
     Assignment,
+    GenParams,
     Instance,
     check_feasible,
     final_reassign,
     gen_adversarial,
+    gen_random,
     metrics_of,
+    render_trace,
     run_algorithm,
     run_distributed_greedy,
     run_modified_greedy,
@@ -367,6 +373,115 @@ def test_instance_a_dist_trace_golden(instance_a):
 
     run = run_distributed_greedy(instance_a)
     assert render_trace(run.trace) == GOLDEN_DIST_TRACE_A
+
+
+# SHA-256 of render_trace, with the run's message and phase counts, for
+# seeded instances beyond instance A.  The digests come from an engine that
+# sorted each whole phase by (sender, recipient), so they pin that order
+# independently of how the engine obtains it.
+GOLDEN_INSTANCES = {
+    # (m, n, cost_max, weight_max, cap_min, cap_max, seed)
+    "random-m25-n7": GenParams(25, 7, 50, 50, 1, 100, seed=11),
+    "random-m4-n100": GenParams(4, 100, 50, 50, 1, 100, seed=3),  # tree depth 6
+    "random-m30-n3-tight": GenParams(30, 3, 50, 80, 1, 60, seed=5),
+    "adversarial-n5-W4": (5, 4),
+}
+
+GOLDEN_TRACE_DIGESTS = {
+    ("random-m25-n7", "simple"): (56, 8, "cb92c6d9fa56c789194d8e79ddd0fd787fe714836aebe31925f046e4ac399f38"),
+    ("random-m25-n7", "modified"): (56, 9, "cb92c6d9fa56c789194d8e79ddd0fd787fe714836aebe31925f046e4ac399f38"),
+    ("random-m25-n7", "dist"): (1238, 76, "0d483d7337892548b2e4bd352483b2e2416ca333d19758ca2a7ea69e184c49ca"),
+    ("random-m25-n7", "tree"): (363, 125, "ab28aeb9d6132eafae8770e4fd8e286f917117903c68175f10870492fc0cc0ca"),
+    ("random-m4-n100", "simple"): (200, 2, "0fc81edad1da03e8ff82dfd2ccbcb3ed0f8959532d831eaa0eb173ed0e23cebc"),
+    ("random-m4-n100", "modified"): (200, 3, "0fc81edad1da03e8ff82dfd2ccbcb3ed0f8959532d831eaa0eb173ed0e23cebc"),
+    ("random-m4-n100", "dist"): (40004, 13, "c234ea4d17c2ff7fcc23a5f2e46235ce1c808fe617d25242f2ebb663355c6f96"),
+    ("random-m4-n100", "tree"): (804, 36, "873256cd2be4f4b8e060f564895207f0f0db6bf8fe3688993c2d110c6af14933"),
+    ("random-m30-n3-tight", "simple"): (60, 20, "77cc98338e42a224fc703f3c25fe1805580b4e6e59bff30bfb5f0fdd8eb2fa26"),
+    ("random-m30-n3-tight", "modified"): (61, 21, "d339b1b017485696adb21be4a1f6235fb9b40481c720d5f3dd477ea397da8995"),
+    ("random-m30-n3-tight", "dist"): (276, 91, "bf60b7528e7466d58b2b357bdac3872b7d71ee9f1312f83a30cd323ab72b1a74"),
+    ("random-m30-n3-tight", "tree"): (186, 120, "9f61ab4b61ba0714ebaead78df813a53501303ea6a2762da4b6a4402f0abfffe"),
+    ("adversarial-n5-W4", "simple"): (20, 4, "d91f0dff49fdb2eb9ccb87ac86317ffb227893d77216385f81e2789618adafa4"),
+    ("adversarial-n5-W4", "modified"): (25, 5, "9c389346030f3b052f32f20b06ba082638d44de6238de088ac9472ab10629d32"),
+    ("adversarial-n5-W4", "dist"): (260, 31, "fdb6e38227e844a9c4985e45f05445b680aae5f36560163b3ad1deb0f8e42ac5"),
+    ("adversarial-n5-W4", "tree"): (110, 50, "0e97b892a035d4a40efd232180bb36a49b63ad0186665f22a77ff50ef065cbf4"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(GOLDEN_INSTANCES))
+def test_seeded_traces_match_golden_digests(case):
+    spec = GOLDEN_INSTANCES[case]
+    inst = gen_random(spec) if isinstance(spec, GenParams) else gen_adversarial(*spec)
+    for name in ALGORITHMS:
+        run = run_algorithm(name, inst)
+        digest = hashlib.sha256(render_trace(run.trace).encode()).hexdigest()
+        assert (run.messages, run.phases, digest) == GOLDEN_TRACE_DIGESTS[case, name], name
+        assert run.metrics.per_phase == metrics_of(run.trace).per_phase
+
+
+# (m, n, weight_max, cap_max, seed): non-power-of-two n up to 70 (tree depth
+# up to 6), m up to 300; the tight capacities leave items for the
+# reassignment pass.
+DIFFERENTIAL_CASES = [
+    (300, 3, 50, 100, 1),
+    (240, 6, 60, 40, 2),
+    (150, 11, 50, 100, 3),
+    (90, 23, 80, 50, 4),
+    (45, 37, 50, 100, 5),
+    (30, 50, 90, 40, 6),
+    (12, 70, 50, 100, 7),
+]
+
+
+@pytest.mark.parametrize("m,n,weight_max,cap_max,seed", DIFFERENTIAL_CASES)
+def test_differential_sweep_at_depth(m, n, weight_max, cap_max, seed):
+    inst = gen_random(GenParams(m, n, 50, weight_max, 1, cap_max, seed=seed))
+    runs = {name: run_algorithm(name, inst) for name in ALGORITHMS}
+    sequential = strict_sequential_greedy(inst).assignment.placement
+    assert runs["dist"].pre_final_assignment.placement == sequential
+    assert runs["tree"].pre_final_assignment.placement == sequential
+    assert runs["dist"].assignment.placement == runs["tree"].assignment.placement
+    batch = batch_round_greedy(inst).assignment.placement
+    assert runs["simple"].assignment.placement == batch
+    assert runs["modified"].pre_final_assignment.placement == batch
+
+    rounds = -(-m // n)
+    levels = n.bit_length() - 1
+    assigned = sum(k is not None for k in sequential.values())
+    ch = {name: len(run.changed_knapsacks) for name, run in runs.items()}
+    expected = {
+        "simple": (2 * n * rounds, 2 * rounds),
+        "modified": (2 * n * rounds + ch["modified"], 2 * rounds + 1),
+        "dist": (m * n * n + assigned + ch["dist"], 3 * m + 1),
+        "tree": (2 * m * n + assigned + ch["tree"], m * (levels + 3)),
+    }
+    for name, run in runs.items():
+        assert (run.messages, run.phases) == expected[name], name
+        recount = metrics_of(run.trace)
+        assert recount.messages == run.messages
+        assert recount.per_phase == run.metrics.per_phase
+        assert check_feasible(run.assignment, inst) is None
+
+
+def test_each_run_passes_its_own_phase_bound(monkeypatch, instance_a):
+    # an engine default far below every run's phase count (13 for dist, 16
+    # for tree on instance A) changes nothing: each protocol passes its own
+    # bound, the phase its source halts in plus one phase that drains
+    import mkpsim.algorithms as algorithms
+
+    expected = {name: run_algorithm(name, instance_a) for name in ALGORITHMS}
+    engine = algorithms.run_protocol
+    bounds = []
+
+    def capped(network, source, processors, **kwargs):
+        kwargs.setdefault("max_phases", 2)
+        bounds.append(kwargs["max_phases"])
+        return engine(network, source, processors, **kwargs)
+
+    monkeypatch.setattr(algorithms, "run_protocol", capped)
+    for name in ALGORITHMS:
+        run = run_algorithm(name, instance_a)
+        assert bounds.pop() == run.phases + 1 > 2
+        assert render_trace(run.trace) == render_trace(expected[name].trace)
 
 
 class TestRunAlgorithmDispatch:

@@ -129,6 +129,24 @@ class TestCompare:
         assert len(out.splitlines()) == 3
 
 
+class TestSimulationFaults:
+    @pytest.mark.parametrize(
+        "argv", [("run", "--alg", "tree"), ("compare",)], ids=["run", "compare"]
+    )
+    def test_fault_is_one_line_with_exit_1(self, capsys, tmp_path, instance_a, monkeypatch, argv):
+        import mkpsim.algorithms as algorithms
+
+        # a phase bound below every protocol's real need makes the engine fault
+        for cls in (algorithms.BatchSource, algorithms.BroadcastSource, algorithms.TreeSource):
+            monkeypatch.setattr(cls, "halting_phase", lambda self: 1)
+        inst = tmp_path / "a.json"
+        save_instance(instance_a, inst)
+        code, out, err = run_cli(capsys, *argv, "--instance", str(inst))
+        assert code == 1
+        assert out == ""
+        assert err == "mkpsim: invariant violated: protocol did not terminate within 2 phases\n"
+
+
 class TestVerify:
     def test_single_instance_ok(self, capsys, tmp_path, instance_a):
         inst = tmp_path / "a.json"

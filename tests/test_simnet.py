@@ -202,6 +202,76 @@ class TestEngine:
         with pytest.raises(SimulationFault, match="halted source"):
             run_protocol(build_network(1), _SilentSource(), {1: Straggler()})
 
+    def test_send_after_source_halted_faults(self):
+        class LastWord(SourceNode):
+            def step(self, inbox):
+                self.halted = True
+                return [(1, WeightOffer(1))]
+
+            def recorded_assignment(self):
+                return None
+
+        class Answer(Node):
+            def step(self, inbox):
+                return [(2, CapacityReport(1))] if inbox else []
+
+        # the source halts in phase 1 with its offer in flight; p1 answers
+        # it in phase 2
+        with pytest.raises(SimulationFault, match="p1 sent a message after the source halted"):
+            run_protocol(build_network(2), LastWord(), {1: Answer(), 2: _SilentNode()})
+
+    def test_deliveries_are_ordered_by_sender_then_recipient(self):
+        class Scatter(SourceNode):
+            """Sends in descending recipient order, twice to p3, then halts."""
+
+            def step(self, inbox):
+                self.halted = True
+                return [
+                    (3, WeightOffer(1)),
+                    (2, WeightOffer(2)),
+                    (3, WeightOffer(3)),
+                    (1, WeightOffer(4)),
+                ]
+
+            def recorded_assignment(self):
+                return None
+
+        class Recorder(Node):
+            def __init__(self, sends=()):
+                self.sends = list(sends)
+                self.inboxes = []
+
+            def step(self, inbox):
+                self.inboxes.append(inbox)
+                sends, self.sends = self.sends, []
+                return sends
+
+        nodes = {
+            1: Recorder([(3, CapacityReport(5))]),
+            2: Recorder([(3, CapacityReport(6)), (1, CapacityReport(7))]),
+            3: Recorder(),
+        }
+        _, metrics, trace = run_protocol(build_network(3), Scatter(), nodes)
+        assert render_trace(trace) == (
+            "1 S p1 weight 4\n"
+            "1 S p2 weight 2\n"
+            "1 S p3 weight 1\n"
+            "1 S p3 weight 3\n"
+            "1 p1 p3 capacity 5\n"
+            "1 p2 p1 capacity 7\n"
+            "1 p2 p3 capacity 6\n"
+        )
+        assert metrics.per_phase == ((1, 7),)
+        assert [(d.sender, render_payload(d.payload)) for d in nodes[3].inboxes[1]] == [
+            (SOURCE, "weight 1"),
+            (SOURCE, "weight 3"),
+            (1, "capacity 5"),
+            (2, "capacity 6"),
+        ]
+        assert [d.sender for d in nodes[1].inboxes[1]] == [SOURCE, 2]
+        # a recipient's inbox holds the very records the trace keeps
+        assert all(any(d is t for t in trace) for d in nodes[3].inboxes[1])
+
 
 class TestMetricsAndRendering:
     def test_empty_trace_metrics(self):
