@@ -46,6 +46,7 @@ the reassignment pass, ch = knapsacks changed by it, R = ceil(m/n)):
 
 from __future__ import annotations
 
+from bisect import insort
 from dataclasses import dataclass
 
 from .core import Assignment, Instance, check_feasible, objective, sort_by_density
@@ -101,23 +102,35 @@ def final_reassign(
     The total profit never decreases: a swap happens only when the incoming
     item outweighs everything the knapsack held, and no other knapsack is
     touched by it.
+
+    Cost, for m items and a pool of p: one grouping pass over the placement
+    (O(m) when it is in id order) and one sort of the pool by (-cost, id)
+    (O(p log p)).  Each knapsack then scans that order up to the first item
+    that fits it, which is the head of the order unless the most profitable
+    items are too heavy (O(p) at worst).  A swap bisects its evicted items
+    back into the order.
     """
     result = assignment.copy()
-    pool_set = set(result.unassigned_items() if pool is None else pool)
+    items = inst.items
+    contents = result.items_by_knapsack(inst)
+    if pool is None:
+        pool = [i for i, k in result.placement.items() if k is None]
+    # the pool as (-cost, id, weight), most profitable first, ties by id
+    order = sorted((-item.cost, item.id, item.weight) for item in map(inst.item, set(pool)))
     changed = []
-    for j in range(inst.n):
-        best = None
-        for i in sorted(pool_set):
-            item = inst.item(i)
-            if item.weight <= inst.capacities[j] and (best is None or item.cost > best.cost):
-                best = item
-        if best is None:
-            continue
-        current_profit = sum(inst.item(i).cost for i in result.items_in(j))
-        if best.cost > current_profit:
-            evicted = result.replace_contents(inst, j, [best.id])
-            pool_set.remove(best.id)
-            pool_set.update(evicted)
+    for j, capacity in enumerate(inst.capacities):
+        for pos, (neg_cost, best, weight) in enumerate(order):
+            if weight <= capacity:
+                break
+        else:
+            continue  # nothing in the pool fits this knapsack
+        held = contents[j]
+        if -neg_cost > sum(items[i].cost for i in held):
+            del order[pos]
+            for i in held:
+                result.unassign(inst, i)
+                insort(order, (-items[i].cost, i, items[i].weight))
+            result.assign(inst, best, j)
             changed.append(j)
     return result, tuple(changed)
 
@@ -172,11 +185,10 @@ class GreedySource(SourceNode):
         self.pre_final_assignment = self.assignment.copy()
         if self.with_final:
             self.assignment, self.changed = final_reassign(self.assignment, self.inst)
+            contents = self.assignment.items_by_knapsack(self.inst)
             for j in self.changed:
-                contents = tuple(
-                    (i, self.inst.item(i).weight) for i in self.assignment.items_in(j)
-                )
-                out.append((j + 1, FinalDirective(contents)))
+                weights = tuple((i, self.inst.items[i].weight) for i in contents[j])
+                out.append((j + 1, FinalDirective(weights)))
         self.halted = True
         return out
 

@@ -190,6 +190,17 @@ class Assignment:
     def items_in(self, knapsack: int) -> list[int]:
         return sorted(i for i, k in self.placement.items() if k == knapsack)
 
+    def items_by_knapsack(self, inst: Instance) -> list[list[int]]:
+        """``items_in`` for every knapsack at once: n ascending id lists built
+        in one pass over the placement instead of n scans."""
+        groups: list[list[int]] = [[] for _ in range(inst.n)]
+        for item_id, knapsack in sorted(self.placement.items()):
+            if knapsack is not None:
+                if not 0 <= knapsack < inst.n:
+                    raise DomainError(f"item {item_id} assigned to unknown knapsack {knapsack}")
+                groups[knapsack].append(item_id)
+        return groups
+
     def assigned_items(self) -> list[int]:
         return sorted(i for i, k in self.placement.items() if k is not None)
 
@@ -197,11 +208,10 @@ class Assignment:
         return sorted(i for i, k in self.placement.items() if k is None)
 
     def contents(self, inst: Instance) -> list[KnapsackContents]:
-        out = []
-        for j in range(inst.n):
-            ids = tuple(self.items_in(j))
-            out.append(KnapsackContents(j, ids, sum(inst.item(i).cost for i in ids)))
-        return out
+        return [
+            KnapsackContents(j, tuple(ids), sum(inst.item(i).cost for i in ids))
+            for j, ids in enumerate(self.items_by_knapsack(inst))
+        ]
 
 
 def objective(assignment: Assignment, inst: Instance) -> int:
@@ -229,17 +239,24 @@ def check_feasible(assignment: Assignment, inst: Instance) -> str | None:
     cached remaining values match recomputation.  Items absent from the
     placement map are treated as unassigned; a dict cannot assign one item
     twice, so single-assignment is structural.
+
+    Cost: one pass over the placement in id order, which checks the ids and
+    totals every knapsack's load (O(m log m) for the id sort, linear when the
+    placement is already in id order as every assignment built here is),
+    then O(n) to compare the loads with the capacities and the cache.
     """
     if len(assignment.remaining) != inst.n:
         return f"remaining vector has length {len(assignment.remaining)}, expected {inst.n}"
+    loads = [0] * inst.n
     for item_id in sorted(assignment.placement):
         if not 0 <= item_id < inst.m:
             return f"unknown item id {item_id}"
         knapsack = assignment.placement[item_id]
-        if knapsack is not None and not 0 <= knapsack < inst.n:
-            return f"item {item_id} assigned to unknown knapsack {knapsack}"
-    for j in range(inst.n):
-        load = sum(inst.items[i].weight for i, k in assignment.placement.items() if k == j)
+        if knapsack is not None:
+            if not 0 <= knapsack < inst.n:
+                return f"item {item_id} assigned to unknown knapsack {knapsack}"
+            loads[knapsack] += inst.items[item_id].weight
+    for j, load in enumerate(loads):
         if load > inst.capacities[j]:
             return f"knapsack {j}: load {load} exceeds capacity {inst.capacities[j]}"
         expected = inst.capacities[j] - load

@@ -1,7 +1,8 @@
 import hashlib
+import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import given, settings, strategies as st
 
 from mkpsim import (
     ALGORITHMS,
@@ -84,6 +85,115 @@ class TestFinalReassign:
         out, _ = final_reassign(greedy.assignment, instance_a)
         total = sum(instance_a.item(i).cost for i in out.assigned_items())
         assert total >= greedy.profit
+
+
+def reassign_by_rescanning(assignment, inst, pool=None):
+    """The reassignment pass restated quadratically: for every knapsack,
+    scan the whole pool in id order for the best fitting item and recount
+    the knapsack's contents from the placement."""
+    placement = dict(assignment.placement)
+    pool = set(
+        [i for i, k in placement.items() if k is None] if pool is None else pool
+    )
+    changed = []
+    for j, cap in enumerate(inst.capacities):
+        best = None
+        for i in sorted(pool):
+            item = inst.items[i]
+            if item.weight <= cap and (best is None or item.cost > best.cost):
+                best = item
+        if best is None:
+            continue
+        held = [i for i, k in placement.items() if k == j]
+        if best.cost > sum(inst.items[i].cost for i in held):
+            for i in held:
+                placement[i] = None
+            placement[best.id] = j
+            pool.remove(best.id)
+            pool.update(held)
+            changed.append(j)
+    remaining = [
+        cap - sum(inst.items[i].weight for i, k in placement.items() if k == j)
+        for j, cap in enumerate(inst.capacities)
+    ]
+    return placement, remaining, tuple(changed)
+
+
+def assert_reassign_matches_rescan(inst, assignment, pool=None):
+    before = assignment.copy()
+    out, changed = final_reassign(assignment, inst, pool=pool)
+    assert (out.placement, out.remaining, changed) == reassign_by_rescanning(
+        assignment, inst, pool
+    )
+    assert assignment == before  # the input is never mutated
+    return out, changed
+
+
+@st.composite
+def reassign_cases(draw):
+    """Small instances with zero capacities and repeated costs, a feasible
+    partial assignment, and either the default pool or an explicit subset
+    of the unassigned ids."""
+    n = draw(st.integers(1, 4))
+    caps = draw(st.lists(st.integers(0, 12), min_size=n, max_size=n))
+    pairs = draw(st.lists(st.tuples(st.integers(0, 6), st.integers(1, 8)), max_size=12))
+    inst = Instance.from_pairs(pairs, caps)
+    assignment = Assignment.empty(inst)
+    for item in inst.items:
+        j = draw(st.none() | st.integers(0, n - 1))
+        if j is not None and item.weight <= assignment.remaining[j]:
+            assignment.assign(inst, item.id, j)
+    unassigned = assignment.unassigned_items()
+    explicit = st.lists(st.sampled_from(unassigned), unique=True) if unassigned else st.just([])
+    return inst, assignment, draw(st.none() | explicit)
+
+
+class TestReassignDifferential:
+    @settings(max_examples=200, deadline=None)
+    @given(reassign_cases())
+    def test_matches_quadratic_restatement(self, case):
+        assert_reassign_matches_rescan(*case)
+
+    def test_cost_tie_goes_to_the_smallest_id(self):
+        inst = Instance.from_pairs([(1, 1), (7, 5), (7, 2), (7, 3)], [5, 3])
+        out, changed = assert_reassign_matches_rescan(inst, Assignment.empty(inst))
+        assert changed == (0, 1)
+        assert out.items_in(0) == [1] and out.items_in(1) == [2]
+
+    def test_equal_profit_keeps_the_current_contents(self):
+        inst = Instance.from_pairs([(3, 1), (2, 1), (5, 2)], [2])
+        assignment = Assignment.empty(inst)
+        assignment.assign(inst, 0, 0)
+        assignment.assign(inst, 1, 0)
+        out, changed = assert_reassign_matches_rescan(inst, assignment)
+        assert changed == () and out.items_in(0) == [0, 1]
+
+    def test_zero_capacity_knapsacks_are_skipped(self):
+        inst = Instance.from_pairs([(4, 1), (9, 2)], [0, 2, 0])
+        out, changed = assert_reassign_matches_rescan(inst, Assignment.empty(inst))
+        assert changed == (1,) and out.items_in(1) == [1]
+
+    def test_evicted_items_go_to_later_knapsacks_in_cost_order(self):
+        # knapsack 0 evicts three items; knapsacks 1 and 2 take the two
+        # best of them, and knapsack 3 the best item that was never placed
+        inst = Instance.from_pairs(
+            [(3, 2), (4, 2), (4, 2), (20, 9), (1, 1)], [9, 2, 2, 1]
+        )
+        assignment = Assignment.empty(inst)
+        for i in (0, 1, 2):
+            assignment.assign(inst, i, 0)
+        out, changed = assert_reassign_matches_rescan(inst, assignment)
+        assert changed == (0, 1, 2, 3)
+        assert [out.items_in(j) for j in range(4)] == [[3], [1], [2], [4]]
+
+    def test_explicit_pool_limits_the_candidates(self):
+        inst = Instance.from_pairs([(2, 1), (9, 3), (8, 3), (1, 1)], [3, 3])
+        assignment = Assignment.empty(inst)
+        assignment.assign(inst, 0, 0)
+        assignment.assign(inst, 3, 1)
+        out, changed = assert_reassign_matches_rescan(inst, assignment, pool=[2])
+        assert changed == (0, 1)
+        assert out.items_in(0) == [2] and out.items_in(1) == [0]  # item 1 not pooled
 
 
 class TestSimpleGreedy:
@@ -404,6 +514,10 @@ GOLDEN_TRACE_DIGESTS = {
     ("adversarial-n5-W4", "modified"): (25, 5, "9c389346030f3b052f32f20b06ba082638d44de6238de088ac9472ab10629d32"),
     ("adversarial-n5-W4", "dist"): (260, 31, "fdb6e38227e844a9c4985e45f05445b680aae5f36560163b3ad1deb0f8e42ac5"),
     ("adversarial-n5-W4", "tree"): (110, 50, "0e97b892a035d4a40efd232180bb36a49b63ad0186665f22a77ff50ef065cbf4"),
+    ("evicting-m332-n18", "simple"): (684, 38, "7c42faef892f54ea8bef460de5d314c491762a1fbb4f7af7131981c4fb942aa3"),
+    ("evicting-m332-n18", "modified"): (702, 39, "d5c2b227a677f0ad24019271ffac183cc0c5d92e9b7ba8ee2a2568bfa5195881"),
+    ("evicting-m332-n18", "dist"): (107634, 997, "4132730a0fffe716dc59ce9e9a3a4494f888487843325157ea61122376935512"),
+    ("evicting-m332-n18", "tree"): (12018, 2324, "7a21d583b16d851f6a7ab56f20e0113fc0b52f8e8585cba99122c26b65831bff"),
 }
 
 
@@ -416,6 +530,41 @@ def test_seeded_traces_match_golden_digests(case):
         digest = hashlib.sha256(render_trace(run.trace).encode()).hexdigest()
         assert (run.messages, run.phases, digest) == GOLDEN_TRACE_DIGESTS[case, name], name
         assert run.metrics.per_phase == metrics_of(run.trace).per_phase
+
+
+def evicting_instance() -> Instance:
+    """``gen_adversarial(16, 20)`` plus 300 fillers of density <= 3/5,
+    shuffled, with two capacity-3 knapsacks after the sixteen of capacity 20.
+
+    Greedy leaves a light item and some fillers in every capacity-20
+    knapsack; the reassignment pass swaps each of them for a heavy item, and
+    the two small knapsacks then take light items evicted earlier.
+    """
+    rng = random.Random(2024)
+    pairs = [(it.cost, it.weight) for it in gen_adversarial(16, 20).items]
+    pairs += [(rng.randint(1, 3), rng.randint(5, 50)) for _ in range(300)]
+    rng.shuffle(pairs)
+    return Instance.from_pairs(pairs, [20] * 16 + [3, 3])
+
+
+def test_evicting_instance_matches_golden_digests():
+    # digests taken before the reassignment pass and check_feasible were
+    # rewritten around a single grouping pass
+    inst = evicting_instance()
+    for name in ALGORITHMS:
+        run = run_algorithm(name, inst)
+        digest = hashlib.sha256(render_trace(run.trace).encode()).hexdigest()
+        assert (run.messages, run.phases, digest) == GOLDEN_TRACE_DIGESTS[
+            "evicting-m332-n18", name
+        ], name
+        if name == "simple":
+            continue
+        pre = run.pre_final_assignment
+        assert run.changed_knapsacks == tuple(range(18)), name
+        assert all(len(pre.items_in(j)) > 1 for j in range(16)), name
+        for j in (16, 17):
+            (taken,) = run.assignment.items_in(j)
+            assert pre.placement[taken] in range(16), name  # evicted earlier
 
 
 # (m, n, weight_max, cap_max, seed): non-power-of-two n up to 70 (tree depth

@@ -1,7 +1,7 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from mkpsim import (
     Assignment,
@@ -164,6 +164,84 @@ class TestObjectiveAndFeasibility:
         assert "unknown item id 77" in check_feasible(assignment, instance_a)
 
 
+def first_violation_by_rescanning(assignment, inst):
+    """check_feasible restated per knapsack: ids first, then each knapsack's
+    load recounted from the whole placement, in index order."""
+    if len(assignment.remaining) != inst.n:
+        return f"remaining vector has length {len(assignment.remaining)}, expected {inst.n}"
+    for item_id in sorted(assignment.placement):
+        if not 0 <= item_id < inst.m:
+            return f"unknown item id {item_id}"
+        knapsack = assignment.placement[item_id]
+        if knapsack is not None and not 0 <= knapsack < inst.n:
+            return f"item {item_id} assigned to unknown knapsack {knapsack}"
+    for j, cap in enumerate(inst.capacities):
+        load = sum(inst.items[i].weight for i, k in assignment.placement.items() if k == j)
+        if load > cap:
+            return f"knapsack {j}: load {load} exceeds capacity {cap}"
+        if assignment.remaining[j] != cap - load:
+            return f"knapsack {j}: cached remaining {assignment.remaining[j]} != recomputed {cap - load}"
+    return None
+
+
+@st.composite
+def corrupted_assignments(draw):
+    """A feasible assignment with some entries of ``placement`` and
+    ``remaining`` overwritten directly: overfull knapsacks, stale cached
+    capacities, unknown items and unknown knapsacks."""
+    n = draw(st.integers(1, 4))
+    caps = draw(st.lists(st.integers(0, 10), min_size=n, max_size=n))
+    weights = draw(st.lists(st.integers(1, 6), max_size=8))
+    inst = Instance.from_pairs([(1, w) for w in weights], caps)
+    assignment = Assignment.empty(inst)
+    for item in inst.items:
+        j = draw(st.none() | st.integers(0, n - 1))
+        if j is not None and item.weight <= assignment.remaining[j]:
+            assignment.assign(inst, item.id, j)
+    knapsack = st.none() | st.integers(-1, n)
+    for item_id, j in draw(st.lists(st.tuples(st.integers(0, inst.m + 2), knapsack), max_size=4)):
+        assignment.placement[item_id] = j
+    for j, delta in draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(-3, 3)), max_size=3)):
+        assignment.remaining[j] += delta
+    return inst, assignment
+
+
+class TestFeasibilityDifferential:
+    @settings(max_examples=200, deadline=None)
+    @given(corrupted_assignments())
+    def test_matches_per_knapsack_restatement(self, case):
+        inst, assignment = case
+        assert check_feasible(assignment, inst) == first_violation_by_rescanning(assignment, inst)
+
+    def check(self, assignment, inst):
+        violation = check_feasible(assignment, inst)
+        assert violation == first_violation_by_rescanning(assignment, inst)
+        return violation
+
+    def test_two_overfull_knapsacks_report_the_lower_index(self):
+        inst = Instance.from_pairs([(1, 4), (1, 4), (1, 4), (1, 4)], [5, 5, 5])
+        assignment = Assignment.empty(inst)
+        assignment.placement.update({0: 2, 1: 2, 2: 1, 3: 1})
+        assert self.check(assignment, inst) == "knapsack 1: load 8 exceeds capacity 5"
+
+    def test_stale_remaining_before_an_overfull_knapsack(self):
+        inst = Instance.from_pairs([(1, 2), (1, 4), (1, 4)], [5, 5])
+        assignment = Assignment.empty(inst)
+        assignment.assign(inst, 0, 0)
+        assignment.placement.update({1: 1, 2: 1})
+        assignment.remaining[0] = 5
+        assert self.check(assignment, inst) == "knapsack 0: cached remaining 5 != recomputed 3"
+
+    def test_unknown_item_and_unknown_knapsack_report_the_smaller_id(self):
+        inst = Instance.from_pairs([(1, 1), (1, 1)], [5])
+        assignment = Assignment.empty(inst)
+        assignment.placement[1] = 3
+        assignment.placement[9] = 0
+        assert self.check(assignment, inst) == "item 1 assigned to unknown knapsack 3"
+        assignment.placement[1] = None
+        assert self.check(assignment, inst) == "unknown item id 9"
+
+
 class TestAssignmentMutators:
     def test_assign_respects_capacity(self, instance_a):
         assignment = Assignment.empty(instance_a)
@@ -202,6 +280,12 @@ class TestAssignmentMutators:
         assert contents[0].items == (0, 3)
         assert contents[0].profit == 11
         assert contents[1].items == () and contents[1].profit == 0
+
+    def test_contents_rejects_an_unknown_knapsack(self, instance_a):
+        assignment = Assignment.empty(instance_a)
+        assignment.placement[1] = 2  # bypass assign(); instance A has knapsacks 0 and 1
+        with pytest.raises(DomainError, match="unknown knapsack 2"):
+            assignment.contents(instance_a)
 
 
 class TestInstanceDocument:
