@@ -3,13 +3,10 @@ dispatch protocols, with exact oracles and message/phase accounting."""
 
 from .algorithms import (
     ALGORITHMS,
+    PROTOCOLS,
     RunResult,
     final_reassign,
     run_algorithm,
-    run_distributed_greedy,
-    run_modified_greedy,
-    run_simple_greedy,
-    run_tree_greedy,
     tree_links,
 )
 from .core import (
@@ -54,10 +51,8 @@ from .oracle import (
 )
 from .simnet import (
     SOURCE,
-    Network,
     RunMetrics,
     SimulationFault,
-    build_network,
     metrics_of,
     render_trace,
     run_protocol,

@@ -12,8 +12,7 @@ to the smallest processor id.
              *reported* capacity and an explicit bottom otherwise.  The item
              cursor advances past every considered item, matched or not, so
              an item rejected by its matched knapsack is gone for good even
-             if another knapsack could have taken it.  ceil(m/n) rounds of
-             two phases; exactly 2n messages per round.
+             if another knapsack could have taken it.
 
 ``modified`` the batch rounds above followed by the reassignment pass
              (:func:`final_reassign`), computed at the source and pushed with
@@ -24,30 +23,27 @@ to the smallest processor id.
              other processor; all of them compute the same argmax, and the
              unique winner reports to the source and deducts.  If nobody is
              eligible the winner phase stays silent and the source moves on.
-             Three phases and n^2 + (1 if assigned) messages per round, plus
-             the reassignment pass.
+             Then the reassignment pass.
 
 ``tree``     same greedy rule, but the argmax is computed by bottom-up
              aggregation over the binary tree (root p_1, children 2j/2j+1):
              each node merges its own eligible capacity with its children's
              pairs and forwards the best to its parent; the root reports the
              winner (or bottom) to the source, which then awards the item to
-             the winner.  floor(log2 n) + 3 phases and 2n + (1 if assigned)
-             messages per round, plus the reassignment pass.
+             the winner.  Then the reassignment pass.
 
-Per-run message totals, as counted by the engine (a = items assigned before
-the reassignment pass, ch = knapsacks changed by it, R = ceil(m/n)):
-
-    simple    2nR
-    modified  2nR + ch
-    dist      m*n^2 + a + ch
-    tree      2mn + a + ch
+Each protocol's round count, phases per round, halting phase and exact
+message total are stated once, in its :class:`Protocol` record in
+:data:`PROTOCOLS`; :func:`run_algorithm` builds and runs any of them from
+that record.
 """
 
 from __future__ import annotations
 
 from bisect import insort
 from dataclasses import dataclass
+from functools import partial
+from typing import Callable
 
 from .core import Assignment, Instance, check_feasible, objective, sort_by_density
 from .simnet import (
@@ -66,24 +62,19 @@ from .simnet import (
     Trace,
     WeightOffer,
     Winner,
-    build_network,
     run_protocol,
     tree_links,
 )
 
 __all__ = [
     "ALGORITHMS",
+    "PROTOCOLS",
+    "Protocol",
     "RunResult",
     "final_reassign",
     "run_algorithm",
-    "run_simple_greedy",
-    "run_modified_greedy",
-    "run_distributed_greedy",
-    "run_tree_greedy",
     "tree_links",
 ]
-
-ALGORITHMS = ("simple", "modified", "dist", "tree")
 
 
 def final_reassign(
@@ -140,10 +131,10 @@ def final_reassign(
 # ---------------------------------------------------------------------------
 
 class ProcessorNode(Node):
-    def __init__(self, j: int, capacity: int):
+    def __init__(self, inst: Instance, j: int):
         self.j = j
-        self.capacity = capacity
-        self.remaining = capacity
+        self.capacity = inst.capacities[j - 1]
+        self.remaining = self.capacity
 
     def _take(self, weight: int) -> None:
         if weight > self.remaining:
@@ -175,10 +166,6 @@ class GreedySource(SourceNode):
     def recorded_assignment(self) -> Assignment:
         return self.assignment
 
-    def halting_phase(self) -> int:
-        """The phase in which this protocol's source halts (its closed form)."""
-        raise NotImplementedError
-
     def _finish(self) -> list[Send]:
         """Run the reassignment pass (if any) and halt; returns directives."""
         out: list[Send] = []
@@ -197,19 +184,19 @@ class GreedySource(SourceNode):
 # Batch rounds (simple / modified)
 # ---------------------------------------------------------------------------
 #
-# Phase layout, R = ceil(m/n) rounds:
+# Phase layout of round r = 0, 1, ...:
 #   2r+1  every processor reports its remaining capacity
 #   2r+2  the source ranks the reports and dispatches item-or-bottom to each
-#   2R+1  (modified only) reassignment pass, directives out, source halts
-# The simple variant halts in phase 2R, right after the last dispatch batch.
+# The simple variant halts with the last dispatch; modified spends one more
+# phase on the reassignment pass and its directives.
 
 class BatchProcessor(ProcessorNode):
     """Reports capacity once per round; the round budget is fixed up front
     so the protocol ends without any extra signalling."""
 
-    def __init__(self, j: int, capacity: int, rounds_total: int):
-        super().__init__(j, capacity)
-        self.rounds_total = rounds_total
+    def __init__(self, inst: Instance, j: int, rounds: int, period: int):
+        super().__init__(inst, j)
+        self.rounds_total = rounds
         self.rounds_sent = 0
         self.phase = 0
 
@@ -239,15 +226,11 @@ class BatchProcessor(ProcessorNode):
 
 
 class BatchSource(GreedySource):
-    def __init__(self, inst: Instance, with_final: bool):
+    def __init__(self, inst: Instance, rounds: int, period: int, *, with_final: bool):
         super().__init__(inst, with_final)
-        self.rounds_total = -(-inst.m // inst.n)  # ceil(m/n)
+        self.rounds_total = rounds
         self.rounds_done = 0
         self.cursor = 0
-
-    def halting_phase(self) -> int:
-        # 2R, plus the reassignment phase for modified; no rounds: phase 1
-        return max(1, 2 * self.rounds_total + (1 if self.with_final else 0))
 
     def step(self, inbox: list[Delivery]) -> list[Send]:
         self.phase += 1
@@ -277,8 +260,7 @@ class BatchSource(GreedySource):
                     out.append((j, Bottom()))
             self.rounds_done += 1
             if self.rounds_done == self.rounds_total and not self.with_final:
-                self.pre_final_assignment = self.assignment.copy()
-                self.halted = True
+                out += self._finish()  # no reassignment pass: halt right away
             return out
 
         # all rounds dispatched (or there were none): wrap up
@@ -289,17 +271,17 @@ class BatchSource(GreedySource):
 # Full-broadcast consensus (dist)
 # ---------------------------------------------------------------------------
 #
-# Phase layout, one item per round, m rounds:
+# Phase layout of round r, which dispatches the r-th item:
 #   3r+1  source broadcasts the item weight (and books the previous winner)
 #   3r+2  processors broadcast (id, capacity or bottom) to each other
 #   3r+3  everyone computes the same argmax; the winner reports and deducts
-#   3m+1  source books the last winner, runs the reassignment pass, halts
+# One more phase books the last winner, runs the reassignment pass and halts.
 # A round whose item fits nowhere simply leaves phase 3r+3 silent.
 
 class BroadcastProcessor(ProcessorNode):
-    def __init__(self, j: int, capacity: int, n: int):
-        super().__init__(j, capacity)
-        self.n = n
+    def __init__(self, inst: Instance, j: int, rounds: int, period: int):
+        super().__init__(inst, j)
+        self.n = inst.n
         self.current_weight: int | None = None
         self.my_report: ConsensusPair | None = None
 
@@ -361,13 +343,11 @@ class BroadcastProcessor(ProcessorNode):
 
 
 class BroadcastSource(GreedySource):
-    def __init__(self, inst: Instance):
+    def __init__(self, inst: Instance, rounds: int, period: int):
         super().__init__(inst, with_final=True)
+        self.period = period
         self.idx = 0
         self.pending: int | None = None  # item id awaiting this round's winner
-
-    def halting_phase(self) -> int:
-        return 3 * self.inst.m + 1
 
     def step(self, inbox: list[Delivery]) -> list[Send]:
         self.phase += 1
@@ -384,7 +364,7 @@ class BroadcastSource(GreedySource):
             self.assignment.assign(self.inst, self.pending, winners[0] - 1)
             self.pending = None
 
-        if (self.phase - 1) % 3 != 0:
+        if (self.phase - 1) % self.period != 0:
             return []
         # round boundary: an unresolved item fit nowhere and stays unassigned
         self.pending = None
@@ -401,23 +381,22 @@ class BroadcastSource(GreedySource):
 # Tree consensus (tree)
 # ---------------------------------------------------------------------------
 #
-# D = floor(log2 n), P = D + 3 phases per round.  Round-local offsets:
+# P phases per round (the record's period), D = P - 3 tree levels below the
+# root.  Round-local offsets:
 #   1    source broadcasts the item weight (last round's award lands now)
 #   2    offer arrives; nodes at depth D send their pair up
-#   ...  a node at depth d sends at offset D - d + 2, by which time both of
+#   ...  a node at depth d sends at offset P - 1 - d, by which time both of
 #        its children (depth d+1) have been heard
-#   D+2  the root merges and reports winner-or-bottom to the source
-#   D+3  the source books the round and awards the item to the winner;
+#   P-1  the root merges and reports winner-or-bottom to the source
+#   P    the source books the round and awards the item to the winner;
 #        after the last round it also runs the reassignment pass and halts.
 
 class TreeProcessor(ProcessorNode):
-    def __init__(self, j: int, capacity: int, n: int):
-        super().__init__(j, capacity)
-        self.links = tree_links(j, n)
-        depth = j.bit_length() - 1
-        self.levels = n.bit_length() - 1  # floor(log2 n)
-        self.period = self.levels + 3
-        self.send_offset = self.levels - depth + 2
+    def __init__(self, inst: Instance, j: int, rounds: int, period: int):
+        super().__init__(inst, j)
+        self.links = tree_links(j, inst.n)
+        self.period = period
+        self.send_offset = period - j.bit_length()  # P - 1 - depth of p_j
         self.phase = 0
         self.current_weight: int | None = None
         self.child_pairs: list[ConsensusPair] = []
@@ -479,12 +458,9 @@ class TreeProcessor(ProcessorNode):
 
 
 class TreeSource(GreedySource):
-    def __init__(self, inst: Instance):
+    def __init__(self, inst: Instance, rounds: int, period: int):
         super().__init__(inst, with_final=True)
-        self.period = inst.n.bit_length() - 1 + 3  # floor(log2 n) + 3
-
-    def halting_phase(self) -> int:
-        return self.inst.m * self.period if self.inst.m else 1
+        self.period = period
 
     def step(self, inbox: list[Delivery]) -> list[Send]:
         self.phase += 1
@@ -518,7 +494,83 @@ class TreeSource(GreedySource):
 
 
 # ---------------------------------------------------------------------------
-# Run wrappers
+# The protocol registry
+# ---------------------------------------------------------------------------
+
+@dataclass(frozen=True)
+class Protocol:
+    """One algorithm: its node programs and its exact accounting.
+
+    The programs are built as ``source(inst, rounds, period)`` and
+    ``processor(inst, j, rounds, period)``.  A run has ``rounds(inst)``
+    rounds of ``period(inst)`` phases, and its source halts ``tail`` phases
+    after the last one.  ``messages(inst, assigned, changed)`` is the exact
+    total of a run that placed ``assigned`` items before the reassignment
+    pass and changed ``changed`` knapsacks in it; ``message_bound(inst)`` is
+    the paper's bound on it.  A ``one_item_per_round`` protocol dispatches
+    the r-th item in density order in round r.
+    """
+
+    source: Callable[[Instance, int, int], GreedySource]
+    processor: Callable[[Instance, int, int, int], ProcessorNode]
+    rounds: Callable[[Instance], int]
+    period: Callable[[Instance], int]
+    tail: int
+    messages: Callable[[Instance, int, int], int]
+    message_bound: Callable[[Instance], int]
+    one_item_per_round: bool
+
+    def phases(self, inst: Instance) -> int:
+        """The phase in which the source halts; phase 1 when there are no rounds."""
+        return max(1, self.rounds(inst) * self.period(inst) + self.tail)
+
+
+def _batch_rounds(inst: Instance) -> int:
+    return -(-inst.m // inst.n)  # ceil(m/n)
+
+
+PROTOCOLS: dict[str, Protocol] = {
+    "simple": Protocol(
+        source=partial(BatchSource, with_final=False),
+        processor=BatchProcessor,
+        rounds=_batch_rounds, period=lambda inst: 2, tail=0,
+        messages=lambda inst, assigned, changed: 2 * inst.n * _batch_rounds(inst),
+        message_bound=lambda inst: 2 * inst.m + 2 * inst.n,
+        one_item_per_round=False,
+    ),
+    "modified": Protocol(
+        source=partial(BatchSource, with_final=True),
+        processor=BatchProcessor,
+        rounds=_batch_rounds, period=lambda inst: 2, tail=1,
+        messages=lambda inst, assigned, changed: 2 * inst.n * _batch_rounds(inst) + changed,
+        message_bound=lambda inst: 2 * inst.m + 3 * inst.n,
+        one_item_per_round=False,
+    ),
+    "dist": Protocol(
+        source=BroadcastSource,
+        processor=BroadcastProcessor,
+        rounds=lambda inst: inst.m, period=lambda inst: 3, tail=1,
+        messages=lambda inst, assigned, changed: inst.m * inst.n**2 + assigned + changed,
+        message_bound=lambda inst: inst.m * (inst.n + inst.n**2) + inst.n,
+        one_item_per_round=True,
+    ),
+    "tree": Protocol(
+        source=TreeSource,
+        processor=TreeProcessor,
+        # a round: the weight broadcast, floor(log2 n) tree levels, the
+        # root's verdict and the award
+        rounds=lambda inst: inst.m, period=lambda inst: inst.n.bit_length() - 1 + 3, tail=0,
+        messages=lambda inst, assigned, changed: 2 * inst.m * inst.n + assigned + changed,
+        message_bound=lambda inst: 2 * inst.m * inst.n + inst.m + inst.n,
+        one_item_per_round=True,
+    ),
+}
+
+ALGORITHMS = tuple(PROTOCOLS)
+
+
+# ---------------------------------------------------------------------------
+# Running a protocol
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
@@ -562,20 +614,19 @@ def _check_run(inst: Instance, assignment: Assignment, processors: dict[int, Pro
             )
 
 
-def _finish_result(
-    name: str,
-    inst: Instance,
-    source: GreedySource,
-    processors: dict[int, ProcessorNode],
-    rounds: int,
-) -> RunResult:
+def run_algorithm(name: str, inst: Instance) -> RunResult:
+    """Build the named protocol's node programs from its record and run them."""
+    try:
+        protocol = PROTOCOLS[name]
+    except KeyError:
+        raise ValueError(f"unknown algorithm {name!r}; choose from {ALGORITHMS}") from None
+    rounds, period = protocol.rounds(inst), protocol.period(inst)
+    source = protocol.source(inst, rounds, period)
+    processors = {j: protocol.processor(inst, j, rounds, period) for j in range(1, inst.n + 1)}
     # The run's own phase bound, not the engine's fixed default: one phase
     # past the source's halt delivers the last sends, and then it must end.
     assignment, metrics, trace = run_protocol(
-        build_network(inst.n, with_tree=isinstance(source, TreeSource)),
-        source,
-        processors,
-        max_phases=source.halting_phase() + 1,
+        source, processors, max_phases=protocol.phases(inst) + 1
     )
     _check_run(inst, assignment, processors)
     pre = source.pre_final_assignment
@@ -590,59 +641,3 @@ def _finish_result(
         trace=trace,
         rounds=rounds,
     )
-
-
-def run_simple_greedy(inst: Instance) -> RunResult:
-    """Batch-round dispatch without the reassignment pass."""
-    source = BatchSource(inst, with_final=False)
-    processors = {
-        j: BatchProcessor(j, inst.capacities[j - 1], source.rounds_total)
-        for j in range(1, inst.n + 1)
-    }
-    return _finish_result("simple", inst, source, processors, source.rounds_total)
-
-
-def run_modified_greedy(inst: Instance) -> RunResult:
-    """Batch-round dispatch plus the per-knapsack reassignment pass."""
-    source = BatchSource(inst, with_final=True)
-    processors = {
-        j: BatchProcessor(j, inst.capacities[j - 1], source.rounds_total)
-        for j in range(1, inst.n + 1)
-    }
-    return _finish_result("modified", inst, source, processors, source.rounds_total)
-
-
-def run_distributed_greedy(inst: Instance) -> RunResult:
-    """One item per round, winner chosen by all-to-all capacity exchange."""
-    source = BroadcastSource(inst)
-    processors = {
-        j: BroadcastProcessor(j, inst.capacities[j - 1], inst.n)
-        for j in range(1, inst.n + 1)
-    }
-    return _finish_result("dist", inst, source, processors, inst.m)
-
-
-def run_tree_greedy(inst: Instance) -> RunResult:
-    """One item per round, winner chosen by convergecast up the binary tree."""
-    source = TreeSource(inst)
-    processors = {
-        j: TreeProcessor(j, inst.capacities[j - 1], inst.n)
-        for j in range(1, inst.n + 1)
-    }
-    return _finish_result("tree", inst, source, processors, inst.m)
-
-
-_RUNNERS = {
-    "simple": run_simple_greedy,
-    "modified": run_modified_greedy,
-    "dist": run_distributed_greedy,
-    "tree": run_tree_greedy,
-}
-
-
-def run_algorithm(name: str, inst: Instance) -> RunResult:
-    try:
-        runner = _RUNNERS[name]
-    except KeyError:
-        raise ValueError(f"unknown algorithm {name!r}; choose from {ALGORITHMS}") from None
-    return runner(inst)

@@ -295,6 +295,8 @@ def instance_from_json(text: str) -> Instance:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise InstanceFormatError(f"not valid JSON: {exc}") from exc
+    except RecursionError:
+        raise InstanceFormatError("JSON nested too deeply to parse") from None
     if not isinstance(doc, dict):
         raise InstanceFormatError("top level must be an object")
     if set(doc) != _TOP_KEYS:

@@ -17,7 +17,7 @@ import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .algorithms import ALGORITHMS, RunResult, run_algorithm
+from .algorithms import ALGORITHMS, PROTOCOLS, RunResult, run_algorithm
 from .core import Instance, check_feasible, instance_digest, sort_by_density
 from .oracle import (
     OptimalSolution,
@@ -221,20 +221,20 @@ def run_experiment(inst: Instance, algorithms=ALGORITHMS, with_oracle: bool = Fa
 # ---------------------------------------------------------------------------
 
 def audit_max_capacity_dispatch(inst: Instance, trace: Trace, algorithm: str) -> list[str]:
-    """Replay a dist/tree trace and check the greedy dispatch invariant.
+    """Replay the trace of a one-item-per-round protocol (dist/tree) and
+    check the greedy dispatch invariant.
 
     For every round, the item (taken in density order) must go to a knapsack
     whose pre-assignment remaining capacity is maximal among the knapsacks
     that fit it, with ties broken towards the smallest id; an item may be
     discarded only when nothing fits.  Winners are read off the trace's
-    winner reports; capacities are replayed from the instance.
+    winner reports, each in the round its phase falls in by the protocol's
+    period; capacities are replayed from the instance.
     """
-    if algorithm == "dist":
-        period = 3
-    elif algorithm == "tree":
-        period = inst.n.bit_length() - 1 + 3
-    else:
-        raise ValueError(f"audit applies to 'dist' or 'tree', not {algorithm!r}")
+    protocol = PROTOCOLS.get(algorithm)
+    if protocol is None or not protocol.one_item_per_round:
+        raise ValueError(f"audit applies to one-item-per-round protocols, not {algorithm!r}")
+    period = protocol.period(inst)
 
     winners: dict[int, int] = {}
     for d in trace:
@@ -341,11 +341,12 @@ class InstanceVerification:
 
 def verify_instance(inst: Instance, *, with_oracle: bool = True) -> InstanceVerification:
     """Run every algorithm on the instance and check the full battery:
-    feasibility, exact message/phase/round accounting, the simulation vs
+    feasibility, exact message/phase/round accounting and the message bound
+    from each algorithm's :data:`PROTOCOLS` record, the simulation vs
     centralized-recomputation equivalences, the per-round greedy trace audit,
     reassignment monotonicity, and (with the oracle) the 1/(n+1) bound for
     the three finalized algorithms."""
-    m, n = inst.m, inst.n
+    n = inst.n
     results = {name: run_algorithm(name, inst) for name in ALGORITHMS}
     bad: list[str] = []
 
@@ -365,67 +366,27 @@ def verify_instance(inst: Instance, *, with_oracle: bool = True) -> InstanceVeri
             f"{name}: reassignment decreased profit "
             f"{res.pre_final_profit} -> {res.profit}",
         )
+        # messages formatted only on failure: a sweep runs this per instance
+        protocol = PROTOCOLS[name]
+        assigned = len(res.pre_final_assignment.assigned_items())
+        want = (
+            protocol.messages(inst, assigned, len(res.changed_knapsacks)),
+            protocol.phases(inst),
+            protocol.rounds(inst),
+        )
+        got = (res.messages, res.phases, res.rounds)
+        if got != want:
+            bad.append(f"{name}: (messages, phases, rounds) {got} != {want}")
+        bound = protocol.message_bound(inst)
+        if res.messages > bound:
+            bad.append(f"{name}: messages {res.messages} > bound {bound}")
 
-    rounds = -(-m // n)
     simple, modified = results["simple"], results["modified"]
     dist, tree = results["dist"], results["tree"]
-
-    expect(simple.rounds == rounds, f"simple: rounds {simple.rounds} != {rounds}")
-    expect(
-        simple.messages == 2 * n * rounds,
-        f"simple: messages {simple.messages} != {2 * n * rounds}",
-    )
-    expect(
-        simple.messages <= 2 * m + 2 * n,
-        f"simple: messages {simple.messages} > 2m+2n = {2 * m + 2 * n}",
-    )
-    expect(
-        simple.phases == (2 * rounds if rounds else 1),
-        f"simple: phases {simple.phases} != {2 * rounds if rounds else 1}",
-    )
-
-    expect(
-        modified.messages == 2 * n * rounds + len(modified.changed_knapsacks),
-        f"modified: messages {modified.messages} != dispatch {2 * n * rounds} "
-        f"+ directives {len(modified.changed_knapsacks)}",
-    )
     expect(
         modified.pre_final_assignment.placement == simple.assignment.placement,
         "modified: pre-reassignment placement differs from simple",
     )
-
-    assigned = len(dist.pre_final_assignment.assigned_items())
-    expect(
-        dist.messages == m * n * n + assigned + len(dist.changed_knapsacks),
-        f"dist: messages {dist.messages} != m*n^2 + assigned + changed = "
-        f"{m * n * n + assigned + len(dist.changed_knapsacks)}",
-    )
-    expect(
-        dist.messages <= m * (n + n * n) + n,
-        f"dist: messages {dist.messages} > m(n+n^2)+n = {m * (n + n * n) + n}",
-    )
-    expect(
-        dist.phases == (3 * m + 1 if m else 1),
-        f"dist: phases {dist.phases} != {3 * m + 1 if m else 1}",
-    )
-    expect(dist.rounds == m, f"dist: rounds {dist.rounds} != {m}")
-
-    levels = n.bit_length() - 1
-    tree_assigned = len(tree.pre_final_assignment.assigned_items())
-    expect(
-        tree.messages == 2 * m * n + tree_assigned + len(tree.changed_knapsacks),
-        f"tree: messages {tree.messages} != 2mn + assigned + changed = "
-        f"{2 * m * n + tree_assigned + len(tree.changed_knapsacks)}",
-    )
-    expect(
-        tree.messages <= 2 * m * n + m + n,
-        f"tree: messages {tree.messages} > 2mn+m+n = {2 * m * n + m + n}",
-    )
-    expect(
-        tree.phases == (m * (levels + 3) if m else 1),
-        f"tree: phases {tree.phases} != {m * (levels + 3) if m else 1}",
-    )
-
     expect(
         dist.assignment.placement == tree.assignment.placement,
         "dist and tree disagree on the final placement",
@@ -452,9 +413,10 @@ def verify_instance(inst: Instance, *, with_oracle: bool = True) -> InstanceVeri
         "simple placement differs from the batch recomputation",
     )
 
-    for name in ("dist", "tree"):
-        for problem in audit_max_capacity_dispatch(inst, results[name].trace, name):
-            bad.append(f"{name}: trace audit: {problem}")
+    for name, protocol in PROTOCOLS.items():
+        if protocol.one_item_per_round:
+            for problem in audit_max_capacity_dispatch(inst, results[name].trace, name):
+                bad.append(f"{name}: trace audit: {problem}")
 
     opt = None
     if with_oracle:

@@ -5,7 +5,8 @@ Two independent exact solvers are provided: a pruned exhaustive enumeration
 and a branch-and-bound search (the workhorse for desk-scale instances).  Both
 return a provably maximum-profit assignment; the branch-and-bound returns an
 explicit "unavailable" (``None``) rather than a possibly-wrong answer when
-its node budget runs out.
+its node budget runs out or its search, one level per item, is deeper than
+the interpreter's recursion limit allows.
 
 Also here: centralized, message-free restatements of the two greedy dispatch
 semantics (strict one-item-at-a-time and batch rounds), used as independent
@@ -100,7 +101,8 @@ def _branch_and_bound(inst: Instance, node_budget: int) -> OptimalSolution | Non
     future decision, so only one representative per distinct capacity is
     branched on; and a state already reached with the same remaining-capacity
     multiset at no smaller profit cannot be improved by revisiting.  Returns
-    ``None`` when the node budget runs out.
+    ``None`` when the node budget runs out or the recursion, one level per
+    item, is deeper than the interpreter allows.
     """
     order = sort_by_density(inst.items)
     items = [inst.items[i] for i in order]
@@ -163,7 +165,10 @@ def _branch_and_bound(inst: Instance, node_budget: int) -> OptimalSolution | Non
                 return
         dfs(idx + 1, profit)
 
-    dfs(0, 0)
+    try:
+        dfs(0, 0)
+    except RecursionError:
+        return None
     if budget_hit:
         return None
     by_item: list[int | None] = [None] * m
@@ -175,7 +180,8 @@ def _branch_and_bound(inst: Instance, node_budget: int) -> OptimalSolution | Non
 def exact_optimum(
     inst: Instance, *, node_budget: int = DEFAULT_NODE_BUDGET
 ) -> OptimalSolution | None:
-    """The exact optimum, or ``None`` when it cannot be certified in budget.
+    """The exact optimum, or ``None`` when it cannot be certified in budget
+    or the search would be deeper than the interpreter's recursion limit.
 
     Tiny instances go through plain enumeration; everything else through
     branch and bound.  Both paths are exact, so the returned value never
@@ -213,9 +219,8 @@ def batch_round_greedy(inst: Instance) -> GreedySolution:
     """
     assignment = Assignment.empty(inst)
     order = sort_by_density(inst.items)
-    rounds = -(-inst.m // inst.n)
     cursor = 0
-    for _ in range(rounds):
+    while cursor < inst.m:
         ranked = sorted(range(inst.n), key=lambda j: (-assignment.remaining[j], j))
         reported = [assignment.remaining[j] for j in ranked]  # round-start values
         for pos, j in enumerate(ranked):

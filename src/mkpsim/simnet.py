@@ -1,8 +1,9 @@
 """Deterministic synchronous round-based message-passing engine.
 
 Topology: one distinguished source node ``S`` (id 0) connected to every
-processor, plus a complete graph over the processors p_1..p_n.  A network may
-additionally carry binary-tree links: p_1 is the root, the children of p_j
+processor, plus a complete graph over the processors p_1..p_n; n is the
+number of processor programs a run is given.  Protocols that aggregate over
+a binary tree use :func:`tree_links`: p_1 is the root, the children of p_j
 are p_2j and p_2j+1, the parent is p_floor(j/2).
 
 Execution model: the run proceeds in *phases*.  In phase t every node takes
@@ -167,29 +168,6 @@ def tree_links(j: int, n: int) -> TreeLinks:
     return TreeLinks(parent, left, right)
 
 
-@dataclass(frozen=True)
-class Network:
-    """n processors fully connected to each other and to the source."""
-
-    n: int
-    tree: tuple[TreeLinks, ...] | None = None
-
-    def is_node(self, node_id: int) -> bool:
-        return 0 <= node_id <= self.n
-
-    def links(self, j: int) -> TreeLinks:
-        if self.tree is None:
-            raise ValueError("network was built without tree links")
-        return self.tree[j - 1]
-
-
-def build_network(n: int, with_tree: bool = False) -> Network:
-    if n < 1:
-        raise ValueError(f"a network needs at least one processor, got n={n}")
-    tree = tuple(tree_links(j, n) for j in range(1, n + 1)) if with_tree else None
-    return Network(n, tree)
-
-
 # ---------------------------------------------------------------------------
 # Node programs
 # ---------------------------------------------------------------------------
@@ -311,7 +289,6 @@ _by_recipient = attrgetter("recipient")
 
 
 def run_protocol(
-    network: Network,
     source: SourceNode,
     processors: dict[int, Node],
     *,
@@ -319,18 +296,21 @@ def run_protocol(
 ) -> tuple[Assignment, RunMetrics, Trace]:
     """Run source/processor programs to completion.
 
-    The run ends when the source has halted and no messages remain in
-    flight; processors are reactive and never halt on their own.  Returns
-    the assignment the source recorded, the metrics, and the full delivery
-    trace.
+    ``processors`` maps ids 1..n to their programs, n >= 1.  The run ends
+    when the source has halted and no messages remain in flight; processors
+    are reactive and never halt on their own.  Returns the assignment the
+    source recorded, the metrics, and the full delivery trace.
 
     Faults (raised as :class:`SimulationFault`, never silently dropped):
+    a processor map that is empty or does not cover 1..n exactly,
     a message addressed to a nonexistent node or to the node itself, a
     message sent after the source halted, a message delivered to the
     already-halted source, and a run that needs more than ``max_phases``
     phases.  Each send is checked in the order its node emitted it.
     """
-    n = network.n
+    n = len(processors)
+    if n < 1:
+        raise SimulationFault("a run needs at least one processor program")
     if sorted(processors) != list(range(1, n + 1)):
         raise SimulationFault("processor programs must cover ids 1..n exactly")
     steps = [source.step] + [processors[j].step for j in range(1, n + 1)]

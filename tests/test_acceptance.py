@@ -30,8 +30,6 @@ from mkpsim import (
     objective,
     render_trace,
     run_algorithm,
-    run_modified_greedy,
-    run_simple_greedy,
     save_instance,
 )
 from mkpsim.cli import main as cli_main
@@ -153,8 +151,8 @@ def test_criterion_1_worst_case_family():
         for W in (3, 10, 100):
             tag = f"n={n} W={W}"
             fam = gen_adversarial(n, W)
-            simple = run_simple_greedy(fam)
-            modified = run_modified_greedy(fam)
+            simple = run_algorithm("simple", fam)
+            modified = run_algorithm("modified", fam)
             opt = exact_optimum(fam)
             family_opt, witness = _family_witness(fam, n, W)
             if simple.profit != 2 * n:

@@ -16,10 +16,6 @@ from mkpsim import (
     metrics_of,
     render_trace,
     run_algorithm,
-    run_distributed_greedy,
-    run_modified_greedy,
-    run_simple_greedy,
-    run_tree_greedy,
 )
 from mkpsim.oracle import batch_round_greedy, strict_sequential_greedy
 
@@ -198,7 +194,7 @@ class TestReassignDifferential:
 
 class TestSimpleGreedy:
     def test_instance_a(self, instance_a):
-        run = run_simple_greedy(instance_a)
+        run = run_algorithm("simple", instance_a)
         assert placement(run) == {0: 0, 1: 1, 2: None, 3: None}
         assert run.profit == 14
         assert run.messages == 8  # 2n per round, 2 rounds
@@ -209,30 +205,30 @@ class TestSimpleGreedy:
     def test_family_picks_only_light_items(self):
         for n in (1, 2, 4):
             fam = gen_adversarial(n, 10)
-            run = run_simple_greedy(fam)
+            run = run_algorithm("simple", fam)
             assert run.profit == 2 * n
             assert run.rounds == 2
             assert run.messages == 4 * n
 
     def test_empty_instance(self):
-        run = run_simple_greedy(Instance.from_pairs([], [5, 5]))
+        run = run_algorithm("simple", Instance.from_pairs([], [5, 5]))
         assert run.profit == 0 and run.messages == 0 and run.rounds == 0
 
     def test_fewer_items_than_knapsacks_still_costs_a_full_round(self):
         inst = Instance.from_pairs([(5, 1)], [3, 9, 4])
-        run = run_simple_greedy(inst)
+        run = run_algorithm("simple", inst)
         assert run.rounds == 1
         assert run.messages == 6  # three reports, three dispatches
         assert placement(run) == {0: 1}  # largest capacity wins the only item
 
     def test_matches_batch_recomputation(self, instance_a):
-        run = run_simple_greedy(instance_a)
+        run = run_algorithm("simple", instance_a)
         assert run.assignment.placement == batch_round_greedy(instance_a).assignment.placement
 
 
 class TestModifiedGreedy:
     def test_instance_a_swaps_knapsack_one(self, instance_a):
-        run = run_modified_greedy(instance_a)
+        run = run_algorithm("modified", instance_a)
         assert run.pre_final_profit == 14
         assert run.profit == 15
         assert placement(run) == {0: 0, 1: None, 2: 1, 3: None}
@@ -241,13 +237,13 @@ class TestModifiedGreedy:
 
     def test_family_reaches_the_heavy_items(self):
         for n, W in ((1, 3), (2, 10), (4, 100)):
-            run = run_modified_greedy(gen_adversarial(n, W))
+            run = run_algorithm("modified", gen_adversarial(n, W))
             assert run.profit == n * W
 
     def test_no_op_when_everything_was_assigned(self):
         inst = Instance.from_pairs([(4, 2), (3, 2), (2, 1)], [10])
-        simple = run_simple_greedy(inst)
-        modified = run_modified_greedy(inst)
+        simple = run_algorithm("simple", inst)
+        modified = run_algorithm("modified", inst)
         assert simple.assignment.placement == modified.assignment.placement
         assert modified.changed_knapsacks == ()
         assert modified.messages == simple.messages
@@ -255,7 +251,7 @@ class TestModifiedGreedy:
 
 class TestDistributedGreedy:
     def test_instance_a(self, instance_a):
-        run = run_distributed_greedy(instance_a)
+        run = run_algorithm("dist", instance_a)
         assert run.pre_final_profit == 17
         assert run.profit == 18
         assert placement(run) == {0: 0, 1: None, 2: 1, 3: 0}
@@ -265,7 +261,7 @@ class TestDistributedGreedy:
 
     def test_unfittable_single_item_is_discarded(self):
         inst = Instance.from_pairs([(9, 8)], [5, 7])
-        run = run_distributed_greedy(inst)
+        run = run_algorithm("dist", inst)
         assert run.profit == 0
         assert placement(run) == {0: None}
         assert run.messages == 4  # n^2 with no winner and no directive
@@ -274,32 +270,32 @@ class TestDistributedGreedy:
         # greedy fills both knapsacks before the big item's turn; the final
         # pass swaps it back in
         inst = Instance.from_pairs([(9, 3), (8, 3), (10, 4)], [4, 4])
-        run = run_distributed_greedy(inst)
+        run = run_algorithm("dist", inst)
         assert run.pre_final_profit == 17
         assert run.profit == 19
 
     def test_pre_final_matches_sequential_recomputation(self, instance_a):
-        run = run_distributed_greedy(instance_a)
+        run = run_algorithm("dist", instance_a)
         sequential = strict_sequential_greedy(instance_a)
         assert run.pre_final_assignment.placement == sequential.assignment.placement
         assert run.pre_final_profit == sequential.profit
 
     def test_single_processor_round_trip(self):
         inst = Instance.from_pairs([(5, 2), (4, 2)], [3])
-        run = run_distributed_greedy(inst)
+        run = run_algorithm("dist", inst)
         assert placement(run) == {0: 0, 1: None}
         assert run.messages == 2 * 1 + 1  # two offers, one winner report
 
     def test_capacity_tie_goes_to_smallest_processor_id(self):
         inst = Instance.from_pairs([(5, 2)], [9, 9, 9])
-        run = run_distributed_greedy(inst)
+        run = run_algorithm("dist", inst)
         assert placement(run) == {0: 0}
 
 
 class TestTreeGreedy:
     def test_matches_dist_on_instance_a(self, instance_a):
-        dist = run_distributed_greedy(instance_a)
-        tree = run_tree_greedy(instance_a)
+        dist = run_algorithm("dist", instance_a)
+        tree = run_algorithm("tree", instance_a)
         assert tree.assignment.placement == dist.assignment.placement
         assert tree.profit == dist.profit == 18
         assert tree.messages == 20  # 2n + 1 per assigned item, 2n otherwise
@@ -307,13 +303,13 @@ class TestTreeGreedy:
 
     def test_seven_processor_consensus_example(self):
         inst = Instance.from_pairs([(1, 4)], [5, 9, 3, 9, 1, 2, 8])
-        for runner in (run_distributed_greedy, run_tree_greedy):
-            run = runner(inst)
+        for name in ("dist", "tree"):
+            run = run_algorithm(name, inst)
             assert placement(run) == {0: 1}  # capacity 9, smaller id than p4
 
     def test_single_item_metrics_on_four_processors(self):
         inst = Instance.from_pairs([(6, 4)], [5, 9, 3, 9])
-        run = run_tree_greedy(inst)
+        run = run_algorithm("tree", inst)
         assert run.messages == 9  # n offers + (n-1) tree-ups + root + award
         assert run.phases == 5  # offer, two tree levels, root->S, award
         derived = metrics_of(run.trace)
@@ -321,12 +317,12 @@ class TestTreeGreedy:
 
     def test_phase_count_single_processor(self):
         inst = Instance.from_pairs([(5, 2), (4, 9)], [3])
-        run = run_tree_greedy(inst)
+        run = run_algorithm("tree", inst)
         assert run.phases == 6  # m * (0 + 3)
         assert placement(run) == {0: 0, 1: None}
 
     def test_empty_instance(self):
-        run = run_tree_greedy(Instance.from_pairs([], [5]))
+        run = run_algorithm("tree", Instance.from_pairs([], [5]))
         assert run.profit == 0 and run.messages == 0
 
 
@@ -334,8 +330,8 @@ class TestProtocolEquivalence:
     @settings(max_examples=120, deadline=None)
     @given(small_instances())
     def test_dist_and_tree_agree_everywhere(self, inst):
-        dist = run_distributed_greedy(inst)
-        tree = run_tree_greedy(inst)
+        dist = run_algorithm("dist", inst)
+        tree = run_algorithm("tree", inst)
         assert dist.assignment.placement == tree.assignment.placement
         assert dist.pre_final_assignment.placement == tree.pre_final_assignment.placement
         assert dist.profit == tree.profit
@@ -344,10 +340,10 @@ class TestProtocolEquivalence:
     @given(small_instances())
     def test_simulations_match_centralized_recomputations(self, inst):
         assert (
-            run_simple_greedy(inst).assignment.placement
+            run_algorithm("simple", inst).assignment.placement
             == batch_round_greedy(inst).assignment.placement
         )
-        dist = run_distributed_greedy(inst)
+        dist = run_algorithm("dist", inst)
         sequential = strict_sequential_greedy(inst)
         assert dist.pre_final_assignment.placement == sequential.assignment.placement
 
@@ -365,17 +361,17 @@ class TestProtocolEquivalence:
     def test_exact_message_and_phase_accounting(self, inst):
         m, n = inst.m, inst.n
         rounds = -(-m // n)
-        simple = run_simple_greedy(inst)
+        simple = run_algorithm("simple", inst)
         assert simple.messages == 2 * n * rounds
         assert simple.messages <= 2 * m + 2 * n
-        modified = run_modified_greedy(inst)
+        modified = run_algorithm("modified", inst)
         assert modified.messages == 2 * n * rounds + len(modified.changed_knapsacks)
-        dist = run_distributed_greedy(inst)
+        dist = run_algorithm("dist", inst)
         assigned = len(dist.pre_final_assignment.assigned_items())
         assert dist.messages == m * n * n + assigned + len(dist.changed_knapsacks)
         assert dist.messages <= m * (n + n * n) + n
         assert dist.phases == (3 * m + 1 if m else 1)
-        tree = run_tree_greedy(inst)
+        tree = run_algorithm("tree", inst)
         assert tree.messages == 2 * m * n + assigned + len(tree.changed_knapsacks)
         assert tree.messages <= 2 * m * n + m + n
         levels = n.bit_length() - 1
@@ -390,12 +386,12 @@ class TestProtocolEquivalence:
 class TestEdgesAndScale:
     def test_family_message_total_matches_per_item_average(self):
         # n=2 family: every round costs n^2, two winners, two directives
-        run = run_distributed_greedy(gen_adversarial(2, 10))
+        run = run_algorithm("dist", gen_adversarial(2, 10))
         assert run.messages == 20  # m * (n^2 + 1) on average
 
     def test_batch_rank_ties_break_by_ascending_processor_id(self):
         inst = Instance.from_pairs([(9, 2), (8, 2), (7, 2)], [5, 5, 5])
-        run = run_simple_greedy(inst)
+        run = run_algorithm("simple", inst)
         assert placement(run) == {0: 0, 1: 1, 2: 2}
 
     def test_zero_capacity_knapsacks_take_nothing(self):
@@ -407,7 +403,7 @@ class TestEdgesAndScale:
 
     def test_zero_cost_items_are_still_dispatched(self):
         inst = Instance.from_pairs([(0, 1), (0, 2)], [5])
-        run = run_distributed_greedy(inst)
+        run = run_algorithm("dist", inst)
         assert run.assignment.assigned_items() == [0, 1]
         assert run.profit == 0
 
@@ -417,8 +413,8 @@ class TestEdgesAndScale:
             [(2 * big, big), (2 * big + 1, big + 1), (big, big)],
             [2 * big, big + 1],
         )
-        dist = run_distributed_greedy(inst)
-        tree = run_tree_greedy(inst)
+        dist = run_algorithm("dist", inst)
+        tree = run_algorithm("tree", inst)
         assert dist.assignment.placement == tree.assignment.placement
         assert dist.profit == tree.profit
         assert check_feasible(dist.assignment, inst) is None
@@ -428,8 +424,8 @@ class TestEdgesAndScale:
         pairs = [((i * 7919) % 97 + 1, (i * 104729) % 13 + 1) for i in range(40)]
         caps = [(j * 31) % 23 + 1 for j in range(100)]
         inst = Instance.from_pairs(pairs, caps)
-        dist = run_distributed_greedy(inst)
-        tree = run_tree_greedy(inst)
+        dist = run_algorithm("dist", inst)
+        tree = run_algorithm("tree", inst)
         assert dist.assignment.placement == tree.assignment.placement
         assert tree.phases == 40 * (6 + 3)  # floor(log2 100) = 6
         sequential = strict_sequential_greedy(inst)
@@ -440,14 +436,14 @@ class TestEdgesAndScale:
         for name in ("dist", "tree"):
             run = run_algorithm(name, inst)
             assert placement(run) == {0: 3}
-        batch = run_simple_greedy(inst)
+        batch = run_algorithm("simple", inst)
         assert placement(batch) == {0: 3}
 
     def test_protocol_phases_outlast_the_last_send_on_silent_endings(self):
         # last item fits nowhere and the reassignment changes nothing, so the
         # engine's phase count exceeds what the trace alone can show
         inst = Instance.from_pairs([(9, 2), (1, 50)], [3])
-        run = run_distributed_greedy(inst)
+        run = run_algorithm("dist", inst)
         assert run.messages == 3
         assert run.phases == 7  # 3m + 1
         assert metrics_of(run.trace).phases == 4  # last actual send
@@ -481,7 +477,7 @@ def test_instance_a_dist_trace_golden(instance_a):
     # phase 9 is the silent winner slot for the item nothing can fit
     from mkpsim import render_trace
 
-    run = run_distributed_greedy(instance_a)
+    run = run_algorithm("dist", instance_a)
     assert render_trace(run.trace) == GOLDEN_DIST_TRACE_A
 
 
@@ -621,10 +617,10 @@ def test_each_run_passes_its_own_phase_bound(monkeypatch, instance_a):
     engine = algorithms.run_protocol
     bounds = []
 
-    def capped(network, source, processors, **kwargs):
+    def capped(source, processors, **kwargs):
         kwargs.setdefault("max_phases", 2)
         bounds.append(kwargs["max_phases"])
-        return engine(network, source, processors, **kwargs)
+        return engine(source, processors, **kwargs)
 
     monkeypatch.setattr(algorithms, "run_protocol", capped)
     for name in ALGORITHMS:

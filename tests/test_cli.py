@@ -90,6 +90,28 @@ class TestRun:
         assert code == 2
         assert "error" in err
 
+    def test_deeply_nested_instance_exits_2(self, capsys, tmp_path):
+        path = tmp_path / "deep.json"
+        path.write_text("[" * 200_000 + "]" * 200_000)
+        code, out, err = run_cli(capsys, "run", "--alg", "simple", "--instance", str(path))
+        assert code == 2
+        assert out == ""
+        assert err == "mkpsim: error: JSON nested too deeply to parse\n"
+
+    def test_oracle_past_the_recursion_limit_exits_0(self, capsys, tmp_path):
+        # the branch and bound recurses once per item: m=1500 is deeper than
+        # the default recursion limit, so OPT may come back unavailable
+        path = tmp_path / "big.json"
+        argv = ("gen-random", "--m", "1500", "--n", "2", "--seed", "1", "--out", str(path))
+        assert run_cli(capsys, *argv)[0] == 0
+        code, out, err = run_cli(
+            capsys, "run", "--alg", "simple", "--instance", str(path), "--oracle"
+        )
+        assert code == 0
+        assert err == ""
+        opt = json.loads(out)["opt"]
+        assert opt == "unavailable" or isinstance(opt, int)
+
     def test_missing_instance_file_exits_2(self, capsys, tmp_path):
         code, out, err = run_cli(
             capsys, "run", "--alg", "simple", "--instance", str(tmp_path / "nope.json")
@@ -137,8 +159,7 @@ class TestSimulationFaults:
         import mkpsim.algorithms as algorithms
 
         # a phase bound below every protocol's real need makes the engine fault
-        for cls in (algorithms.BatchSource, algorithms.BroadcastSource, algorithms.TreeSource):
-            monkeypatch.setattr(cls, "halting_phase", lambda self: 1)
+        monkeypatch.setattr(algorithms.Protocol, "phases", lambda self, inst: 1)
         inst = tmp_path / "a.json"
         save_instance(instance_a, inst)
         code, out, err = run_cli(capsys, *argv, "--instance", str(inst))

@@ -235,3 +235,40 @@ class TestVerification:
         verdict = verify_instance(instance_a)
         assert not verdict.ok
         assert any("oracle unavailable" in v for v in verdict.violations)
+
+
+def _verify_with_one_miscounted_run(monkeypatch, inst, name, field):
+    """``verify_instance`` with the ``name`` run's messages, phases or rounds
+    off by one."""
+    from dataclasses import replace
+
+    import mkpsim.harness as harness
+
+    honest = harness.run_algorithm
+
+    def run_algorithm(alg, instance):
+        run = honest(alg, instance)
+        if alg != name:
+            return run
+        if field == "rounds":
+            return replace(run, rounds=run.rounds + 1)
+        metrics = replace(run.metrics, **{field: getattr(run.metrics, field) + 1})
+        return replace(run, metrics=metrics)
+
+    monkeypatch.setattr(harness, "run_algorithm", run_algorithm)
+    return verify_instance(inst, with_oracle=False).violations
+
+
+@pytest.mark.parametrize("name", ["simple", "modified", "dist", "tree"])
+def test_miscounted_messages_are_reported(monkeypatch, instance_a, name):
+    violations = _verify_with_one_miscounted_run(monkeypatch, instance_a, name, "messages")
+    assert violations
+    assert all(v.startswith(f"{name}: ") for v in violations), violations
+
+
+@pytest.mark.parametrize("field", ["phases", "rounds"])
+@pytest.mark.parametrize("name", ["simple", "modified", "dist", "tree"])
+def test_miscounted_phases_and_rounds_are_reported(monkeypatch, instance_a, name, field):
+    violations = _verify_with_one_miscounted_run(monkeypatch, instance_a, name, field)
+    assert violations
+    assert all(v.startswith(f"{name}: ") for v in violations), violations

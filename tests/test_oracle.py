@@ -3,7 +3,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings
 
-from mkpsim import Instance, check_feasible, gen_adversarial, objective
+from mkpsim import GenParams, Instance, check_feasible, gen_adversarial, gen_random, objective
 from mkpsim.oracle import (
     OptimalSolution,
     approx_ratio,
@@ -50,6 +50,14 @@ class TestExactOptimum:
     def test_budget_exhaustion_is_explicit(self):
         inst = gen_adversarial(8, 100)  # big enough to skip plain enumeration
         assert _branch_and_bound(inst, node_budget=3) is None
+
+    def test_search_deeper_than_the_recursion_limit_never_raises(self):
+        # gen-random --m 1500 --n 2 --seed 1: one recursion level per item
+        inst = gen_random(GenParams(1500, 2, 50, 50, 1, 100, seed=1))
+        opt = exact_optimum(inst)
+        if opt is not None:
+            assert check_feasible(opt.assignment, inst) is None
+            assert objective(opt.assignment, inst) == opt.opt
 
     def test_solution_is_repeatable(self, instance_a):
         first = exact_optimum(instance_a)

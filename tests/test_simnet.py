@@ -10,13 +10,11 @@ from mkpsim.simnet import (
     Delivery,
     FinalDirective,
     ItemOffer,
-    Network,
     Node,
     SimulationFault,
     SourceNode,
     WeightOffer,
     Winner,
-    build_network,
     metrics_of,
     node_name,
     render_payload,
@@ -58,22 +56,6 @@ class TestTreeLinks:
             if j > 1:
                 parent_links = links[l.parent]
                 assert j in (parent_links.left, parent_links.right)
-
-
-class TestNetwork:
-    def test_zero_processors_rejected(self):
-        with pytest.raises(ValueError):
-            build_network(0)
-
-    def test_tree_links_attached_on_request(self):
-        net = build_network(6, with_tree=True)
-        assert net.links(3) == TreeLinks(1, 6, None)
-        assert build_network(6).tree is None
-
-    def test_node_validity(self):
-        net = build_network(2)
-        assert net.is_node(0) and net.is_node(2)
-        assert not net.is_node(3) and not net.is_node(-1)
 
 
 class _SilentSource(SourceNode):
@@ -127,7 +109,7 @@ class _EchoNode(Node):
 class TestEngine:
     def test_silent_programs_send_nothing_and_halt_immediately(self):
         assignment, metrics, trace = run_protocol(
-            build_network(3), _SilentSource(), {j: _SilentNode() for j in (1, 2, 3)}
+            _SilentSource(), {j: _SilentNode() for j in (1, 2, 3)}
         )
         assert metrics.messages == 0
         assert metrics.phases == 1
@@ -136,7 +118,7 @@ class TestEngine:
     def test_messages_arrive_one_phase_after_sending(self):
         source = _PingSource()
         echo = _EchoNode()
-        _, metrics, trace = run_protocol(build_network(1), source, {1: echo})
+        _, metrics, trace = run_protocol(source, {1: echo})
         assert echo.heard_phase == 2  # sent in phase 1, readable in phase 2
         assert source.echo_phase == 3
         assert metrics.messages == 2
@@ -147,8 +129,8 @@ class TestEngine:
         ]
 
     def test_traces_are_reproducible(self):
-        run1 = run_protocol(build_network(1), _PingSource(), {1: _EchoNode()})
-        run2 = run_protocol(build_network(1), _PingSource(), {1: _EchoNode()})
+        run1 = run_protocol(_PingSource(), {1: _EchoNode()})
+        run2 = run_protocol(_PingSource(), {1: _EchoNode()})
         assert render_trace(run1[2]) == render_trace(run2[2])
 
     def test_send_to_nonexistent_node_faults(self):
@@ -160,7 +142,7 @@ class TestEngine:
                 return None
 
         with pytest.raises(SimulationFault):
-            run_protocol(build_network(2), Bad(), {1: _SilentNode(), 2: _SilentNode()})
+            run_protocol(Bad(), {1: _SilentNode(), 2: _SilentNode()})
 
     def test_send_to_self_faults(self):
         class Selfy(Node):
@@ -168,11 +150,15 @@ class TestEngine:
                 return [(1, CapacityReport(1))]
 
         with pytest.raises(SimulationFault):
-            run_protocol(build_network(1), _PingSource(), {1: Selfy()})
+            run_protocol(_PingSource(), {1: Selfy()})
+
+    def test_empty_processor_map_faults(self):
+        with pytest.raises(SimulationFault, match="at least one processor"):
+            run_protocol(_SilentSource(), {})
 
     def test_processor_programs_must_cover_every_id(self):
-        with pytest.raises(SimulationFault):
-            run_protocol(build_network(2), _SilentSource(), {1: _SilentNode()})
+        with pytest.raises(SimulationFault, match="cover ids 1..n"):
+            run_protocol(_SilentSource(), {1: _SilentNode(), 3: _SilentNode()})
 
     def test_nontermination_guard(self):
         class Chatter(SourceNode):
@@ -183,9 +169,7 @@ class TestEngine:
                 return None
 
         with pytest.raises(SimulationFault):
-            run_protocol(
-                build_network(1), Chatter(), {1: _SilentNode()}, max_phases=50
-            )
+            run_protocol(Chatter(), {1: _SilentNode()}, max_phases=50)
 
     def test_delivery_to_halted_source_faults(self):
         class Straggler(Node):
@@ -200,7 +184,7 @@ class TestEngine:
 
         # the source halts in phase 1 while the report is still in flight
         with pytest.raises(SimulationFault, match="halted source"):
-            run_protocol(build_network(1), _SilentSource(), {1: Straggler()})
+            run_protocol(_SilentSource(), {1: Straggler()})
 
     def test_send_after_source_halted_faults(self):
         class LastWord(SourceNode):
@@ -218,7 +202,7 @@ class TestEngine:
         # the source halts in phase 1 with its offer in flight; p1 answers
         # it in phase 2
         with pytest.raises(SimulationFault, match="p1 sent a message after the source halted"):
-            run_protocol(build_network(2), LastWord(), {1: Answer(), 2: _SilentNode()})
+            run_protocol(LastWord(), {1: Answer(), 2: _SilentNode()})
 
     def test_deliveries_are_ordered_by_sender_then_recipient(self):
         class Scatter(SourceNode):
@@ -251,7 +235,7 @@ class TestEngine:
             2: Recorder([(3, CapacityReport(6)), (1, CapacityReport(7))]),
             3: Recorder(),
         }
-        _, metrics, trace = run_protocol(build_network(3), Scatter(), nodes)
+        _, metrics, trace = run_protocol(Scatter(), nodes)
         assert render_trace(trace) == (
             "1 S p1 weight 4\n"
             "1 S p2 weight 2\n"
