@@ -53,7 +53,6 @@ from .simnet import (
     SOURCE,
     RunMetrics,
     SimulationFault,
-    metrics_of,
     render_trace,
     run_protocol,
 )

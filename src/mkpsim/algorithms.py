@@ -198,10 +198,8 @@ class BatchProcessor(ProcessorNode):
         super().__init__(inst, j)
         self.rounds_total = rounds
         self.rounds_sent = 0
-        self.phase = 0
 
     def step(self, inbox: list[Delivery]) -> list[Send]:
-        self.phase += 1
         got_dispatch = False
         directives = []
         for msg in inbox:
@@ -219,7 +217,8 @@ class BatchProcessor(ProcessorNode):
                 raise SimulationFault(f"p{self.j}: unexpected payload {payload!r}")
         for directive in directives:
             self._apply_directive(directive)
-        if (self.phase == 1 or got_dispatch) and self.rounds_sent < self.rounds_total:
+        # the first report goes out in phase 1, each later one answers a dispatch
+        if (self.rounds_sent == 0 or got_dispatch) and self.rounds_sent < self.rounds_total:
             self.rounds_sent += 1
             return [(SOURCE, CapacityReport(self.remaining))]
         return []
@@ -233,7 +232,6 @@ class BatchSource(GreedySource):
         self.cursor = 0
 
     def step(self, inbox: list[Delivery]) -> list[Send]:
-        self.phase += 1
         reports: dict[int, int] = {}
         for msg in inbox:
             if not isinstance(msg.payload, CapacityReport):
@@ -390,6 +388,9 @@ class BroadcastSource(GreedySource):
 #   P-1  the root merges and reports winner-or-bottom to the source
 #   P    the source books the round and awards the item to the winner;
 #        after the last round it also runs the reassignment pass and halts.
+# A processor steps only on mail (the engine's rule), and reads the phase
+# from it.  The one that must send without mail is a childless node above
+# the bottom level (depth D-1): it asks for a wake-up when the offer arrives.
 
 class TreeProcessor(ProcessorNode):
     def __init__(self, inst: Instance, j: int, rounds: int, period: int):
@@ -397,13 +398,13 @@ class TreeProcessor(ProcessorNode):
         self.links = tree_links(j, inst.n)
         self.period = period
         self.send_offset = period - j.bit_length()  # P - 1 - depth of p_j
-        self.phase = 0
+        self.alarm = 1  # the phase of a step with no mail: 1, or a wake-up's
         self.current_weight: int | None = None
         self.child_pairs: list[ConsensusPair] = []
 
     def step(self, inbox: list[Delivery]) -> list[Send]:
-        self.phase += 1
-        offset = (self.phase - 1) % self.period + 1
+        phase = inbox[0].phase + 1 if inbox else self.alarm
+        offset = (phase - 1) % self.period + 1
         directives = []
         for msg in inbox:
             payload = msg.payload
@@ -413,6 +414,9 @@ class TreeProcessor(ProcessorNode):
                 if offset == 2:  # the round's offer broadcast
                     self.current_weight = payload.weight
                     self.child_pairs = []
+                    if self.links.left is None and self.send_offset > offset:
+                        # no child's pair will arrive to step it when it sends
+                        self.alarm = self.wake_at = phase + self.send_offset - offset
                 elif offset == 1:  # the award for the round just decided
                     if payload.weight != self.current_weight:
                         raise SimulationFault(f"p{self.j}: award weight mismatch")

@@ -29,10 +29,17 @@ class InstanceFormatError(ValueError):
     """Instance document rejected by the strict schema parser."""
 
 
+def _shown(value) -> str:
+    """``repr(value)`` cut to 60 characters, so that one bad field in an
+    instance document cannot make an error line arbitrarily long."""
+    text = repr(value)
+    return text if len(text) <= 60 else text[:60] + "..."
+
+
 def _require_int(value, what: str) -> int:
     # bool is an int subclass; JSON true/false must not sneak in as 0/1
     if not isinstance(value, int) or isinstance(value, bool):
-        raise DomainError(f"{what} must be an integer, got {value!r}")
+        raise DomainError(f"{what} must be an integer, got {_shown(value)}")
     return value
 
 
@@ -50,11 +57,15 @@ class Item:
 
     def __post_init__(self):
         if _require_int(self.id, "item id") < 0:
-            raise DomainError(f"item id must be >= 0, got {self.id}")
+            raise DomainError(f"item id must be >= 0, got {_shown(self.id)}")
         if _require_int(self.cost, "item cost") < 0:
-            raise DomainError(f"item {self.id}: cost must be >= 0, got {self.cost}")
+            raise DomainError(
+                f"item {_shown(self.id)}: cost must be >= 0, got {_shown(self.cost)}"
+            )
         if _require_int(self.weight, "item weight") < 1:
-            raise DomainError(f"item {self.id}: weight must be >= 1, got {self.weight}")
+            raise DomainError(
+                f"item {_shown(self.id)}: weight must be >= 1, got {_shown(self.weight)}"
+            )
 
 
 @dataclass(frozen=True)
@@ -73,12 +84,14 @@ class Instance:
         object.__setattr__(self, "capacities", tuple(self.capacities))
         for pos, item in enumerate(self.items):
             if item.id != pos:
-                raise DomainError(f"item at position {pos} has id {item.id}; ids must equal position")
+                raise DomainError(
+                    f"item at position {pos} has id {_shown(item.id)}; ids must equal position"
+                )
         if len(self.capacities) < 1:
             raise DomainError("an instance needs at least one knapsack")
         for j, cap in enumerate(self.capacities):
             if _require_int(cap, f"capacity {j}") < 0:
-                raise DomainError(f"capacity {j} must be >= 0, got {cap}")
+                raise DomainError(f"capacity {j} must be >= 0, got {_shown(cap)}")
 
     @classmethod
     def from_pairs(cls, pairs, capacities) -> "Instance":
@@ -177,15 +190,6 @@ class Assignment:
             raise DomainError(f"item {item_id} is not assigned")
         self.placement[item_id] = None
         self.remaining[knapsack] += inst.item(item_id).weight
-
-    def replace_contents(self, inst: Instance, knapsack: int, item_ids) -> list[int]:
-        """Swap knapsack contents for ``item_ids``; returns the evicted ids."""
-        evicted = self.items_in(knapsack)
-        for item_id in evicted:
-            self.unassign(inst, item_id)
-        for item_id in item_ids:
-            self.assign(inst, item_id, knapsack)
-        return evicted
 
     def items_in(self, knapsack: int) -> list[int]:
         return sorted(i for i, k in self.placement.items() if k == knapsack)

@@ -6,10 +6,15 @@ number of processor programs a run is given.  Protocols that aggregate over
 a binary tree use :func:`tree_links`: p_1 is the root, the children of p_j
 are p_2j and p_2j+1, the parent is p_floor(j/2).
 
-Execution model: the run proceeds in *phases*.  In phase t every node takes
-one step, consuming the messages sent during phase t-1 and emitting new ones;
-nothing sent in a phase is readable before the next.  The model is failure
-free: every sent message is delivered exactly once, one phase later.
+Execution model: the run proceeds in *phases*.  A node that steps in phase
+t consumes the messages sent to it during phase t-1 and may emit new ones;
+nothing sent in a phase is readable before the next.  Every node steps in
+phase 1, and the source steps in every phase until it halts.  After phase 1
+a processor steps only in a phase where its inbox is non-empty or that it
+asked to be woken in (see :class:`Node`): in the synchronous model a node
+with no mail and nothing scheduled does nothing in a phase, so leaving it
+unstepped changes no trace.  The model is failure free: every sent message
+is delivered exactly once, one phase later.
 
 Accounting: every point-to-point delivery counts as one message, so a
 broadcast to k recipients counts k.  The phase counter reported in
@@ -37,6 +42,7 @@ byte-identical traces.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import compress
 from operator import attrgetter
 
 from .core import Assignment
@@ -173,7 +179,19 @@ def tree_links(j: int, n: int) -> TreeLinks:
 # ---------------------------------------------------------------------------
 
 class Node:
-    """A deterministic step function: inbox -> outbox, state held on self."""
+    """A deterministic step function: inbox -> outbox, state held on self.
+
+    The engine steps a processor in phase 1 and afterwards only in phases
+    where it has mail, so a processor that must act in a phase without mail
+    asks for a wake-up: it sets ``wake_at`` to that phase during a step.
+    The engine takes the request when the step returns and clears the
+    attribute; the node is then stepped once in that phase, with whatever
+    mail arrives there (possibly none).  The phase must be later than the
+    current one.  A pending wake-up does not keep a finished run alive.  The
+    source steps in every phase until it halts and may not ask for one.
+    """
+
+    wake_at: int | None = None
 
     def step(self, inbox: list[Delivery]) -> list[Send]:
         raise NotImplementedError
@@ -206,20 +224,6 @@ class RunMetrics:
     messages: int
     phases: int
     per_phase: tuple[tuple[int, int], ...]
-
-
-def metrics_of(trace: Trace) -> RunMetrics:
-    """Recompute metrics from a trace alone.
-
-    The phase count here is the last phase with traffic; the engine's own
-    metric can be higher when the protocol ends on a deliberately silent
-    phase.  Message counts always agree.
-    """
-    counts: dict[int, int] = {}
-    for d in trace:
-        counts[d.phase] = counts.get(d.phase, 0) + 1
-    phases = max(counts) if counts else 0
-    return RunMetrics(len(trace), phases, tuple(sorted(counts.items())))
 
 
 def node_name(node_id: int) -> str:
@@ -301,23 +305,35 @@ def run_protocol(
     are reactive and never halt on their own.  Returns the assignment the
     source recorded, the metrics, and the full delivery trace.
 
+    A phase costs one step per node that has mail or a wake-up in it, plus
+    the source's.
+
     Faults (raised as :class:`SimulationFault`, never silently dropped):
     a processor map that is empty or does not cover 1..n exactly,
     a message addressed to a nonexistent node or to the node itself, a
     message sent after the source halted, a message delivered to the
-    already-halted source, and a run that needs more than ``max_phases``
-    phases.  Each send is checked in the order its node emitted it.
+    already-halted source, a wake-up asked by the source or for a phase
+    that is not after the current one, and a run that needs more than
+    ``max_phases`` phases.  Each send is checked in the order its node
+    emitted it.
     """
     n = len(processors)
     if n < 1:
         raise SimulationFault("a run needs at least one processor program")
     if sorted(processors) != list(range(1, n + 1)):
         raise SimulationFault("processor programs must cover ids 1..n exactly")
-    steps = [source.step] + [processors[j].step for j in range(1, n + 1)]
+    nodes = [source] + [processors[j] for j in range(1, n + 1)]
+    steps = [node.step for node in nodes]
 
     log: list[Delivery] = []
     per_phase: list[tuple[int, int]] = []
-    inboxes: list[list[Delivery]] = [[] for _ in range(n + 1)]
+    # One list per node id in each of two buffers: the mail read in this
+    # phase and the mail sent in it.  A stepped node keeps its list and gets
+    # a fresh one, so only the nodes that step cost an allocation.
+    ids = range(n + 1)
+    inboxes: list[list[Delivery]] = [[] for _ in ids]
+    sent_now: list[list[Delivery]] = [[] for _ in ids]
+    wakeups: dict[int, list[int]] = {1: list(range(1, n + 1))}  # phase -> ids
     phase = 0
     halt_phase: int | None = None
 
@@ -329,12 +345,19 @@ def run_protocol(
         was_halted = source.halted
         if was_halted and inboxes[SOURCE]:
             raise SimulationFault("message delivered to the halted source")
+        ready = list(compress(ids, inboxes))  # the ids with mail, ascending
+        woken = wakeups.pop(phase, None)
+        if woken:
+            ready = sorted(set(ready).union(woken))
+        if not was_halted and (not ready or ready[0] != SOURCE):
+            ready.insert(0, SOURCE)
 
         phase_start = len(log)
-        next_inboxes: list[list[Delivery]] = [[] for _ in range(n + 1)]
-        for node_id in range(1 if was_halted else 0, n + 1):
+        for node_id in ready:
+            inbox = inboxes[node_id]
+            inboxes[node_id] = []
             node_start = len(log)
-            for recipient, payload in steps[node_id](inboxes[node_id]):
+            for recipient, payload in steps[node_id](inbox):
                 if not 0 <= recipient <= n:
                     raise SimulationFault(
                         f"{node_name(node_id)} sent to nonexistent node {recipient}"
@@ -347,14 +370,24 @@ def run_protocol(
                     )
                 delivery = Delivery(phase, node_id, recipient, payload)
                 log.append(delivery)
-                next_inboxes[recipient].append(delivery)
+                sent_now[recipient].append(delivery)
             # Nodes step in id order, so the log is already in sender order;
             # a stable sort of this node's own sends puts it in (sender,
             # recipient) order.  Each inbox is filled in sender order and,
             # per sender, in emission order -- what that sort leaves it.
             if len(log) - node_start > 1:
                 log[node_start:] = sorted(log[node_start:], key=_by_recipient)
-        inboxes = next_inboxes
+            wake = nodes[node_id].wake_at
+            if wake is not None:
+                nodes[node_id].wake_at = None
+                if node_id == SOURCE:
+                    raise SimulationFault("S asked for a wake-up; it steps in every phase")
+                if wake <= phase:
+                    raise SimulationFault(
+                        f"{node_name(node_id)} asked to wake in phase {wake} during phase {phase}"
+                    )
+                wakeups.setdefault(wake, []).append(node_id)
+        inboxes, sent_now = sent_now, inboxes
 
         sent = len(log) - phase_start
         if sent:

@@ -1,7 +1,7 @@
 import pytest
 from hypothesis import strategies as st
 
-from mkpsim import Instance
+from mkpsim import Instance, RunMetrics
 
 
 @pytest.fixture
@@ -28,3 +28,18 @@ def small_instances(
         st.lists(pair, min_size=0, max_size=max_m),
         st.lists(st.integers(min_value=0, max_value=max_cap), min_size=1, max_size=max_n),
     )
+
+
+def metrics_of(trace) -> RunMetrics:
+    """Recompute metrics from a trace alone: the tests' independent recount
+    of what the engine reports.
+
+    The phase count here is the last phase with traffic; the engine's own
+    metric can be higher when the protocol ends on a deliberately silent
+    phase.  Message counts always agree.
+    """
+    counts: dict[int, int] = {}
+    for d in trace:
+        counts[d.phase] = counts.get(d.phase, 0) + 1
+    phases = max(counts) if counts else 0
+    return RunMetrics(len(trace), phases, tuple(sorted(counts.items())))

@@ -13,13 +13,12 @@ from mkpsim import (
     final_reassign,
     gen_adversarial,
     gen_random,
-    metrics_of,
     render_trace,
     run_algorithm,
 )
 from mkpsim.oracle import batch_round_greedy, strict_sequential_greedy
 
-from conftest import small_instances
+from conftest import metrics_of, small_instances
 
 
 def placement(result):
@@ -561,6 +560,38 @@ def test_evicting_instance_matches_golden_digests():
         for j in (16, 17):
             (taken,) = run.assignment.items_in(j)
             assert pre.placement[taken] in range(16), name  # evicted earlier
+
+
+# Trees with a node that must send without having mail: at n = 5, 12 and 33
+# some childless nodes sit one level above the bottom (p3 of 5, p7 of 12,
+# p17..p31 of 33), and n = 2, 3, 6 cover a lone child, a full tree and a
+# node with one child.  ``dist`` is the control.  Digests taken before the
+# engine stepped only the nodes with mail or a wake-up.
+WAKEUP_TREE_NS = (2, 3, 5, 6, 12, 33)
+
+WAKEUP_TRACE_DIGESTS = {
+    (2, "dist"): (43, 31, "45d0c69e16866fa28f29fcf4cac2bc08b7606d8955eeaca6c81c7a4ecb0d2f52"),
+    (2, "tree"): (43, 40, "359895f6e94539011135066afaace6d59e5320a62ed88473c0974c2e08d9f4f9"),
+    (3, "dist"): (119, 40, "6322b9d7e79f14bae60f00ef4d75c6cfe1d46877b5a8dde509d19ef41c8294e0"),
+    (3, "tree"): (80, 52, "84ca9660b2af83062899335e15f9890fa4d6ccb18e1da248e03e12fcc4228540"),
+    (5, "dist"): (483, 58, "4b725d3210ba1fc719595e7c0ffe83682978e2e66558e4241545e201e768a52f"),
+    (5, "tree"): (198, 95, "6e3cfd3a63b93ead8ef516c03f0c4e48b480c9116503f2cca028d1b6d7efa69d"),
+    (6, "dist"): (801, 67, "1315a2fd8150e7b62b66978f0a472a014b2ded255ee76406db0f99c539810f06"),
+    (6, "tree"): (273, 110, "043eae4966257b8870c0e92d8378d5ef2342089c989c3c315612fce8e834ecfe"),
+    (12, "dist"): (5780, 121, "ded7cb5e92ed61e1f04dc76fdc681ffc8ad139526d8cf5866fea5369f4d1f093"),
+    (12, "tree"): (980, 240, "225df805192be04dce25ef708fb06b60be4e535fef01a9875647424c667fdd93"),
+    (33, "dist"): (112235, 310, "a3d5cdf3085879184993e9f2b7ab6903dff5801579af1f29881eecc7e7f7a678"),
+    (33, "tree"): (6866, 824, "62fed3171b4f680c90500688ed368bbbcd45fe17ed52187416dfae06b19dbb69"),
+}
+
+
+@pytest.mark.parametrize("n", WAKEUP_TREE_NS)
+def test_wakeup_trees_match_golden_digests(n):
+    inst = gen_random(GenParams(3 * n + 4, n, 50, 60, 1, 80, seed=600 + n))
+    for name in ("dist", "tree"):
+        run = run_algorithm(name, inst)
+        digest = hashlib.sha256(render_trace(run.trace).encode()).hexdigest()
+        assert (run.messages, run.phases, digest) == WAKEUP_TRACE_DIGESTS[n, name], name
 
 
 # (m, n, weight_max, cap_max, seed): non-power-of-two n up to 70 (tree depth

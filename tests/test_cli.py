@@ -98,6 +98,29 @@ class TestRun:
         assert out == ""
         assert err == "mkpsim: error: JSON nested too deeply to parse\n"
 
+    @pytest.mark.parametrize(
+        "doc",
+        [
+            # an item id nested 900 arrays deep, a 5,000-character capacity
+            # and a negative 4,000-digit one
+            '{"items": [{"id": %s, "cost": 1, "weight": 1}], "capacities": [5]}'
+            % ("[" * 900 + "]" * 900),
+            json.dumps({"items": [], "capacities": ["x" * 5000]}),
+            '{"items": [], "capacities": [-%s]}' % ("9" * 4000),
+        ],
+        ids=["nested-id", "long-capacity", "huge-negative-capacity"],
+    )
+    def test_rejected_value_gives_one_short_error_line(self, capsys, tmp_path, doc):
+        path = tmp_path / "bad.json"
+        path.write_text(doc)
+        code, out, err = run_cli(capsys, "run", "--alg", "simple", "--instance", str(path))
+        assert code == 2
+        assert out == ""
+        assert err.startswith("mkpsim: error: ") and err.endswith("...\n")
+        assert err.count("\n") == 1
+        assert len(err.encode()) < 200
+        assert "Traceback" not in err
+
     def test_oracle_past_the_recursion_limit_exits_0(self, capsys, tmp_path):
         # the branch and bound recurses once per item: m=1500 is deeper than
         # the default recursion limit, so OPT may come back unavailable

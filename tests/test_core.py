@@ -263,15 +263,6 @@ class TestAssignmentMutators:
         assert assignment.remaining[0] == 10
         assert assignment.unassigned_items() == [0, 1, 2, 3]
 
-    def test_replace_contents_returns_evicted(self, instance_a):
-        assignment = Assignment.empty(instance_a)
-        assignment.assign(instance_a, 0, 0)
-        assignment.assign(instance_a, 1, 0)
-        evicted = assignment.replace_contents(instance_a, 0, [2])
-        assert evicted == [0, 1]
-        assert assignment.items_in(0) == [2]
-        assert assignment.remaining[0] == 3
-
     def test_contents_view(self, instance_a):
         assignment = Assignment.empty(instance_a)
         assignment.assign(instance_a, 0, 0)

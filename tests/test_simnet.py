@@ -1,6 +1,8 @@
 import pytest
 from hypothesis import given, strategies as st
 
+from mkpsim import GenParams, gen_random
+
 from mkpsim.simnet import (
     SOURCE,
     TreeLinks,
@@ -15,13 +17,14 @@ from mkpsim.simnet import (
     SourceNode,
     WeightOffer,
     Winner,
-    metrics_of,
     node_name,
     render_payload,
     render_trace,
     run_protocol,
     tree_links,
 )
+
+from conftest import metrics_of
 
 
 class TestTreeLinks:
@@ -255,6 +258,162 @@ class TestEngine:
         assert [d.sender for d in nodes[1].inboxes[1]] == [SOURCE, 2]
         # a recipient's inbox holds the very records the trace keeps
         assert all(any(d is t for t in trace) for d in nodes[3].inboxes[1])
+
+
+class _Metronome(SourceNode):
+    """Steps every phase until ``halt_at``, sending ``sends[phase]``; each
+    step is logged as (node id, senders of its inbox)."""
+
+    def __init__(self, log, halt_at, sends=None):
+        self.log = log
+        self.halt_at = halt_at
+        self.sends = sends or {}
+        self.phase = 0
+
+    def step(self, inbox):
+        self.phase += 1
+        self.log.append((SOURCE, [d.sender for d in inbox]))
+        self.halted = self.phase == self.halt_at
+        return self.sends.get(self.phase, [])
+
+    def recorded_assignment(self):
+        return None
+
+
+class _Scripted(Node):
+    """Logs each step; its k-th step sends ``plan[k][0]`` and asks for a
+    wake-up in phase ``plan[k][1]`` unless that is None."""
+
+    def __init__(self, j, log, plan=None):
+        self.j = j
+        self.log = log
+        self.plan = plan or {}
+        self.steps = 0
+
+    def step(self, inbox):
+        self.steps += 1
+        self.log.append((self.j, [d.sender for d in inbox]))
+        sends, wake = self.plan.get(self.steps, ([], None))
+        if wake is not None:
+            self.wake_at = wake
+        return sends
+
+
+class TestActiveStepping:
+    def test_idle_processors_are_not_stepped_after_phase_one(self):
+        log = []
+        offers = {1: [(2, WeightOffer(1))], 3: [(2, WeightOffer(2))]}
+        source = _Metronome(log, halt_at=3, sends=offers)
+        nodes = {j: _Scripted(j, log) for j in (1, 2, 3)}
+        _, metrics, trace = run_protocol(source, nodes)
+        # phase 1: everyone; 2: p2 has mail; 3: the source alone, which
+        # halts; 4 drains the last offer to p2 and nobody else
+        assert log == [
+            (SOURCE, []), (1, []), (2, []), (3, []),
+            (SOURCE, []), (2, [SOURCE]),
+            (SOURCE, []),
+            (2, [SOURCE]),
+        ]
+        assert (nodes[1].steps, nodes[2].steps, nodes[3].steps) == (1, 3, 1)
+        assert metrics.phases == 3
+        assert [d.phase for d in trace] == [1, 3]
+
+    def test_wake_up_steps_the_node_once_with_an_empty_inbox(self):
+        log = []
+        p1 = _Scripted(1, log, {1: ([], 4), 2: ([(SOURCE, CapacityReport(1))], None)})
+        _, metrics, trace = run_protocol(_Metronome(log, halt_at=6), {1: p1, 2: _Scripted(2, log)})
+        assert log == [
+            (SOURCE, []), (1, []), (2, []),
+            (SOURCE, []),
+            (SOURCE, []),
+            (SOURCE, []), (1, []),
+            (SOURCE, [1]),
+            (SOURCE, []),
+        ]
+        assert [(d.phase, d.sender, d.recipient) for d in trace] == [(4, 1, SOURCE)]
+        assert p1.wake_at is None  # the engine took the request
+
+    def test_wake_up_and_mail_in_one_phase_step_once(self):
+        log = []
+        p1 = _Scripted(1, log, {1: ([], 4)})
+        source = _Metronome(log, halt_at=5, sends={3: [(1, WeightOffer(1))]})
+        run_protocol(source, {1: p1})
+        assert p1.steps == 2
+        assert log[-3:] == [(SOURCE, []), (1, [SOURCE]), (SOURCE, [])]
+
+    def test_wake_ups_reach_drain_phases_but_do_not_extend_the_run(self):
+        log = []
+        p1 = _Scripted(1, log, {1: ([], 3), 2: ([], 50)})
+        source = _Metronome(log, halt_at=2, sends={2: [(2, WeightOffer(1))]})
+        _, metrics, _ = run_protocol(source, {1: p1, 2: _Scripted(2, log)})
+        # phase 3 only drains the offer to p2; p1's wake-up for it is kept,
+        # its wake-up for phase 50 is dropped when the run ends
+        assert log == [
+            (SOURCE, []), (1, []), (2, []),
+            (SOURCE, []),
+            (1, []), (2, [SOURCE]),
+        ]
+        assert metrics.phases == 2
+
+    @pytest.mark.parametrize("wake", [3, 2])
+    def test_wake_up_not_in_the_future_faults(self, wake):
+        p1 = _Scripted(1, [], {1: ([], 3), 2: ([], wake)})
+        message = f"p1 asked to wake in phase {wake} during phase 3"
+        with pytest.raises(SimulationFault, match=message):
+            run_protocol(_Metronome([], halt_at=5), {1: p1})
+
+    def test_source_wake_up_faults(self):
+        class Sleepy(_Metronome):
+            def step(self, inbox):
+                self.wake_at = 3
+                return super().step(inbox)
+
+        with pytest.raises(SimulationFault, match="S asked for a wake-up"):
+            run_protocol(Sleepy([], halt_at=5), {1: _SilentNode()})
+
+    def test_steps_within_a_phase_run_in_ascending_id_order(self):
+        log = []
+        nodes = {
+            1: _Scripted(1, log, {2: ([], 3)}),
+            2: _Scripted(2, log),
+            3: _Scripted(3, log, {1: ([], 3)}),
+            4: _Scripted(
+                4, log, {1: ([(3, CapacityReport(1)), (1, CapacityReport(2))], 2),
+                         2: ([(2, CapacityReport(3))], None)}
+            ),
+        }
+        run_protocol(_Metronome(log, halt_at=3), nodes)
+        # phase 2: mail for p3 and p1, p4 woken; phase 3: mail for p2, p3 and
+        # p1 woken (asked for in that order)
+        assert [j for j, _ in log] == [0, 1, 2, 3, 4, 0, 1, 3, 4, 0, 1, 2, 3]
+
+    def test_tree_steps_only_nodes_with_mail_or_a_wake_up(self, monkeypatch):
+        import mkpsim.algorithms as algorithms
+
+        steps = 0
+        engine = algorithms.run_protocol
+
+        def counted(source, processors, **kwargs):
+            def counting(step):
+                def wrapped(inbox):
+                    nonlocal steps
+                    steps += 1
+                    return step(inbox)
+                return wrapped
+
+            for node in [source, *processors.values()]:
+                node.step = counting(node.step)
+            return engine(source, processors, **kwargs)
+
+        monkeypatch.setattr(algorithms, "run_protocol", counted)
+        inst = gen_random(GenParams(50, 100, 50, 50, 1, 100, seed=1))
+        run = algorithms.run_algorithm("tree", inst)
+        assert (run.phases, run.messages, run.changed_knapsacks) == (450, 10050, ())
+        # 450 source steps (9 phases per round, 50 rounds); 100 processor
+        # steps in phase 1; per round 100 offers, 50 nodes with children
+        # hearing their pairs and the 13 childless nodes p51..p63 one level
+        # above the bottom woken to send theirs; 50 awards
+        assert steps == 450 + 100 + 50 * (100 + 50 + 13) + 50 == 8750
 
 
 class TestMetricsAndRendering:
