@@ -15,7 +15,6 @@ from .core import (
     Instance,
     InstanceFormatError,
     Item,
-    KnapsackContents,
     check_feasible,
     compare_density,
     instance_digest,

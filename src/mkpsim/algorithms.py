@@ -265,6 +265,18 @@ class BatchSource(GreedySource):
         return self._finish()
 
 
+def _best_pair(pairs: list[ConsensusPair]) -> ConsensusPair | None:
+    """The greedy choice among candidate pairs: largest capacity, ties to the
+    smallest processor id; ``None`` when no pair carries a capacity."""
+    best = None
+    for pair in pairs:
+        if pair.capacity is not None and (
+            best is None or (pair.capacity, -pair.best) > (best.capacity, -best.best)
+        ):
+            best = pair
+    return best
+
+
 # ---------------------------------------------------------------------------
 # Full-broadcast consensus (dist)
 # ---------------------------------------------------------------------------
@@ -323,16 +335,10 @@ class BroadcastProcessor(ProcessorNode):
         elif pairs:
             if self.my_report is None or len(pairs) != self.n - 1:
                 raise SimulationFault(f"p{self.j}: capacity exchange out of step")
-            candidates = [
-                (pair.best, pair.capacity)
-                for pair in pairs + [self.my_report]
-                if pair.capacity is not None
-            ]
-            if candidates:
-                best_id, _ = max(candidates, key=lambda t: (t[1], -t[0]))
-                if best_id == self.j:
-                    out.append((SOURCE, Winner(self.j)))
-                    self._take(self.current_weight)
+            best = _best_pair(pairs + [self.my_report])
+            if best is not None and best.best == self.j:
+                out.append((SOURCE, Winner(self.j)))
+                self._take(self.current_weight)
             self.my_report = None
 
         for directive in directives:
@@ -438,23 +444,16 @@ class TreeProcessor(ProcessorNode):
 
         out: list[Send] = []
         if offset == self.send_offset and self.current_weight is not None and not directives:
-            candidates = [
-                (pair.best, pair.capacity)
-                for pair in self.child_pairs
-                if pair.capacity is not None
-            ]
+            pairs = self.child_pairs
             if self.remaining >= self.current_weight:
-                candidates.append((self.j, self.remaining))
-            if candidates:
-                best_id, best_cap = max(candidates, key=lambda t: (t[1], -t[0]))
+                pairs = pairs + [ConsensusPair(self.j, self.remaining)]
+            best = _best_pair(pairs)
+            if self.j != 1:
+                out.append((self.links.parent, best or ConsensusPair(None, None)))
+            elif best is not None:
+                out.append((SOURCE, Winner(best.best)))
             else:
-                best_id, best_cap = None, None
-            if self.j == 1:
-                out.append(
-                    (SOURCE, Winner(best_id) if best_id is not None else Bottom())
-                )
-            else:
-                out.append((self.links.parent, ConsensusPair(best_id, best_cap)))
+                out.append((SOURCE, Bottom()))
 
         for directive in directives:
             self._apply_directive(directive)

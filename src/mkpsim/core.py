@@ -141,15 +141,6 @@ def sort_by_density(items) -> list[int]:
     return [it.id for it in sorted(items, key=cmp_to_key(cmp))]
 
 
-@dataclass(frozen=True)
-class KnapsackContents:
-    """Derived view of one knapsack: its item ids and their total profit."""
-
-    knapsack: int
-    items: tuple[int, ...]
-    profit: int
-
-
 @dataclass
 class Assignment:
     """A (partial) placement of items into knapsacks.
@@ -191,12 +182,9 @@ class Assignment:
         self.placement[item_id] = None
         self.remaining[knapsack] += inst.item(item_id).weight
 
-    def items_in(self, knapsack: int) -> list[int]:
-        return sorted(i for i, k in self.placement.items() if k == knapsack)
-
     def items_by_knapsack(self, inst: Instance) -> list[list[int]]:
-        """``items_in`` for every knapsack at once: n ascending id lists built
-        in one pass over the placement instead of n scans."""
+        """Each knapsack's item ids in ascending order, built in one pass
+        over the placement."""
         groups: list[list[int]] = [[] for _ in range(inst.n)]
         for item_id, knapsack in sorted(self.placement.items()):
             if knapsack is not None:
@@ -210,12 +198,6 @@ class Assignment:
 
     def unassigned_items(self) -> list[int]:
         return sorted(i for i, k in self.placement.items() if k is None)
-
-    def contents(self, inst: Instance) -> list[KnapsackContents]:
-        return [
-            KnapsackContents(j, tuple(ids), sum(inst.item(i).cost for i in ids))
-            for j, ids in enumerate(self.items_by_knapsack(inst))
-        ]
 
 
 def objective(assignment: Assignment, inst: Instance) -> int:

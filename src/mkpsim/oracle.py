@@ -4,9 +4,8 @@ Two independent exact solvers are provided: a pruned exhaustive enumeration
 (the simplest thing that is obviously correct, for self-checks at tiny sizes)
 and a branch-and-bound search (the workhorse for desk-scale instances).  Both
 return a provably maximum-profit assignment; the branch-and-bound returns an
-explicit "unavailable" (``None``) rather than a possibly-wrong answer when
-its node budget runs out or its search, one level per item, is deeper than
-the interpreter's recursion limit allows.
+explicit "unavailable" (``None``) rather than a possibly-wrong answer when,
+and only when, its node budget runs out.
 
 Also here: centralized, message-free restatements of the two greedy dispatch
 semantics (strict one-item-at-a-time and batch rounds), used as independent
@@ -100,9 +99,11 @@ def _branch_and_bound(inst: Instance, node_budget: int) -> OptimalSolution | Non
     knapsacks with equal remaining capacity are interchangeable for every
     future decision, so only one representative per distinct capacity is
     branched on; and a state already reached with the same remaining-capacity
-    multiset at no smaller profit cannot be improved by revisiting.  Returns
-    ``None`` when the node budget runs out or the recursion, one level per
-    item, is deeper than the interpreter allows.
+    multiset at no smaller profit cannot be improved by revisiting.
+
+    The search runs on an explicit stack, one child generator per open node,
+    so its depth is bounded by memory alone.  Returns ``None`` only when the
+    node budget runs out.
     """
     order = sort_by_density(inst.items)
     items = [inst.items[i] for i in order]
@@ -113,7 +114,6 @@ def _branch_and_bound(inst: Instance, node_budget: int) -> OptimalSolution | Non
     best_placement: list[int | None] = list(placement)
     seen: dict[tuple, int] = {}
     explored = 0
-    budget_hit = False
 
     def promising(idx: int, profit: int) -> bool:
         # True iff the fractional bound strictly beats the incumbent.
@@ -130,47 +130,48 @@ def _branch_and_bound(inst: Instance, node_budget: int) -> OptimalSolution | Non
                 return ub * item.weight + pool * item.cost > best_profit * item.weight
         return ub > best_profit
 
-    def dfs(idx: int, profit: int) -> None:
-        nonlocal best_profit, best_placement, explored, budget_hit
-        if budget_hit:
-            return
+    def children(idx: int, profit: int):
+        # Place item idx in one knapsack per distinct remaining capacity,
+        # largest first (ties: smallest index), then leave it out.  Each
+        # placement is undone when the generator resumes after its subtree.
+        item = items[idx]
+        last_cap = None
+        for j in sorted(range(n), key=lambda j: (-remaining[j], j)):
+            cap = remaining[j]
+            if cap < item.weight:
+                break  # capacities only fall from here on
+            if cap == last_cap:
+                continue
+            last_cap = cap
+            remaining[j] -= item.weight
+            placement[idx] = j
+            yield idx + 1, profit + item.cost
+            placement[idx] = None
+            remaining[j] += item.weight
+        yield idx + 1, profit
+
+    stack = [iter([(0, 0)])]
+    while stack:
+        node = next(stack[-1], None)
+        if node is None:
+            stack.pop()
+            continue
         explored += 1
         if explored > node_budget:
-            budget_hit = True
-            return
+            return None
+        idx, profit = node
         if idx == m:
             if profit > best_profit:
                 best_profit = profit
                 best_placement = list(placement)
-            return
+            continue
         state = (idx, tuple(sorted(remaining)))
         if profit <= seen.get(state, -1):
-            return
+            continue
         seen[state] = profit
-        if not promising(idx, profit):
-            return
-        item = items[idx]
-        seen_caps = set()
-        for j in sorted(range(n), key=lambda j: (-remaining[j], j)):
-            cap = remaining[j]
-            if cap < item.weight or cap in seen_caps:
-                continue
-            seen_caps.add(cap)
-            remaining[j] -= item.weight
-            placement[idx] = j
-            dfs(idx + 1, profit + item.cost)
-            placement[idx] = None
-            remaining[j] += item.weight
-            if budget_hit:
-                return
-        dfs(idx + 1, profit)
+        if promising(idx, profit):
+            stack.append(children(idx, profit))
 
-    try:
-        dfs(0, 0)
-    except RecursionError:
-        return None
-    if budget_hit:
-        return None
     by_item: list[int | None] = [None] * m
     for pos, j in enumerate(best_placement):
         by_item[order[pos]] = j
@@ -180,8 +181,8 @@ def _branch_and_bound(inst: Instance, node_budget: int) -> OptimalSolution | Non
 def exact_optimum(
     inst: Instance, *, node_budget: int = DEFAULT_NODE_BUDGET
 ) -> OptimalSolution | None:
-    """The exact optimum, or ``None`` when it cannot be certified in budget
-    or the search would be deeper than the interpreter's recursion limit.
+    """The exact optimum, or ``None`` when the branch and bound runs out of
+    its node budget before certifying it.
 
     Tiny instances go through plain enumeration; everything else through
     branch and bound.  Both paths are exact, so the returned value never

@@ -41,7 +41,7 @@ class TestFinalReassign:
         assignment.assign(fam, 1, 1)
         out, changed = final_reassign(assignment, fam)
         assert changed == (0, 1)
-        assert out.items_in(0) == [2] and out.items_in(1) == [3]
+        assert out.items_by_knapsack(fam) == [[2], [3]]
         assert sum(fam.item(i).cost for i in out.assigned_items()) == 20
 
     def test_instance_a_after_strict_greedy(self, instance_a):
@@ -49,7 +49,7 @@ class TestFinalReassign:
         assert greedy.profit == 17
         out, changed = final_reassign(greedy.assignment, instance_a)
         assert changed == (1,)
-        assert out.items_in(1) == [2]  # 7 beats the 6 it held
+        assert out.items_by_knapsack(instance_a)[1] == [2]  # 7 beats the 6 it held
         assert sum(instance_a.item(i).cost for i in out.assigned_items()) == 18
 
     def test_evicted_items_stay_available_to_later_knapsacks(self):
@@ -58,14 +58,13 @@ class TestFinalReassign:
         assignment.assign(inst, 0, 0)
         out, changed = final_reassign(assignment, inst)
         assert changed == (0, 1)
-        assert out.items_in(0) == [1]
-        assert out.items_in(1) == [0]  # the evicted item found a new home
+        assert out.items_by_knapsack(inst) == [[1], [0]]  # the evicted item found a new home
 
     def test_cost_ties_pick_the_smallest_id(self):
         inst = Instance.from_pairs([(5, 2), (5, 1)], [3])
         out, changed = final_reassign(Assignment.empty(inst), inst)
         assert changed == (0,)
-        assert out.items_in(0) == [0]
+        assert out.items_by_knapsack(inst) == [[0]]
 
     def test_equal_profit_keeps_current_contents(self):
         inst = Instance.from_pairs([(5, 1), (5, 1)], [1])
@@ -73,7 +72,7 @@ class TestFinalReassign:
         assignment.assign(inst, 1, 0)
         out, changed = final_reassign(assignment, inst)
         assert changed == ()
-        assert out.items_in(0) == [1]
+        assert out.items_by_knapsack(inst) == [[1]]
 
     def test_profit_never_decreases(self, instance_a):
         greedy = strict_sequential_greedy(instance_a)
@@ -153,7 +152,7 @@ class TestReassignDifferential:
         inst = Instance.from_pairs([(1, 1), (7, 5), (7, 2), (7, 3)], [5, 3])
         out, changed = assert_reassign_matches_rescan(inst, Assignment.empty(inst))
         assert changed == (0, 1)
-        assert out.items_in(0) == [1] and out.items_in(1) == [2]
+        assert out.items_by_knapsack(inst) == [[1], [2]]
 
     def test_equal_profit_keeps_the_current_contents(self):
         inst = Instance.from_pairs([(3, 1), (2, 1), (5, 2)], [2])
@@ -161,12 +160,12 @@ class TestReassignDifferential:
         assignment.assign(inst, 0, 0)
         assignment.assign(inst, 1, 0)
         out, changed = assert_reassign_matches_rescan(inst, assignment)
-        assert changed == () and out.items_in(0) == [0, 1]
+        assert changed == () and out.items_by_knapsack(inst) == [[0, 1]]
 
     def test_zero_capacity_knapsacks_are_skipped(self):
         inst = Instance.from_pairs([(4, 1), (9, 2)], [0, 2, 0])
         out, changed = assert_reassign_matches_rescan(inst, Assignment.empty(inst))
-        assert changed == (1,) and out.items_in(1) == [1]
+        assert changed == (1,) and out.items_by_knapsack(inst) == [[], [1], []]
 
     def test_evicted_items_go_to_later_knapsacks_in_cost_order(self):
         # knapsack 0 evicts three items; knapsacks 1 and 2 take the two
@@ -179,7 +178,7 @@ class TestReassignDifferential:
             assignment.assign(inst, i, 0)
         out, changed = assert_reassign_matches_rescan(inst, assignment)
         assert changed == (0, 1, 2, 3)
-        assert [out.items_in(j) for j in range(4)] == [[3], [1], [2], [4]]
+        assert out.items_by_knapsack(inst) == [[3], [1], [2], [4]]
 
     def test_explicit_pool_limits_the_candidates(self):
         inst = Instance.from_pairs([(2, 1), (9, 3), (8, 3), (1, 1)], [3, 3])
@@ -188,7 +187,7 @@ class TestReassignDifferential:
         assignment.assign(inst, 3, 1)
         out, changed = assert_reassign_matches_rescan(inst, assignment, pool=[2])
         assert changed == (0, 1)
-        assert out.items_in(0) == [2] and out.items_in(1) == [0]  # item 1 not pooled
+        assert out.items_by_knapsack(inst) == [[2], [0]]  # item 1 not pooled
 
 
 class TestSimpleGreedy:
@@ -556,9 +555,11 @@ def test_evicting_instance_matches_golden_digests():
             continue
         pre = run.pre_final_assignment
         assert run.changed_knapsacks == tuple(range(18)), name
-        assert all(len(pre.items_in(j)) > 1 for j in range(16)), name
+        pre_groups = pre.items_by_knapsack(inst)
+        assert all(len(pre_groups[j]) > 1 for j in range(16)), name
+        final_groups = run.assignment.items_by_knapsack(inst)
         for j in (16, 17):
-            (taken,) = run.assignment.items_in(j)
+            (taken,) = final_groups[j]
             assert pre.placement[taken] in range(16), name  # evicted earlier
 
 

@@ -121,9 +121,9 @@ class TestRun:
         assert len(err.encode()) < 200
         assert "Traceback" not in err
 
-    def test_oracle_past_the_recursion_limit_exits_0(self, capsys, tmp_path):
-        # the branch and bound recurses once per item: m=1500 is deeper than
-        # the default recursion limit, so OPT may come back unavailable
+    def test_oracle_certifies_a_1500_item_instance(self, capsys, tmp_path):
+        # the branch and bound goes one level deeper per item: m=1500 is far
+        # past any call-stack depth, and OPT must still be certified
         path = tmp_path / "big.json"
         argv = ("gen-random", "--m", "1500", "--n", "2", "--seed", "1", "--out", str(path))
         assert run_cli(capsys, *argv)[0] == 0
@@ -132,8 +132,7 @@ class TestRun:
         )
         assert code == 0
         assert err == ""
-        opt = json.loads(out)["opt"]
-        assert opt == "unavailable" or isinstance(opt, int)
+        assert json.loads(out)["opt"] == 2640
 
     def test_missing_instance_file_exits_2(self, capsys, tmp_path):
         code, out, err = run_cli(

@@ -263,20 +263,17 @@ class TestAssignmentMutators:
         assert assignment.remaining[0] == 10
         assert assignment.unassigned_items() == [0, 1, 2, 3]
 
-    def test_contents_view(self, instance_a):
+    def test_items_by_knapsack_view(self, instance_a):
         assignment = Assignment.empty(instance_a)
-        assignment.assign(instance_a, 0, 0)
         assignment.assign(instance_a, 3, 0)
-        contents = assignment.contents(instance_a)
-        assert contents[0].items == (0, 3)
-        assert contents[0].profit == 11
-        assert contents[1].items == () and contents[1].profit == 0
+        assignment.assign(instance_a, 0, 0)
+        assert assignment.items_by_knapsack(instance_a) == [[0, 3], []]
 
-    def test_contents_rejects_an_unknown_knapsack(self, instance_a):
+    def test_items_by_knapsack_rejects_an_unknown_knapsack(self, instance_a):
         assignment = Assignment.empty(instance_a)
         assignment.placement[1] = 2  # bypass assign(); instance A has knapsacks 0 and 1
         with pytest.raises(DomainError, match="unknown knapsack 2"):
-            assignment.contents(instance_a)
+            assignment.items_by_knapsack(instance_a)
 
 
 class TestInstanceDocument:

@@ -51,18 +51,51 @@ class TestExactOptimum:
         inst = gen_adversarial(8, 100)  # big enough to skip plain enumeration
         assert _branch_and_bound(inst, node_budget=3) is None
 
-    def test_search_deeper_than_the_recursion_limit_never_raises(self):
-        # gen-random --m 1500 --n 2 --seed 1: one recursion level per item
+    def test_search_1500_items_deep_is_certified(self):
+        # gen-random --m 1500 --n 2 --seed 1: the search is one level deeper
+        # per item; 2640 is confirmed by an independent two-knapsack DP
         inst = gen_random(GenParams(1500, 2, 50, 50, 1, 100, seed=1))
         opt = exact_optimum(inst)
-        if opt is not None:
-            assert check_feasible(opt.assignment, inst) is None
-            assert objective(opt.assignment, inst) == opt.opt
+        assert opt is not None and opt.opt == 2640
+        assert check_feasible(opt.assignment, inst) is None
+        assert objective(opt.assignment, inst) == 2640
 
     def test_solution_is_repeatable(self, instance_a):
         first = exact_optimum(instance_a)
         second = exact_optimum(instance_a)
         assert first.assignment.placement == second.assignment.placement
+
+
+def _pinned_instance(key):
+    if key[0] == "adversarial":
+        return gen_adversarial(*key[1:])
+    m, n, seed = key[1:]
+    return gen_random(GenParams(m, n, 50, 50, 1, 100, seed=seed))
+
+
+class TestSearchOrder:
+    """Golden (OPT, explored) pairs: ``explored`` counts every node the
+    branch and bound visits, so these pin its visit order, bound and both
+    dominance rules, not just the optimum it finds."""
+
+    @pytest.mark.parametrize(
+        "key, opt, explored",
+        [
+            (("adversarial", 8, 100), 800, 2339),
+            (("random", 10, 3, 1), 254, 1190),
+            (("random", 12, 3, 1), 317, 3131),
+            (("random", 15, 4, 2), 257, 24628),
+            (("random", 15, 5, 1), 313, 8053),
+            (("random", 20, 4, 2), 189, 2181),
+        ],
+        ids=lambda v: "-".join(map(str, v)) if isinstance(v, tuple) else None,
+    )
+    def test_opt_and_nodes_explored_are_pinned(self, key, opt, explored):
+        inst = _pinned_instance(key)
+        solution = exact_optimum(inst)
+        assert (solution.opt, solution.explored) == (opt, explored)
+        assert objective(solution.assignment, inst) == opt
+        assert check_feasible(solution.assignment, inst) is None
 
 
 class TestBruteForce:
