@@ -244,9 +244,10 @@ class BatchSource(GreedySource):
             if len(reports) != self.inst.n:
                 raise SimulationFault("S expected a capacity report from every processor")
             out: list[Send] = []
+            m = self.inst.m
             ranked = sorted(reports.items(), key=lambda kv: (-kv[1], kv[0]))
             for j, reported in ranked:
-                if self.cursor < self.inst.m:
+                if self.cursor < m:
                     item = self.order[self.cursor]
                     if item.weight <= reported:
                         out.append((j, ItemOffer(item.cost, item.weight)))

@@ -2,8 +2,9 @@
 
 Everything is a non-negative integer: item costs, item weights, knapsack
 capacities, remaining capacities.  Density (cost/weight) comparisons are done
-by cross-multiplication, never floating point, so ties are detected exactly
-and every run is reproducible bit-for-bit across platforms.
+by cross-multiplication, never decided by floating point (the density sort
+uses a float key for speed and checks its result exactly), so ties are
+detected exactly and every run is reproducible bit-for-bit across platforms.
 
 Conventions used throughout the package:
   * item ids are 0..m-1 and equal the item's position in the instance list
@@ -129,16 +130,56 @@ def compare_density(a: Item, b: Item) -> int:
     return 0
 
 
+def _denser_first(a: Item, b: Item) -> int:
+    """Comparator for the density order: denser first, ties by ascending id."""
+    return -compare_density(a, b) or a.id - b.id
+
+
+def _in_density_order(order) -> bool:
+    """True when every adjacent pair is strictly in the density order, checked
+    by cross-multiplication: denser first, exact ties by ascending id."""
+    for a, b in zip(order, order[1:]):
+        lhs = a.cost * b.weight
+        rhs = b.cost * a.weight
+        if lhs < rhs or (lhs == rhs and a.id >= b.id):
+            return False
+    return True
+
+
 def sort_by_density(items) -> list[int]:
-    """Item ids ordered by decreasing cost/weight; ties by ascending id."""
+    """Item ids ordered by decreasing cost/weight; ties by ascending id.
 
-    def cmp(a: Item, b: Item) -> int:
-        d = compare_density(a, b)
-        if d != 0:
-            return -d
-        return a.id - b.id
+    The order is exact, although the sort itself runs on floats:
 
-    return [it.id for it in sorted(items, key=cmp_to_key(cmp))]
+      * ``cost / weight`` of two Python ints is correctly rounded, and
+        correct rounding is monotone, so an item that is strictly denser
+        never gets a smaller float.  A stable sort on the negated float
+        therefore leaves only items with equal floats out of exact order,
+        and equal floats keep their input order (ascending id for
+        ``Instance.items``).
+      * The result is then checked pair by pair in exact integer arithmetic
+        (:func:`_in_density_order`).  The order "denser first, exact ties by
+        ascending id" is a strict total order when the ids are distinct, so
+        it has exactly one sorted permutation, and a list whose every
+        adjacent pair passes is that permutation.
+      * When the check fails (items whose densities differ by less than the
+        float spacing, which needs integers past 2**53, or exact ties not in
+        ascending id order in the input) or a density is too large for a
+        float (``OverflowError``), the items are sorted again with the exact
+        comparator, :func:`compare_density` with ties by ascending id.
+
+    Either way the result equals the comparator sort; the float path only
+    makes the common case cheap: one float key per item instead of a Python
+    comparator call per comparison, plus one linear check.
+    """
+    items = tuple(items)  # the fallback reads them a second time
+    try:
+        order = sorted(items, key=lambda it: -(it.cost / it.weight))
+    except OverflowError:  # a density beyond the float range
+        order = None
+    if order is None or not _in_density_order(order):
+        order = sorted(items, key=cmp_to_key(_denser_first))
+    return [it.id for it in order]
 
 
 @dataclass
@@ -162,8 +203,11 @@ class Assignment:
         return Assignment(dict(self.placement), list(self.remaining))
 
     def assign(self, inst: Instance, item_id: int, knapsack: int) -> None:
-        item = inst.item(item_id)
-        if not 0 <= knapsack < inst.n:
+        # hot path: index directly rather than through ``inst.item``/``inst.n``
+        if not 0 <= item_id < len(inst.items):
+            raise DomainError(f"unknown item id {item_id}")
+        item = inst.items[item_id]
+        if not 0 <= knapsack < len(inst.capacities):
             raise DomainError(f"unknown knapsack {knapsack}")
         if self.placement.get(item_id) is not None:
             raise DomainError(f"item {item_id} already assigned")
@@ -206,13 +250,14 @@ def objective(assignment: Assignment, inst: Instance) -> int:
     Raises :class:`DomainError` on unknown item or knapsack ids; feasibility
     beyond that is the caller's concern (see :func:`check_feasible`).
     """
+    m, n = inst.m, inst.n
     total = 0
     for item_id, knapsack in assignment.placement.items():
-        if not 0 <= item_id < inst.m:
+        if not 0 <= item_id < m:
             raise DomainError(f"unknown item id {item_id}")
         if knapsack is None:
             continue
-        if not 0 <= knapsack < inst.n:
+        if not 0 <= knapsack < n:
             raise DomainError(f"item {item_id} assigned to unknown knapsack {knapsack}")
         total += inst.items[item_id].cost
     return total
@@ -283,6 +328,8 @@ def instance_from_json(text: str) -> Instance:
         raise InstanceFormatError(f"not valid JSON: {exc}") from exc
     except RecursionError:
         raise InstanceFormatError("JSON nested too deeply to parse") from None
+    except ValueError:  # a number with more digits than int() may convert
+        raise InstanceFormatError("a number has too many digits to parse") from None
     if not isinstance(doc, dict):
         raise InstanceFormatError("top level must be an object")
     if set(doc) != _TOP_KEYS:
@@ -318,5 +365,19 @@ def save_instance(inst: Instance, path) -> None:
 
 
 def instance_digest(inst: Instance) -> str:
-    canonical = instance_to_json(inst, indent=None)
+    """SHA-256 (hex) of the compact canonical document.
+
+    The hashed text is byte-identical to ``instance_to_json(inst,
+    indent=None)``: ``json.dumps``' default separators (``", "`` and
+    ``": "``), fields in the order id, cost, weight, then the capacities,
+    and one trailing newline.  It is built with one f-string per item rather
+    than through a dict per item and the JSON encoder, because the digest is
+    taken for every report; every field is an int, which both render as its
+    decimal digits.
+    """
+    items = ", ".join(
+        [f'{{"id": {it.id}, "cost": {it.cost}, "weight": {it.weight}}}' for it in inst.items]
+    )
+    capacities = ", ".join([f"{cap}" for cap in inst.capacities])
+    canonical = f'{{"items": [{items}], "capacities": [{capacities}]}}\n'
     return hashlib.sha256(canonical.encode("utf-8")).hexdigest()

@@ -98,6 +98,16 @@ class TestRun:
         assert out == ""
         assert err == "mkpsim: error: JSON nested too deeply to parse\n"
 
+    def test_number_past_the_digit_limit_exits_2(self, capsys, tmp_path):
+        path = tmp_path / "digits.json"
+        path.write_text(
+            '{"items": [{"id": 0, "cost": %s, "weight": 1}], "capacities": [5]}' % ("9" * 5000)
+        )
+        code, out, err = run_cli(capsys, "run", "--alg", "simple", "--instance", str(path))
+        assert code == 2
+        assert out == ""
+        assert err == "mkpsim: error: a number has too many digits to parse\n"
+
     @pytest.mark.parametrize(
         "doc",
         [

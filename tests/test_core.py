@@ -1,4 +1,6 @@
+import hashlib
 from fractions import Fraction
+from functools import cmp_to_key
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -19,7 +21,10 @@ from mkpsim import (
     save_instance,
     sort_by_density,
 )
+from mkpsim.harness import gen_adversarial
 from mkpsim.oracle import strict_sequential_greedy
+
+from conftest import small_instances
 
 A_DIGEST = "0401abf4d0613f8b3fcb83288533e716c2dd9aff75d3d53c3654766539025441"
 
@@ -104,6 +109,65 @@ class TestDensity:
         for earlier, later in zip(order, order[1:]):
             d = compare_density(items[earlier], items[later])
             assert d == 1 or (d == 0 and earlier < later)
+
+
+def sort_by_comparator(items) -> list[int]:
+    """The reference order: one exact comparator call per comparison."""
+
+    def cmp(a, b):
+        return -compare_density(a, b) or a.id - b.id
+
+    return [it.id for it in sorted(items, key=cmp_to_key(cmp))]
+
+
+# (cost, weight) pairs that stress the float fast path of sort_by_density:
+# repeated densities and zero costs, integers up to 10**400 (densities past
+# the float range raise OverflowError), and near-ties scaled past 2**53, whose
+# densities differ by less than the float spacing.
+density_pairs = st.one_of(
+    st.tuples(st.integers(0, 20), st.integers(1, 12)),
+    st.tuples(st.integers(0, 10**400), st.integers(1, 10**400)),
+    st.builds(
+        lambda c, w, k, d: (max(0, c * k + d), w * k),
+        st.integers(0, 20),
+        st.integers(1, 12),
+        st.integers(2**53, 2**70),
+        st.integers(-1, 1),
+    ),
+)
+
+
+class TestSortDifferential:
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(density_pairs, max_size=12), st.randoms(use_true_random=False))
+    def test_matches_the_comparator_sort(self, pairs, rng):
+        items = [Item(i, c, w) for i, (c, w) in enumerate(pairs)]
+        assert sort_by_density(items) == sort_by_comparator(items)
+        rng.shuffle(items)  # the same items in any input order
+        assert sort_by_density(items) == sort_by_comparator(items)
+
+    @pytest.mark.parametrize(
+        "pairs, expected",
+        [
+            # both densities round to the float 1.0; only the exact check
+            # sees that item 1 is denser
+            ([(1, 1), (2**60 + 1, 2**60)], [1, 0]),
+            ([(2**60 + 1, 2**60), (1, 1)], [0, 1]),
+            ([(2**60 - 1, 2**60), (1, 1)], [1, 0]),
+            # densities past the float range
+            ([(1, 1), (10**400, 1), (10**400, 3)], [1, 2, 0]),
+            # m = 1 (m = 0 is test_sort_empty), and zero costs tied by id
+            ([(5, 2)], [0]),
+            ([(0, 3), (0, 1), (1, 9)], [2, 0, 1]),
+        ],
+    )
+    def test_named_orders(self, pairs, expected):
+        items = Instance.from_pairs(pairs, [1]).items
+        assert sort_by_density(items) == expected == sort_by_comparator(items)
+
+    def test_exact_ties_out_of_id_order_in_the_input(self):
+        items = [Item(2, 6, 3), Item(0, 4, 2), Item(1, 2, 1)]
+        assert sort_by_density(items) == [0, 1, 2]
 
 
 class TestObjectiveAndFeasibility:
@@ -310,3 +374,30 @@ class TestInstanceDocument:
         assert instance_digest(instance_a) == A_DIGEST
         reparsed = instance_from_json(instance_to_json(instance_a, indent=None))
         assert instance_digest(reparsed) == A_DIGEST
+
+    @pytest.mark.parametrize(
+        "inst, expected",
+        [
+            (gen_adversarial(16, 20), "5e307b825d687a1a56fccfbaa18892ee2d9e84f6e24807a8d44a274c3fa7a764"),
+            (
+                Instance.from_pairs(
+                    [(10**400 - 1, 3), (7 * 10**399, 2**60 + 1), (0, 10**399 + 7)],
+                    [10**400, 0],
+                ),
+                "442d980a3f95c27b6309deb4d7c7fd32c08627b336854013639f043b2f4bc7dd",
+            ),
+        ],
+        ids=["adversarial-16-20", "400-digit-costs"],
+    )
+    def test_digest_pins(self, inst, expected):
+        assert instance_digest(inst) == expected
+
+    @given(small_instances(max_m=8, max_n=4, max_cost=10**400, max_weight=10**30, max_cap=10**50))
+    def test_digest_hashes_the_compact_document(self, inst):
+        canonical = instance_to_json(inst, indent=None).encode("utf-8")
+        assert instance_digest(inst) == hashlib.sha256(canonical).hexdigest()
+
+    def test_number_past_the_digit_limit_is_a_format_error(self):
+        text = '{"items": [{"id": 0, "cost": %s, "weight": 1}], "capacities": [5]}' % ("9" * 5000)
+        with pytest.raises(InstanceFormatError, match="too many digits"):
+            instance_from_json(text)
