@@ -78,16 +78,16 @@ __all__ = [
 
 
 def final_reassign(
-    assignment: Assignment, inst: Instance, pool=None
+    assignment: Assignment, inst: Instance
 ) -> tuple[Assignment, tuple[int, ...]]:
     """One reassignment pass over the knapsacks, in ascending index order.
 
     Each knapsack keeps its current contents unless the most profitable pool
     item that fits its *full* capacity (ties: smallest id) is strictly more
     profitable than everything it holds, in which case the contents are
-    swapped for that single item.  Evicted items rejoin the pool and stay
-    available to later knapsacks.  The pool defaults to the items the
-    assignment leaves unassigned.
+    swapped for that single item.  The pool starts as the items the
+    assignment leaves unassigned; evicted items rejoin it and stay
+    available to later knapsacks.
 
     Returns the new assignment and the tuple of changed knapsack indices.
     The total profit never decreases: a swap happens only when the incoming
@@ -104,10 +104,9 @@ def final_reassign(
     result = assignment.copy()
     items = inst.items
     contents = result.items_by_knapsack(inst)
-    if pool is None:
-        pool = [i for i, k in result.placement.items() if k is None]
     # the pool as (-cost, id, weight), most profitable first, ties by id
-    order = sorted((-item.cost, item.id, item.weight) for item in map(inst.item, set(pool)))
+    pool = map(inst.item, result.unassigned_items())
+    order = sorted((-item.cost, item.id, item.weight) for item in pool)
     changed = []
     for j, capacity in enumerate(inst.capacities):
         for pos, (neg_cost, best, weight) in enumerate(order):

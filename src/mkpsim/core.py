@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import sys
 from dataclasses import dataclass
 from functools import cmp_to_key
 
@@ -41,6 +42,13 @@ def _require_int(value, what: str) -> int:
     # bool is an int subclass; JSON true/false must not sneak in as 0/1
     if not isinstance(value, int) or isinstance(value, bool):
         raise DomainError(f"{what} must be an integer, got {_shown(value)}")
+    # Refuse what str() cannot print: every report, digest and repr would fail
+    # on it.  The interpreter's limit is 0 (none) or at least 640 digits, and
+    # 2**(3*640) < 10**640, so the common path is one bit-length comparison.
+    if value.bit_length() > 3 * 640:
+        limit = getattr(sys, "get_int_max_str_digits", int)()  # int() == 0: no limit
+        if limit and abs(value) >= 10**limit:
+            raise DomainError(f"{what} has more than {limit} decimal digits")
     return value
 
 
@@ -305,9 +313,9 @@ def check_feasible(assignment: Assignment, inst: Instance) -> str | None:
 #
 # {"items": [{"id": 0, "cost": 8, "weight": 4}, ...], "capacities": [10, 7]}
 #
-# The parser is strict: exactly these fields, integers only (no booleans),
-# ids equal to list position.  The digest is the SHA-256 of the compact
-# canonical serialization, so it is independent of file whitespace.
+# The parser is strict: exactly these fields, each once, integers only (no
+# booleans), ids equal to list position.  The digest is the SHA-256 of the
+# compact canonical serialization, so it is independent of file whitespace.
 
 _TOP_KEYS = {"items", "capacities"}
 _ITEM_KEYS = {"id", "cost", "weight"}
@@ -321,9 +329,21 @@ def instance_to_json(inst: Instance, *, indent: int | None = 2) -> str:
     return json.dumps(doc, indent=indent) + "\n"
 
 
+def _unique_keys(pairs: list) -> dict:
+    # json.loads would otherwise keep the last value of a repeated key
+    doc = {}
+    for key, value in pairs:
+        if key in doc:
+            raise InstanceFormatError(f"duplicate field {_shown(key)}")
+        doc[key] = value
+    return doc
+
+
 def instance_from_json(text: str) -> Instance:
     try:
-        doc = json.loads(text)
+        doc = json.loads(text, object_pairs_hook=_unique_keys)
+    except InstanceFormatError:
+        raise
     except json.JSONDecodeError as exc:
         raise InstanceFormatError(f"not valid JSON: {exc}") from exc
     except RecursionError:

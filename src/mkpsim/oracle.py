@@ -1,11 +1,11 @@
 """Ground-truth solvers and bound checkers.
 
-Two independent exact solvers are provided: a pruned exhaustive enumeration
-(the simplest thing that is obviously correct, for self-checks at tiny sizes)
-and a branch-and-bound search (the workhorse for desk-scale instances).  Both
-return a provably maximum-profit assignment; the branch-and-bound returns an
-explicit "unavailable" (``None``) rather than a possibly-wrong answer when,
-and only when, its node budget runs out.
+:func:`exact_optimum` certifies every optimum with one solver, a
+branch-and-bound search.  It returns a provably maximum-profit assignment,
+or an explicit "unavailable" (``None``) rather than a possibly-wrong answer
+when, and only when, its node budget runs out.  A pruned exhaustive
+enumeration, :func:`brute_force_optimum`, is kept as the tests' independent
+reference: the simplest thing that is obviously correct, at tiny sizes.
 
 Also here: centralized, message-free restatements of the two greedy dispatch
 semantics (strict one-item-at-a-time and batch rounds), used as independent
@@ -21,7 +21,6 @@ from fractions import Fraction
 from .core import Assignment, Instance, objective, sort_by_density
 
 BRUTE_FORCE_GUARD = 10**8  # hard cap on (n+1)**m for exhaustive enumeration
-_BRUTE_AUTO_LIMIT = 20_000  # below this, enumeration is cheaper than bounding
 DEFAULT_NODE_BUDGET = 5_000_000
 
 
@@ -181,15 +180,8 @@ def _branch_and_bound(inst: Instance, node_budget: int) -> OptimalSolution | Non
 def exact_optimum(
     inst: Instance, *, node_budget: int = DEFAULT_NODE_BUDGET
 ) -> OptimalSolution | None:
-    """The exact optimum, or ``None`` when the branch and bound runs out of
-    its node budget before certifying it.
-
-    Tiny instances go through plain enumeration; everything else through
-    branch and bound.  Both paths are exact, so the returned value never
-    depends on the strategy split.
-    """
-    if inst.m * math.log2(inst.n + 1) <= math.log2(_BRUTE_AUTO_LIMIT):
-        return brute_force_optimum(inst)
+    """The exact optimum from :func:`_branch_and_bound` on every instance,
+    however small, or ``None`` when its node budget runs out first."""
     return _branch_and_bound(inst, node_budget)
 
 

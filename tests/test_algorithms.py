@@ -26,13 +26,17 @@ def placement(result):
 
 
 class TestFinalReassign:
-    def test_empty_pool_is_a_no_op(self, instance_a):
-        assignment = Assignment.empty(instance_a)
-        for i in range(instance_a.m):
-            assignment.placement[i] = None
-        out, changed = final_reassign(assignment, instance_a, pool=[])
+    def test_empty_pool_is_a_no_op(self):
+        # every item is placed, so the pool is empty, although a lone item
+        # (cost 9) would beat knapsack 0's contents (cost 5) were it free
+        inst = Instance.from_pairs([(2, 1), (3, 1), (9, 2)], [2, 2])
+        assignment = Assignment.empty(inst)
+        assignment.assign(inst, 0, 0)
+        assignment.assign(inst, 1, 0)
+        assignment.assign(inst, 2, 1)
+        out, changed = final_reassign(assignment, inst)
         assert changed == ()
-        assert out.placement == assignment.placement
+        assert out == assignment
 
     def test_family_swaps_every_knapsack(self):
         fam = gen_adversarial(2, 10)
@@ -81,14 +85,12 @@ class TestFinalReassign:
         assert total >= greedy.profit
 
 
-def reassign_by_rescanning(assignment, inst, pool=None):
+def reassign_by_rescanning(assignment, inst):
     """The reassignment pass restated quadratically: for every knapsack,
     scan the whole pool in id order for the best fitting item and recount
     the knapsack's contents from the placement."""
     placement = dict(assignment.placement)
-    pool = set(
-        [i for i, k in placement.items() if k is None] if pool is None else pool
-    )
+    pool = {i for i, k in placement.items() if k is None}
     changed = []
     for j, cap in enumerate(inst.capacities):
         best = None
@@ -113,11 +115,11 @@ def reassign_by_rescanning(assignment, inst, pool=None):
     return placement, remaining, tuple(changed)
 
 
-def assert_reassign_matches_rescan(inst, assignment, pool=None):
+def assert_reassign_matches_rescan(inst, assignment):
     before = assignment.copy()
-    out, changed = final_reassign(assignment, inst, pool=pool)
+    out, changed = final_reassign(assignment, inst)
     assert (out.placement, out.remaining, changed) == reassign_by_rescanning(
-        assignment, inst, pool
+        assignment, inst
     )
     assert assignment == before  # the input is never mutated
     return out, changed
@@ -125,9 +127,8 @@ def assert_reassign_matches_rescan(inst, assignment, pool=None):
 
 @st.composite
 def reassign_cases(draw):
-    """Small instances with zero capacities and repeated costs, a feasible
-    partial assignment, and either the default pool or an explicit subset
-    of the unassigned ids."""
+    """Small instances with zero capacities and repeated costs, and a
+    feasible partial assignment."""
     n = draw(st.integers(1, 4))
     caps = draw(st.lists(st.integers(0, 12), min_size=n, max_size=n))
     pairs = draw(st.lists(st.tuples(st.integers(0, 6), st.integers(1, 8)), max_size=12))
@@ -137,9 +138,7 @@ def reassign_cases(draw):
         j = draw(st.none() | st.integers(0, n - 1))
         if j is not None and item.weight <= assignment.remaining[j]:
             assignment.assign(inst, item.id, j)
-    unassigned = assignment.unassigned_items()
-    explicit = st.lists(st.sampled_from(unassigned), unique=True) if unassigned else st.just([])
-    return inst, assignment, draw(st.none() | explicit)
+    return inst, assignment
 
 
 class TestReassignDifferential:
@@ -179,15 +178,6 @@ class TestReassignDifferential:
         out, changed = assert_reassign_matches_rescan(inst, assignment)
         assert changed == (0, 1, 2, 3)
         assert out.items_by_knapsack(inst) == [[3], [1], [2], [4]]
-
-    def test_explicit_pool_limits_the_candidates(self):
-        inst = Instance.from_pairs([(2, 1), (9, 3), (8, 3), (1, 1)], [3, 3])
-        assignment = Assignment.empty(inst)
-        assignment.assign(inst, 0, 0)
-        assignment.assign(inst, 3, 1)
-        out, changed = assert_reassign_matches_rescan(inst, assignment, pool=[2])
-        assert changed == (0, 1)
-        assert out.items_by_knapsack(inst) == [[2], [0]]  # item 1 not pooled
 
 
 class TestSimpleGreedy:

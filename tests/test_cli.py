@@ -109,6 +109,22 @@ class TestRun:
         assert err == "mkpsim: error: a number has too many digits to parse\n"
 
     @pytest.mark.parametrize(
+        "doc, field",
+        [
+            ('{"items": [], "capacities": [1], "capacities": [2]}', "capacities"),
+            ('{"items": [{"id": 0, "cost": 1, "cost": 2, "weight": 1}], "capacities": [5]}', "cost"),
+        ],
+        ids=["top-level", "item"],
+    )
+    def test_duplicate_field_exits_2(self, capsys, tmp_path, doc, field):
+        path = tmp_path / "dup.json"
+        path.write_text(doc)
+        code, out, err = run_cli(capsys, "run", "--alg", "simple", "--instance", str(path))
+        assert code == 2
+        assert out == ""
+        assert err == f"mkpsim: error: duplicate field '{field}'\n"
+
+    @pytest.mark.parametrize(
         "doc",
         [
             # an item id nested 900 arrays deep, a 5,000-character capacity

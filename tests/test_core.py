@@ -1,4 +1,5 @@
 import hashlib
+import sys
 from fractions import Fraction
 from functools import cmp_to_key
 
@@ -57,6 +58,46 @@ class TestItemAndInstance:
     def test_negative_capacity_rejected(self):
         with pytest.raises(DomainError):
             Instance.from_pairs([], [-1])
+
+
+@pytest.fixture
+def digit_limit():
+    """Restores the interpreter's digit limit after a test changes it."""
+    before = sys.get_int_max_str_digits()
+    yield sys.set_int_max_str_digits
+    sys.set_int_max_str_digits(before)
+
+
+@pytest.mark.skipif(
+    not hasattr(sys, "set_int_max_str_digits"), reason="interpreter has no digit limit"
+)
+class TestDigitLimit:
+    """Integers that ``str()`` cannot print are refused up front, since every
+    report, digest and ``repr`` of the instance would fail later."""
+
+    @pytest.mark.parametrize("sign", [1, -1], ids=["positive", "negative"])
+    @pytest.mark.parametrize(
+        "build, what",
+        [
+            (lambda v: Item(0, v, 1), "item cost"),
+            (lambda v: Item(0, 1, v), "item weight"),
+            (lambda v: Instance.from_pairs([], [v]), "capacity 0"),
+        ],
+        ids=["cost", "weight", "capacity"],
+    )
+    def test_past_the_limit_is_a_domain_error(self, digit_limit, build, what, sign):
+        digit_limit(4300)
+        # the negative values fail here too, before any sign check
+        with pytest.raises(DomainError, match=f"^{what} has more than 4300 decimal digits$"):
+            build(sign * 10**5000)
+
+    def test_the_current_limit_is_followed(self, digit_limit):
+        digit_limit(640)
+        assert Instance.from_pairs([(10**640 - 1, 1)], [10**640 - 1]).m == 1
+        with pytest.raises(DomainError, match="more than 640 decimal digits"):
+            Instance.from_pairs([], [10**640])
+        digit_limit(0)  # no limit at all
+        assert Instance.from_pairs([(10**5000, 1)], [1]).items[0].cost == 10**5000
 
 
 class TestDensity:
@@ -396,6 +437,18 @@ class TestInstanceDocument:
     def test_digest_hashes_the_compact_document(self, inst):
         canonical = instance_to_json(inst, indent=None).encode("utf-8")
         assert instance_digest(inst) == hashlib.sha256(canonical).hexdigest()
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            '{"items": [], "capacities": [1], "capacities": [2]}',
+            '{"items": [{"id": 0, "cost": 1, "cost": 2, "weight": 1}], "capacities": [5]}',
+        ],
+        ids=["top-level", "item"],
+    )
+    def test_duplicate_field_is_a_format_error(self, text):
+        with pytest.raises(InstanceFormatError, match="^duplicate field '(capacities|cost)'$"):
+            instance_from_json(text)
 
     def test_number_past_the_digit_limit_is_a_format_error(self):
         text = '{"items": [{"id": 0, "cost": %s, "weight": 1}], "capacities": [5]}' % ("9" * 5000)

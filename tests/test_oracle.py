@@ -12,7 +12,6 @@ from mkpsim.oracle import (
     brute_force_optimum,
     exact_optimum,
     strict_sequential_greedy,
-    _branch_and_bound,
 )
 
 from conftest import small_instances
@@ -48,8 +47,7 @@ class TestExactOptimum:
         assert opt.opt == family_optimum(n, W)
 
     def test_budget_exhaustion_is_explicit(self):
-        inst = gen_adversarial(8, 100)  # big enough to skip plain enumeration
-        assert _branch_and_bound(inst, node_budget=3) is None
+        assert exact_optimum(gen_adversarial(8, 100), node_budget=3) is None
 
     def test_search_1500_items_deep_is_certified(self):
         # gen-random --m 1500 --n 2 --seed 1: the search is one level deeper
@@ -76,11 +74,18 @@ def _pinned_instance(key):
 class TestSearchOrder:
     """Golden (OPT, explored) pairs: ``explored`` counts every node the
     branch and bound visits, so these pin its visit order, bound and both
-    dominance rules, not just the optimum it finds."""
+    dominance rules, not just the optimum it finds.  The tiny instances pin
+    that ``exact_optimum`` takes the branch and bound at every size: on each
+    of them with m > 0, ``brute_force_optimum`` visits more nodes."""
 
     @pytest.mark.parametrize(
         "key, opt, explored",
         [
+            (("random", 0, 3, 1), 0, 1),
+            (("random", 4, 1, 1), 81, 11),
+            (("random", 6, 1, 3), 143, 11),
+            (("random", 5, 2, 1), 136, 14),
+            (("adversarial", 2, 10), 20, 20),
             (("adversarial", 8, 100), 800, 2339),
             (("random", 10, 3, 1), 254, 1190),
             (("random", 12, 3, 1), 317, 3131),
@@ -113,11 +118,11 @@ class TestBruteForce:
     @given(small_instances())
     def test_branch_and_bound_agrees_with_enumeration(self, inst):
         brute = brute_force_optimum(inst)
-        bnb = _branch_and_bound(inst, node_budget=10**6)
-        assert bnb is not None
-        assert bnb.opt == brute.opt
-        assert objective(bnb.assignment, inst) == bnb.opt
-        assert check_feasible(bnb.assignment, inst) is None
+        exact = exact_optimum(inst, node_budget=10**6)
+        assert exact is not None
+        assert exact.opt == brute.opt
+        assert objective(exact.assignment, inst) == exact.opt
+        assert check_feasible(exact.assignment, inst) is None
 
 
 class TestGreedyRecomputations:
