@@ -268,12 +268,15 @@ class BatchSource(GreedySource):
 def _best_pair(pairs: list[ConsensusPair]) -> ConsensusPair | None:
     """The greedy choice among candidate pairs: largest capacity, ties to the
     smallest processor id; ``None`` when no pair carries a capacity."""
-    best = None
+    best = best_capacity = None
     for pair in pairs:
-        if pair.capacity is not None and (
-            best is None or (pair.capacity, -pair.best) > (best.capacity, -best.best)
+        capacity = pair.capacity
+        if capacity is not None and (
+            best is None
+            or capacity > best_capacity
+            or (capacity == best_capacity and pair.best < best.best)
         ):
-            best = pair
+            best, best_capacity = pair, capacity
     return best
 
 
@@ -299,17 +302,20 @@ class BroadcastProcessor(ProcessorNode):
         offers: list[WeightOffer] = []
         pairs: list[ConsensusPair] = []
         directives: list[FinalDirective] = []
+        # payload classes are final, so the exact type decides; pairs are
+        # most of the mail, n - 1 per processor per round
         for msg in inbox:
             payload = msg.payload
-            if isinstance(payload, WeightOffer):
-                if msg.sender != SOURCE:
-                    raise SimulationFault(f"p{self.j}: weight offer from non-source")
-                offers.append(payload)
-            elif isinstance(payload, ConsensusPair):
+            kind = type(payload)
+            if kind is ConsensusPair:
                 if msg.sender == SOURCE:
                     raise SimulationFault(f"p{self.j}: capacity pair from the source")
                 pairs.append(payload)
-            elif isinstance(payload, FinalDirective):
+            elif kind is WeightOffer:
+                if msg.sender != SOURCE:
+                    raise SimulationFault(f"p{self.j}: weight offer from non-source")
+                offers.append(payload)
+            elif kind is FinalDirective:
                 directives.append(payload)
             else:
                 raise SimulationFault(f"p{self.j}: unexpected payload {payload!r}")
@@ -321,11 +327,11 @@ class BroadcastProcessor(ProcessorNode):
             weight = offers[0].weight
             self.current_weight = weight
             eligible = self.remaining >= weight
-            self.my_report = ConsensusPair(self.j, self.remaining if eligible else None)
+            report = ConsensusPair(self.j, self.remaining if eligible else None)
+            self.my_report = report
             if self.n > 1:
-                out.extend(
-                    (k, self.my_report) for k in range(1, self.n + 1) if k != self.j
-                )
+                out = [(k, report) for k in range(1, self.n + 1)]
+                del out[self.j - 1]
             else:
                 # nobody to talk to: the lone processor decides immediately
                 if eligible:
@@ -335,7 +341,8 @@ class BroadcastProcessor(ProcessorNode):
         elif pairs:
             if self.my_report is None or len(pairs) != self.n - 1:
                 raise SimulationFault(f"p{self.j}: capacity exchange out of step")
-            best = _best_pair(pairs + [self.my_report])
+            pairs.append(self.my_report)
+            best = _best_pair(pairs)
             if best is not None and best.best == self.j:
                 out.append((SOURCE, Winner(self.j)))
                 self._take(self.current_weight)

@@ -57,6 +57,9 @@ class SimulationFault(RuntimeError):
 # ---------------------------------------------------------------------------
 # Message payloads
 # ---------------------------------------------------------------------------
+#
+# The payload classes are final by contract -- nothing subclasses them -- so
+# a node program may dispatch on a payload's exact type.
 
 @dataclass(frozen=True)
 class CapacityReport:
@@ -266,21 +269,40 @@ class _Memo(dict):
 def render_trace(trace: Trace) -> str:
     """Line-oriented dump, one delivery per line: ``phase from to payload``.
 
-    Each node name is rendered once, and each payload once per object: a
-    broadcast hands the same payload object to every recipient.  Payloads are
-    memoised by identity, which is sound because the trace keeps every one of
-    them alive while the dump is built.
+    The dump is built one run at a time: a run is a stretch of consecutive
+    deliveries with the same phase, sender and payload *object*, such as one
+    broadcast.  A run's first line is rendered whole; each later line adds
+    only the run's separator -- the payload text that ends the line before,
+    then ``"{phase} {sender} "`` -- rendered once per run, and its own
+    recipient's name.  This is byte-identical to rendering line by line:
+    runs are split wherever the phase, the sender or the payload's identity
+    changes, so every line gets its own phase, sender and payload text, and
+    every line keeps its own recipient, in trace order.  Node names are
+    rendered once each, and payloads once per object (a tree node forwards
+    the pair it received), memoised by identity, which is sound because the
+    trace keeps every payload alive while the dump is built.
     """
     names = _Memo(node_name)
     texts: dict[int, str] = {}
-    lines = []
+    parts: list[str] = []
+    append = parts.append
+    payload = sender = phase = separator = None
+    text = ""  # the payload text that ends the line before: " {payload}\n"
     for d in trace:
-        payload = d.payload
-        text = texts.get(id(payload))
-        if text is None:
-            text = texts[id(payload)] = render_payload(payload)
-        lines.append(f"{d.phase} {names[d.sender]} {names[d.recipient]} {text}")
-    return "\n".join(lines) + ("\n" if lines else "")
+        if d.payload is not payload or d.sender != sender or d.phase != phase:
+            payload, sender, phase = d.payload, d.sender, d.phase
+            append(f"{text}{phase} {names[sender]} {names[d.recipient]}")
+            text = texts.get(id(payload))
+            if text is None:
+                text = texts[id(payload)] = f" {render_payload(payload)}\n"
+            separator = None
+        else:
+            if separator is None:
+                separator = f"{text}{phase} {names[sender]} "
+            append(separator)
+            append(names[d.recipient])
+    append(text)
+    return "".join(parts)
 
 
 # ---------------------------------------------------------------------------

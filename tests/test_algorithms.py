@@ -1,5 +1,6 @@
 import hashlib
 import random
+import re
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -16,7 +17,18 @@ from mkpsim import (
     render_trace,
     run_algorithm,
 )
+from mkpsim.algorithms import BroadcastProcessor, _best_pair
 from mkpsim.oracle import batch_round_greedy, strict_sequential_greedy
+from mkpsim.simnet import (
+    SOURCE,
+    Bottom,
+    CapacityReport,
+    ConsensusPair,
+    Delivery,
+    SimulationFault,
+    WeightOffer,
+    Winner,
+)
 
 from conftest import metrics_of, small_instances
 
@@ -278,6 +290,93 @@ class TestDistributedGreedy:
         inst = Instance.from_pairs([(5, 2)], [9, 9, 9])
         run = run_algorithm("dist", inst)
         assert placement(run) == {0: 0}
+
+
+class TestBroadcastProcessorFaults:
+    """Each fault of one ``dist`` processor, raised from a single step."""
+
+    @staticmethod
+    def p1():
+        return BroadcastProcessor(Instance.from_pairs([(5, 2)], [9, 9, 9]), 1, 1, 3)
+
+    @staticmethod
+    def mail(*messages):
+        return [Delivery(1, sender, 1, payload) for sender, payload in messages]
+
+    def test_weight_offer_from_a_non_source(self):
+        with pytest.raises(SimulationFault, match="^p1: weight offer from non-source$"):
+            self.p1().step(self.mail((2, WeightOffer(2))))
+
+    def test_capacity_pair_from_the_source(self):
+        with pytest.raises(SimulationFault, match="^p1: capacity pair from the source$"):
+            self.p1().step(self.mail((SOURCE, ConsensusPair(2, 9))))
+
+    @pytest.mark.parametrize("payload", [Winner(2), Bottom(), CapacityReport(4)])
+    def test_unexpected_payload(self, payload):
+        message = re.escape(f"p1: unexpected payload {payload!r}")
+        with pytest.raises(SimulationFault, match=f"^{message}$"):
+            self.p1().step(self.mail((SOURCE, payload)))
+
+    @pytest.mark.parametrize(
+        "messages",
+        [
+            [(SOURCE, WeightOffer(2)), (SOURCE, WeightOffer(3))],
+            [(SOURCE, WeightOffer(2)), (2, ConsensusPair(2, 9))],
+        ],
+        ids=["two offers", "offer with pairs"],
+    )
+    def test_malformed_round_start(self, messages):
+        with pytest.raises(SimulationFault, match="^p1: malformed round start$"):
+            self.p1().step(self.mail(*messages))
+
+    def test_capacity_exchange_without_an_offer(self):
+        pairs = self.mail((2, ConsensusPair(2, 9)), (3, ConsensusPair(3, 9)))
+        with pytest.raises(SimulationFault, match="^p1: capacity exchange out of step$"):
+            self.p1().step(pairs)
+
+    def test_capacity_exchange_missing_a_pair(self):
+        node = self.p1()
+        assert node.step(self.mail((SOURCE, WeightOffer(2)))) == [
+            (2, ConsensusPair(1, 9)),
+            (3, ConsensusPair(1, 9)),
+        ]
+        with pytest.raises(SimulationFault, match="^p1: capacity exchange out of step$"):
+            node.step(self.mail((2, ConsensusPair(2, 9))))
+
+
+def best_pair_by_max(pairs):
+    """The consensus argmax restated: the first pair of largest capacity,
+    ties to the smallest id; ``None`` when no pair carries a capacity."""
+    eligible = [p for p in pairs if p.capacity is not None]
+    return max(eligible, key=lambda p: (p.capacity, -p.best)) if eligible else None
+
+
+class TestBestPair:
+    @settings(max_examples=300)
+    @given(
+        st.lists(
+            st.builds(
+                ConsensusPair,
+                st.integers(1, 6),
+                st.none() | st.integers(0, 3) | st.integers(0, 10**30),
+            ),
+            max_size=8,
+        )
+    )
+    def test_matches_max(self, pairs):
+        assert _best_pair(pairs) is best_pair_by_max(pairs)
+
+    def test_only_absent_capacities_give_none(self):
+        assert _best_pair([ConsensusPair(2, None), ConsensusPair(1, None)]) is None
+        assert _best_pair([]) is None
+
+    def test_zero_capacity_beats_an_absent_one(self):
+        zero = ConsensusPair(3, 0)
+        assert _best_pair([ConsensusPair(1, None), zero, ConsensusPair(2, None)]) is zero
+
+    def test_capacity_tie_goes_to_the_smallest_id(self):
+        pairs = [ConsensusPair(4, 7), ConsensusPair(2, 7), ConsensusPair(3, 7)]
+        assert _best_pair(pairs) is pairs[1]
 
 
 class TestTreeGreedy:

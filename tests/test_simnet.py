@@ -1,7 +1,7 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from mkpsim import GenParams, gen_random
+from mkpsim import GenParams, gen_adversarial, gen_random, run_algorithm
 
 from mkpsim.simnet import (
     SOURCE,
@@ -144,7 +144,7 @@ class TestEngine:
             def recorded_assignment(self):
                 return None
 
-        with pytest.raises(SimulationFault):
+        with pytest.raises(SimulationFault, match="^S sent to nonexistent node 9$"):
             run_protocol(Bad(), {1: _SilentNode(), 2: _SilentNode()})
 
     def test_send_to_self_faults(self):
@@ -152,7 +152,7 @@ class TestEngine:
             def step(self, inbox):
                 return [(1, CapacityReport(1))]
 
-        with pytest.raises(SimulationFault):
+        with pytest.raises(SimulationFault, match="^p1 sent to itself$"):
             run_protocol(_PingSource(), {1: Selfy()})
 
     def test_empty_processor_map_faults(self):
@@ -206,6 +206,32 @@ class TestEngine:
         # it in phase 2
         with pytest.raises(SimulationFault, match="p1 sent a message after the source halted"):
             run_protocol(LastWord(), {1: Answer(), 2: _SilentNode()})
+
+    @pytest.mark.parametrize(
+        "recipient,message",
+        [
+            (-1, "p1 sent to nonexistent node -1"),
+            (3, "p1 sent to nonexistent node 3"),
+            (1, "p1 sent to itself"),
+        ],
+    )
+    def test_a_send_breaking_several_rules_reports_the_first(self, recipient, message):
+        # each send is also made after the source halted: the range check
+        # comes first, then the self check, then the halted check
+        class LastWord(SourceNode):
+            def step(self, inbox):
+                self.halted = True
+                return [(1, WeightOffer(1))]
+
+            def recorded_assignment(self):
+                return None
+
+        class Stray(Node):
+            def step(self, inbox):
+                return [(recipient, CapacityReport(1))] if inbox else []
+
+        with pytest.raises(SimulationFault, match=f"^{message}$"):
+            run_protocol(LastWord(), {1: Stray(), 2: _SilentNode()})
 
     def test_deliveries_are_ordered_by_sender_then_recipient(self):
         class Scatter(SourceNode):
@@ -458,3 +484,98 @@ class TestMetricsAndRendering:
         trace = (Delivery(3, 2, SOURCE, Winner(2)),)
         assert render_trace(trace) == "3 p2 S winner 2\n"
         assert render_trace(()) == ""
+
+
+def render_by_line(trace):
+    """The trace renderer restated one delivery at a time, each payload
+    rendered once per object: the reference for :func:`render_trace`."""
+    texts = {}
+    lines = []
+    for d in trace:
+        text = texts.get(id(d.payload))
+        if text is None:
+            text = texts[id(d.payload)] = render_payload(d.payload)
+        lines.append(f"{d.phase} {node_name(d.sender)} {node_name(d.recipient)} {text}")
+    return "\n".join(lines) + ("\n" if lines else "")
+
+
+@st.composite
+def hand_built_traces(draw):
+    """Runs of deliveries over a small pool of payload objects: the pool
+    holds distinct objects of equal value and ``FinalDirective(())``, and a
+    run may reuse any object, so runs meet with the same payload under
+    another phase or sender, and objects recur at non-adjacent positions."""
+    pool = [
+        WeightOffer(3),
+        WeightOffer(3),
+        ConsensusPair(2, None),
+        ConsensusPair(None, None),
+        ConsensusPair(2, 5),
+        FinalDirective(()),
+        FinalDirective(((1, 4), (7, 2))),
+        Winner(1),
+        Bottom(),
+        CapacityReport(0),
+        ItemOffer(8, 4),
+    ]
+    run = st.tuples(
+        st.integers(1, 3),  # phase
+        st.integers(0, 4),  # sender
+        st.sampled_from(pool),
+        st.lists(st.integers(0, 4), min_size=1, max_size=4),  # recipients
+    )
+    return tuple(
+        Delivery(phase, sender, recipient, payload)
+        for phase, sender, payload, recipients in draw(st.lists(run, max_size=8))
+        for recipient in recipients
+    )
+
+
+class TestRenderDifferential:
+    @given(hand_built_traces())
+    def test_matches_line_by_line_rendering(self, trace):
+        assert render_trace(trace) == render_by_line(trace)
+
+    def test_named_shapes(self):
+        offer, twin, final = WeightOffer(3), WeightOffer(3), FinalDirective(())
+        pair = ConsensusPair(1, 4)
+        shapes = {
+            "empty": (),
+            "reused at non-adjacent positions": (
+                Delivery(1, SOURCE, 1, offer),
+                Delivery(1, SOURCE, 2, twin),
+                Delivery(1, SOURCE, 3, offer),
+            ),
+            "one object, two senders, one phase": (
+                Delivery(2, 1, 2, pair),
+                Delivery(2, 1, 3, pair),
+                Delivery(2, 2, 1, pair),
+                Delivery(2, 2, 3, pair),
+            ),
+            "equal values, distinct objects": (
+                Delivery(1, SOURCE, 1, offer),
+                Delivery(1, SOURCE, 2, twin),
+            ),
+            "broken only by the phase": (
+                Delivery(1, SOURCE, 1, offer),
+                Delivery(2, SOURCE, 1, offer),
+                Delivery(2, SOURCE, 2, offer),
+            ),
+            "empty final directive": (
+                Delivery(4, SOURCE, 1, final),
+                Delivery(4, SOURCE, 2, final),
+            ),
+        }
+        for name, trace in shapes.items():
+            assert render_trace(trace) == render_by_line(trace), name
+        assert render_trace(shapes["empty final directive"]) == "4 S p1 final\n4 S p2 final\n"
+
+    @pytest.mark.parametrize("alg", ["simple", "modified", "dist", "tree"])
+    def test_matches_on_protocol_traces(self, alg):
+        for inst in (
+            gen_random(GenParams(9, 5, 30, 20, 1, 40, seed=1)),
+            gen_random(GenParams(20, 7, 30, 20, 1, 40, seed=2)),
+            gen_adversarial(3, 10),  # the final pass rewrites every knapsack
+        ):
+            trace = run_algorithm(alg, inst).trace
+            assert render_trace(trace) == render_by_line(trace)
