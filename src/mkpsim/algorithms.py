@@ -42,7 +42,6 @@ from __future__ import annotations
 
 from bisect import insort
 from dataclasses import dataclass
-from functools import partial
 from typing import Callable
 
 from .core import Assignment, Instance, check_feasible, objective, sort_by_density
@@ -153,9 +152,9 @@ class ProcessorNode(Node):
 class GreedySource(SourceNode):
     """Common source-side state: the sorted item list and the running record."""
 
-    def __init__(self, inst: Instance, with_final: bool):
+    def __init__(self, inst: Instance, reassigns: bool):
         self.inst = inst
-        self.with_final = with_final
+        self.reassigns = reassigns
         self.order = [inst.items[i] for i in sort_by_density(inst.items)]
         self.assignment = Assignment.empty(inst)
         self.pre_final_assignment: Assignment | None = None
@@ -169,7 +168,7 @@ class GreedySource(SourceNode):
         """Run the reassignment pass (if any) and halt; returns directives."""
         out: list[Send] = []
         self.pre_final_assignment = self.assignment.copy()
-        if self.with_final:
+        if self.reassigns:
             self.assignment, self.changed = final_reassign(self.assignment, self.inst)
             contents = self.assignment.items_by_knapsack(self.inst)
             for j in self.changed:
@@ -186,8 +185,8 @@ class GreedySource(SourceNode):
 # Phase layout of round r = 0, 1, ...:
 #   2r+1  every processor reports its remaining capacity
 #   2r+2  the source ranks the reports and dispatches item-or-bottom to each
-# The simple variant halts with the last dispatch; modified spends one more
-# phase on the reassignment pass and its directives.
+# Without a reassignment pass the source halts with the last dispatch; with
+# one it spends one more phase on the pass and its directives.
 
 class BatchProcessor(ProcessorNode):
     """Reports capacity once per round; the round budget is fixed up front
@@ -224,8 +223,8 @@ class BatchProcessor(ProcessorNode):
 
 
 class BatchSource(GreedySource):
-    def __init__(self, inst: Instance, rounds: int, period: int, *, with_final: bool):
-        super().__init__(inst, with_final)
+    def __init__(self, inst: Instance, rounds: int, period: int, reassigns: bool):
+        super().__init__(inst, reassigns)
         self.rounds_total = rounds
         self.rounds_done = 0
         self.cursor = 0
@@ -257,7 +256,7 @@ class BatchSource(GreedySource):
                 else:
                     out.append((j, Bottom()))
             self.rounds_done += 1
-            if self.rounds_done == self.rounds_total and not self.with_final:
+            if self.rounds_done == self.rounds_total and not self.reassigns:
                 out += self._finish()  # no reassignment pass: halt right away
             return out
 
@@ -316,6 +315,8 @@ class BroadcastProcessor(ProcessorNode):
                     raise SimulationFault(f"p{self.j}: weight offer from non-source")
                 offers.append(payload)
             elif kind is FinalDirective:
+                if msg.sender != SOURCE:
+                    raise SimulationFault(f"p{self.j}: directive from non-source")
                 directives.append(payload)
             else:
                 raise SimulationFault(f"p{self.j}: unexpected payload {payload!r}")
@@ -354,8 +355,8 @@ class BroadcastProcessor(ProcessorNode):
 
 
 class BroadcastSource(GreedySource):
-    def __init__(self, inst: Instance, rounds: int, period: int):
-        super().__init__(inst, with_final=True)
+    def __init__(self, inst: Instance, rounds: int, period: int, reassigns: bool):
+        super().__init__(inst, reassigns)
         self.period = period
         self.idx = 0
         self.pending: int | None = None  # item id awaiting this round's winner
@@ -468,8 +469,8 @@ class TreeProcessor(ProcessorNode):
 
 
 class TreeSource(GreedySource):
-    def __init__(self, inst: Instance, rounds: int, period: int):
-        super().__init__(inst, with_final=True)
+    def __init__(self, inst: Instance, rounds: int, period: int, reassigns: bool):
+        super().__init__(inst, reassigns)
         self.period = period
 
     def step(self, inbox: list[Delivery]) -> list[Send]:
@@ -511,17 +512,25 @@ class TreeSource(GreedySource):
 class Protocol:
     """One algorithm: its node programs and its exact accounting.
 
-    The programs are built as ``source(inst, rounds, period)`` and
-    ``processor(inst, j, rounds, period)``.  A run has ``rounds(inst)``
+    The programs are built as ``source(inst, rounds, period, reassigns)``
+    and ``processor(inst, j, rounds, period)``.  A run has ``rounds(inst)``
     rounds of ``period(inst)`` phases, and its source halts ``tail`` phases
     after the last one.  ``messages(inst, assigned, changed)`` is the exact
     total of a run that placed ``assigned`` items before the reassignment
     pass and changed ``changed`` knapsacks in it; ``message_bound(inst)`` is
-    the paper's bound on it.  A ``one_item_per_round`` protocol dispatches
-    the r-th item in density order in round r.
+    the paper's bound on it.
+
+    The two flags fix what a run must compute, and so how it is verified.
+    A ``one_item_per_round`` protocol dispatches the r-th item in density
+    order in round r, each to the largest remaining knapsack that fits it
+    (:func:`~mkpsim.oracle.strict_sequential_greedy`); the others dispatch
+    in batch rounds (:func:`~mkpsim.oracle.batch_round_greedy`).  A
+    protocol that ``reassigns`` ends with :func:`final_reassign` applied to
+    that placement, and is the one the paper's 1/(n+1) bound is claimed
+    for; one that does not reports the dispatch placement as final.
     """
 
-    source: Callable[[Instance, int, int], GreedySource]
+    source: Callable[[Instance, int, int, bool], GreedySource]
     processor: Callable[[Instance, int, int, int], ProcessorNode]
     rounds: Callable[[Instance], int]
     period: Callable[[Instance], int]
@@ -529,6 +538,7 @@ class Protocol:
     messages: Callable[[Instance, int, int], int]
     message_bound: Callable[[Instance], int]
     one_item_per_round: bool
+    reassigns: bool
 
     def phases(self, inst: Instance) -> int:
         """The phase in which the source halts; phase 1 when there are no rounds."""
@@ -541,20 +551,20 @@ def _batch_rounds(inst: Instance) -> int:
 
 PROTOCOLS: dict[str, Protocol] = {
     "simple": Protocol(
-        source=partial(BatchSource, with_final=False),
+        source=BatchSource,
         processor=BatchProcessor,
         rounds=_batch_rounds, period=lambda inst: 2, tail=0,
         messages=lambda inst, assigned, changed: 2 * inst.n * _batch_rounds(inst),
         message_bound=lambda inst: 2 * inst.m + 2 * inst.n,
-        one_item_per_round=False,
+        one_item_per_round=False, reassigns=False,
     ),
     "modified": Protocol(
-        source=partial(BatchSource, with_final=True),
+        source=BatchSource,
         processor=BatchProcessor,
         rounds=_batch_rounds, period=lambda inst: 2, tail=1,
         messages=lambda inst, assigned, changed: 2 * inst.n * _batch_rounds(inst) + changed,
         message_bound=lambda inst: 2 * inst.m + 3 * inst.n,
-        one_item_per_round=False,
+        one_item_per_round=False, reassigns=True,
     ),
     "dist": Protocol(
         source=BroadcastSource,
@@ -562,7 +572,7 @@ PROTOCOLS: dict[str, Protocol] = {
         rounds=lambda inst: inst.m, period=lambda inst: 3, tail=1,
         messages=lambda inst, assigned, changed: inst.m * inst.n**2 + assigned + changed,
         message_bound=lambda inst: inst.m * (inst.n + inst.n**2) + inst.n,
-        one_item_per_round=True,
+        one_item_per_round=True, reassigns=True,
     ),
     "tree": Protocol(
         source=TreeSource,
@@ -572,7 +582,7 @@ PROTOCOLS: dict[str, Protocol] = {
         rounds=lambda inst: inst.m, period=lambda inst: inst.n.bit_length() - 1 + 3, tail=0,
         messages=lambda inst, assigned, changed: 2 * inst.m * inst.n + assigned + changed,
         message_bound=lambda inst: 2 * inst.m * inst.n + inst.m + inst.n,
-        one_item_per_round=True,
+        one_item_per_round=True, reassigns=True,
     ),
 }
 
@@ -588,8 +598,8 @@ class RunResult:
     """Everything one protocol run produced.
 
     ``assignment``/``profit`` reflect the run's final output; the pre-final
-    fields snapshot the state before the reassignment pass (identical for
-    ``simple``, which has none).
+    fields snapshot the state before the reassignment pass (identical for a
+    protocol that has none).
     """
 
     algorithm: str
@@ -631,7 +641,7 @@ def run_algorithm(name: str, inst: Instance) -> RunResult:
     except KeyError:
         raise ValueError(f"unknown algorithm {name!r}; choose from {ALGORITHMS}") from None
     rounds, period = protocol.rounds(inst), protocol.period(inst)
-    source = protocol.source(inst, rounds, period)
+    source = protocol.source(inst, rounds, period, protocol.reassigns)
     processors = {j: protocol.processor(inst, j, rounds, period) for j in range(1, inst.n + 1)}
     # The run's own phase bound, not the engine's fixed default: one phase
     # past the source's halt delivers the last sends, and then it must end.

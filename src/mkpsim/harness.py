@@ -17,7 +17,7 @@ import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .algorithms import ALGORITHMS, PROTOCOLS, RunResult, run_algorithm
+from .algorithms import ALGORITHMS, PROTOCOLS, RunResult, final_reassign, run_algorithm
 from .core import Instance, check_feasible, instance_digest, sort_by_density
 from .oracle import (
     OptimalSolution,
@@ -198,7 +198,7 @@ def make_report(
 
 def run_experiment(inst: Instance, algorithms=ALGORITHMS, with_oracle: bool = False):
     """Run the requested algorithms and return reports in the fixed
-    simple/modified/dist/tree order; oracle data is attached when requested
+    :data:`PROTOCOLS` order; oracle data is attached when requested
     and available, and marked unavailable otherwise."""
     requested = set(algorithms)
     unknown = requested - set(ALGORITHMS)
@@ -221,21 +221,32 @@ def run_experiment(inst: Instance, algorithms=ALGORITHMS, with_oracle: bool = Fa
 # ---------------------------------------------------------------------------
 
 def audit_max_capacity_dispatch(inst: Instance, trace: Trace, algorithm: str) -> list[str]:
-    """Replay the trace of a one-item-per-round protocol (dist/tree) and
-    check the greedy dispatch invariant.
+    """Check a one-item-per-round protocol's trace against the greedy
+    dispatch: round r must award the r-th item in density order to a
+    largest remaining knapsack that fits it (ties: smallest id), or to
+    nobody when none fits.
 
-    For every round, the item (taken in density order) must go to a knapsack
-    whose pre-assignment remaining capacity is maximal among the knapsacks
-    that fit it, with ties broken towards the smallest id; an item may be
-    discarded only when nothing fits.  Winners are read off the trace's
-    winner reports, each in the round its phase falls in by the protocol's
-    period; capacities are replayed from the instance.
+    Winners are read off the trace's winner reports, each in the round its
+    phase falls in by the protocol's period.  By induction over the rounds,
+    every winner is the greedy choice given the earlier winners iff the
+    winner sequence is the one :func:`strict_sequential_greedy` gives, so
+    the trace is compared with that.  Returns the first round that differs
+    (a winner reported in a round that dispatches no item included), or
+    more than one winner report in a round; ``[]`` for a clean trace.
     """
     protocol = PROTOCOLS.get(algorithm)
     if protocol is None or not protocol.one_item_per_round:
         raise ValueError(f"audit applies to one-item-per-round protocols, not {algorithm!r}")
-    period = protocol.period(inst)
+    sequential = strict_sequential_greedy(inst).assignment.placement
+    return _audit_winners(inst, trace, protocol.period(inst), sequential)
 
+
+def _audit_winners(
+    inst: Instance, trace: Trace, period: int, sequential: dict[int, int | None]
+) -> list[str]:
+    """:func:`audit_max_capacity_dispatch` given the protocol's period and
+    the :func:`strict_sequential_greedy` placement, which
+    :func:`verify_instance` has already computed."""
     winners: dict[int, int] = {}
     for d in trace:
         if d.recipient == SOURCE and isinstance(d.payload, Winner):
@@ -244,40 +255,21 @@ def audit_max_capacity_dispatch(inst: Instance, trace: Trace, algorithm: str) ->
                 return [f"round {round_index}: more than one winner report"]
             winners[round_index] = d.payload.processor
 
-    violations = []
-    remaining = list(inst.capacities)
-    for round_index, item_id in enumerate(sort_by_density(inst.items)):
-        item = inst.items[item_id]
-        fitting = [j for j in range(inst.n) if remaining[j] >= item.weight]
-        winner = winners.get(round_index)
-        if winner is None:
-            if fitting:
-                violations.append(
-                    f"round {round_index}: item {item_id} discarded although "
-                    f"knapsack(s) {fitting} fit it"
-                )
-            continue
-        j = winner - 1
-        if j not in fitting:
-            violations.append(
-                f"round {round_index}: item {item_id} went to knapsack {j} "
-                f"which cannot fit it"
-            )
-            continue
-        best = max(remaining[k] for k in fitting)
-        best_j = min(k for k in fitting if remaining[k] == best)
-        if remaining[j] != best:
-            violations.append(
-                f"round {round_index}: item {item_id} went to knapsack {j} "
-                f"(remaining {remaining[j]}) but knapsack {best_j} had {best}"
-            )
-        elif j != best_j:
-            violations.append(
-                f"round {round_index}: capacity tie broken towards knapsack {j} "
-                f"instead of {best_j}"
-            )
-        remaining[j] -= item.weight
-    return violations
+    order = sort_by_density(inst.items)
+    greedy = {r: sequential[i] + 1 for r, i in enumerate(order) if sequential[i] is not None}
+    if winners == greedy:
+        return []
+    r = min(k for k in winners.keys() | greedy.keys() if winners.get(k) != greedy.get(k))
+    if not 0 <= r < inst.m:
+        return [f"round {r}: winner p{winners[r]} reported in a round that dispatches no item"]
+
+    def award(processor: int | None) -> str:
+        return "no knapsack" if processor is None else f"knapsack {processor - 1}"
+
+    return [
+        f"round {r}: item {order[r]} went to {award(winners.get(r))}, "
+        f"the sequential greedy gives it {award(greedy.get(r))}"
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -327,7 +319,7 @@ class SweepParams:
 
 @dataclass
 class InstanceVerification:
-    """All four runs on one instance plus every cross-check outcome."""
+    """Every protocol's run on one instance plus every check outcome."""
 
     instance: Instance
     results: dict[str, RunResult]
@@ -340,34 +332,41 @@ class InstanceVerification:
 
 
 def verify_instance(inst: Instance, *, with_oracle: bool = True) -> InstanceVerification:
-    """Run every algorithm on the instance and check the full battery:
-    feasibility, exact message/phase/round accounting and the message bound
-    from each algorithm's :data:`PROTOCOLS` record, the simulation vs
-    centralized-recomputation equivalences, the per-round greedy trace audit,
-    reassignment monotonicity, and (with the oracle) the 1/(n+1) bound for
-    the three finalized algorithms."""
+    """Run every protocol in :data:`PROTOCOLS` on the instance and check each
+    run against its record.
+
+    Every run must have feasible final and pre-final assignments, a profit
+    the reassignment pass did not lower, the record's exact (messages,
+    phases, rounds) and at most its message bound.  Its pre-final placement
+    must equal the message-free recomputation of its dispatch
+    (:func:`strict_sequential_greedy` when ``one_item_per_round``, else
+    :func:`batch_round_greedy`), and its final placement that recomputation
+    after :func:`final_reassign` when it ``reassigns``, else the
+    recomputation itself.  A one-item-per-round run's trace must pass
+    :func:`audit_max_capacity_dispatch`, and with the oracle a run that
+    reassigns must earn at least OPT/(n+1).  Every violation but an
+    unavailable oracle starts with the protocol's name."""
     n = inst.n
-    results = {name: run_algorithm(name, inst) for name in ALGORITHMS}
+    opt = exact_optimum(inst) if with_oracle else None
+    results: dict[str, RunResult] = {}
+    recomputed = {}  # greedy -> (its placement, final_reassign of it)
     bad: list[str] = []
 
-    def expect(condition: bool, message: str) -> None:
-        if not condition:
-            bad.append(message)
-
-    for name, res in results.items():
+    # messages formatted only on failure: a sweep runs this per instance
+    for name, protocol in PROTOCOLS.items():
+        res = results[name] = run_algorithm(name, inst)
         for label, assignment in (
             ("final", res.assignment),
             ("pre-final", res.pre_final_assignment),
         ):
             violation = check_feasible(assignment, inst)
-            expect(violation is None, f"{name}: {label} assignment infeasible: {violation}")
-        expect(
-            res.profit >= res.pre_final_profit,
-            f"{name}: reassignment decreased profit "
-            f"{res.pre_final_profit} -> {res.profit}",
-        )
-        # messages formatted only on failure: a sweep runs this per instance
-        protocol = PROTOCOLS[name]
+            if violation is not None:
+                bad.append(f"{name}: {label} assignment infeasible: {violation}")
+        if res.profit < res.pre_final_profit:
+            bad.append(
+                f"{name}: reassignment decreased profit "
+                f"{res.pre_final_profit} -> {res.profit}"
+            )
         assigned = len(res.pre_final_assignment.assigned_items())
         want = (
             protocol.messages(inst, assigned, len(res.changed_knapsacks)),
@@ -381,56 +380,25 @@ def verify_instance(inst: Instance, *, with_oracle: bool = True) -> InstanceVeri
         if res.messages > bound:
             bad.append(f"{name}: messages {res.messages} > bound {bound}")
 
-    simple, modified = results["simple"], results["modified"]
-    dist, tree = results["dist"], results["tree"]
-    expect(
-        modified.pre_final_assignment.placement == simple.assignment.placement,
-        "modified: pre-reassignment placement differs from simple",
-    )
-    expect(
-        dist.assignment.placement == tree.assignment.placement,
-        "dist and tree disagree on the final placement",
-    )
-    expect(
-        dist.pre_final_assignment.placement == tree.pre_final_assignment.placement,
-        "dist and tree disagree on the pre-reassignment placement",
-    )
-    expect(dist.profit == tree.profit, "dist and tree disagree on profit")
+        greedy = strict_sequential_greedy if protocol.one_item_per_round else batch_round_greedy
+        if greedy not in recomputed:
+            dispatched = greedy(inst).assignment
+            recomputed[greedy] = (dispatched.placement, final_reassign(dispatched, inst)[0].placement)
+        dispatched, reassigned = recomputed[greedy]
+        if res.pre_final_assignment.placement != dispatched:
+            bad.append(f"{name}: pre-final placement differs from {greedy.__name__}")
+        if res.assignment.placement != (reassigned if protocol.reassigns else dispatched):
+            after = "after final_reassign" if protocol.reassigns else "with no reassignment pass"
+            bad.append(f"{name}: final placement differs from {greedy.__name__} {after}")
 
-    sequential = strict_sequential_greedy(inst)
-    expect(
-        dist.pre_final_assignment.placement == sequential.assignment.placement,
-        "dist pre-reassignment placement differs from the sequential recomputation",
-    )
-    expect(
-        dist.pre_final_profit == sequential.profit,
-        f"dist pre-reassignment profit {dist.pre_final_profit} != "
-        f"sequential {sequential.profit}",
-    )
-    batch = batch_round_greedy(inst)
-    expect(
-        simple.assignment.placement == batch.assignment.placement,
-        "simple placement differs from the batch recomputation",
-    )
-
-    for name, protocol in PROTOCOLS.items():
-        if protocol.one_item_per_round:
-            for problem in audit_max_capacity_dispatch(inst, results[name].trace, name):
+        if protocol.one_item_per_round:  # so ``dispatched`` is the sequential greedy's
+            for problem in _audit_winners(inst, res.trace, protocol.period(inst), dispatched):
                 bad.append(f"{name}: trace audit: {problem}")
+        if protocol.reassigns and opt is not None and not bound_holds(res.profit, opt, n):
+            bad.append(f"{name}: bound violated: {res.profit} * ({n}+1) < {opt.opt}")
 
-    opt = None
-    if with_oracle:
-        opt = exact_optimum(inst)
-        if opt is None:
-            bad.append("oracle unavailable: bound left unchecked")
-        else:
-            for name in ("modified", "dist", "tree"):
-                res = results[name]
-                expect(
-                    bound_holds(res.profit, opt, n),
-                    f"{name}: bound violated: {res.profit} * ({n}+1) < {opt.opt}",
-                )
-
+    if with_oracle and opt is None:
+        bad.append("oracle unavailable: bound left unchecked")
     return InstanceVerification(inst, results, opt, bad)
 
 

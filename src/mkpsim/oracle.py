@@ -39,17 +39,18 @@ class GreedySolution:
     profit: int
 
 
-def brute_force_optimum(inst: Instance, *, guard: int = BRUTE_FORCE_GUARD) -> OptimalSolution:
+def brute_force_optimum(inst: Instance) -> OptimalSolution:
     """Exhaustive search over all (n+1)^m placements, with capacity pruning.
 
     Items are considered in id order; choices are 'unassigned' first, then
     knapsacks 0..n-1, so the first optimum found (kept on ties) is
-    deterministic.  Refuses instances whose worst-case tree exceeds ``guard``.
+    deterministic.  Refuses instances whose worst-case tree exceeds
+    :data:`BRUTE_FORCE_GUARD`.
     """
     m, n = inst.m, inst.n
-    if m * math.log2(n + 1) > math.log2(guard):
+    if m * math.log2(n + 1) > math.log2(BRUTE_FORCE_GUARD):
         raise ValueError(
-            f"instance too large for exhaustive enumeration: (n+1)^m > {guard}"
+            f"instance too large for exhaustive enumeration: (n+1)^m > {BRUTE_FORCE_GUARD}"
         )
 
     remaining = list(inst.capacities)

@@ -119,7 +119,6 @@ class Delivery:
     than a frozen dataclass or a named tuple, because both of those make
     building a record or reading its fields several times slower, and the
     engine builds one per delivery while the programs read them all.
-    Records compare and hash by value.
     """
 
     __slots__ = ("phase", "sender", "recipient", "payload")
@@ -129,17 +128,6 @@ class Delivery:
         self.sender = sender
         self.recipient = recipient
         self.payload = payload
-
-    def _key(self) -> tuple:
-        return (self.phase, self.sender, self.recipient, self.payload)
-
-    def __eq__(self, other):
-        if not isinstance(other, Delivery):
-            return NotImplemented
-        return self._key() == other._key()
-
-    def __hash__(self) -> int:
-        return hash(self._key())
 
     def __repr__(self) -> str:
         return (

@@ -25,6 +25,7 @@ from mkpsim.simnet import (
     CapacityReport,
     ConsensusPair,
     Delivery,
+    FinalDirective,
     SimulationFault,
     WeightOffer,
     Winner,
@@ -306,6 +307,10 @@ class TestBroadcastProcessorFaults:
     def test_weight_offer_from_a_non_source(self):
         with pytest.raises(SimulationFault, match="^p1: weight offer from non-source$"):
             self.p1().step(self.mail((2, WeightOffer(2))))
+
+    def test_directive_from_a_non_source(self):
+        with pytest.raises(SimulationFault, match="^p1: directive from non-source$"):
+            self.p1().step(self.mail((2, FinalDirective(((0, 2),)))))
 
     def test_capacity_pair_from_the_source(self):
         with pytest.raises(SimulationFault, match="^p1: capacity pair from the source$"):

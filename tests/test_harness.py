@@ -1,7 +1,9 @@
 import json
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from mkpsim import (
     GenParams,
@@ -18,6 +20,8 @@ from mkpsim import (
 )
 from mkpsim.harness import CSV_COLUMNS, make_report, report_to_json, reports_to_csv
 from mkpsim.simnet import SOURCE, Delivery, Winner
+
+from conftest import small_instances
 
 GOLDEN_DIGEST_M10_N3_SEED42 = (
     "a47136d6d9edfef75e24ae81354257895c9eabf7c1c70aa941eb65396751a967"
@@ -190,6 +194,96 @@ class TestTraceAudit:
         with pytest.raises(ValueError):
             audit_max_capacity_dispatch(instance_a, (), "simple")
 
+    @pytest.mark.parametrize("name", ["dist", "tree"])
+    def test_winner_in_a_round_without_an_item_is_caught(self, instance_a, name):
+        run = run_algorithm(name, instance_a)
+        stray = run.trace + (Delivery(run.phases + 5, 1, SOURCE, Winner(1)),)
+        problems = audit_max_capacity_dispatch(instance_a, stray, name)
+        # 4 items; the stray report falls in round 5 (dist: 3 phases a
+        # round, 13 in all; tree: 4 a round, 16 in all)
+        assert problems == ["round 5: winner p1 reported in a round that dispatches no item"]
+
+    @pytest.mark.parametrize("name", ["dist", "tree"])
+    @pytest.mark.parametrize(
+        "changes, first_round",
+        [({0: None}, 0), ({0: 2}, 0), ({0: 3}, 0), ({2: 3}, 2)],
+        ids=["first dropped", "first to its tie partner", "first to the smaller", "last moved"],
+    )
+    def test_retargeted_winner_is_caught_in_its_round(self, name, changes, first_round):
+        # density order is item 0, 1, 2, 3; one item at a time, the greedy
+        # gives them p1 (5 vs 5, tie to p1), p2, p1 (3, 3, 3 all tied) and
+        # discards item 3 (weight 4 > 3)
+        inst = Instance.from_pairs([(9, 2), (8, 2), (7, 2), (1, 4)], [5, 5, 3])
+        run = run_algorithm(name, inst)
+        assert [d.payload.processor for d in _winner_reports(run.trace)] == [1, 2, 1]
+        assert audit_max_capacity_dispatch(inst, run.trace, name) == []
+        problems = audit_max_capacity_dispatch(inst, _retarget(run.trace, changes), name)
+        assert problems and problems[0].startswith(f"round {first_round}: "), problems
+
+
+def _first_replayed_violation(inst, winners):
+    """Replay capacities round by round: the first round whose winner (a
+    processor id, or absent) is not the greedy choice given the earlier
+    winners, i.e. the largest remaining knapsack that fits the round's item
+    with ties to the smallest index, or none when nothing fits; ``None`` when
+    every round's winner is."""
+    items = inst.items
+    order = sorted(range(inst.m), key=lambda i: (Fraction(-items[i].cost, items[i].weight), i))
+    remaining = list(inst.capacities)
+    for r, i in enumerate(order):
+        fitting = [j for j in range(inst.n) if remaining[j] >= items[i].weight]
+        choice = max(fitting, key=lambda j: (remaining[j], -j), default=None)
+        got = winners.get(r)
+        if (None if got is None else got - 1) != choice:
+            return r
+        if choice is not None:
+            remaining[choice] -= items[i].weight
+    return None
+
+
+@settings(max_examples=200, deadline=None)
+@given(inst=small_instances(max_n=4), name=st.sampled_from(["dist", "tree"]), data=st.data())
+def test_audit_agrees_with_a_round_by_round_replay(inst, name, data):
+    run = run_algorithm(name, inst)
+    period = 3 if name == "dist" else inst.n.bit_length() + 2
+    honest = {(d.phase - 1) // period: d.payload.processor for d in _winner_reports(run.trace)}
+    winners = {}
+    for r in range(inst.m):
+        change = data.draw(st.sampled_from(["keep", "drop", "move"]))
+        if change == "move":
+            winners[r] = data.draw(st.integers(1, inst.n + 1))
+        elif change == "keep" and r in honest:
+            winners[r] = honest[r]
+    reports = set(map(id, _winner_reports(run.trace)))
+    trace = tuple(d for d in run.trace if id(d) not in reports) + tuple(
+        Delivery(r * period + 1, 1, SOURCE, Winner(p)) for r, p in winners.items()
+    )
+    problems = audit_max_capacity_dispatch(inst, trace, name)
+    first = _first_replayed_violation(inst, winners)
+    if first is None:
+        assert problems == []
+    else:
+        assert len(problems) == 1 and problems[0].startswith(f"round {first}: "), problems
+
+
+def _winner_reports(trace):
+    return [d for d in trace if d.recipient == SOURCE and isinstance(d.payload, Winner)]
+
+
+def _retarget(trace, changes):
+    """The trace with its k-th winner report sent for processor
+    ``changes[k]`` instead, or dropped where that is ``None``."""
+    index = {id(d): k for k, d in enumerate(_winner_reports(trace))}
+    out = []
+    for d in trace:
+        k = index.get(id(d))
+        if k in changes:
+            if changes[k] is None:
+                continue
+            d = Delivery(d.phase, d.sender, d.recipient, Winner(changes[k]))
+        out.append(d)
+    return tuple(out)
+
 
 class TestVerification:
     def test_instance_a_passes_everything(self, instance_a):
@@ -237,26 +331,58 @@ class TestVerification:
         assert any("oracle unavailable" in v for v in verdict.violations)
 
 
-def _verify_with_one_miscounted_run(monkeypatch, inst, name, field):
-    """``verify_instance`` with the ``name`` run's messages, phases or rounds
-    off by one."""
-    from dataclasses import replace
-
+def _verify_with_one_run_changed(monkeypatch, inst, name, change, *, with_oracle=True):
+    """``verify_instance`` with the ``name`` run replaced by ``change(run)``."""
     import mkpsim.harness as harness
 
     honest = harness.run_algorithm
 
     def run_algorithm(alg, instance):
         run = honest(alg, instance)
-        if alg != name:
-            return run
+        return change(run) if alg == name else run
+
+    monkeypatch.setattr(harness, "run_algorithm", run_algorithm)
+    return verify_instance(inst, with_oracle=with_oracle).violations
+
+
+def _verify_with_one_miscounted_run(monkeypatch, inst, name, field):
+    """``verify_instance`` with the ``name`` run's messages, phases or rounds
+    off by one."""
+
+    def miscount(run):
         if field == "rounds":
             return replace(run, rounds=run.rounds + 1)
         metrics = replace(run.metrics, **{field: getattr(run.metrics, field) + 1})
         return replace(run, metrics=metrics)
 
-    monkeypatch.setattr(harness, "run_algorithm", run_algorithm)
-    return verify_instance(inst, with_oracle=False).violations
+    return _verify_with_one_run_changed(monkeypatch, inst, name, miscount, with_oracle=False)
+
+
+def test_modified_run_that_skipped_its_pass_is_reported(monkeypatch):
+    # the pre-pass profit 8 still meets 8 * (4+1) >= OPT = 40, so only the
+    # final placement itself can give the skipped pass away
+    inst = gen_adversarial(4, 10)
+    violations = _verify_with_one_run_changed(
+        monkeypatch,
+        inst,
+        "modified",
+        lambda run: replace(run, assignment=run.pre_final_assignment, profit=run.pre_final_profit),
+    )
+    assert violations
+    assert all(v.startswith("modified: ") for v in violations), violations
+
+
+def test_simple_run_reporting_a_reassigned_placement_is_reported(monkeypatch):
+    inst = gen_adversarial(4, 10)
+    reassigned = run_algorithm("modified", inst)
+    violations = _verify_with_one_run_changed(
+        monkeypatch,
+        inst,
+        "simple",
+        lambda run: replace(run, assignment=reassigned.assignment, profit=reassigned.profit),
+    )
+    assert violations
+    assert all(v.startswith("simple: ") for v in violations), violations
 
 
 @pytest.mark.parametrize("name", ["simple", "modified", "dist", "tree"])
