@@ -331,8 +331,11 @@ class BroadcastProcessor(ProcessorNode):
             report = ConsensusPair(self.j, self.remaining if eligible else None)
             self.my_report = report
             if self.n > 1:
-                out = [(k, report) for k in range(1, self.n + 1)]
-                del out[self.j - 1]
+                # to every other processor: the ids below j and those above
+                if self.j > 1:
+                    out.append((range(1, self.j), report))
+                if self.j < self.n:
+                    out.append((range(self.j + 1, self.n + 1), report))
             else:
                 # nobody to talk to: the lone processor decides immediately
                 if eligible:
@@ -384,8 +387,7 @@ class BroadcastSource(GreedySource):
             item = self.order[self.idx]
             self.idx += 1
             self.pending = item.id
-            offer = WeightOffer(item.weight)
-            return [(j, offer) for j in range(1, self.inst.n + 1)]
+            return [(range(1, self.inst.n + 1), WeightOffer(item.weight))]
         return self._finish()
 
 
@@ -484,7 +486,7 @@ class TreeSource(GreedySource):
             if offset == 1:
                 if round_index < self.inst.m:
                     offer = WeightOffer(self.order[round_index].weight)
-                    return [(j, offer) for j in range(1, self.inst.n + 1)]
+                    return [(range(1, self.inst.n + 1), offer)]
                 return self._finish()  # m == 0: nothing to dispatch
             return []
 

@@ -24,17 +24,22 @@ bookkeeping at the processors) are not counted as communication phases.
 Phases in which nobody speaks still count if the source is still running --
 a silent phase is meaningful in a synchronous protocol.
 
-Deliveries: each send becomes exactly one :class:`Delivery` record (phase,
-sender, recipient, payload).  The engine appends it to the trace and to the
-recipient's inbox for the next phase, so programs read the same records the
-trace keeps.  The per-phase counts in :class:`RunMetrics` are taken as each
-phase closes.
+Deliveries: a send names one recipient or, as a *multicast*, a ``range``
+of them, and becomes exactly one :class:`Delivery` record (phase, sender,
+recipient or range, payload).  The engine appends it to the trace and to the
+inbox of each recipient for the next phase, so programs read the same
+records the trace keeps.  A multicast to k recipients still counts k
+messages, one per point-to-point delivery; it is a cheaper way to write k
+sends of one payload, not a different network.  The per-phase counts in
+:class:`RunMetrics` are taken as each phase closes.
 
 Determinism: within a phase, deliveries are ordered by (sender, recipient).
 The engine gets that order without sorting a whole phase: nodes step in
 ascending id order, so sender order holds by construction, and each node's
-own sends are stably sorted by recipient when it sent more than one, so two
-sends to the same recipient keep the order the node emitted them in.
+own records are stably sorted by (first) recipient when it sent more than
+one, so two sends to the same recipient keep the order the node emitted them
+in.  A multicast may share no recipient with another send of its node in the
+same phase, so the recipient order of its deliveries is that of its records.
 Programs are required to be deterministic, so identical inputs produce
 byte-identical traces.
 """
@@ -110,20 +115,23 @@ Payload = (
 
 
 class Delivery:
-    """One delivered message, stamped with the phase in which it was sent.
+    """One sent message, stamped with the phase in which it was sent.
 
-    The engine builds exactly one record per point-to-point delivery: the
-    recipient finds it in its inbox one phase later and the trace keeps the
-    same object.  Records are immutable by contract -- neither the engine
-    nor any node program assigns to a field -- and use ``__slots__`` rather
-    than a frozen dataclass or a named tuple, because both of those make
-    building a record or reading its fields several times slower, and the
-    engine builds one per delivery while the programs read them all.
+    The engine builds exactly one record per send.  ``recipient`` is a node
+    id, or for a multicast the ascending ``range`` (step 1) of node ids the
+    send went to: each of those recipients finds this one object in its
+    inbox one phase later, and the trace keeps the same object, so a record
+    stands for ``len(recipient)`` deliveries.  Records are immutable by
+    contract -- neither the engine nor any node program assigns to a field
+    -- and use ``__slots__`` rather than a frozen dataclass or a named
+    tuple, because both of those make building a record or reading its
+    fields several times slower, and the engine builds one per send while
+    the programs read them all.
     """
 
     __slots__ = ("phase", "sender", "recipient", "payload")
 
-    def __init__(self, phase: int, sender: int, recipient: int, payload: Payload):
+    def __init__(self, phase: int, sender: int, recipient: int | range, payload: Payload):
         self.phase = phase
         self.sender = sender
         self.recipient = recipient
@@ -136,8 +144,10 @@ class Delivery:
         )
 
 
-# (recipient, payload); the engine stamps the sender.
-Send = tuple[int, Payload]
+# (recipient, payload) or, for a multicast, (range of recipients, payload);
+# the engine stamps the sender.  The range is non-empty, has step 1 and
+# leaves out the sender: a broadcast to everyone else is two ranges.
+Send = tuple[int | range, Payload]
 
 
 # ---------------------------------------------------------------------------
@@ -180,6 +190,11 @@ class Node:
     mail arrives there (possibly none).  The phase must be later than the
     current one.  A pending wake-up does not keep a finished run alive.  The
     source steps in every phase until it halts and may not ask for one.
+
+    ``step`` returns the node's sends for this phase (see :data:`Send`).
+    Several sends of one payload to a contiguous block of ids are best
+    written as one multicast: the engine then builds, checks and keeps one
+    record for all of them.
     """
 
     wake_at: int | None = None
@@ -257,39 +272,31 @@ class _Memo(dict):
 def render_trace(trace: Trace) -> str:
     """Line-oriented dump, one delivery per line: ``phase from to payload``.
 
-    The dump is built one run at a time: a run is a stretch of consecutive
-    deliveries with the same phase, sender and payload *object*, such as one
-    broadcast.  A run's first line is rendered whole; each later line adds
-    only the run's separator -- the payload text that ends the line before,
-    then ``"{phase} {sender} "`` -- rendered once per run, and its own
-    recipient's name.  This is byte-identical to rendering line by line:
-    runs are split wherever the phase, the sender or the payload's identity
-    changes, so every line gets its own phase, sender and payload text, and
-    every line keeps its own recipient, in trace order.  Node names are
-    rendered once each, and payloads once per object (a tree node forwards
-    the pair it received), memoised by identity, which is sound because the
-    trace keeps every payload alive while the dump is built.
+    A multicast record expands to one line per recipient, in ascending id
+    order.  Its lines share everything but the recipient's name, so they are
+    built with one join: the record's ``"{phase} {sender} "`` head, then the
+    names joined by the payload text plus the head, then the payload text.
+    Node names are rendered once each, and payloads once per object (a tree
+    node forwards the pair it received), memoised by identity, which is
+    sound because the trace keeps every payload alive while the dump is
+    built.
     """
     names = _Memo(node_name)
+    name_of = names.__getitem__
     texts: dict[int, str] = {}
     parts: list[str] = []
     append = parts.append
-    payload = sender = phase = separator = None
-    text = ""  # the payload text that ends the line before: " {payload}\n"
     for d in trace:
-        if d.payload is not payload or d.sender != sender or d.phase != phase:
-            payload, sender, phase = d.payload, d.sender, d.phase
-            append(f"{text}{phase} {names[sender]} {names[d.recipient]}")
-            text = texts.get(id(payload))
-            if text is None:
-                text = texts[id(payload)] = f" {render_payload(payload)}\n"
-            separator = None
+        payload = d.payload
+        text = texts.get(id(payload))  # " {payload}\n", the end of each line
+        if text is None:
+            text = texts[id(payload)] = f" {render_payload(payload)}\n"
+        recipient = d.recipient
+        if type(recipient) is range:
+            head = f"{d.phase} {names[d.sender]} "
+            append(head + (text + head).join(map(name_of, recipient)) + text)
         else:
-            if separator is None:
-                separator = f"{text}{phase} {names[sender]} "
-            append(separator)
-            append(names[d.recipient])
-    append(text)
+            append(f"{d.phase} {names[d.sender]} {names[recipient]}{text}")
     return "".join(parts)
 
 
@@ -300,6 +307,33 @@ def render_trace(trace: Trace) -> str:
 DEFAULT_MAX_PHASES = 1_000_000
 
 _by_recipient = attrgetter("recipient")
+
+
+def _first_recipient(d: Delivery) -> int:
+    recipient = d.recipient
+    return recipient.start if type(recipient) is range else recipient
+
+
+def _in_recipient_order(records: list[Delivery], sender: int) -> list[Delivery]:
+    """One node's records of a phase, some of them multicasts, stably
+    sorted by first recipient.  A multicast may share no recipient with
+    another of the records, which is a fault: without a shared recipient,
+    the sorted records expand to the node's deliveries in recipient order,
+    and per recipient in emission order."""
+    records = sorted(records, key=_first_recipient)
+    reach = -1  # the last recipient of the record before
+    after_multicast = False  # whether that record was a multicast
+    for d in records:
+        recipient = d.recipient
+        multicast = type(recipient) is range
+        first, last = (recipient.start, recipient.stop - 1) if multicast else (recipient,) * 2
+        if first < reach or (first == reach and (multicast or after_multicast)):
+            raise SimulationFault(
+                f"{node_name(sender)} sent to {node_name(first)} by a multicast "
+                f"and another send in one phase"
+            )
+        reach, after_multicast = last, multicast
+    return records
 
 
 def run_protocol(
@@ -313,19 +347,24 @@ def run_protocol(
     ``processors`` maps ids 1..n to their programs, n >= 1.  The run ends
     when the source has halted and no messages remain in flight; processors
     are reactive and never halt on their own.  Returns the assignment the
-    source recorded, the metrics, and the full delivery trace.
+    source recorded, the metrics, and the trace: every record the run sent,
+    a multicast as the one record its recipients read.
 
     A phase costs one step per node that has mail or a wake-up in it, plus
-    the source's.
+    the source's.  A multicast costs one record and one set of checks,
+    however many recipients it has, and counts one message per recipient.
 
     Faults (raised as :class:`SimulationFault`, never silently dropped):
-    a processor map that is empty or does not cover 1..n exactly,
-    a message addressed to a nonexistent node or to the node itself, a
-    message sent after the source halted, a message delivered to the
-    already-halted source, a wake-up asked by the source or for a phase
-    that is not after the current one, and a run that needs more than
-    ``max_phases`` phases.  Each send is checked in the order its node
-    emitted it.
+    a processor map that is empty or does not cover 1..n exactly, a
+    multicast range that is empty or has a step other than 1, a message
+    addressed to a nonexistent node or to the node itself, a message sent
+    after the source halted, a message delivered to the already-halted
+    source, a wake-up asked by the source or for a phase that is not after
+    the current one, and a run that needs more than ``max_phases`` phases.
+    Each send is checked in the order its node emitted it, against those
+    rules in that order; a multicast names its lowest nonexistent
+    recipient.  Once a node's sends have passed, a multicast that shares a
+    recipient with another of its sends in the phase is a fault too.
     """
     n = len(processors)
     if n < 1:
@@ -337,10 +376,14 @@ def run_protocol(
 
     log: list[Delivery] = []
     per_phase: list[tuple[int, int]] = []
+    messages = 0
     # One list per node id in each of two buffers: the mail read in this
     # phase and the mail sent in it.  A stepped node keeps its list and gets
     # a fresh one, so only the nodes that step cost an allocation.
     ids = range(n + 1)
+    # a set test costs a unicast no more than a bounds check, and it is false
+    # for a range, so a multicast costs the unicasts nothing
+    node_ids = frozenset(ids)
     inboxes: list[list[Delivery]] = [[] for _ in ids]
     sent_now: list[list[Delivery]] = [[] for _ in ids]
     wakeups: dict[int, list[int]] = {1: list(range(1, n + 1))}  # phase -> ids
@@ -363,30 +406,60 @@ def run_protocol(
             ready.insert(0, SOURCE)
 
         phase_start = len(log)
+        fanned = 0  # deliveries beyond one per record, from this phase's multicasts
         for node_id in ready:
             inbox = inboxes[node_id]
             inboxes[node_id] = []
             node_start = len(log)
+            multicast = False  # whether this node sent one in the phase
             for recipient, payload in steps[node_id](inbox):
-                if not 0 <= recipient <= n:
+                if recipient in node_ids:
+                    if recipient == node_id:
+                        raise SimulationFault(f"{node_name(node_id)} sent to itself")
+                    if was_halted:
+                        raise SimulationFault(
+                            f"{node_name(node_id)} sent a message after the source halted"
+                        )
+                    delivery = Delivery(phase, node_id, recipient, payload)
+                    log.append(delivery)
+                    sent_now[recipient].append(delivery)
+                elif type(recipient) is range:
+                    start, stop = recipient.start, recipient.stop
+                    if start >= stop or recipient.step != 1:
+                        raise SimulationFault(
+                            f"{node_name(node_id)} sent to {recipient!r}: a multicast "
+                            f"needs a non-empty range with step 1"
+                        )
+                    if start < 0 or stop > n + 1:
+                        raise SimulationFault(
+                            f"{node_name(node_id)} sent to nonexistent node "
+                            f"{start if start < 0 else max(start, n + 1)}"
+                        )
+                    if start <= node_id < stop:
+                        raise SimulationFault(f"{node_name(node_id)} sent to itself")
+                    if was_halted:
+                        raise SimulationFault(
+                            f"{node_name(node_id)} sent a message after the source halted"
+                        )
+                    delivery = Delivery(phase, node_id, recipient, payload)
+                    log.append(delivery)
+                    for k in recipient:
+                        sent_now[k].append(delivery)
+                    multicast = True
+                    fanned += stop - start - 1
+                else:
                     raise SimulationFault(
                         f"{node_name(node_id)} sent to nonexistent node {recipient}"
                     )
-                if recipient == node_id:
-                    raise SimulationFault(f"{node_name(node_id)} sent to itself")
-                if was_halted:
-                    raise SimulationFault(
-                        f"{node_name(node_id)} sent a message after the source halted"
-                    )
-                delivery = Delivery(phase, node_id, recipient, payload)
-                log.append(delivery)
-                sent_now[recipient].append(delivery)
             # Nodes step in id order, so the log is already in sender order;
-            # a stable sort of this node's own sends puts it in (sender,
+            # a stable sort of this node's own records puts it in (sender,
             # recipient) order.  Each inbox is filled in sender order and,
             # per sender, in emission order -- what that sort leaves it.
             if len(log) - node_start > 1:
-                log[node_start:] = sorted(log[node_start:], key=_by_recipient)
+                if multicast:
+                    log[node_start:] = _in_recipient_order(log[node_start:], node_id)
+                else:
+                    log[node_start:] = sorted(log[node_start:], key=_by_recipient)
             wake = nodes[node_id].wake_at
             if wake is not None:
                 nodes[node_id].wake_at = None
@@ -399,14 +472,15 @@ def run_protocol(
                 wakeups.setdefault(wake, []).append(node_id)
         inboxes, sent_now = sent_now, inboxes
 
-        sent = len(log) - phase_start
+        sent = len(log) - phase_start + fanned
         if sent:
             per_phase.append((phase, sent))
+            messages += sent
         if source.halted:
             if halt_phase is None:
                 halt_phase = phase
             if not sent:
                 break
 
-    metrics = RunMetrics(len(log), halt_phase, tuple(per_phase))
+    metrics = RunMetrics(messages, halt_phase, tuple(per_phase))
     return source.recorded_assignment(), metrics, tuple(log)

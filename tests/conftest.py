@@ -30,16 +30,27 @@ def small_instances(
     )
 
 
+def deliveries(trace) -> list[tuple]:
+    """A trace expanded to one (phase, sender, recipient, payload) tuple per
+    point-to-point delivery: a multicast record, whose ``recipient`` is a
+    range, gives one tuple per id in it, in ascending order."""
+    out = []
+    for d in trace:
+        recipients = d.recipient if isinstance(d.recipient, range) else (d.recipient,)
+        out += [(d.phase, d.sender, k, d.payload) for k in recipients]
+    return out
+
+
 def metrics_of(trace) -> RunMetrics:
     """Recompute metrics from a trace alone: the tests' independent recount
-    of what the engine reports.
+    of what the engine reports, one message per recipient of each record.
 
     The phase count here is the last phase with traffic; the engine's own
     metric can be higher when the protocol ends on a deliberately silent
     phase.  Message counts always agree.
     """
     counts: dict[int, int] = {}
-    for d in trace:
-        counts[d.phase] = counts.get(d.phase, 0) + 1
+    for phase, *_ in deliveries(trace):
+        counts[phase] = counts.get(phase, 0) + 1
     phases = max(counts) if counts else 0
-    return RunMetrics(len(trace), phases, tuple(sorted(counts.items())))
+    return RunMetrics(sum(counts.values()), phases, tuple(sorted(counts.items())))

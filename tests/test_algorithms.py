@@ -17,7 +17,7 @@ from mkpsim import (
     render_trace,
     run_algorithm,
 )
-from mkpsim.algorithms import BroadcastProcessor, _best_pair
+from mkpsim.algorithms import PROTOCOLS, BroadcastProcessor, _best_pair
 from mkpsim.oracle import batch_round_greedy, strict_sequential_greedy
 from mkpsim.simnet import (
     SOURCE,
@@ -31,7 +31,7 @@ from mkpsim.simnet import (
     Winner,
 )
 
-from conftest import metrics_of, small_instances
+from conftest import deliveries, metrics_of, small_instances
 
 
 def placement(result):
@@ -292,6 +292,14 @@ class TestDistributedGreedy:
         run = run_algorithm("dist", inst)
         assert placement(run) == {0: 0}
 
+    # p1's single range is pinned by test_capacity_exchange_missing_a_pair
+    @pytest.mark.parametrize("j,others", [(2, [range(1, 2), range(3, 4)]), (3, [range(1, 3)])])
+    def test_pair_is_multicast_to_the_ids_below_and_above(self, j, others):
+        node = BroadcastProcessor(Instance.from_pairs([(5, 2)], [9, 9, 9]), j, 1, 3)
+        sends = node.step([Delivery(1, SOURCE, range(1, 4), WeightOffer(2))])
+        assert [r for r, _ in sends] == others
+        assert all(pair is node.my_report == ConsensusPair(j, 9) for _, pair in sends)
+
 
 class TestBroadcastProcessorFaults:
     """Each fault of one ``dist`` processor, raised from a single step."""
@@ -342,8 +350,7 @@ class TestBroadcastProcessorFaults:
     def test_capacity_exchange_missing_a_pair(self):
         node = self.p1()
         assert node.step(self.mail((SOURCE, WeightOffer(2)))) == [
-            (2, ConsensusPair(1, 9)),
-            (3, ConsensusPair(1, 9)),
+            (range(2, 4), ConsensusPair(1, 9)),
         ]
         with pytest.raises(SimulationFault, match="^p1: capacity exchange out of step$"):
             node.step(self.mail((2, ConsensusPair(2, 9))))
@@ -470,7 +477,7 @@ class TestProtocolEquivalence:
         assert tree.phases == (m * (levels + 3) if m else 1)
         for run in (simple, modified, dist, tree):
             derived = metrics_of(run.trace)
-            assert derived.messages == run.messages == len(run.trace)
+            assert derived.messages == run.messages == len(deliveries(run.trace))
             assert derived.phases <= run.phases
             assert sum(count for _, count in derived.per_phase) == run.messages
 
@@ -731,6 +738,20 @@ def test_differential_sweep_at_depth(m, n, weight_max, cap_max, seed):
         assert recount.messages == run.messages
         assert recount.per_phase == run.metrics.per_phase
         assert check_feasible(run.assignment, inst) is None
+
+
+def test_dist_past_n_64():
+    # n = 127, a non-power-of-two past the sweep above: 1.6M messages, most
+    # of them in multicasts, and tight capacities for the reassignment pass
+    inst = gen_random(GenParams(100, 127, 50, 80, 1, 40, seed=8))
+    run = run_algorithm("dist", inst)
+    sequential = strict_sequential_greedy(inst).assignment.placement
+    assert run.pre_final_assignment.placement == sequential
+    assigned = sum(k is not None for k in sequential.values())
+    changed = len(run.changed_knapsacks)
+    assert (assigned, changed) == (41, 11)
+    assert run.messages == PROTOCOLS["dist"].messages(inst, assigned, changed) == 1_612_952
+    assert render_trace(run.trace).count("\n") == run.messages
 
 
 def test_each_run_passes_its_own_phase_bound(monkeypatch, instance_a):

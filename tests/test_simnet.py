@@ -1,3 +1,5 @@
+import re
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -13,6 +15,7 @@ from mkpsim.simnet import (
     FinalDirective,
     ItemOffer,
     Node,
+    RunMetrics,
     SimulationFault,
     SourceNode,
     WeightOffer,
@@ -24,7 +27,7 @@ from mkpsim.simnet import (
     tree_links,
 )
 
-from conftest import metrics_of
+from conftest import deliveries, metrics_of
 
 
 class TestTreeLinks:
@@ -286,6 +289,156 @@ class TestEngine:
         assert all(any(d is t for t in trace) for d in nodes[3].inboxes[1])
 
 
+class _Recorder(Node):
+    """Keeps every inbox it is stepped with; sends nothing."""
+
+    def __init__(self):
+        self.inboxes = []
+
+    def step(self, inbox):
+        self.inboxes.append(inbox)
+        return []
+
+
+class _OneShotSource(SourceNode):
+    """Sends ``sends`` in phase 1 and halts."""
+
+    def __init__(self, sends):
+        self.sends = sends
+
+    def step(self, inbox):
+        self.halted = True
+        return self.sends
+
+    def recorded_assignment(self):
+        return None
+
+
+class TestMulticast:
+    def test_every_recipient_reads_the_record_the_trace_keeps(self):
+        nodes = {j: _Recorder() for j in (1, 2, 3, 4)}
+        _, metrics, trace = run_protocol(_OneShotSource([(range(1, 5), WeightOffer(6))]), nodes)
+        (record,) = trace
+        assert record.recipient == range(1, 5)
+        for node in nodes.values():
+            (inbox,) = node.inboxes[1:]
+            assert len(inbox) == 1 and inbox[0] is record
+        assert (metrics.messages, metrics.phases, metrics.per_phase) == (4, 1, ((1, 4),))
+        assert metrics_of(trace) == metrics
+        assert render_trace(trace) == "".join(f"1 S p{j} weight 6\n" for j in (1, 2, 3, 4))
+
+    def test_records_sort_by_first_recipient_around_unicasts(self):
+        a, b, c, d = WeightOffer(1), WeightOffer(2), WeightOffer(3), WeightOffer(4)
+        nodes = {j: _Recorder() for j in range(1, 6)}
+        # ranges {4, 5} and {1, 2}, two unicasts to p3 that keep their order
+        sends = [(3, a), (range(4, 6), b), (range(1, 3), c), (3, d)]
+        _, metrics, trace = run_protocol(_OneShotSource(sends), nodes)
+        assert [record.recipient for record in trace] == [range(1, 3), 3, 3, range(4, 6)]
+        assert render_trace(trace) == (
+            "1 S p1 weight 3\n"
+            "1 S p2 weight 3\n"
+            "1 S p3 weight 1\n"
+            "1 S p3 weight 4\n"
+            "1 S p4 weight 2\n"
+            "1 S p5 weight 2\n"
+        )
+        assert [m.payload for m in nodes[3].inboxes[1]] == [a, d]
+        assert metrics.per_phase == ((1, 6),)
+
+    def test_a_broadcast_split_around_the_sender(self):
+        class Chorus(Node):
+            def __init__(self, j):
+                self.j = j
+                self.inboxes = []
+
+            def step(self, inbox):
+                self.inboxes.append(inbox)
+                if not any(m.sender == SOURCE for m in inbox):
+                    return []
+                others = (range(1, self.j), range(self.j + 1, 4))
+                return [(r, CapacityReport(self.j)) for r in others if r]
+
+        nodes = {j: Chorus(j) for j in (1, 2, 3)}
+        source = _Metronome([], halt_at=2, sends={1: [(range(1, 4), WeightOffer(1))]})
+        _, metrics, trace = run_protocol(source, nodes)
+        assert metrics.messages == 3 + 3 * 2
+        assert metrics.per_phase == ((1, 3), (2, 6))
+        assert [(d.sender, d.recipient) for d in trace[1:]] == [
+            (1, range(2, 4)), (2, range(1, 2)), (2, range(3, 4)), (3, range(1, 3)),
+        ]
+        assert [m.sender for m in nodes[2].inboxes[2]] == [1, 3]
+        assert render_trace(trace) == render_by_line(trace)
+
+    @pytest.mark.parametrize(
+        "sends,message",
+        [
+            ([(range(2, 2), CapacityReport(1))],
+             "p1 sent to range(2, 2): a multicast needs a non-empty range with step 1"),
+            ([(range(2, 5, 2), CapacityReport(1))],
+             "p1 sent to range(2, 5, 2): a multicast needs a non-empty range with step 1"),
+            ([(range(3, 1, -1), CapacityReport(1))],
+             "p1 sent to range(3, 1, -1): a multicast needs a non-empty range with step 1"),
+            ([(range(2, 6), CapacityReport(1))], "p1 sent to nonexistent node 4"),
+            ([(range(-2, 3), CapacityReport(1))], "p1 sent to nonexistent node -2"),
+            ([(range(0, 9), CapacityReport(1))], "p1 sent to nonexistent node 4"),
+            ([(range(0, 3), CapacityReport(1))], "p1 sent to itself"),
+            ([(range(2, 4), CapacityReport(1))], "p1 sent a message after the source halted"),
+            ([(range(5, 9), CapacityReport(1)), (range(1, 2), CapacityReport(1))],
+             "p1 sent to nonexistent node 5"),
+            ([(2, CapacityReport(1)), (range(2, 2), CapacityReport(1))],
+             "p1 sent a message after the source halted"),
+        ],
+        ids=["empty", "step 2", "descending", "past n", "below 0", "past n and self",
+             "self", "halted", "first of two", "unicast first"],
+    )
+    def test_a_multicast_breaking_several_rules_reports_the_first(self, sends, message):
+        # every send is also made after the source halted: a multicast's
+        # shape is checked first, then the range, the self and the halted
+        # checks, each once per record, in the order the node emitted them
+        class Stray(Node):
+            def step(self, inbox):
+                return sends if inbox else []
+
+        source = _OneShotSource([(1, WeightOffer(1))])
+        with pytest.raises(SimulationFault, match=f"^{re.escape(message)}$"):
+            run_protocol(source, {1: Stray(), 2: _SilentNode(), 3: _SilentNode()})
+
+    @pytest.mark.parametrize(
+        "sends,shared",
+        [
+            ([(range(1, 4), WeightOffer(1)), (2, WeightOffer(2))], 2),
+            ([(2, WeightOffer(2)), (range(1, 4), WeightOffer(1))], 2),
+            ([(range(1, 3), WeightOffer(1)), (range(2, 5), WeightOffer(2))], 2),
+            ([(range(3, 5), WeightOffer(1)), (range(1, 4), WeightOffer(2))], 3),
+            ([(range(1, 5), WeightOffer(1)), (range(1, 5), WeightOffer(2))], 1),
+            ([(range(1, 3), WeightOffer(1)), (2, WeightOffer(2)), (2, WeightOffer(3))], 2),
+        ],
+        ids=["unicast inside", "unicast first", "ranges overlap", "ranges overlap reversed",
+             "same range twice", "two unicasts inside"],
+    )
+    def test_a_multicast_sharing_a_recipient_with_another_send_faults(self, sends, shared):
+        # a multicast may share no recipient with another send of its node
+        # in one phase: the engine refuses such sends, whatever their
+        # emission order, rather than expand the multicast to unicasts
+        message = f"^S sent to p{shared} by a multicast and another send in one phase$"
+        with pytest.raises(SimulationFault, match=message):
+            run_protocol(_OneShotSource(sends), {j: _SilentNode() for j in range(1, 5)})
+
+    def test_a_multicast_to_the_halted_source_faults(self):
+        class Straggler(Node):
+            def __init__(self):
+                self.sent = False
+
+            def step(self, inbox):
+                if not self.sent:
+                    self.sent = True
+                    return [(range(0, 1), CapacityReport(1))]
+                return []
+
+        with pytest.raises(SimulationFault, match="halted source"):
+            run_protocol(_SilentSource(), {1: Straggler()})
+
+
 class _Metronome(SourceNode):
     """Steps every phase until ``halt_at``, sending ``sends[phase]``; each
     step is logged as (node id, senders of its inbox)."""
@@ -459,6 +612,18 @@ class TestMetricsAndRendering:
         assert metrics.phases == 3
         assert metrics.per_phase == ((1, 2), (3, 1))
 
+    def test_metrics_of_counts_each_recipient_of_a_multicast(self):
+        trace = (
+            Delivery(1, SOURCE, range(1, 4), WeightOffer(2)),
+            Delivery(2, 2, range(1, 2), ConsensusPair(2, 5)),
+            Delivery(2, 2, range(3, 4), ConsensusPair(2, 5)),
+            Delivery(3, 1, SOURCE, Winner(1)),
+        )
+        assert metrics_of(trace) == RunMetrics(6, 3, ((1, 3), (2, 2), (3, 1)))
+        assert [(d[0], d[2]) for d in deliveries(trace)] == [
+            (1, 1), (1, 2), (1, 3), (2, 1), (2, 3), (3, SOURCE),
+        ]
+
     def test_node_names(self):
         assert node_name(SOURCE) == "S"
         assert node_name(4) == "p4"
@@ -487,24 +652,28 @@ class TestMetricsAndRendering:
 
 
 def render_by_line(trace):
-    """The trace renderer restated one delivery at a time, each payload
-    rendered once per object: the reference for :func:`render_trace`."""
+    """The trace renderer restated one delivery at a time, a multicast record
+    expanded to its recipients and each payload rendered once per object:
+    the reference for :func:`render_trace`."""
     texts = {}
     lines = []
-    for d in trace:
-        text = texts.get(id(d.payload))
+    for phase, sender, recipient, payload in deliveries(trace):
+        text = texts.get(id(payload))
         if text is None:
-            text = texts[id(d.payload)] = render_payload(d.payload)
-        lines.append(f"{d.phase} {node_name(d.sender)} {node_name(d.recipient)} {text}")
+            text = texts[id(payload)] = render_payload(payload)
+        lines.append(f"{phase} {node_name(sender)} {node_name(recipient)} {text}")
     return "\n".join(lines) + ("\n" if lines else "")
 
 
 @st.composite
 def hand_built_traces(draw):
-    """Runs of deliveries over a small pool of payload objects: the pool
-    holds distinct objects of equal value and ``FinalDirective(())``, and a
-    run may reuse any object, so runs meet with the same payload under
-    another phase or sender, and objects recur at non-adjacent positions."""
+    """Records over a small pool of payload objects, in groups of three
+    shapes: a run of unicasts, one multicast over a range of ids, and a
+    broadcast to processors 1..n split around its sender into two ranges.
+    The pool holds distinct objects of equal value and
+    ``FinalDirective(())``, and a group may reuse any object, so groups meet
+    with the same payload under another phase, sender or shape, and objects
+    recur at non-adjacent positions."""
     pool = [
         WeightOffer(3),
         WeightOffer(3),
@@ -518,17 +687,22 @@ def hand_built_traces(draw):
         CapacityReport(0),
         ItemOffer(8, 4),
     ]
-    run = st.tuples(
-        st.integers(1, 3),  # phase
-        st.integers(0, 4),  # sender
-        st.sampled_from(pool),
-        st.lists(st.integers(0, 4), min_size=1, max_size=4),  # recipients
-    )
-    return tuple(
-        Delivery(phase, sender, recipient, payload)
-        for phase, sender, payload, recipients in draw(st.lists(run, max_size=8))
-        for recipient in recipients
-    )
+    unicasts = st.lists(st.integers(0, 4), min_size=1, max_size=4)
+    multicast = st.builds(lambda lo, k: [range(lo, lo + k)], st.integers(0, 4), st.integers(1, 4))
+    records = []
+    for _ in range(draw(st.integers(0, 8))):
+        phase, sender = draw(st.integers(1, 3)), draw(st.integers(0, 4))
+        payload = draw(st.sampled_from(pool))
+        shape = draw(st.sampled_from(["unicasts", "multicast", "split"]))
+        if shape == "unicasts":
+            recipients = draw(unicasts)
+        elif shape == "multicast":
+            recipients = draw(multicast)
+        else:
+            n = draw(st.integers(max(sender, 1), 6))
+            recipients = [r for r in (range(1, sender), range(sender + 1, n + 1)) if r]
+        records += [Delivery(phase, sender, r, payload) for r in recipients]
+    return tuple(records)
 
 
 class TestRenderDifferential:
@@ -568,6 +742,29 @@ class TestRenderDifferential:
         }
         for name, trace in shapes.items():
             assert render_trace(trace) == render_by_line(trace), name
+        assert render_trace(shapes["empty final directive"]) == "4 S p1 final\n4 S p2 final\n"
+
+    def test_named_multicast_shapes(self):
+        offer, pair, final = WeightOffer(3), ConsensusPair(1, 4), FinalDirective(())
+        shapes = {
+            "one recipient": (Delivery(1, SOURCE, range(2, 3), offer),),
+            "split around the sender": (
+                Delivery(2, 3, range(1, 3), pair),
+                Delivery(2, 3, range(4, 6), pair),
+            ),
+            "unicasts and a multicast of one object": (
+                Delivery(1, SOURCE, 1, offer),
+                Delivery(1, SOURCE, range(2, 4), offer),
+                Delivery(2, SOURCE, 1, offer),
+            ),
+            "to the source": (Delivery(3, 2, range(0, 2), pair),),
+            "empty final directive": (Delivery(4, SOURCE, range(1, 3), final),),
+        }
+        for name, trace in shapes.items():
+            assert render_trace(trace) == render_by_line(trace), name
+        assert render_trace(shapes["split around the sender"]) == "".join(
+            f"2 p3 p{k} pair 1 4\n" for k in (1, 2, 4, 5)
+        )
         assert render_trace(shapes["empty final directive"]) == "4 S p1 final\n4 S p2 final\n"
 
     @pytest.mark.parametrize("alg", ["simple", "modified", "dist", "tree"])
