@@ -407,31 +407,55 @@ class BroadcastSource(GreedySource):
 # A processor steps only on mail (the engine's rule), and reads the phase
 # from it.  The one that must send without mail is a childless node above
 # the bottom level (depth D-1): it asks for a wake-up when the offer arrives.
+#
+# Payloads are immutable, so a node sends the same object whenever it would
+# send an equal one: its own pair is built when first needed and rebuilt
+# only after an award or a directive has changed its capacity, so it may go
+# up in many rounds; a silent subtree's absent pair and the root's bottom
+# are shared constants.
+
+_NO_PAIR = ConsensusPair(None, None)
+_BOTTOM = Bottom()
+
 
 class TreeProcessor(ProcessorNode):
     def __init__(self, inst: Instance, j: int, rounds: int, period: int):
         super().__init__(inst, j)
-        self.links = tree_links(j, inst.n)
+        links = tree_links(j, inst.n)
+        self.parent = links.parent
+        self.children = (links.left, links.right)
         self.period = period
         self.send_offset = period - j.bit_length()  # P - 1 - depth of p_j
+        # a childless node above the bottom level: no child's pair will
+        # arrive to step it when it sends
+        self.needs_alarm = links.left is None and self.send_offset > 2
         self.alarm = 1  # the phase of a step with no mail: 1, or a wake-up's
         self.current_weight: int | None = None
         self.child_pairs: list[ConsensusPair] = []
+        self.own_pair = _NO_PAIR  # p_j's own pair, built anew when its capacity differs
 
     def step(self, inbox: list[Delivery]) -> list[Send]:
         phase = inbox[0].phase + 1 if inbox else self.alarm
         offset = (phase - 1) % self.period + 1
         directives = []
+        # payload classes are final, so the exact type decides; pairs and
+        # offers are nearly all of the mail
         for msg in inbox:
             payload = msg.payload
-            if isinstance(payload, WeightOffer):
+            kind = type(payload)
+            if kind is ConsensusPair:
+                if msg.sender not in self.children:
+                    raise SimulationFault(
+                        f"p{self.j}: aggregation pair from non-child p{msg.sender}"
+                    )
+                self.child_pairs.append(payload)
+            elif kind is WeightOffer:
                 if msg.sender != SOURCE:
                     raise SimulationFault(f"p{self.j}: weight offer from non-source")
                 if offset == 2:  # the round's offer broadcast
                     self.current_weight = payload.weight
                     self.child_pairs = []
-                    if self.links.left is None and self.send_offset > offset:
-                        # no child's pair will arrive to step it when it sends
+                    if self.needs_alarm:
                         self.alarm = self.wake_at = phase + self.send_offset - offset
                 elif offset == 1:  # the award for the round just decided
                     if payload.weight != self.current_weight:
@@ -439,35 +463,30 @@ class TreeProcessor(ProcessorNode):
                     self._take(payload.weight)
                 else:
                     raise SimulationFault(f"p{self.j}: weight offer off schedule")
-            elif isinstance(payload, ConsensusPair):
-                if msg.sender not in (self.links.left, self.links.right):
-                    raise SimulationFault(
-                        f"p{self.j}: aggregation pair from non-child p{msg.sender}"
-                    )
-                self.child_pairs.append(payload)
-            elif isinstance(payload, FinalDirective):
+            elif kind is FinalDirective:
                 if msg.sender != SOURCE:
                     raise SimulationFault(f"p{self.j}: directive from non-source")
                 directives.append(payload)
             else:
                 raise SimulationFault(f"p{self.j}: unexpected payload {payload!r}")
 
-        out: list[Send] = []
-        if offset == self.send_offset and self.current_weight is not None and not directives:
-            pairs = self.child_pairs
-            if self.remaining >= self.current_weight:
-                pairs = pairs + [ConsensusPair(self.j, self.remaining)]
-            best = _best_pair(pairs)
-            if self.j != 1:
-                out.append((self.links.parent, best or ConsensusPair(None, None)))
-            elif best is not None:
-                out.append((SOURCE, Winner(best.best)))
-            else:
-                out.append((SOURCE, Bottom()))
-
-        for directive in directives:
-            self._apply_directive(directive)
-        return out
+        if directives:
+            for directive in directives:
+                self._apply_directive(directive)
+            return []
+        if offset != self.send_offset or self.current_weight is None:
+            return []
+        pairs = self.child_pairs
+        remaining = self.remaining
+        if remaining >= self.current_weight:
+            own = self.own_pair
+            if own.capacity != remaining:
+                own = self.own_pair = ConsensusPair(self.j, remaining)
+            pairs.append(own)
+        best = _best_pair(pairs)
+        if self.parent is not None:
+            return [(self.parent, best or _NO_PAIR)]
+        return [(SOURCE, _BOTTOM if best is None else Winner(best.best))]
 
 
 class TreeSource(GreedySource):

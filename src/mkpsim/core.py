@@ -284,26 +284,27 @@ def check_feasible(assignment: Assignment, inst: Instance) -> str | None:
     placement is already in id order as every assignment built here is),
     then O(n) to compare the loads with the capacities and the cache.
     """
-    if len(assignment.remaining) != inst.n:
-        return f"remaining vector has length {len(assignment.remaining)}, expected {inst.n}"
-    loads = [0] * inst.n
-    for item_id in sorted(assignment.placement):
-        if not 0 <= item_id < inst.m:
+    items, capacities, m, n = inst.items, inst.capacities, inst.m, inst.n
+    remaining = assignment.remaining
+    if len(remaining) != n:
+        return f"remaining vector has length {len(remaining)}, expected {n}"
+    loads = [0] * n
+    placement = assignment.placement
+    for item_id in sorted(placement):
+        if not 0 <= item_id < m:
             return f"unknown item id {item_id}"
-        knapsack = assignment.placement[item_id]
+        knapsack = placement[item_id]
         if knapsack is not None:
-            if not 0 <= knapsack < inst.n:
+            if not 0 <= knapsack < n:
                 return f"item {item_id} assigned to unknown knapsack {knapsack}"
-            loads[knapsack] += inst.items[item_id].weight
+            loads[knapsack] += items[item_id].weight
     for j, load in enumerate(loads):
-        if load > inst.capacities[j]:
-            return f"knapsack {j}: load {load} exceeds capacity {inst.capacities[j]}"
-        expected = inst.capacities[j] - load
-        if assignment.remaining[j] != expected:
-            return (
-                f"knapsack {j}: cached remaining {assignment.remaining[j]} "
-                f"!= recomputed {expected}"
-            )
+        capacity = capacities[j]
+        if load > capacity:
+            return f"knapsack {j}: load {load} exceeds capacity {capacity}"
+        expected = capacity - load
+        if remaining[j] != expected:
+            return f"knapsack {j}: cached remaining {remaining[j]} != recomputed {expected}"
     return None
 
 

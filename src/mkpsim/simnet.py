@@ -277,9 +277,10 @@ def render_trace(trace: Trace) -> str:
     built with one join: the record's ``"{phase} {sender} "`` head, then the
     names joined by the payload text plus the head, then the payload text.
     Node names are rendered once each, and payloads once per object (a tree
-    node forwards the pair it received), memoised by identity, which is
-    sound because the trace keeps every payload alive while the dump is
-    built.
+    node forwards the pair it received, and resends its own cached pair in
+    every round its capacity has not changed), memoised by identity, which
+    is sound because payloads are immutable and the trace keeps every one
+    alive while the dump is built.
     """
     names = _Memo(node_name)
     name_of = names.__getitem__

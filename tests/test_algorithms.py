@@ -17,7 +17,7 @@ from mkpsim import (
     render_trace,
     run_algorithm,
 )
-from mkpsim.algorithms import PROTOCOLS, BroadcastProcessor, _best_pair
+from mkpsim.algorithms import PROTOCOLS, BroadcastProcessor, TreeProcessor, _best_pair
 from mkpsim.oracle import batch_round_greedy, strict_sequential_greedy
 from mkpsim.simnet import (
     SOURCE,
@@ -389,6 +389,201 @@ class TestBestPair:
     def test_capacity_tie_goes_to_the_smallest_id(self):
         pairs = [ConsensusPair(4, 7), ConsensusPair(2, 7), ConsensusPair(3, 7)]
         assert _best_pair(pairs) is pairs[1]
+
+
+def tree_node(j, capacities):
+    """Processor p_j of a ``tree`` run over ``capacities``, with the run's period."""
+    inst = Instance.from_pairs([], capacities)
+    return TreeProcessor(inst, j, 1, PROTOCOLS["tree"].period(inst))
+
+
+def tree_round(node, n, weight, child_mail, start=1):
+    """Step p_j of a tree over 1..n through the round that starts in phase
+    ``start``: the weight offer, then its children's ``(sender, pair)`` mail
+    in the order given, or, for a childless node, its wake-up.  Returns the
+    sends of its send phase, which is ``start + 1`` on the bottom level."""
+    j = node.j
+    send_phase = start + n.bit_length() - j.bit_length() + 1
+    sends = node.step([Delivery(start, SOURCE, range(1, n + 1), WeightOffer(weight))])
+    if send_phase == start + 1:
+        return sends
+    assert sends == []
+    if child_mail:
+        return node.step([Delivery(send_phase - 1, c, j, pair) for c, pair in child_mail])
+    assert node.wake_at == send_phase
+    node.wake_at = None  # the engine takes the request
+    return node.step([])
+
+
+def expected_verdict(j, remaining, weight, child_pairs):
+    """What p_j sends up: the greedy choice among its children's pairs and
+    its own, if eligible; the root turns it into a winner or bottom."""
+    own = [ConsensusPair(j, remaining)] if remaining >= weight else []
+    best = _best_pair(list(child_pairs) + own)
+    if j == 1:
+        return [(SOURCE, Bottom() if best is None else Winner(best.best))]
+    return [(j // 2, ConsensusPair(None, None) if best is None else best)]
+
+
+def in_subtree(k, c):
+    while k > c:
+        k //= 2
+    return k == c
+
+
+@st.composite
+def tree_rounds(draw):
+    """p_j of a tree over 1..n, its capacity, a round's weight and a pair
+    from each child in either arrival order: absent or naming a processor
+    in that child's subtree, with small capacities so that ties are common."""
+    n = draw(st.integers(1, 23))
+    j = draw(st.integers(1, n))
+    capacity = draw(st.integers(0, 6))
+    weight = draw(st.integers(1, 6))
+    mail = []
+    for c in (2 * j, 2 * j + 1):
+        if c <= n:
+            below = [k for k in range(c, n + 1) if in_subtree(k, c)]
+            cap = draw(st.none() | st.integers(0, 6))
+            pair = ConsensusPair(None if cap is None else draw(st.sampled_from(below)), cap)
+            mail.append((c, pair))
+    return n, j, capacity, weight, draw(st.permutations(mail))
+
+
+class TestTreeProcessorDifferential:
+    @settings(max_examples=300, deadline=None)
+    @given(tree_rounds())
+    def test_forwards_the_best_of_its_children_and_itself(self, case):
+        n, j, capacity, weight, mail = case
+        node = tree_node(j, [capacity] * n)
+        sends = tree_round(node, n, weight, mail)
+        assert sends == expected_verdict(j, capacity, weight, [pair for _, pair in mail])
+        # a child's pair goes up as the object the child sent
+        (_, sent), = sends
+        received = {pair.best: pair for _, pair in mail}
+        if j != 1 and sent.best not in (j, None):
+            assert sent is received[sent.best]
+
+    def test_a_won_round_reduces_the_next_pair(self):
+        # p2 of 5 wins round 1 with capacity 9; the award of weight 4 lands
+        # in the first phase of round 2, whose pair carries 5
+        node = tree_node(2, [9] * 5)
+        period = node.period
+        silent = [(4, ConsensusPair(None, None)), (5, ConsensusPair(None, None))]
+        assert tree_round(node, 5, 4, silent) == [(1, ConsensusPair(2, 9))]
+        assert node.step([Delivery(period, SOURCE, 2, WeightOffer(4))]) == []
+        assert tree_round(node, 5, 3, silent, start=period + 1) == [(1, ConsensusPair(2, 5))]
+        # a child's larger capacity now beats p2's
+        mail = [(4, ConsensusPair(4, 6)), (5, ConsensusPair(5, 3))]
+        assert tree_round(node, 5, 3, mail, start=2 * period + 1) == [(1, mail[0][1])]
+
+    def test_an_unchanged_capacity_resends_the_same_pair(self):
+        node = tree_node(2, [9] * 5)
+        period = node.period
+        silent = [(4, ConsensusPair(None, None)), (5, ConsensusPair(None, None))]
+        (_, first), = tree_round(node, 5, 4, silent)
+        (_, again), = tree_round(node, 5, 2, silent, start=period + 1)
+        assert again is first == ConsensusPair(2, 9)
+        node.step([Delivery(2 * period, SOURCE, 2, WeightOffer(2))])  # p2 won that round
+        (_, after), = tree_round(node, 5, 2, silent, start=2 * period + 1)
+        assert after == ConsensusPair(2, 7) and after is not first
+
+    def test_a_directive_changes_the_next_pair(self):
+        node = tree_node(3, [9] * 7)
+        period = node.period
+        silent = [(6, ConsensusPair(None, None)), (7, ConsensusPair(None, None))]
+        assert tree_round(node, 7, 2, silent) == [(1, ConsensusPair(3, 9))]
+        # the reassignment pass refills p3 to a load of 5
+        assert node.step([Delivery(period, SOURCE, 3, FinalDirective(((0, 3), (1, 2))))]) == []
+        assert tree_round(node, 7, 4, silent, start=period + 1) == [(1, ConsensusPair(3, 4))]
+        assert tree_round(node, 7, 5, silent, start=2 * period + 1) == [
+            (1, ConsensusPair(None, None))
+        ]
+
+    def test_an_ineligible_root_reports_a_child_or_bottom(self):
+        root = tree_node(1, [3, 9, 9])
+        mail = [(3, ConsensusPair(3, 9)), (2, ConsensusPair(2, 9))]
+        assert tree_round(root, 3, 4, mail) == [(SOURCE, Winner(2))]
+        silent = [(2, ConsensusPair(None, None)), (3, ConsensusPair(None, None))]
+        assert tree_round(root, 3, 4, silent, start=root.period + 1) == [(SOURCE, Bottom())]
+
+
+class TestTreeProcessorFaults:
+    """Each fault of one ``tree`` processor.  The tree has seven processors,
+    so a round has five phases and p1, whose children are p2 and p3, sends
+    in the fourth; p1 has capacity 4."""
+
+    @staticmethod
+    def p1():
+        return tree_node(1, [4] + [9] * 6)
+
+    @staticmethod
+    def mail(phase, *messages):
+        """Messages sent in ``phase`` to p1, read in the phase after it."""
+        return [Delivery(phase, sender, 1, payload) for sender, payload in messages]
+
+    @pytest.mark.parametrize("sender", [SOURCE, 4, 7])
+    def test_pair_from_a_non_child(self, sender):
+        message = f"^p1: aggregation pair from non-child p{sender}$"
+        with pytest.raises(SimulationFault, match=message):
+            self.p1().step(self.mail(3, (sender, ConsensusPair(sender, 9))))
+
+    def test_weight_offer_from_a_non_source(self):
+        with pytest.raises(SimulationFault, match="^p1: weight offer from non-source$"):
+            self.p1().step(self.mail(1, (2, WeightOffer(2))))
+
+    def test_directive_from_a_non_source(self):
+        with pytest.raises(SimulationFault, match="^p1: directive from non-source$"):
+            self.p1().step(self.mail(5, (2, FinalDirective(((0, 2),)))))
+
+    @pytest.mark.parametrize("phase", [2, 3, 4, 7])
+    def test_weight_offer_off_schedule(self, phase):
+        # an offer is read at offset 2 (a round's broadcast) or 1 (an award)
+        with pytest.raises(SimulationFault, match="^p1: weight offer off schedule$"):
+            self.p1().step(self.mail(phase, (SOURCE, WeightOffer(2))))
+
+    def test_award_weight_mismatch(self):
+        node = self.p1()
+        assert node.step(self.mail(1, (SOURCE, WeightOffer(2)))) == []
+        with pytest.raises(SimulationFault, match="^p1: award weight mismatch$"):
+            node.step(self.mail(5, (SOURCE, WeightOffer(3))))
+
+    def test_award_before_any_offer(self):
+        with pytest.raises(SimulationFault, match="^p1: award weight mismatch$"):
+            self.p1().step(self.mail(5, (SOURCE, WeightOffer(3))))
+
+    @pytest.mark.parametrize("payload", [Winner(2), Bottom(), CapacityReport(4)])
+    def test_unexpected_payload(self, payload):
+        message = re.escape(f"p1: unexpected payload {payload!r}")
+        with pytest.raises(SimulationFault, match=f"^{message}$"):
+            self.p1().step(self.mail(1, (SOURCE, payload)))
+
+    def test_overweight_award(self):
+        node = self.p1()
+        assert node.step(self.mail(1, (SOURCE, WeightOffer(5)))) == []
+        with pytest.raises(
+            SimulationFault, match="^p1 received an item of weight 5 with only 4 remaining$"
+        ):
+            node.step(self.mail(5, (SOURCE, WeightOffer(5))))
+
+    @pytest.mark.parametrize(
+        "messages,fault",
+        [
+            (
+                [(4, ConsensusPair(4, 9)), (SOURCE, WeightOffer(2))],
+                "aggregation pair from non-child p4",
+            ),
+            ([(SOURCE, WeightOffer(2)), (4, ConsensusPair(4, 9))], "weight offer off schedule"),
+            (
+                [(2, ConsensusPair(2, 9)), (SOURCE, Bottom())],
+                re.escape("unexpected payload Bottom()"),
+            ),
+        ],
+        ids=["pair first", "offer first", "good pair first"],
+    )
+    def test_the_first_faulty_message_decides(self, messages, fault):
+        with pytest.raises(SimulationFault, match=f"^p1: {fault}$"):
+            self.p1().step(self.mail(3, *messages))
 
 
 class TestTreeGreedy:
