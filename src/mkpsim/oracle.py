@@ -136,7 +136,8 @@ def _branch_and_bound(inst: Instance, node_budget: int) -> OptimalSolution | Non
         # placement is undone when the generator resumes after its subtree.
         item = items[idx]
         last_cap = None
-        for j in sorted(range(n), key=lambda j: (-remaining[j], j)):
+        # a reverse sort is stable, so equal capacities keep ascending index
+        for j in sorted(range(n), key=remaining.__getitem__, reverse=True):
             cap = remaining[j]
             if cap < item.weight:
                 break  # capacities only fall from here on

@@ -40,8 +40,11 @@ own records are stably sorted by (first) recipient when it sent more than
 one, so two sends to the same recipient keep the order the node emitted them
 in.  A multicast may share no recipient with another send of its node in the
 same phase, so the recipient order of its deliveries is that of its records.
-Programs are required to be deterministic, so identical inputs produce
-byte-identical traces.
+A node's records that already come in ascending, disjoint recipient order
+(a broadcast split around its sender into the ids below, then the ids
+above) are that sort's result, so the engine checks them in one pass and
+leaves them as they are.  Programs are required to be deterministic, so
+identical inputs produce byte-identical traces.
 """
 
 from __future__ import annotations
@@ -257,33 +260,23 @@ def render_payload(payload: Payload) -> str:
     raise TypeError(f"unknown payload {payload!r}")
 
 
-class _Memo(dict):
-    """A dict that fills a missing key with ``render(key)`` on first use."""
-
-    def __init__(self, render):
-        super().__init__()
-        self.render = render
-
-    def __missing__(self, key):
-        value = self[key] = self.render(key)
-        return value
-
-
 def render_trace(trace: Trace) -> str:
     """Line-oriented dump, one delivery per line: ``phase from to payload``.
 
     A multicast record expands to one line per recipient, in ascending id
     order.  Its lines share everything but the recipient's name, so they are
-    built with one join: the record's ``"{phase} {sender} "`` head, then the
-    names joined by the payload text plus the head, then the payload text.
-    Node names are rendered once each, and payloads once per object (a tree
-    node forwards the pair it received, and resends its own cached pair in
-    every round its capacity has not changed), memoised by identity, which
-    is sound because payloads are immutable and the trace keeps every one
-    alive while the dump is built.
+    built with one join over a slice of the name table: the record's
+    ``"{phase} {sender} "`` head, then the names joined by the payload text
+    plus the head, then the payload text.  The name table is a list indexed
+    by node id, grown with :func:`node_name` when a record names an id past
+    its end, so every name is rendered once; node ids are non-negative, as
+    in every trace the engine returns.  Payloads are rendered once per
+    object (a tree node forwards the pair it received, and resends its own
+    cached pair in every round its capacity has not changed), memoised by
+    identity, which is sound because payloads are immutable and the trace
+    keeps every one alive while the dump is built.
     """
-    names = _Memo(node_name)
-    name_of = names.__getitem__
+    names: list[str] = []
     texts: dict[int, str] = {}
     parts: list[str] = []
     append = parts.append
@@ -292,12 +285,19 @@ def render_trace(trace: Trace) -> str:
         text = texts.get(id(payload))  # " {payload}\n", the end of each line
         if text is None:
             text = texts[id(payload)] = f" {render_payload(payload)}\n"
-        recipient = d.recipient
+        sender, recipient = d.sender, d.recipient
         if type(recipient) is range:
-            head = f"{d.phase} {names[d.sender]} "
-            append(head + (text + head).join(map(name_of, recipient)) + text)
+            stop = recipient.stop
+            if stop > len(names) or sender >= len(names):
+                names.extend(map(node_name, range(len(names), max(stop, sender + 1))))
+            head = f"{d.phase} {names[sender]} "
+            append(head + (text + head).join(names[recipient.start:stop]) + text)
         else:
-            append(f"{d.phase} {names[d.sender]} {names[recipient]}{text}")
+            try:
+                append(f"{d.phase} {names[sender]} {names[recipient]}{text}")
+            except IndexError:
+                names.extend(map(node_name, range(len(names), max(recipient, sender) + 1)))
+                append(f"{d.phase} {names[sender]} {names[recipient]}{text}")
     return "".join(parts)
 
 
@@ -313,6 +313,25 @@ _by_recipient = attrgetter("recipient")
 def _first_recipient(d: Delivery) -> int:
     recipient = d.recipient
     return recipient.start if type(recipient) is range else recipient
+
+
+def _disjoint_ascending(log: list[Delivery], start: int) -> bool:
+    """Whether the records ``log[start:]`` already come in ascending,
+    disjoint recipient order: each one's first recipient is past the last
+    recipient of the one before, as in a broadcast split around its
+    sender."""
+    reach = -1  # the last recipient of the record before
+    for k in range(start, len(log)):
+        recipient = log[k].recipient
+        if type(recipient) is range:
+            if recipient.start <= reach:
+                return False
+            reach = recipient.stop - 1
+        elif recipient <= reach:
+            return False
+        else:
+            reach = recipient
+    return True
 
 
 def _in_recipient_order(records: list[Delivery], sender: int) -> list[Delivery]:
@@ -353,7 +372,11 @@ def run_protocol(
 
     A phase costs one step per node that has mail or a wake-up in it, plus
     the source's.  A multicast costs one record and one set of checks,
-    however many recipients it has, and counts one message per recipient.
+    however many recipients it has, and counts one message per recipient;
+    its record is appended to the slice of next-phase inboxes its range
+    covers.  A node's records are sorted only when it sent more than one
+    and, if a multicast is among them, only when they are not already in
+    ascending, disjoint recipient order.
 
     Faults (raised as :class:`SimulationFault`, never silently dropped):
     a processor map that is empty or does not cover 1..n exactly, a
@@ -444,8 +467,8 @@ def run_protocol(
                         )
                     delivery = Delivery(phase, node_id, recipient, payload)
                     log.append(delivery)
-                    for k in recipient:
-                        sent_now[k].append(delivery)
+                    for box in sent_now[start:stop]:
+                        box.append(delivery)
                     multicast = True
                     fanned += stop - start - 1
                 else:
@@ -454,11 +477,14 @@ def run_protocol(
                     )
             # Nodes step in id order, so the log is already in sender order;
             # a stable sort of this node's own records puts it in (sender,
-            # recipient) order.  Each inbox is filled in sender order and,
-            # per sender, in emission order -- what that sort leaves it.
+            # recipient) order; records already ascending and disjoint (a
+            # broadcast split around its sender) are what it would return.
+            # Each inbox is filled in sender order and, per sender, in
+            # emission order -- what that sort leaves it.
             if len(log) - node_start > 1:
                 if multicast:
-                    log[node_start:] = _in_recipient_order(log[node_start:], node_id)
+                    if not _disjoint_ascending(log, node_start):
+                        log[node_start:] = _in_recipient_order(log[node_start:], node_id)
                 else:
                     log[node_start:] = sorted(log[node_start:], key=_by_recipient)
             wake = nodes[node_id].wake_at

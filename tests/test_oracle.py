@@ -102,6 +102,21 @@ class TestSearchOrder:
         assert objective(solution.assignment, inst) == opt
         assert check_feasible(solution.assignment, inst) is None
 
+    @pytest.mark.parametrize(
+        "capacities, placement",
+        [
+            ([4, 4, 4], {0: 0, 1: 1, 2: 2, 3: 2}),
+            ([5, 3, 5, 3], {0: 0, 1: 2, 2: 1, 3: 3, 4: 2}),
+        ],
+    )
+    def test_equal_capacities_branch_to_the_smallest_index(self, capacities, placement):
+        # knapsacks of equal remaining capacity are interchangeable, so a
+        # search that tried the largest index first would find the same OPT
+        # in as many nodes: only the placement shows the tie order
+        items = [(9, 3), (7, 3), (4, 2), (2, 2), (3, 1)][: len(placement)]
+        solution = exact_optimum(Instance.from_pairs(items, capacities))
+        assert solution.assignment.placement == placement
+
 
 class TestBruteForce:
     def test_guard_rejects_huge_instances(self):

@@ -1,7 +1,7 @@
 import re
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from mkpsim import GenParams, gen_adversarial, gen_random, run_algorithm
 
@@ -20,6 +20,7 @@ from mkpsim.simnet import (
     SourceNode,
     WeightOffer,
     Winner,
+    _in_recipient_order,
     node_name,
     render_payload,
     render_trace,
@@ -424,6 +425,56 @@ class TestMulticast:
         with pytest.raises(SimulationFault, match=message):
             run_protocol(_OneShotSource(sends), {j: _SilentNode() for j in range(1, 5)})
 
+    @pytest.mark.parametrize(
+        "order",
+        [[0, 1], [1, 0]],
+        ids=["in order", "reversed"],
+    )
+    @pytest.mark.parametrize(
+        "first,second",
+        [(range(1, 3), range(3, 5)), (range(1, 3), 3), (2, range(3, 5))],
+        ids=["touching ranges", "unicast just past a range", "range just past a unicast"],
+    )
+    def test_sends_that_only_touch_are_legal(self, first, second, order):
+        a, b = WeightOffer(1), WeightOffer(2)
+        sends = [(first, a), (second, b)]
+        nodes = {j: _Recorder() for j in range(1, 5)}
+        _, metrics, trace = run_protocol(_OneShotSource([sends[k] for k in order]), nodes)
+        assert [(d.recipient, d.payload) for d in trace] == sends
+        assert render_trace(trace) == render_by_line(trace)
+        assert metrics.messages == len(deliveries(trace))
+        assert [m.payload for m in nodes[3].inboxes[1]] == [b]
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.lists(
+            st.one_of(
+                st.integers(1, 6),
+                st.builds(lambda lo, k: range(lo, min(lo + k, 7)), st.integers(1, 6),
+                          st.integers(1, 4)),
+            ),
+            min_size=1,
+            max_size=5,
+        )
+    )
+    def test_a_nodes_records_come_out_as_in_recipient_order_gives_them(self, recipients):
+        # the reference is the sort-and-check path itself, so records the
+        # engine leaves unsorted must be in the order it gives, and every
+        # other list must meet the same fault text
+        sends = [(r, WeightOffer(k)) for k, r in enumerate(recipients)]
+        emitted = [Delivery(1, SOURCE, r, payload) for r, payload in sends]
+        nodes = {j: _SilentNode() for j in range(1, 7)}
+        try:
+            expected = _in_recipient_order(emitted, SOURCE)
+        except SimulationFault as fault:
+            with pytest.raises(SimulationFault, match=f"^{re.escape(str(fault))}$"):
+                run_protocol(_OneShotSource(sends), nodes)
+        else:
+            _, _, trace = run_protocol(_OneShotSource(sends), nodes)
+            assert [(d.recipient, d.payload) for d in trace] == [
+                (d.recipient, d.payload) for d in expected
+            ]
+
     def test_a_multicast_to_the_halted_source_faults(self):
         class Straggler(Node):
             def __init__(self):
@@ -673,7 +724,9 @@ def hand_built_traces(draw):
     The pool holds distinct objects of equal value and
     ``FinalDirective(())``, and a group may reuse any object, so groups meet
     with the same payload under another phase, sender or shape, and objects
-    recur at non-adjacent positions."""
+    recur at non-adjacent positions.  Ids go up to 4 or to a few hundred, in
+    any order, so a record may name an id past every one before it as its
+    sender, as a unicast recipient or at either end of a range."""
     pool = [
         WeightOffer(3),
         WeightOffer(3),
@@ -687,11 +740,12 @@ def hand_built_traces(draw):
         CapacityReport(0),
         ItemOffer(8, 4),
     ]
-    unicasts = st.lists(st.integers(0, 4), min_size=1, max_size=4)
-    multicast = st.builds(lambda lo, k: [range(lo, lo + k)], st.integers(0, 4), st.integers(1, 4))
+    ids = st.integers(0, draw(st.sampled_from([4, 300])))
+    unicasts = st.lists(ids, min_size=1, max_size=4)
+    multicast = st.builds(lambda lo, k: [range(lo, lo + k)], ids, st.integers(1, 40))
     records = []
     for _ in range(draw(st.integers(0, 8))):
-        phase, sender = draw(st.integers(1, 3)), draw(st.integers(0, 4))
+        phase, sender = draw(st.integers(1, 3)), draw(ids)
         payload = draw(st.sampled_from(pool))
         shape = draw(st.sampled_from(["unicasts", "multicast", "split"]))
         if shape == "unicasts":
@@ -699,7 +753,7 @@ def hand_built_traces(draw):
         elif shape == "multicast":
             recipients = draw(multicast)
         else:
-            n = draw(st.integers(max(sender, 1), 6))
+            n = draw(st.integers(max(sender, 1), sender + 6))
             recipients = [r for r in (range(1, sender), range(sender + 1, n + 1)) if r]
         records += [Delivery(phase, sender, r, payload) for r in recipients]
     return tuple(records)
@@ -739,10 +793,22 @@ class TestRenderDifferential:
                 Delivery(4, SOURCE, 1, final),
                 Delivery(4, SOURCE, 2, final),
             ),
+            "a high id first": (
+                Delivery(1, SOURCE, 250, offer),
+                Delivery(1, SOURCE, 3, offer),
+            ),
+            "a sender past every id before it": (
+                Delivery(1, SOURCE, 2, offer),
+                Delivery(2, 300, 1, pair),
+                Delivery(2, 301, range(1, 3), pair),
+            ),
         }
         for name, trace in shapes.items():
             assert render_trace(trace) == render_by_line(trace), name
         assert render_trace(shapes["empty final directive"]) == "4 S p1 final\n4 S p2 final\n"
+        assert render_trace(shapes["a sender past every id before it"]).endswith(
+            "2 p301 p1 pair 1 4\n2 p301 p2 pair 1 4\n"
+        )
 
     def test_named_multicast_shapes(self):
         offer, pair, final = WeightOffer(3), ConsensusPair(1, 4), FinalDirective(())
@@ -758,6 +824,10 @@ class TestRenderDifferential:
                 Delivery(2, SOURCE, 1, offer),
             ),
             "to the source": (Delivery(3, 2, range(0, 2), pair),),
+            "past every id before it": (
+                Delivery(1, SOURCE, range(1, 3), offer),
+                Delivery(2, 2, range(250, 253), pair),
+            ),
             "empty final directive": (Delivery(4, SOURCE, range(1, 3), final),),
         }
         for name, trace in shapes.items():
