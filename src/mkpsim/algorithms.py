@@ -40,7 +40,7 @@ that record.
 
 from __future__ import annotations
 
-from bisect import insort
+from bisect import bisect_left, insort
 from dataclasses import dataclass
 from typing import Callable
 
@@ -160,6 +160,7 @@ class GreedySource(SourceNode):
         self.pre_final_assignment: Assignment | None = None
         self.changed: tuple[int, ...] = ()
         self.phase = 0
+        self.rounds_done = 0  # the rounds dispatched so far
 
     def recorded_assignment(self) -> Assignment:
         return self.assignment
@@ -226,7 +227,6 @@ class BatchSource(GreedySource):
     def __init__(self, inst: Instance, rounds: int, period: int, reassigns: bool):
         super().__init__(inst, reassigns)
         self.rounds_total = rounds
-        self.rounds_done = 0
         self.cursor = 0
 
     def step(self, inbox: list[Delivery]) -> list[Send]:
@@ -241,20 +241,22 @@ class BatchSource(GreedySource):
                 return []  # odd phase: reports are still in flight
             if len(reports) != self.inst.n:
                 raise SimulationFault("S expected a capacity report from every processor")
-            out: list[Send] = []
+            # items go out in rank order, the sends in processor-id order:
+            # the ranking holds each id once, so it fills every slot
+            out: list[Send] = [None] * len(reports)
             m = self.inst.m
             ranked = sorted(reports.items(), key=lambda kv: (-kv[1], kv[0]))
             for j, reported in ranked:
                 if self.cursor < m:
                     item = self.order[self.cursor]
                     if item.weight <= reported:
-                        out.append((j, ItemOffer(item.cost, item.weight)))
+                        out[j - 1] = (j, ItemOffer(item.cost, item.weight))
                         self.assignment.assign(self.inst, item.id, j - 1)
                     else:
-                        out.append((j, Bottom()))
+                        out[j - 1] = (j, Bottom())
                     self.cursor += 1
                 else:
-                    out.append((j, Bottom()))
+                    out[j - 1] = (j, Bottom())
             self.rounds_done += 1
             if self.rounds_done == self.rounds_total and not self.reassigns:
                 out += self._finish()  # no reassignment pass: halt right away
@@ -361,7 +363,6 @@ class BroadcastSource(GreedySource):
     def __init__(self, inst: Instance, rounds: int, period: int, reassigns: bool):
         super().__init__(inst, reassigns)
         self.period = period
-        self.idx = 0
         self.pending: int | None = None  # item id awaiting this round's winner
 
     def step(self, inbox: list[Delivery]) -> list[Send]:
@@ -383,9 +384,9 @@ class BroadcastSource(GreedySource):
             return []
         # round boundary: an unresolved item fit nowhere and stays unassigned
         self.pending = None
-        if self.idx < self.inst.m:
-            item = self.order[self.idx]
-            self.idx += 1
+        if self.rounds_done < self.inst.m:
+            item = self.order[self.rounds_done]
+            self.rounds_done += 1
             self.pending = item.id
             return [(range(1, self.inst.n + 1), WeightOffer(item.weight))]
         return self._finish()
@@ -504,6 +505,7 @@ class TreeSource(GreedySource):
                 raise SimulationFault("S: consensus result arrived off schedule")
             if offset == 1:
                 if round_index < self.inst.m:
+                    self.rounds_done += 1
                     offer = WeightOffer(self.order[round_index].weight)
                     return [(range(1, self.inst.n + 1), offer)]
                 return self._finish()  # m == 0: nothing to dispatch
@@ -514,14 +516,17 @@ class TreeSource(GreedySource):
             raise SimulationFault("S expected exactly one verdict from the root")
         payload = inbox[0].payload
         item = self.order[round_index]
-        out: list[Send] = []
+        award = None
         if isinstance(payload, Winner):
             self.assignment.assign(self.inst, item.id, payload.processor - 1)
-            out.append((payload.processor, WeightOffer(item.weight)))
+            award = (payload.processor, WeightOffer(item.weight))
         elif not isinstance(payload, Bottom):
             raise SimulationFault(f"S: unexpected verdict {payload!r}")
-        if round_index == self.inst.m - 1:
-            out.extend(self._finish())
+        out = self._finish() if round_index == self.inst.m - 1 else []
+        if award is not None:
+            # in recipient order: (j,) sorts before (j, directive), so the
+            # award goes before a directive to its winner
+            out.insert(bisect_left(out, award[:1]), award)
         return out
 
 
@@ -620,7 +625,8 @@ class RunResult:
 
     ``assignment``/``profit`` reflect the run's final output; the pre-final
     fields snapshot the state before the reassignment pass (identical for a
-    protocol that has none).
+    protocol that has none).  ``rounds`` counts the rounds the source
+    dispatched.
     """
 
     algorithm: str
@@ -680,5 +686,5 @@ def run_algorithm(name: str, inst: Instance) -> RunResult:
         changed_knapsacks=source.changed,
         metrics=metrics,
         trace=trace,
-        rounds=rounds,
+        rounds=source.rounds_done,
     )

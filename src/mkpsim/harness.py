@@ -335,9 +335,11 @@ def verify_instance(inst: Instance, *, with_oracle: bool = True) -> InstanceVeri
     """Run every protocol in :data:`PROTOCOLS` on the instance and check each
     run against its record.
 
-    Every run must have feasible final and pre-final assignments, a profit
-    the reassignment pass did not lower, the record's exact (messages,
-    phases, rounds) and at most its message bound.  Its pre-final placement
+    A run whose final assignment is infeasible raises
+    :class:`~mkpsim.simnet.SimulationFault` from :func:`run_algorithm`.
+    Every run must have a feasible pre-final assignment, a profit the
+    reassignment pass did not lower, the record's exact (messages, phases,
+    rounds) and at most its message bound.  Its pre-final placement
     must equal the message-free recomputation of its dispatch
     (:func:`strict_sequential_greedy` when ``one_item_per_round``, else
     :func:`batch_round_greedy`), and its final placement that recomputation
@@ -354,14 +356,11 @@ def verify_instance(inst: Instance, *, with_oracle: bool = True) -> InstanceVeri
 
     # messages formatted only on failure: a sweep runs this per instance
     for name, protocol in PROTOCOLS.items():
+        # run_algorithm raises on an infeasible final assignment
         res = results[name] = run_algorithm(name, inst)
-        for label, assignment in (
-            ("final", res.assignment),
-            ("pre-final", res.pre_final_assignment),
-        ):
-            violation = check_feasible(assignment, inst)
-            if violation is not None:
-                bad.append(f"{name}: {label} assignment infeasible: {violation}")
+        violation = check_feasible(res.pre_final_assignment, inst)
+        if violation is not None:
+            bad.append(f"{name}: pre-final assignment infeasible: {violation}")
         if res.profit < res.pre_final_profit:
             bad.append(
                 f"{name}: reassignment decreased profit "

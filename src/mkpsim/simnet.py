@@ -34,16 +34,10 @@ sends of one payload, not a different network.  The per-phase counts in
 :class:`RunMetrics` are taken as each phase closes.
 
 Determinism: within a phase, deliveries are ordered by (sender, recipient).
-The engine gets that order without sorting a whole phase: nodes step in
-ascending id order, so sender order holds by construction, and each node's
-own records are stably sorted by (first) recipient when it sent more than
-one, so two sends to the same recipient keep the order the node emitted them
-in.  A multicast may share no recipient with another send of its node in the
-same phase, so the recipient order of its deliveries is that of its records.
-A node's records that already come in ascending, disjoint recipient order
-(a broadcast split around its sender into the ids below, then the ids
-above) are that sort's result, so the engine checks them in one pass and
-leaves them as they are.  Programs are required to be deterministic, so
+Nodes step in ascending id order, and each node returns its sends in
+ascending recipient order (see :class:`Node`), which the engine checks and
+never fixes: a node's records go into the trace, and into each inbox, in the
+order it emitted them.  Programs are required to be deterministic, so
 identical inputs produce byte-identical traces.
 """
 
@@ -51,7 +45,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import compress
-from operator import attrgetter
 
 from .core import Assignment
 
@@ -194,10 +187,13 @@ class Node:
     current one.  A pending wake-up does not keep a finished run alive.  The
     source steps in every phase until it halts and may not ask for one.
 
-    ``step`` returns the node's sends for this phase (see :data:`Send`).
-    Several sends of one payload to a contiguous block of ids are best
-    written as one multicast: the engine then builds, checks and keeps one
-    record for all of them.
+    ``step`` returns the node's sends for this phase (see :data:`Send`) in
+    ascending recipient order: each send starts past the last recipient of
+    the send before it, except that two unicasts may go to one recipient, in
+    the order they are returned.  So a multicast shares no recipient with
+    another send of its node in the phase.  Several sends of one payload to
+    a contiguous block of ids are best written as one multicast: the engine
+    then builds, checks and keeps one record for all of them.
     """
 
     wake_at: int | None = None
@@ -307,53 +303,41 @@ def render_trace(trace: Trace) -> str:
 
 DEFAULT_MAX_PHASES = 1_000_000
 
-_by_recipient = attrgetter("recipient")
 
+def _check_send_order(records: list[Delivery], sender: int) -> None:
+    """Check one node's records of a phase, more than one, in one pass.
 
-def _first_recipient(d: Delivery) -> int:
-    recipient = d.recipient
-    return recipient.start if type(recipient) is range else recipient
-
-
-def _disjoint_ascending(log: list[Delivery], start: int) -> bool:
-    """Whether the records ``log[start:]`` already come in ascending,
-    disjoint recipient order: each one's first recipient is past the last
-    recipient of the one before, as in a broadcast split around its
-    sender."""
+    Each record must start past the last recipient of the record before it;
+    two unicasts to one recipient may follow each other, and keep the order
+    they were emitted in.  A record that breaks this and shares a recipient
+    with the record before it, one of the two a multicast, names the lowest
+    shared recipient; any other names its first recipient and the last
+    recipient of the record before it.
+    """
     reach = -1  # the last recipient of the record before
-    for k in range(start, len(log)):
-        recipient = log[k].recipient
-        if type(recipient) is range:
-            if recipient.start <= reach:
-                return False
-            reach = recipient.stop - 1
-        elif recipient <= reach:
-            return False
-        else:
-            reach = recipient
-    return True
-
-
-def _in_recipient_order(records: list[Delivery], sender: int) -> list[Delivery]:
-    """One node's records of a phase, some of them multicasts, stably
-    sorted by first recipient.  A multicast may share no recipient with
-    another of the records, which is a fault: without a shared recipient,
-    the sorted records expand to the node's deliveries in recipient order,
-    and per recipient in emission order."""
-    records = sorted(records, key=_first_recipient)
-    reach = -1  # the last recipient of the record before
-    after_multicast = False  # whether that record was a multicast
+    before: int | range = -1  # that record's recipient
     for d in records:
         recipient = d.recipient
-        multicast = type(recipient) is range
-        first, last = (recipient.start, recipient.stop - 1) if multicast else (recipient,) * 2
-        if first < reach or (first == reach and (multicast or after_multicast)):
+        if type(recipient) is range:
+            if recipient.start > reach:
+                reach, before = recipient.stop - 1, recipient
+                continue
+            first, last = recipient.start, recipient.stop - 1
+        elif recipient > reach or (recipient == reach and type(before) is not range):
+            reach = before = recipient
+            continue
+        else:
+            first = last = recipient
+        low = before.start if type(before) is range else before
+        if last >= low and (type(before) is range or type(recipient) is range):
             raise SimulationFault(
-                f"{node_name(sender)} sent to {node_name(first)} by a multicast "
-                f"and another send in one phase"
+                f"{node_name(sender)} sent to {node_name(max(first, low))} by a "
+                f"multicast and another send in one phase"
             )
-        reach, after_multicast = last, multicast
-    return records
+        raise SimulationFault(
+            f"{node_name(sender)} sent to {node_name(first)} after a send to "
+            f"{node_name(reach)}: a node's sends must come in ascending recipient order"
+        )
 
 
 def run_protocol(
@@ -374,9 +358,7 @@ def run_protocol(
     the source's.  A multicast costs one record and one set of checks,
     however many recipients it has, and counts one message per recipient;
     its record is appended to the slice of next-phase inboxes its range
-    covers.  A node's records are sorted only when it sent more than one
-    and, if a multicast is among them, only when they are not already in
-    ascending, disjoint recipient order.
+    covers.
 
     Faults (raised as :class:`SimulationFault`, never silently dropped):
     a processor map that is empty or does not cover 1..n exactly, a
@@ -387,8 +369,9 @@ def run_protocol(
     the current one, and a run that needs more than ``max_phases`` phases.
     Each send is checked in the order its node emitted it, against those
     rules in that order; a multicast names its lowest nonexistent
-    recipient.  Once a node's sends have passed, a multicast that shares a
-    recipient with another of its sends in the phase is a fault too.
+    recipient.  Once a node's sends have passed, sends out of ascending
+    recipient order are a fault too, and a multicast among them that shares
+    a recipient with the send before it names the lowest shared recipient.
     """
     n = len(processors)
     if n < 1:
@@ -435,7 +418,6 @@ def run_protocol(
             inbox = inboxes[node_id]
             inboxes[node_id] = []
             node_start = len(log)
-            multicast = False  # whether this node sent one in the phase
             for recipient, payload in steps[node_id](inbox):
                 if recipient in node_ids:
                     if recipient == node_id:
@@ -469,24 +451,16 @@ def run_protocol(
                     log.append(delivery)
                     for box in sent_now[start:stop]:
                         box.append(delivery)
-                    multicast = True
                     fanned += stop - start - 1
                 else:
                     raise SimulationFault(
                         f"{node_name(node_id)} sent to nonexistent node {recipient}"
                     )
-            # Nodes step in id order, so the log is already in sender order;
-            # a stable sort of this node's own records puts it in (sender,
-            # recipient) order; records already ascending and disjoint (a
-            # broadcast split around its sender) are what it would return.
-            # Each inbox is filled in sender order and, per sender, in
-            # emission order -- what that sort leaves it.
+            # Nodes step in id order and each emits in recipient order, so the
+            # log is in (sender, recipient) order once this check passes, and
+            # each inbox holds its records in the same order.
             if len(log) - node_start > 1:
-                if multicast:
-                    if not _disjoint_ascending(log, node_start):
-                        log[node_start:] = _in_recipient_order(log[node_start:], node_id)
-                else:
-                    log[node_start:] = sorted(log[node_start:], key=_by_recipient)
+                _check_send_order(log[node_start:], node_id)
             wake = nodes[node_id].wake_at
             if wake is not None:
                 nodes[node_id].wake_at = None

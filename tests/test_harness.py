@@ -1,4 +1,5 @@
 import json
+import re
 from dataclasses import replace
 from fractions import Fraction
 
@@ -19,7 +20,8 @@ from mkpsim import (
     verify_sweep,
 )
 from mkpsim.harness import CSV_COLUMNS, make_report, report_to_json, reports_to_csv
-from mkpsim.simnet import SOURCE, Delivery, Winner
+from mkpsim.core import Assignment
+from mkpsim.simnet import SOURCE, Delivery, SimulationFault, Winner
 
 from conftest import small_instances
 
@@ -398,3 +400,40 @@ def test_miscounted_phases_and_rounds_are_reported(monkeypatch, instance_a, name
     violations = _verify_with_one_miscounted_run(monkeypatch, instance_a, name, field)
     assert violations
     assert all(v.startswith(f"{name}: ") for v in violations), violations
+
+
+def test_an_infeasible_final_assignment_stops_verify_instance(monkeypatch):
+    # verify_instance leaves the final assignment's feasibility to
+    # run_algorithm, which raises rather than report a violation
+    import mkpsim.algorithms as algorithms
+
+    def overfull(assignment, inst):
+        loads = [sum(item.weight for item in inst.items), *[0] * (inst.n - 1)]
+        remaining = [c - load for c, load in zip(inst.capacities, loads)]
+        return Assignment({i: 0 for i in range(inst.m)}, remaining), ()
+
+    monkeypatch.setattr(algorithms, "final_reassign", overfull)
+    message = "protocol produced an infeasible assignment: knapsack 0: load 44 exceeds capacity 10"
+    with pytest.raises(SimulationFault, match=f"^{message}$"):
+        verify_instance(gen_adversarial(4, 10))
+
+
+def test_a_source_that_skips_a_round_is_reported(monkeypatch):
+    # the programs run one batch round fewer than the record counts, so the
+    # last round's items are never dispatched; the run reports the rounds
+    # its source dispatched, not the record's count
+    from mkpsim.algorithms import PROTOCOLS, BatchProcessor, BatchSource
+
+    short = replace(
+        PROTOCOLS["modified"],
+        source=lambda inst, rounds, *rest: BatchSource(inst, rounds - 1, *rest),
+        processor=lambda inst, j, rounds, period: BatchProcessor(inst, j, rounds - 1, period),
+    )
+    monkeypatch.setitem(PROTOCOLS, "modified", short)
+    inst = gen_random(GenParams(9, 3, 50, 50, 1, 100, seed=1))
+    assert run_algorithm("modified", inst).rounds == 2
+    violations = verify_instance(inst, with_oracle=False).violations
+    assert all(v.startswith("modified: ") for v in violations), violations
+    counts = [v for v in violations if v.startswith("modified: (messages, phases, rounds) ")]
+    assert len(counts) == 1
+    assert re.fullmatch(r".* \(\d+, \d+, 2\) != \(\d+, \d+, 3\)", counts[0]), counts

@@ -20,7 +20,6 @@ from mkpsim.simnet import (
     SourceNode,
     WeightOffer,
     Winner,
-    _in_recipient_order,
     node_name,
     render_payload,
     render_trace,
@@ -239,15 +238,15 @@ class TestEngine:
 
     def test_deliveries_are_ordered_by_sender_then_recipient(self):
         class Scatter(SourceNode):
-            """Sends in descending recipient order, twice to p3, then halts."""
+            """Sends in ascending recipient order, twice to p3, then halts."""
 
             def step(self, inbox):
                 self.halted = True
                 return [
-                    (3, WeightOffer(1)),
-                    (2, WeightOffer(2)),
-                    (3, WeightOffer(3)),
                     (1, WeightOffer(4)),
+                    (2, WeightOffer(2)),
+                    (3, WeightOffer(1)),
+                    (3, WeightOffer(3)),
                 ]
 
             def recorded_assignment(self):
@@ -265,7 +264,7 @@ class TestEngine:
 
         nodes = {
             1: Recorder([(3, CapacityReport(5))]),
-            2: Recorder([(3, CapacityReport(6)), (1, CapacityReport(7))]),
+            2: Recorder([(1, CapacityReport(7)), (3, CapacityReport(6))]),
             3: Recorder(),
         }
         _, metrics, trace = run_protocol(Scatter(), nodes)
@@ -288,6 +287,29 @@ class TestEngine:
         assert [d.sender for d in nodes[1].inboxes[1]] == [SOURCE, 2]
         # a recipient's inbox holds the very records the trace keeps
         assert all(any(d is t for t in trace) for d in nodes[3].inboxes[1])
+
+    @pytest.mark.parametrize(
+        "recipients,message",
+        [
+            ([3, 1], "S sent to p1 after a send to p3"),
+            ([1, 3, 3, 2], "S sent to p2 after a send to p3"),
+            ([4, range(1, 3)], "S sent to p1 after a send to p4"),
+            ([range(3, 5), 1], "S sent to p1 after a send to p4"),
+            ([range(3, 5), range(1, 3)], "S sent to p1 after a send to p4"),
+            ([range(1, 3), 4, 2], "S sent to p2 after a send to p4"),
+        ],
+        ids=["two unicasts", "after a repeated unicast", "range after a unicast",
+             "unicast after a range", "touching ranges reversed",
+             "back into an earlier range"],
+    )
+    def test_sends_out_of_recipient_order_fault(self, recipients, message):
+        # the engine checks a node's order and never fixes it; a send that
+        # shares no recipient with the one before it breaks only the order
+        # rule, even when an earlier multicast covers its recipient
+        sends = [(r, WeightOffer(k)) for k, r in enumerate(recipients)]
+        message += ": a node's sends must come in ascending recipient order"
+        with pytest.raises(SimulationFault, match=f"^{re.escape(message)}$"):
+            run_protocol(_OneShotSource(sends), {j: _SilentNode() for j in range(1, 5)})
 
 
 class _Recorder(Node):
@@ -328,13 +350,19 @@ class TestMulticast:
         assert metrics_of(trace) == metrics
         assert render_trace(trace) == "".join(f"1 S p{j} weight 6\n" for j in (1, 2, 3, 4))
 
-    def test_records_sort_by_first_recipient_around_unicasts(self):
+    def test_records_keep_emission_order_around_unicasts(self):
         a, b, c, d = WeightOffer(1), WeightOffer(2), WeightOffer(3), WeightOffer(4)
         nodes = {j: _Recorder() for j in range(1, 6)}
-        # ranges {4, 5} and {1, 2}, two unicasts to p3 that keep their order
-        sends = [(3, a), (range(4, 6), b), (range(1, 3), c), (3, d)]
+        # ranges {1, 2} and {4, 5} around two unicasts to p3, which keep
+        # their order; the same sends with the ranges swapped are a fault
+        sends = [(range(1, 3), c), (3, a), (3, d), (range(4, 6), b)]
+        message = ("S sent to p3 after a send to p5: "
+                   "a node's sends must come in ascending recipient order")
+        with pytest.raises(SimulationFault, match=f"^{re.escape(message)}$"):
+            run_protocol(_OneShotSource([sends[3], *sends[1:3], sends[0]]), nodes)
+        nodes = {j: _Recorder() for j in range(1, 6)}
         _, metrics, trace = run_protocol(_OneShotSource(sends), nodes)
-        assert [record.recipient for record in trace] == [range(1, 3), 3, 3, range(4, 6)]
+        assert [(record.recipient, record.payload) for record in trace] == sends
         assert render_trace(trace) == (
             "1 S p1 weight 3\n"
             "1 S p2 weight 3\n"
@@ -436,10 +464,21 @@ class TestMulticast:
         ids=["touching ranges", "unicast just past a range", "range just past a unicast"],
     )
     def test_sends_that_only_touch_are_legal(self, first, second, order):
+        # touching is not sharing: in order the two sends pass, reversed
+        # they break the order rule and not the multicast one
         a, b = WeightOffer(1), WeightOffer(2)
         sends = [(first, a), (second, b)]
         nodes = {j: _Recorder() for j in range(1, 5)}
-        _, metrics, trace = run_protocol(_OneShotSource([sends[k] for k in order]), nodes)
+        source = _OneShotSource([sends[k] for k in order])
+        if order != [0, 1]:
+            low = first.start if isinstance(first, range) else first
+            high = second.stop - 1 if isinstance(second, range) else second
+            message = (f"S sent to p{low} after a send to p{high}: "
+                       f"a node's sends must come in ascending recipient order")
+            with pytest.raises(SimulationFault, match=f"^{re.escape(message)}$"):
+                run_protocol(source, nodes)
+            return
+        _, metrics, trace = run_protocol(source, nodes)
         assert [(d.recipient, d.payload) for d in trace] == sends
         assert render_trace(trace) == render_by_line(trace)
         assert metrics.messages == len(deliveries(trace))
@@ -457,23 +496,29 @@ class TestMulticast:
             max_size=5,
         )
     )
-    def test_a_nodes_records_come_out_as_in_recipient_order_gives_them(self, recipients):
-        # the reference is the sort-and-check path itself, so records the
-        # engine leaves unsorted must be in the order it gives, and every
-        # other list must meet the same fault text
+    def test_a_nodes_records_pass_as_emitted_or_fault(self, recipients):
+        # the reference expands each record to its recipients and asks for a
+        # strictly ascending sequence, except that consecutive unicasts may
+        # repeat a recipient; the first record that breaks it names the fault
         sends = [(r, WeightOffer(k)) for k, r in enumerate(recipients)]
-        emitted = [Delivery(1, SOURCE, r, payload) for r, payload in sends]
         nodes = {j: _SilentNode() for j in range(1, 7)}
-        try:
-            expected = _in_recipient_order(emitted, SOURCE)
-        except SimulationFault as fault:
-            with pytest.raises(SimulationFault, match=f"^{re.escape(str(fault))}$"):
+        spans = [r if isinstance(r, range) else [r] for r in recipients]
+        unicast = [not isinstance(r, range) for r in recipients]
+        expanded = [(k, j) for k, span in enumerate(spans) for j in span]
+        for (k0, j0), (k1, j1) in zip(expanded, expanded[1:]):
+            if j1 > j0 or (j1 == j0 and unicast[k0] and unicast[k1]):
+                continue
+            shared = set(spans[k0]) & set(spans[k1])
+            if shared and not (unicast[k0] and unicast[k1]):
+                message = f"S sent to p{min(shared)} by a multicast and another send in one phase"
+            else:
+                message = (f"S sent to p{j1} after a send to p{j0}: "
+                           f"a node's sends must come in ascending recipient order")
+            with pytest.raises(SimulationFault, match=f"^{re.escape(message)}$"):
                 run_protocol(_OneShotSource(sends), nodes)
-        else:
-            _, _, trace = run_protocol(_OneShotSource(sends), nodes)
-            assert [(d.recipient, d.payload) for d in trace] == [
-                (d.recipient, d.payload) for d in expected
-            ]
+            return
+        _, _, trace = run_protocol(_OneShotSource(sends), nodes)
+        assert [(d.recipient, d.payload) for d in trace] == sends
 
     def test_a_multicast_to_the_halted_source_faults(self):
         class Straggler(Node):
@@ -488,6 +533,39 @@ class TestMulticast:
 
         with pytest.raises(SimulationFault, match="halted source"):
             run_protocol(_SilentSource(), {1: Straggler()})
+
+
+def _first_recipient_order(trace):
+    """(phase, sender, first recipient) of each record, as the trace keeps them."""
+    return [
+        (d.phase, d.sender, d.recipient.start if isinstance(d.recipient, range) else d.recipient)
+        for d in trace
+    ]
+
+
+class TestProtocolSendOrder:
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 12), st.integers(1, 9), st.integers(0, 2**32 - 1))
+    def test_protocol_traces_come_in_sender_then_first_recipient_order(self, m, n, seed):
+        # the engine reorders nothing, so every program must emit in order
+        inst = gen_random(GenParams(m, n, 50, 50, 1, 100, seed=seed))
+        for alg in ("simple", "modified", "dist", "tree"):
+            keys = _first_recipient_order(run_algorithm(alg, inst).trace)
+            assert keys == sorted(keys), alg
+
+    @pytest.mark.parametrize(
+        "params,last_phase",
+        [
+            (GenParams(3, 2, 50, 50, 1, 100, seed=24),
+             "12 S p1 final 0:25\n12 S p2 weight 11\n12 S p2 final 1:12\n"),
+            (GenParams(6, 4, 50, 50, 1, 100, seed=15),
+             "30 S p1 final 1:48\n30 S p2 final 3:2\n30 S p3 final 0:1\n30 S p4 weight 44\n"),
+        ],
+        ids=["award before a directive to its winner", "award after the directives"],
+    )
+    def test_tree_award_takes_its_place_among_the_directives(self, params, last_phase):
+        trace = run_algorithm("tree", gen_random(params)).trace
+        assert render_trace(tuple(d for d in trace if d.phase == trace[-1].phase)) == last_phase
 
 
 class _Metronome(SourceNode):
@@ -608,12 +686,12 @@ class TestActiveStepping:
             2: _Scripted(2, log),
             3: _Scripted(3, log, {1: ([], 3)}),
             4: _Scripted(
-                4, log, {1: ([(3, CapacityReport(1)), (1, CapacityReport(2))], 2),
+                4, log, {1: ([(1, CapacityReport(2)), (3, CapacityReport(1))], 2),
                          2: ([(2, CapacityReport(3))], None)}
             ),
         }
         run_protocol(_Metronome(log, halt_at=3), nodes)
-        # phase 2: mail for p3 and p1, p4 woken; phase 3: mail for p2, p3 and
+        # phase 2: mail for p1 and p3, p4 woken; phase 3: mail for p2, p3 and
         # p1 woken (asked for in that order)
         assert [j for j, _ in log] == [0, 1, 2, 3, 4, 0, 1, 3, 4, 0, 1, 2, 3]
 
