@@ -44,7 +44,7 @@ from bisect import bisect_left, insort
 from dataclasses import dataclass
 from typing import Callable
 
-from .core import Assignment, Instance, check_feasible, objective, sort_by_density
+from .core import Assignment, DomainError, Instance, check_feasible, objective, sort_by_density
 from .simnet import (
     SOURCE,
     Bottom,
@@ -93,32 +93,44 @@ def final_reassign(
     item outweighs everything the knapsack held, and no other knapsack is
     touched by it.
 
-    Cost, for m items and a pool of p: one grouping pass over the placement
-    (O(m) when it is in id order) and one sort of the pool by (-cost, id)
+    Cost, for m items and a pool of p: one pass over the placement in id
+    order (O(m) when it is already in id order) that groups the knapsacks'
+    contents and collects the pool, and one sort of the pool by (-cost, id)
     (O(p log p)).  Each knapsack then scans that order up to the first item
     that fits it, which is the head of the order unless the most profitable
-    items are too heavy (O(p) at worst).  A swap bisects its evicted items
-    back into the order.
+    items are too heavy (O(p) at worst).  A swap empties its knapsack in
+    place and bisects the evicted items back into the order.
     """
     result = assignment.copy()
-    items = inst.items
-    contents = result.items_by_knapsack(inst)
-    # the pool as (-cost, id, weight), most profitable first, ties by id
-    pool = map(inst.item, result.unassigned_items())
-    order = sorted((-item.cost, item.id, item.weight) for item in pool)
+    items, n = inst.items, inst.n
+    placement, remaining = result.placement, result.remaining
+    contents: list[list[int]] = [[] for _ in range(n)]
+    pool = []  # as (-cost, id, weight): sorted, most profitable first, ties by id
+    for i in sorted(placement):
+        knapsack = placement[i]
+        if knapsack is None:
+            item = inst.item(i)
+            pool.append((-item.cost, i, item.weight))
+        elif 0 <= knapsack < n:
+            contents[knapsack].append(i)
+        else:
+            raise DomainError(f"item {i} assigned to unknown knapsack {knapsack}")
+    pool.sort()
     changed = []
     for j, capacity in enumerate(inst.capacities):
-        for pos, (neg_cost, best, weight) in enumerate(order):
+        for pos, (neg_cost, best, weight) in enumerate(pool):
             if weight <= capacity:
                 break
         else:
             continue  # nothing in the pool fits this knapsack
         held = contents[j]
         if -neg_cost > sum(items[i].cost for i in held):
-            del order[pos]
-            for i in held:
-                result.unassign(inst, i)
-                insort(order, (-items[i].cost, i, items[i].weight))
+            del pool[pos]
+            for i in held:  # knapsack j is emptied into the pool
+                item = items[i]
+                placement[i] = None
+                remaining[j] += item.weight
+                insort(pool, (-item.cost, i, item.weight))
             result.assign(inst, best, j)
             changed.append(j)
     return result, tuple(changed)
@@ -127,6 +139,11 @@ def final_reassign(
 # ---------------------------------------------------------------------------
 # Shared processor bookkeeping
 # ---------------------------------------------------------------------------
+
+# Payloads are immutable, so a program may send one object for every equal
+# payload it sends; the bottom is one shared constant.
+_BOTTOM = Bottom()
+
 
 class ProcessorNode(Node):
     def __init__(self, inst: Instance, j: int):
@@ -150,12 +167,15 @@ class ProcessorNode(Node):
 
 
 class GreedySource(SourceNode):
-    """Common source-side state: the sorted item list and the running record."""
+    """Common source-side state: the sorted item list and the running record.
 
-    def __init__(self, inst: Instance, reassigns: bool):
+    ``order`` is ``sort_by_density(inst.items)``, taken once per instance by
+    the caller."""
+
+    def __init__(self, inst: Instance, reassigns: bool, order: list[int]):
         self.inst = inst
         self.reassigns = reassigns
-        self.order = [inst.items[i] for i in sort_by_density(inst.items)]
+        self.order = [inst.items[i] for i in order]
         self.assignment = Assignment.empty(inst)
         self.pre_final_assignment: Assignment | None = None
         self.changed: tuple[int, ...] = ()
@@ -201,16 +221,18 @@ class BatchProcessor(ProcessorNode):
     def step(self, inbox: list[Delivery]) -> list[Send]:
         got_dispatch = False
         directives = []
+        # payload classes are final, so the exact type decides
         for msg in inbox:
             payload = msg.payload
             if msg.sender != SOURCE:
                 raise SimulationFault(f"p{self.j} expected traffic from S only")
-            if isinstance(payload, ItemOffer):
+            kind = type(payload)
+            if kind is ItemOffer:
                 self._take(payload.weight)
                 got_dispatch = True
-            elif isinstance(payload, Bottom):
+            elif kind is Bottom:
                 got_dispatch = True
-            elif isinstance(payload, FinalDirective):
+            elif kind is FinalDirective:
                 directives.append(payload)
             else:
                 raise SimulationFault(f"p{self.j}: unexpected payload {payload!r}")
@@ -224,39 +246,44 @@ class BatchProcessor(ProcessorNode):
 
 
 class BatchSource(GreedySource):
-    def __init__(self, inst: Instance, rounds: int, period: int, reassigns: bool):
-        super().__init__(inst, reassigns)
+    def __init__(
+        self, inst: Instance, rounds: int, period: int, reassigns: bool, order: list[int]
+    ):
+        super().__init__(inst, reassigns, order)
         self.rounds_total = rounds
         self.cursor = 0
 
     def step(self, inbox: list[Delivery]) -> list[Send]:
         reports: dict[int, int] = {}
         for msg in inbox:
-            if not isinstance(msg.payload, CapacityReport):
-                raise SimulationFault(f"S: unexpected payload {msg.payload!r}")
-            reports[msg.sender] = msg.payload.capacity
+            payload = msg.payload
+            if type(payload) is not CapacityReport:
+                raise SimulationFault(f"S: unexpected payload {payload!r}")
+            reports[msg.sender] = payload.capacity
 
         if self.rounds_done < self.rounds_total:
             if not reports:
                 return []  # odd phase: reports are still in flight
-            if len(reports) != self.inst.n:
+            inst = self.inst
+            if len(reports) != inst.n:
                 raise SimulationFault("S expected a capacity report from every processor")
             # items go out in rank order, the sends in processor-id order:
             # the ranking holds each id once, so it fills every slot
             out: list[Send] = [None] * len(reports)
-            m = self.inst.m
-            ranked = sorted(reports.items(), key=lambda kv: (-kv[1], kv[0]))
-            for j, reported in ranked:
-                if self.cursor < m:
-                    item = self.order[self.cursor]
-                    if item.weight <= reported:
+            order, cursor, m = self.order, self.cursor, inst.m
+            assign = self.assignment.assign
+            # capacity descending, ties by ascending id: the reports arrive in
+            # sender order, and a reverse sort is stable
+            for j in sorted(reports, key=reports.__getitem__, reverse=True):
+                if cursor < m:
+                    item = order[cursor]
+                    cursor += 1
+                    if item.weight <= reports[j]:
                         out[j - 1] = (j, ItemOffer(item.cost, item.weight))
-                        self.assignment.assign(self.inst, item.id, j - 1)
-                    else:
-                        out[j - 1] = (j, Bottom())
-                    self.cursor += 1
-                else:
-                    out[j - 1] = (j, Bottom())
+                        assign(inst, item.id, j - 1)
+                        continue
+                out[j - 1] = (j, _BOTTOM)
+            self.cursor = cursor
             self.rounds_done += 1
             if self.rounds_done == self.rounds_total and not self.reassigns:
                 out += self._finish()  # no reassignment pass: halt right away
@@ -360,8 +387,10 @@ class BroadcastProcessor(ProcessorNode):
 
 
 class BroadcastSource(GreedySource):
-    def __init__(self, inst: Instance, rounds: int, period: int, reassigns: bool):
-        super().__init__(inst, reassigns)
+    def __init__(
+        self, inst: Instance, rounds: int, period: int, reassigns: bool, order: list[int]
+    ):
+        super().__init__(inst, reassigns, order)
         self.period = period
         self.pending: int | None = None  # item id awaiting this round's winner
 
@@ -416,7 +445,6 @@ class BroadcastSource(GreedySource):
 # are shared constants.
 
 _NO_PAIR = ConsensusPair(None, None)
-_BOTTOM = Bottom()
 
 
 class TreeProcessor(ProcessorNode):
@@ -491,8 +519,10 @@ class TreeProcessor(ProcessorNode):
 
 
 class TreeSource(GreedySource):
-    def __init__(self, inst: Instance, rounds: int, period: int, reassigns: bool):
-        super().__init__(inst, reassigns)
+    def __init__(
+        self, inst: Instance, rounds: int, period: int, reassigns: bool, order: list[int]
+    ):
+        super().__init__(inst, reassigns, order)
         self.period = period
 
     def step(self, inbox: list[Delivery]) -> list[Send]:
@@ -538,8 +568,9 @@ class TreeSource(GreedySource):
 class Protocol:
     """One algorithm: its node programs and its exact accounting.
 
-    The programs are built as ``source(inst, rounds, period, reassigns)``
-    and ``processor(inst, j, rounds, period)``.  A run has ``rounds(inst)``
+    The programs are built as ``source(inst, rounds, period, reassigns,
+    order)``, where ``order`` is ``sort_by_density(inst.items)``, and
+    ``processor(inst, j, rounds, period)``.  A run has ``rounds(inst)``
     rounds of ``period(inst)`` phases, and its source halts ``tail`` phases
     after the last one.  ``messages(inst, assigned, changed)`` is the exact
     total of a run that placed ``assigned`` items before the reassignment
@@ -556,7 +587,7 @@ class Protocol:
     for; one that does not reports the dispatch placement as final.
     """
 
-    source: Callable[[Instance, int, int, bool], GreedySource]
+    source: Callable[[Instance, int, int, bool, list[int]], GreedySource]
     processor: Callable[[Instance, int, int, int], ProcessorNode]
     rounds: Callable[[Instance], int]
     period: Callable[[Instance], int]
@@ -626,7 +657,7 @@ class RunResult:
     ``assignment``/``profit`` reflect the run's final output; the pre-final
     fields snapshot the state before the reassignment pass (identical for a
     protocol that has none).  ``rounds`` counts the rounds the source
-    dispatched.
+    dispatched.  ``trace`` is ``None`` for a run that kept none.
     """
 
     algorithm: str
@@ -636,7 +667,7 @@ class RunResult:
     pre_final_profit: int
     changed_knapsacks: tuple[int, ...]
     metrics: RunMetrics
-    trace: Trace
+    trace: Trace | None
     rounds: int
 
     @property
@@ -661,19 +692,34 @@ def _check_run(inst: Instance, assignment: Assignment, processors: dict[int, Pro
             )
 
 
-def run_algorithm(name: str, inst: Instance) -> RunResult:
-    """Build the named protocol's node programs from its record and run them."""
+def run_algorithm(
+    name: str,
+    inst: Instance,
+    *,
+    keep_trace: bool = True,
+    order: list[int] | None = None,
+) -> RunResult:
+    """Build the named protocol's node programs from its record and run them.
+
+    With ``keep_trace`` false the run keeps no trace (see
+    :func:`~mkpsim.simnet.run_protocol`) and its ``trace`` is ``None``;
+    everything else about it is the same.  ``order`` is
+    ``sort_by_density(inst.items)`` when the caller has it already, so that
+    several runs on one instance sort it once.
+    """
     try:
         protocol = PROTOCOLS[name]
     except KeyError:
         raise ValueError(f"unknown algorithm {name!r}; choose from {ALGORITHMS}") from None
+    if order is None:
+        order = sort_by_density(inst.items)
     rounds, period = protocol.rounds(inst), protocol.period(inst)
-    source = protocol.source(inst, rounds, period, protocol.reassigns)
+    source = protocol.source(inst, rounds, period, protocol.reassigns, order)
     processors = {j: protocol.processor(inst, j, rounds, period) for j in range(1, inst.n + 1)}
     # The run's own phase bound, not the engine's fixed default: one phase
     # past the source's halt delivers the last sends, and then it must end.
     assignment, metrics, trace = run_protocol(
-        source, processors, max_phases=protocol.phases(inst) + 1
+        source, processors, max_phases=protocol.phases(inst) + 1, keep_trace=keep_trace
     )
     _check_run(inst, assignment, processors)
     pre = source.pre_final_assignment

@@ -124,7 +124,7 @@ def _cmd_gen_adversarial(args) -> int:
 
 def _cmd_run(args) -> int:
     inst = load_instance(args.instance)
-    result = run_algorithm(args.alg, inst)
+    result = run_algorithm(args.alg, inst, keep_trace=bool(args.trace))
     opt = None
     oracle = "none"
     if args.oracle:

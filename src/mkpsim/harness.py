@@ -171,8 +171,15 @@ def reports_to_csv(reports) -> str:
 
 
 def make_report(
-    inst: Instance, result: RunResult, opt: OptimalSolution | None, oracle: str
+    inst: Instance,
+    result: RunResult,
+    opt: OptimalSolution | None,
+    oracle: str,
+    *,
+    digest: str | None = None,
 ) -> RunReport:
+    """The report of one run; ``digest`` is ``instance_digest(inst)`` when
+    the caller has it already."""
     ratio = bound = None
     opt_value = None
     if oracle == "ok":
@@ -181,7 +188,7 @@ def make_report(
         bound = bound_holds(result.profit, opt, inst.n)
     return RunReport(
         algorithm=result.algorithm,
-        instance=instance_digest(inst),
+        instance=instance_digest(inst) if digest is None else digest,
         m=inst.m,
         n=inst.n,
         profit=result.profit,
@@ -199,7 +206,12 @@ def make_report(
 def run_experiment(inst: Instance, algorithms=ALGORITHMS, with_oracle: bool = False):
     """Run the requested algorithms and return reports in the fixed
     :data:`PROTOCOLS` order; oracle data is attached when requested
-    and available, and marked unavailable otherwise."""
+    and available, and marked unavailable otherwise.
+
+    The runs keep no trace, since no report reads one.  The instance is
+    sorted by density and digested once per call, for all of its runs; the
+    call keeps neither afterwards.
+    """
     requested = set(algorithms)
     unknown = requested - set(ALGORITHMS)
     if unknown:
@@ -209,10 +221,13 @@ def run_experiment(inst: Instance, algorithms=ALGORITHMS, with_oracle: bool = Fa
     if with_oracle:
         opt = exact_optimum(inst)
         oracle = "ok" if opt is not None else "unavailable"
+    order = sort_by_density(inst.items)
+    digest = instance_digest(inst)
     reports = []
     for name in ALGORITHMS:
         if name in requested:
-            reports.append(make_report(inst, run_algorithm(name, inst), opt, oracle))
+            result = run_algorithm(name, inst, keep_trace=False, order=order)
+            reports.append(make_report(inst, result, opt, oracle, digest=digest))
     return reports
 
 

@@ -26,12 +26,12 @@ a silent phase is meaningful in a synchronous protocol.
 
 Deliveries: a send names one recipient or, as a *multicast*, a ``range``
 of them, and becomes exactly one :class:`Delivery` record (phase, sender,
-recipient or range, payload).  The engine appends it to the trace and to the
-inbox of each recipient for the next phase, so programs read the same
-records the trace keeps.  A multicast to k recipients still counts k
-messages, one per point-to-point delivery; it is a cheaper way to write k
-sends of one payload, not a different network.  The per-phase counts in
-:class:`RunMetrics` are taken as each phase closes.
+recipient or range, payload).  The engine appends it to the trace, when the
+caller keeps one, and to the inbox of each recipient for the next phase, so
+programs read the same records the trace keeps.  A multicast to k
+recipients still counts k messages, one per point-to-point delivery; it is
+a cheaper way to write k sends of one payload, not a different network.
+The per-phase counts in :class:`RunMetrics` are taken as each phase closes.
 
 Determinism: within a phase, deliveries are ordered by (sender, recipient).
 Nodes step in ascending id order, and each node returns its sends in
@@ -345,14 +345,20 @@ def run_protocol(
     processors: dict[int, Node],
     *,
     max_phases: int = DEFAULT_MAX_PHASES,
-) -> tuple[Assignment, RunMetrics, Trace]:
+    keep_trace: bool = True,
+) -> tuple[Assignment, RunMetrics, Trace | None]:
     """Run source/processor programs to completion.
 
     ``processors`` maps ids 1..n to their programs, n >= 1.  The run ends
     when the source has halted and no messages remain in flight; processors
     are reactive and never halt on their own.  Returns the assignment the
     source recorded, the metrics, and the trace: every record the run sent,
-    a multicast as the one record its recipients read.
+    a multicast as the one record its recipients read.  With ``keep_trace``
+    false the trace is ``None``: the run checks and counts every send as a
+    traced run does, but lets go of each phase's records once they are
+    delivered, so its memory does not grow with the message count
+    (``per_phase`` still grows with the number of phases that carry
+    traffic).
 
     A phase costs one step per node that has mail or a wake-up in it, plus
     the source's.  A multicast costs one record and one set of checks,
@@ -477,6 +483,8 @@ def run_protocol(
         if sent:
             per_phase.append((phase, sent))
             messages += sent
+        if not keep_trace:
+            log.clear()  # the inboxes hold this phase's records until delivery
         if source.halted:
             if halt_phase is None:
                 halt_phase = phase
@@ -484,4 +492,4 @@ def run_protocol(
                 break
 
     metrics = RunMetrics(messages, halt_phase, tuple(per_phase))
-    return source.recorded_assignment(), metrics, tuple(log)
+    return source.recorded_assignment(), metrics, tuple(log) if keep_trace else None

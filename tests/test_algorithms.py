@@ -1,6 +1,7 @@
 import hashlib
 import random
 import re
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -16,6 +17,7 @@ from mkpsim import (
     gen_random,
     render_trace,
     run_algorithm,
+    sort_by_density,
 )
 from mkpsim.algorithms import PROTOCOLS, BroadcastProcessor, TreeProcessor, _best_pair
 from mkpsim.oracle import batch_round_greedy, strict_sequential_greedy
@@ -984,3 +986,50 @@ class TestRunAlgorithmDispatch:
             second = run_algorithm(name, instance_a)
             assert render_trace(first.trace) == render_trace(second.trace)
             assert first.assignment.placement == second.assignment.placement
+
+
+def adversarial_with_fillers(n: int, W: int, fillers: int, seed: int) -> Instance:
+    """The adversarial family for (n, W) plus ``fillers`` light items of
+    density at most 3/5, shuffled: the shape of the ``batch-wide``
+    benchmark, where the reassignment pass swaps every knapsack."""
+    rng = random.Random(seed)
+    pairs = [(it.cost, it.weight) for it in gen_adversarial(n, W).items]
+    pairs += [(rng.randint(1, 3), rng.randint(5, 50)) for _ in range(fillers)]
+    rng.shuffle(pairs)
+    return Instance.from_pairs(pairs, [W] * n)
+
+
+def assert_same_run_without_trace(name, inst):
+    """A run that keeps no trace returns everything a traced run does:
+    assignments, pre-final assignments, profits, changed knapsacks,
+    ``RunMetrics`` (messages, phases, ``per_phase``) and rounds."""
+    traced = run_algorithm(name, inst)
+    bare = run_algorithm(name, inst, keep_trace=False)
+    assert traced.trace is not None and bare.trace is None
+    assert bare == replace(traced, trace=None)
+    assert bare.metrics.per_phase == metrics_of(traced.trace).per_phase
+    return bare
+
+
+class TestRunsWithoutTrace:
+    @settings(max_examples=60, deadline=None)
+    @given(small_instances(max_m=8, max_n=5))
+    def test_small_instances(self, inst):
+        for name in ALGORITHMS:
+            assert_same_run_without_trace(name, inst)
+
+    @pytest.mark.parametrize("name", ALGORITHMS)
+    def test_adversarial_with_fillers(self, name):
+        inst = adversarial_with_fillers(8, 100, 300, seed=5)
+        run = assert_same_run_without_trace(name, inst)
+        if name != "simple":
+            # the pass swaps every knapsack for a heavy item
+            assert run.changed_knapsacks == tuple(range(8)) and run.profit == 8 * 100
+
+    def test_a_shared_density_order_changes_nothing(self):
+        inst = adversarial_with_fillers(4, 20, 40, seed=2)
+        order = sort_by_density(inst.items)
+        for name in ALGORITHMS:
+            shared = run_algorithm(name, inst, keep_trace=False, order=order)
+            assert shared == run_algorithm(name, inst, keep_trace=False)
+        assert order == sort_by_density(inst.items)  # the runs leave it as it was

@@ -7,10 +7,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from mkpsim import (
+    ALGORITHMS,
+    PROTOCOLS,
     GenParams,
     Instance,
     SweepParams,
     audit_max_capacity_dispatch,
+    exact_optimum,
     gen_adversarial,
     gen_random,
     instance_digest,
@@ -116,6 +119,16 @@ class TestRunExperiment:
         reports = run_experiment(instance_a, algorithms=("tree", "simple"))
         assert [r.algorithm for r in reports] == ["simple", "tree"]
 
+    @pytest.mark.parametrize("with_oracle", [False, True])
+    def test_reports_equal_those_of_traced_runs(self, with_oracle):
+        # run_experiment's runs keep no trace and share one density order
+        # and one digest; each report is still the one make_report gives
+        inst = gen_random(GenParams(12, 3, 50, 50, 1, 100, seed=7))
+        opt = exact_optimum(inst) if with_oracle else None
+        oracle = "ok" if with_oracle else "none"
+        want = [make_report(inst, run_algorithm(name, inst), opt, oracle) for name in ALGORITHMS]
+        assert run_experiment(inst, with_oracle=with_oracle) == want
+
     def test_unknown_algorithm_rejected(self, instance_a):
         with pytest.raises(ValueError):
             run_experiment(instance_a, algorithms=("simple", "bogus"))
@@ -204,6 +217,16 @@ class TestTraceAudit:
         # 4 items; the stray report falls in round 5 (dist: 3 phases a
         # round, 13 in all; tree: 4 a round, 16 in all)
         assert problems == ["round 5: winner p1 reported in a round that dispatches no item"]
+
+    @pytest.mark.parametrize("name", ["dist", "tree"])
+    def test_winner_in_the_round_after_the_last_item_is_caught(self, instance_a, name):
+        # round m = 4 is the source's tail: dist halts in its first phase
+        # (13), tree has no phase of it; either way it dispatches no item
+        run = run_algorithm(name, instance_a)
+        period = PROTOCOLS[name].period(instance_a)
+        stray = run.trace + (Delivery(instance_a.m * period + 1, 1, SOURCE, Winner(1)),)
+        problems = audit_max_capacity_dispatch(instance_a, stray, name)
+        assert problems == ["round 4: winner p1 reported in a round that dispatches no item"]
 
     @pytest.mark.parametrize("name", ["dist", "tree"])
     @pytest.mark.parametrize(
@@ -309,6 +332,13 @@ class TestVerification:
             SweepParams(1, 2, 0, 1, seeds=1)
         with pytest.raises(ValueError):
             SweepParams(1, 2, 1, 1, seeds=0)
+
+    def test_one_point_sweep(self):
+        # one m, one n and one seed: the smallest grid the ranges allow
+        params = SweepParams(3, 3, 2, 2, seeds=1)
+        assert list(params.grid()) == [
+            GenParams(3, 2, 50, 50, 1, 100, seed=3 * 1_000_003 + 2 * 10_007)
+        ]
 
     def test_sweep_grid_is_deterministic(self):
         params = SweepParams(1, 2, 1, 2, seeds=2)

@@ -49,6 +49,13 @@ class TestExactOptimum:
     def test_budget_exhaustion_is_explicit(self):
         assert exact_optimum(gen_adversarial(8, 100), node_budget=3) is None
 
+    def test_a_budget_of_exactly_the_nodes_explored_suffices(self, instance_a):
+        full = exact_optimum(instance_a)
+        k = full.explored
+        exact = exact_optimum(instance_a, node_budget=k)
+        assert exact is not None and (exact.opt, exact.explored) == (21, k)
+        assert exact_optimum(instance_a, node_budget=k - 1) is None
+
     def test_search_1500_items_deep_is_certified(self):
         # gen-random --m 1500 --n 2 --seed 1: the search is one level deeper
         # per item; 2640 is confirmed by an independent two-knapsack DP

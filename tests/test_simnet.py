@@ -1,4 +1,5 @@
 import re
+import weakref
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -312,6 +313,88 @@ class TestEngine:
             run_protocol(_OneShotSource(sends), {j: _SilentNode() for j in range(1, 5)})
 
 
+def _fault_text(source, processors, **kwargs) -> str:
+    with pytest.raises(SimulationFault) as fault:
+        run_protocol(source, processors, **kwargs)
+    return str(fault.value)
+
+
+class _Talker(SourceNode):
+    """Pings p1 in every phase until phase ``last``, then halts; in phase
+    ``last`` it sends ``final`` instead.  Keeps a weak reference to its
+    first ping, and in each later phase notes whether that ping is alive."""
+
+    def __init__(self, last, final):
+        self.phase = 0
+        self.last, self.final = last, final
+        self.first_ping = None
+        self.alive = []
+
+    def step(self, inbox):
+        self.phase += 1
+        if self.phase == 1:
+            ping = WeightOffer(1)
+            self.first_ping = weakref.ref(ping)
+            return [(1, ping)]
+        self.alive.append(self.first_ping() is not None)
+        if self.phase == self.last:
+            self.halted = True
+            return self.final
+        return [(1, WeightOffer(self.phase))]
+
+    def recorded_assignment(self):
+        return None
+
+
+class _Relay(Node):
+    """Tells p2 how many records it read, in every phase it has mail."""
+
+    def step(self, inbox):
+        return [(2, CapacityReport(len(inbox)))] if inbox else []
+
+
+def _relay_nodes():
+    return {1: _Relay(), 2: _SilentNode()}
+
+
+class TestRunWithoutTrace:
+    def test_same_metrics_and_no_trace(self):
+        _, metrics, trace = run_protocol(_Talker(4, []), _relay_nodes())
+        _, bare, none = run_protocol(_Talker(4, []), _relay_nodes(), keep_trace=False)
+        assert none is None and len(trace) == 6
+        assert bare == metrics == metrics_of(trace)
+
+    def test_records_are_released_once_delivered(self):
+        # the first ping is read by p1 in phase 2; only a kept trace holds
+        # it after that
+        traced, bare = _Talker(4, []), _Talker(4, [])
+        run_protocol(traced, _relay_nodes())
+        run_protocol(bare, _relay_nodes(), keep_trace=False)
+        assert traced.alive == [True, True, True]
+        assert bare.alive == [True, False, False]
+
+    @pytest.mark.parametrize(
+        "final,message",
+        [
+            ([(2, WeightOffer(0)), (1, WeightOffer(0))],
+             "S sent to p1 after a send to p2: "
+             "a node's sends must come in ascending recipient order"),
+            ([(range(1, 3), WeightOffer(0)), (2, WeightOffer(0))],
+             "S sent to p2 by a multicast and another send in one phase"),
+            ([(1, WeightOffer(0))], "p1 sent a message after the source halted"),
+        ],
+        ids=["out of order", "overlap", "after the halt"],
+    )
+    def test_faults_read_the_same(self, final, message):
+        # the bad sends come in phase 3, after two phases' records are gone;
+        # p1 relays the source's last send in phase 4, after the halt
+        runs = [
+            _fault_text(_Talker(3, final), _relay_nodes(), keep_trace=keep)
+            for keep in (True, False)
+        ]
+        assert runs == [message, message]
+
+
 class _Recorder(Node):
     """Keeps every inbox it is stepped with; sends nothing."""
 
@@ -411,6 +494,7 @@ class TestMulticast:
             ([(range(-2, 3), CapacityReport(1))], "p1 sent to nonexistent node -2"),
             ([(range(0, 9), CapacityReport(1))], "p1 sent to nonexistent node 4"),
             ([(range(0, 3), CapacityReport(1))], "p1 sent to itself"),
+            ([(range(1, 3), CapacityReport(1))], "p1 sent to itself"),
             ([(range(2, 4), CapacityReport(1))], "p1 sent a message after the source halted"),
             ([(range(5, 9), CapacityReport(1)), (range(1, 2), CapacityReport(1))],
              "p1 sent to nonexistent node 5"),
@@ -418,7 +502,7 @@ class TestMulticast:
              "p1 sent a message after the source halted"),
         ],
         ids=["empty", "step 2", "descending", "past n", "below 0", "past n and self",
-             "self", "halted", "first of two", "unicast first"],
+             "self", "self first", "halted", "first of two", "unicast first"],
     )
     def test_a_multicast_breaking_several_rules_reports_the_first(self, sends, message):
         # every send is also made after the source halted: a multicast's
