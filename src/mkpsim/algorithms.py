@@ -16,7 +16,8 @@ to the smallest processor id.
 
 ``modified`` the batch rounds above followed by the reassignment pass
              (:func:`final_reassign`), computed at the source and pushed with
-             one directive per knapsack that changed.
+             one directive per knapsack that changed, naming the one item
+             that replaces its contents.
 
 ``dist``     one item per round.  The source broadcasts the item's weight;
              every processor broadcasts (id, capacity-or-bottom) to every
@@ -88,7 +89,8 @@ def final_reassign(
     assignment leaves unassigned; evicted items rejoin it and stay
     available to later knapsacks.
 
-    Returns the new assignment and the tuple of changed knapsack indices.
+    Returns a new assignment, leaving the given one unchanged, and the tuple
+    of changed knapsack indices.
     The total profit never decreases: a swap happens only when the incoming
     item outweighs everything the knapsack held, and no other knapsack is
     touched by it.
@@ -160,10 +162,9 @@ class ProcessorNode(Node):
         self.remaining -= weight
 
     def _apply_directive(self, directive: FinalDirective) -> None:
-        load = sum(w for _, w in directive.contents)
-        if load > self.capacity:
+        if directive.weight > self.capacity:
             raise SimulationFault(f"p{self.j} got an overfull reassignment directive")
-        self.remaining = self.capacity - load
+        self.remaining = self.capacity - directive.weight
 
 
 class GreedySource(SourceNode):
@@ -186,17 +187,22 @@ class GreedySource(SourceNode):
         return self.assignment
 
     def _finish(self) -> list[Send]:
-        """Run the reassignment pass (if any) and halt; returns directives."""
-        out: list[Send] = []
-        self.pre_final_assignment = self.assignment.copy()
-        if self.reassigns:
-            self.assignment, self.changed = final_reassign(self.assignment, self.inst)
-            contents = self.assignment.items_by_knapsack(self.inst)
-            for j in self.changed:
-                weights = tuple((i, self.inst.items[i].weight) for i in contents[j])
-                out.append((j + 1, FinalDirective(weights)))
+        """Run the reassignment pass (if any) and halt; returns one directive
+        per changed knapsack, naming the single item the pass put in it."""
         self.halted = True
-        return out
+        # final_reassign returns a new assignment, so the dispatch record
+        # itself is the pre-final snapshot
+        self.pre_final_assignment = self.assignment
+        if not self.reassigns:
+            return []
+        self.assignment, self.changed = final_reassign(self.assignment, self.inst)
+        changed, items = set(self.changed), self.inst.items
+        directives = {
+            k: FinalDirective(i, items[i].weight)
+            for i, k in self.assignment.placement.items()
+            if k in changed
+        }
+        return [(j + 1, directives[j]) for j in self.changed]
 
 
 # ---------------------------------------------------------------------------
@@ -220,7 +226,6 @@ class BatchProcessor(ProcessorNode):
 
     def step(self, inbox: list[Delivery]) -> list[Send]:
         got_dispatch = False
-        directives = []
         # payload classes are final, so the exact type decides
         for msg in inbox:
             payload = msg.payload
@@ -233,11 +238,9 @@ class BatchProcessor(ProcessorNode):
             elif kind is Bottom:
                 got_dispatch = True
             elif kind is FinalDirective:
-                directives.append(payload)
+                self._apply_directive(payload)
             else:
                 raise SimulationFault(f"p{self.j}: unexpected payload {payload!r}")
-        for directive in directives:
-            self._apply_directive(directive)
         # the first report goes out in phase 1, each later one answers a dispatch
         if (self.rounds_sent == 0 or got_dispatch) and self.rounds_sent < self.rounds_total:
             self.rounds_sent += 1
@@ -329,7 +332,6 @@ class BroadcastProcessor(ProcessorNode):
     def step(self, inbox: list[Delivery]) -> list[Send]:
         offers: list[WeightOffer] = []
         pairs: list[ConsensusPair] = []
-        directives: list[FinalDirective] = []
         # payload classes are final, so the exact type decides; pairs are
         # most of the mail, n - 1 per processor per round
         for msg in inbox:
@@ -346,7 +348,7 @@ class BroadcastProcessor(ProcessorNode):
             elif kind is FinalDirective:
                 if msg.sender != SOURCE:
                     raise SimulationFault(f"p{self.j}: directive from non-source")
-                directives.append(payload)
+                self._apply_directive(payload)
             else:
                 raise SimulationFault(f"p{self.j}: unexpected payload {payload!r}")
 
@@ -380,9 +382,6 @@ class BroadcastProcessor(ProcessorNode):
                 out.append((SOURCE, Winner(self.j)))
                 self._take(self.current_weight)
             self.my_report = None
-
-        for directive in directives:
-            self._apply_directive(directive)
         return out
 
 
@@ -433,7 +432,8 @@ class BroadcastSource(GreedySource):
 #        its children (depth d+1) have been heard
 #   P-1  the root merges and reports winner-or-bottom to the source
 #   P    the source books the round and awards the item to the winner;
-#        after the last round it also runs the reassignment pass and halts.
+#        after the last round it also runs the reassignment pass and halts,
+#        so its directives land at offset 1, in which no node sends.
 # A processor steps only on mail (the engine's rule), and reads the phase
 # from it.  The one that must send without mail is a childless node above
 # the bottom level (depth D-1): it asks for a wake-up when the offer arrives.
@@ -466,7 +466,6 @@ class TreeProcessor(ProcessorNode):
     def step(self, inbox: list[Delivery]) -> list[Send]:
         phase = inbox[0].phase + 1 if inbox else self.alarm
         offset = (phase - 1) % self.period + 1
-        directives = []
         # payload classes are final, so the exact type decides; pairs and
         # offers are nearly all of the mail
         for msg in inbox:
@@ -495,14 +494,10 @@ class TreeProcessor(ProcessorNode):
             elif kind is FinalDirective:
                 if msg.sender != SOURCE:
                     raise SimulationFault(f"p{self.j}: directive from non-source")
-                directives.append(payload)
+                self._apply_directive(payload)
             else:
                 raise SimulationFault(f"p{self.j}: unexpected payload {payload!r}")
 
-        if directives:
-            for directive in directives:
-                self._apply_directive(directive)
-            return []
         if offset != self.send_offset or self.current_weight is None:
             return []
         pairs = self.child_pairs

@@ -227,29 +227,8 @@ class Assignment:
         self.placement[item_id] = knapsack
         self.remaining[knapsack] -= item.weight
 
-    def unassign(self, inst: Instance, item_id: int) -> None:
-        knapsack = self.placement.get(item_id)
-        if knapsack is None:
-            raise DomainError(f"item {item_id} is not assigned")
-        self.placement[item_id] = None
-        self.remaining[knapsack] += inst.item(item_id).weight
-
-    def items_by_knapsack(self, inst: Instance) -> list[list[int]]:
-        """Each knapsack's item ids in ascending order, built in one pass
-        over the placement."""
-        groups: list[list[int]] = [[] for _ in range(inst.n)]
-        for item_id, knapsack in sorted(self.placement.items()):
-            if knapsack is not None:
-                if not 0 <= knapsack < inst.n:
-                    raise DomainError(f"item {item_id} assigned to unknown knapsack {knapsack}")
-                groups[knapsack].append(item_id)
-        return groups
-
     def assigned_items(self) -> list[int]:
         return sorted(i for i, k in self.placement.items() if k is not None)
-
-    def unassigned_items(self) -> list[int]:
-        return sorted(i for i, k in self.placement.items() if k is None)
 
 
 def objective(assignment: Assignment, inst: Instance) -> int:

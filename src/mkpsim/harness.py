@@ -235,33 +235,25 @@ def run_experiment(inst: Instance, algorithms=ALGORITHMS, with_oracle: bool = Fa
 # Trace audit
 # ---------------------------------------------------------------------------
 
-def audit_max_capacity_dispatch(inst: Instance, trace: Trace, algorithm: str) -> list[str]:
+def audit_max_capacity_dispatch(
+    inst: Instance, trace: Trace, period: int, sequential: dict[int, int | None]
+) -> list[str]:
     """Check a one-item-per-round protocol's trace against the greedy
     dispatch: round r must award the r-th item in density order to a
     largest remaining knapsack that fits it (ties: smallest id), or to
     nobody when none fits.
 
-    Winners are read off the trace's winner reports, each in the round its
-    phase falls in by the protocol's period.  By induction over the rounds,
-    every winner is the greedy choice given the earlier winners iff the
-    winner sequence is the one :func:`strict_sequential_greedy` gives, so
-    the trace is compared with that.  Returns the first round that differs
-    (a winner reported in a round that dispatches no item included), or
-    more than one winner report in a round; ``[]`` for a clean trace.
+    ``period`` is the protocol's phases per round and ``sequential`` the
+    :func:`strict_sequential_greedy` placement of ``inst``, which
+    :func:`verify_instance` has already computed.  Winners are read off the
+    trace's winner reports, each in the round its phase falls in.  By
+    induction over the rounds, every winner is the greedy choice given the
+    earlier winners iff the winner sequence is the one ``sequential``
+    gives, so the trace is compared with that.  Returns the first round
+    that differs (a winner reported in a round that dispatches no item
+    included), or more than one winner report in a round; ``[]`` for a
+    clean trace.
     """
-    protocol = PROTOCOLS.get(algorithm)
-    if protocol is None or not protocol.one_item_per_round:
-        raise ValueError(f"audit applies to one-item-per-round protocols, not {algorithm!r}")
-    sequential = strict_sequential_greedy(inst).assignment.placement
-    return _audit_winners(inst, trace, protocol.period(inst), sequential)
-
-
-def _audit_winners(
-    inst: Instance, trace: Trace, period: int, sequential: dict[int, int | None]
-) -> list[str]:
-    """:func:`audit_max_capacity_dispatch` given the protocol's period and
-    the :func:`strict_sequential_greedy` placement, which
-    :func:`verify_instance` has already computed."""
     winners: dict[int, int] = {}
     for d in trace:
         if d.recipient == SOURCE and isinstance(d.payload, Winner):
@@ -406,7 +398,8 @@ def verify_instance(inst: Instance, *, with_oracle: bool = True) -> InstanceVeri
             bad.append(f"{name}: final placement differs from {greedy.__name__} {after}")
 
         if protocol.one_item_per_round:  # so ``dispatched`` is the sequential greedy's
-            for problem in _audit_winners(inst, res.trace, protocol.period(inst), dispatched):
+            period = protocol.period(inst)
+            for problem in audit_max_capacity_dispatch(inst, res.trace, period, dispatched):
                 bad.append(f"{name}: trace audit: {problem}")
         if protocol.reassigns and opt is not None and not bound_holds(res.profit, opt, n):
             bad.append(f"{name}: bound violated: {res.profit} * ({n}+1) < {opt.opt}")

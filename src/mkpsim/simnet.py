@@ -101,8 +101,9 @@ class Winner:
 
 @dataclass(frozen=True)
 class FinalDirective:
-    """Source -> processor: replacement contents as (item id, weight) pairs."""
-    contents: tuple[tuple[int, int], ...]
+    """Source -> processor: the one item that replaces the knapsack's contents."""
+    item: int
+    weight: int
 
 
 Payload = (
@@ -251,8 +252,7 @@ def render_payload(payload: Payload) -> str:
     if isinstance(payload, Winner):
         return f"winner {payload.processor}"
     if isinstance(payload, FinalDirective):
-        parts = " ".join(f"{i}:{w}" for i, w in payload.contents)
-        return f"final {parts}".rstrip()
+        return f"final {payload.item}:{payload.weight}"
     raise TypeError(f"unknown payload {payload!r}")
 
 

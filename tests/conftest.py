@@ -1,7 +1,8 @@
 import pytest
 from hypothesis import strategies as st
 
-from mkpsim import Instance, RunMetrics
+from mkpsim import PROTOCOLS, DomainError, Instance, RunMetrics, strict_sequential_greedy
+from mkpsim.harness import audit_max_capacity_dispatch
 
 
 @pytest.fixture
@@ -54,3 +55,22 @@ def metrics_of(trace) -> RunMetrics:
         counts[phase] = counts.get(phase, 0) + 1
     phases = max(counts) if counts else 0
     return RunMetrics(sum(counts.values()), phases, tuple(sorted(counts.items())))
+
+
+def items_by_knapsack(assignment, inst) -> list[list[int]]:
+    """Each knapsack's item ids in ascending order."""
+    groups: list[list[int]] = [[] for _ in range(inst.n)]
+    for item_id, knapsack in sorted(assignment.placement.items()):
+        if knapsack is not None:
+            if not 0 <= knapsack < inst.n:
+                raise DomainError(f"item {item_id} assigned to unknown knapsack {knapsack}")
+            groups[knapsack].append(item_id)
+    return groups
+
+
+def audit_trace(inst, trace, name) -> list[str]:
+    """:func:`~mkpsim.harness.audit_max_capacity_dispatch` of the named
+    one-item-per-round protocol's trace, given the protocol's period and the
+    sequential greedy placement, as ``verify_instance`` calls it."""
+    sequential = strict_sequential_greedy(inst).assignment.placement
+    return audit_max_capacity_dispatch(inst, trace, PROTOCOLS[name].period(inst), sequential)

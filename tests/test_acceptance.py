@@ -23,6 +23,7 @@ import pytest
 
 from mkpsim import (
     ALGORITHMS,
+    PROTOCOLS,
     Assignment,
     check_feasible,
     gen_adversarial,
@@ -113,7 +114,10 @@ def sweep():
 
         # criterion 5: per-round greedy trace audit
         for name in ("dist", "tree"):
-            for problem in audit_max_capacity_dispatch(inst, results[name].trace, name):
+            period = PROTOCOLS[name].period(inst)
+            trace = results[name].trace
+            placement = sequential.assignment.placement
+            for problem in audit_max_capacity_dispatch(inst, trace, period, placement):
                 audits.append(f"{tag}: {name}: {problem}")
     elapsed = time.perf_counter() - start
     return SimpleNamespace(

@@ -4,7 +4,7 @@ import re
 from dataclasses import replace
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from mkpsim import (
     ALGORITHMS,
@@ -33,7 +33,7 @@ from mkpsim.simnet import (
     Winner,
 )
 
-from conftest import deliveries, metrics_of, small_instances
+from conftest import deliveries, items_by_knapsack, metrics_of, small_instances
 
 
 def placement(result):
@@ -60,7 +60,7 @@ class TestFinalReassign:
         assignment.assign(fam, 1, 1)
         out, changed = final_reassign(assignment, fam)
         assert changed == (0, 1)
-        assert out.items_by_knapsack(fam) == [[2], [3]]
+        assert items_by_knapsack(out, fam) == [[2], [3]]
         assert sum(fam.item(i).cost for i in out.assigned_items()) == 20
 
     def test_instance_a_after_strict_greedy(self, instance_a):
@@ -68,7 +68,7 @@ class TestFinalReassign:
         assert greedy.profit == 17
         out, changed = final_reassign(greedy.assignment, instance_a)
         assert changed == (1,)
-        assert out.items_by_knapsack(instance_a)[1] == [2]  # 7 beats the 6 it held
+        assert items_by_knapsack(out, instance_a)[1] == [2]  # 7 beats the 6 it held
         assert sum(instance_a.item(i).cost for i in out.assigned_items()) == 18
 
     def test_evicted_items_stay_available_to_later_knapsacks(self):
@@ -77,13 +77,13 @@ class TestFinalReassign:
         assignment.assign(inst, 0, 0)
         out, changed = final_reassign(assignment, inst)
         assert changed == (0, 1)
-        assert out.items_by_knapsack(inst) == [[1], [0]]  # the evicted item found a new home
+        assert items_by_knapsack(out, inst) == [[1], [0]]  # the evicted item found a new home
 
     def test_cost_ties_pick_the_smallest_id(self):
         inst = Instance.from_pairs([(5, 2), (5, 1)], [3])
         out, changed = final_reassign(Assignment.empty(inst), inst)
         assert changed == (0,)
-        assert out.items_by_knapsack(inst) == [[0]]
+        assert items_by_knapsack(out, inst) == [[0]]
 
     def test_equal_profit_keeps_current_contents(self):
         inst = Instance.from_pairs([(5, 1), (5, 1)], [1])
@@ -91,7 +91,7 @@ class TestFinalReassign:
         assignment.assign(inst, 1, 0)
         out, changed = final_reassign(assignment, inst)
         assert changed == ()
-        assert out.items_by_knapsack(inst) == [[1]]
+        assert items_by_knapsack(out, inst) == [[1]]
 
     def test_profit_never_decreases(self, instance_a):
         greedy = strict_sequential_greedy(instance_a)
@@ -131,12 +131,10 @@ def reassign_by_rescanning(assignment, inst):
 
 
 def assert_reassign_matches_rescan(inst, assignment):
-    before = assignment.copy()
     out, changed = final_reassign(assignment, inst)
     assert (out.placement, out.remaining, changed) == reassign_by_rescanning(
         assignment, inst
     )
-    assert assignment == before  # the input is never mutated
     return out, changed
 
 
@@ -162,11 +160,22 @@ class TestReassignDifferential:
     def test_matches_quadratic_restatement(self, case):
         assert_reassign_matches_rescan(*case)
 
+    @settings(max_examples=200, deadline=None)
+    @given(reassign_cases())
+    def test_input_is_left_unchanged(self, case):
+        # a run keeps its dispatch record itself as the pre-final snapshot
+        inst, assignment = case
+        placement, remaining = dict(assignment.placement), list(assignment.remaining)
+        out, _ = final_reassign(assignment, inst)
+        assert (assignment.placement, assignment.remaining) == (placement, remaining)
+        assert out.placement is not assignment.placement
+        assert out.remaining is not assignment.remaining
+
     def test_cost_tie_goes_to_the_smallest_id(self):
         inst = Instance.from_pairs([(1, 1), (7, 5), (7, 2), (7, 3)], [5, 3])
         out, changed = assert_reassign_matches_rescan(inst, Assignment.empty(inst))
         assert changed == (0, 1)
-        assert out.items_by_knapsack(inst) == [[1], [2]]
+        assert items_by_knapsack(out, inst) == [[1], [2]]
 
     def test_equal_profit_keeps_the_current_contents(self):
         inst = Instance.from_pairs([(3, 1), (2, 1), (5, 2)], [2])
@@ -174,12 +183,12 @@ class TestReassignDifferential:
         assignment.assign(inst, 0, 0)
         assignment.assign(inst, 1, 0)
         out, changed = assert_reassign_matches_rescan(inst, assignment)
-        assert changed == () and out.items_by_knapsack(inst) == [[0, 1]]
+        assert changed == () and items_by_knapsack(out, inst) == [[0, 1]]
 
     def test_zero_capacity_knapsacks_are_skipped(self):
         inst = Instance.from_pairs([(4, 1), (9, 2)], [0, 2, 0])
         out, changed = assert_reassign_matches_rescan(inst, Assignment.empty(inst))
-        assert changed == (1,) and out.items_by_knapsack(inst) == [[], [1], []]
+        assert changed == (1,) and items_by_knapsack(out, inst) == [[], [1], []]
 
     def test_evicted_items_go_to_later_knapsacks_in_cost_order(self):
         # knapsack 0 evicts three items; knapsacks 1 and 2 take the two
@@ -192,7 +201,7 @@ class TestReassignDifferential:
             assignment.assign(inst, i, 0)
         out, changed = assert_reassign_matches_rescan(inst, assignment)
         assert changed == (0, 1, 2, 3)
-        assert out.items_by_knapsack(inst) == [[3], [1], [2], [4]]
+        assert items_by_knapsack(out, inst) == [[3], [1], [2], [4]]
 
 
 class TestSimpleGreedy:
@@ -250,6 +259,27 @@ class TestModifiedGreedy:
         assert simple.assignment.placement == modified.assignment.placement
         assert modified.changed_knapsacks == ()
         assert modified.messages == simple.messages
+
+
+@settings(max_examples=100, deadline=None)
+@given(small_instances(max_n=4))
+@example(gen_adversarial(3, 10))
+def test_each_directive_names_the_one_item_its_knapsack_holds(inst):
+    for name, protocol in PROTOCOLS.items():
+        if not protocol.reassigns:
+            continue
+        run = run_algorithm(name, inst)
+        sent = [
+            (sender, k, payload)
+            for _, sender, k, payload in deliveries(run.trace)
+            if type(payload) is FinalDirective
+        ]
+        final = items_by_knapsack(run.assignment, inst)
+        expected = []
+        for j in run.changed_knapsacks:
+            (item,) = final[j]
+            expected.append((SOURCE, j + 1, FinalDirective(item, inst.items[item].weight)))
+        assert sent == expected, name
 
 
 class TestDistributedGreedy:
@@ -320,7 +350,7 @@ class TestBroadcastProcessorFaults:
 
     def test_directive_from_a_non_source(self):
         with pytest.raises(SimulationFault, match="^p1: directive from non-source$"):
-            self.p1().step(self.mail((2, FinalDirective(((0, 2),)))))
+            self.p1().step(self.mail((2, FinalDirective(0, 2))))
 
     def test_capacity_pair_from_the_source(self):
         with pytest.raises(SimulationFault, match="^p1: capacity pair from the source$"):
@@ -495,8 +525,8 @@ class TestTreeProcessorDifferential:
         period = node.period
         silent = [(6, ConsensusPair(None, None)), (7, ConsensusPair(None, None))]
         assert tree_round(node, 7, 2, silent) == [(1, ConsensusPair(3, 9))]
-        # the reassignment pass refills p3 to a load of 5
-        assert node.step([Delivery(period, SOURCE, 3, FinalDirective(((0, 3), (1, 2))))]) == []
+        # the reassignment pass refills p3 with one item of weight 5
+        assert node.step([Delivery(period, SOURCE, 3, FinalDirective(0, 5))]) == []
         assert tree_round(node, 7, 4, silent, start=period + 1) == [(1, ConsensusPair(3, 4))]
         assert tree_round(node, 7, 5, silent, start=2 * period + 1) == [
             (1, ConsensusPair(None, None))
@@ -536,7 +566,7 @@ class TestTreeProcessorFaults:
 
     def test_directive_from_a_non_source(self):
         with pytest.raises(SimulationFault, match="^p1: directive from non-source$"):
-            self.p1().step(self.mail(5, (2, FinalDirective(((0, 2),)))))
+            self.p1().step(self.mail(5, (2, FinalDirective(0, 2))))
 
     @pytest.mark.parametrize("phase", [2, 3, 4, 7])
     def test_weight_offer_off_schedule(self, phase):
@@ -853,9 +883,9 @@ def test_evicting_instance_matches_golden_digests():
             continue
         pre = run.pre_final_assignment
         assert run.changed_knapsacks == tuple(range(18)), name
-        pre_groups = pre.items_by_knapsack(inst)
+        pre_groups = items_by_knapsack(pre, inst)
         assert all(len(pre_groups[j]) > 1 for j in range(16)), name
-        final_groups = run.assignment.items_by_knapsack(inst)
+        final_groups = items_by_knapsack(run.assignment, inst)
         for j in (16, 17):
             (taken,) = final_groups[j]
             assert pre.placement[taken] in range(16), name  # evicted earlier

@@ -25,7 +25,7 @@ from mkpsim import (
 from mkpsim.harness import gen_adversarial
 from mkpsim.oracle import strict_sequential_greedy
 
-from conftest import small_instances
+from conftest import items_by_knapsack, small_instances
 
 A_DIGEST = "0401abf4d0613f8b3fcb83288533e716c2dd9aff75d3d53c3654766539025441"
 
@@ -361,24 +361,17 @@ class TestAssignmentMutators:
         with pytest.raises(DomainError):
             assignment.assign(instance_a, 0, 1)
 
-    def test_unassign_restores_capacity(self, instance_a):
-        assignment = Assignment.empty(instance_a)
-        assignment.assign(instance_a, 0, 0)
-        assignment.unassign(instance_a, 0)
-        assert assignment.remaining[0] == 10
-        assert assignment.unassigned_items() == [0, 1, 2, 3]
-
     def test_items_by_knapsack_view(self, instance_a):
         assignment = Assignment.empty(instance_a)
         assignment.assign(instance_a, 3, 0)
         assignment.assign(instance_a, 0, 0)
-        assert assignment.items_by_knapsack(instance_a) == [[0, 3], []]
+        assert items_by_knapsack(assignment, instance_a) == [[0, 3], []]
 
     def test_items_by_knapsack_rejects_an_unknown_knapsack(self, instance_a):
         assignment = Assignment.empty(instance_a)
         assignment.placement[1] = 2  # bypass assign(); instance A has knapsacks 0 and 1
         with pytest.raises(DomainError, match="unknown knapsack 2"):
-            assignment.items_by_knapsack(instance_a)
+            items_by_knapsack(assignment, instance_a)
 
 
 class TestInstanceDocument:

@@ -12,7 +12,6 @@ from mkpsim import (
     GenParams,
     Instance,
     SweepParams,
-    audit_max_capacity_dispatch,
     exact_optimum,
     gen_adversarial,
     gen_random,
@@ -26,7 +25,7 @@ from mkpsim.harness import CSV_COLUMNS, make_report, report_to_json, reports_to_
 from mkpsim.core import Assignment
 from mkpsim.simnet import SOURCE, Delivery, SimulationFault, Winner
 
-from conftest import small_instances
+from conftest import audit_trace, small_instances
 
 GOLDEN_DIGEST_M10_N3_SEED42 = (
     "a47136d6d9edfef75e24ae81354257895c9eabf7c1c70aa941eb65396751a967"
@@ -186,7 +185,7 @@ class TestTraceAudit:
     def test_clean_runs_pass(self, instance_a):
         for name in ("dist", "tree"):
             run = run_algorithm(name, instance_a)
-            assert audit_max_capacity_dispatch(instance_a, run.trace, name) == []
+            assert audit_trace(instance_a, run.trace, name) == []
 
     def test_tampered_winner_is_caught(self, instance_a):
         run = run_algorithm("dist", instance_a)
@@ -196,24 +195,20 @@ class TestTraceAudit:
             else d
             for d in run.trace
         )
-        problems = audit_max_capacity_dispatch(instance_a, tampered, "dist")
+        problems = audit_trace(instance_a, tampered, "dist")
         assert problems and "round 0" in problems[0]
 
     def test_fabricated_extra_winner_is_caught(self, instance_a):
         run = run_algorithm("dist", instance_a)
         extra = run.trace + (Delivery(3, 2, SOURCE, Winner(2)),)
-        problems = audit_max_capacity_dispatch(instance_a, extra, "dist")
+        problems = audit_trace(instance_a, extra, "dist")
         assert problems == ["round 0: more than one winner report"]
-
-    def test_unknown_algorithm_rejected(self, instance_a):
-        with pytest.raises(ValueError):
-            audit_max_capacity_dispatch(instance_a, (), "simple")
 
     @pytest.mark.parametrize("name", ["dist", "tree"])
     def test_winner_in_a_round_without_an_item_is_caught(self, instance_a, name):
         run = run_algorithm(name, instance_a)
         stray = run.trace + (Delivery(run.phases + 5, 1, SOURCE, Winner(1)),)
-        problems = audit_max_capacity_dispatch(instance_a, stray, name)
+        problems = audit_trace(instance_a, stray, name)
         # 4 items; the stray report falls in round 5 (dist: 3 phases a
         # round, 13 in all; tree: 4 a round, 16 in all)
         assert problems == ["round 5: winner p1 reported in a round that dispatches no item"]
@@ -225,7 +220,7 @@ class TestTraceAudit:
         run = run_algorithm(name, instance_a)
         period = PROTOCOLS[name].period(instance_a)
         stray = run.trace + (Delivery(instance_a.m * period + 1, 1, SOURCE, Winner(1)),)
-        problems = audit_max_capacity_dispatch(instance_a, stray, name)
+        problems = audit_trace(instance_a, stray, name)
         assert problems == ["round 4: winner p1 reported in a round that dispatches no item"]
 
     @pytest.mark.parametrize("name", ["dist", "tree"])
@@ -241,8 +236,8 @@ class TestTraceAudit:
         inst = Instance.from_pairs([(9, 2), (8, 2), (7, 2), (1, 4)], [5, 5, 3])
         run = run_algorithm(name, inst)
         assert [d.payload.processor for d in _winner_reports(run.trace)] == [1, 2, 1]
-        assert audit_max_capacity_dispatch(inst, run.trace, name) == []
-        problems = audit_max_capacity_dispatch(inst, _retarget(run.trace, changes), name)
+        assert audit_trace(inst, run.trace, name) == []
+        problems = audit_trace(inst, _retarget(run.trace, changes), name)
         assert problems and problems[0].startswith(f"round {first_round}: "), problems
 
 
@@ -283,7 +278,7 @@ def test_audit_agrees_with_a_round_by_round_replay(inst, name, data):
     trace = tuple(d for d in run.trace if id(d) not in reports) + tuple(
         Delivery(r * period + 1, 1, SOURCE, Winner(p)) for r, p in winners.items()
     )
-    problems = audit_max_capacity_dispatch(inst, trace, name)
+    problems = audit_trace(inst, trace, name)
     first = _first_replayed_violation(inst, winners)
     if first is None:
         assert problems == []

@@ -92,6 +92,7 @@ class TestSearchOrder:
             (("random", 4, 1, 1), 81, 11),
             (("random", 6, 1, 3), 143, 11),
             (("random", 5, 2, 1), 136, 14),
+            (("random", 6, 2, 6020059), 99, 15),
             (("adversarial", 2, 10), 20, 20),
             (("adversarial", 8, 100), 800, 2339),
             (("random", 10, 3, 1), 254, 1190),
@@ -155,7 +156,7 @@ class TestGreedyRecomputations:
         inst = Instance.from_pairs([(4, 1), (9, 2), (1, 3)], [10])
         solution = strict_sequential_greedy(inst)
         assert solution.profit == 14
-        assert solution.assignment.unassigned_items() == []
+        assert solution.assignment.assigned_items() == [0, 1, 2]
 
     @pytest.mark.parametrize("n", [1, 2, 4])
     def test_strict_sequential_family_picks_light_items(self, n):

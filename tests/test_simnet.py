@@ -852,7 +852,7 @@ class TestMetricsAndRendering:
             (ConsensusPair(2, None), "pair 2 -"),
             (ConsensusPair(None, None), "pair - -"),
             (Winner(2), "winner 2"),
-            (FinalDirective(((2, 7), (5, 3))), "final 2:7 5:3"),
+            (FinalDirective(2, 7), "final 2:7"),
         ],
     )
     def test_payload_rendering(self, payload, text):
@@ -883,20 +883,20 @@ def hand_built_traces(draw):
     """Records over a small pool of payload objects, in groups of three
     shapes: a run of unicasts, one multicast over a range of ids, and a
     broadcast to processors 1..n split around its sender into two ranges.
-    The pool holds distinct objects of equal value and
-    ``FinalDirective(())``, and a group may reuse any object, so groups meet
-    with the same payload under another phase, sender or shape, and objects
-    recur at non-adjacent positions.  Ids go up to 4 or to a few hundred, in
-    any order, so a record may name an id past every one before it as its
-    sender, as a unicast recipient or at either end of a range."""
+    The pool holds distinct objects of equal value, and a group may reuse
+    any object, so groups meet with the same payload under another phase,
+    sender or shape, and objects recur at non-adjacent positions.  Ids go
+    up to 4 or to a few hundred, in any order, so a record may name an id
+    past every one before it as its sender, as a unicast recipient or at
+    either end of a range."""
     pool = [
         WeightOffer(3),
         WeightOffer(3),
         ConsensusPair(2, None),
         ConsensusPair(None, None),
         ConsensusPair(2, 5),
-        FinalDirective(()),
-        FinalDirective(((1, 4), (7, 2))),
+        FinalDirective(1, 4),
+        FinalDirective(1, 4),
         Winner(1),
         Bottom(),
         CapacityReport(0),
@@ -927,7 +927,7 @@ class TestRenderDifferential:
         assert render_trace(trace) == render_by_line(trace)
 
     def test_named_shapes(self):
-        offer, twin, final = WeightOffer(3), WeightOffer(3), FinalDirective(())
+        offer, twin, final = WeightOffer(3), WeightOffer(3), FinalDirective(7, 2)
         pair = ConsensusPair(1, 4)
         shapes = {
             "empty": (),
@@ -951,7 +951,7 @@ class TestRenderDifferential:
                 Delivery(2, SOURCE, 1, offer),
                 Delivery(2, SOURCE, 2, offer),
             ),
-            "empty final directive": (
+            "final directive": (
                 Delivery(4, SOURCE, 1, final),
                 Delivery(4, SOURCE, 2, final),
             ),
@@ -967,13 +967,13 @@ class TestRenderDifferential:
         }
         for name, trace in shapes.items():
             assert render_trace(trace) == render_by_line(trace), name
-        assert render_trace(shapes["empty final directive"]) == "4 S p1 final\n4 S p2 final\n"
+        assert render_trace(shapes["final directive"]) == "4 S p1 final 7:2\n4 S p2 final 7:2\n"
         assert render_trace(shapes["a sender past every id before it"]).endswith(
             "2 p301 p1 pair 1 4\n2 p301 p2 pair 1 4\n"
         )
 
     def test_named_multicast_shapes(self):
-        offer, pair, final = WeightOffer(3), ConsensusPair(1, 4), FinalDirective(())
+        offer, pair, final = WeightOffer(3), ConsensusPair(1, 4), FinalDirective(7, 2)
         shapes = {
             "one recipient": (Delivery(1, SOURCE, range(2, 3), offer),),
             "split around the sender": (
@@ -990,14 +990,14 @@ class TestRenderDifferential:
                 Delivery(1, SOURCE, range(1, 3), offer),
                 Delivery(2, 2, range(250, 253), pair),
             ),
-            "empty final directive": (Delivery(4, SOURCE, range(1, 3), final),),
+            "final directive": (Delivery(4, SOURCE, range(1, 3), final),),
         }
         for name, trace in shapes.items():
             assert render_trace(trace) == render_by_line(trace), name
         assert render_trace(shapes["split around the sender"]) == "".join(
             f"2 p3 p{k} pair 1 4\n" for k in (1, 2, 4, 5)
         )
-        assert render_trace(shapes["empty final directive"]) == "4 S p1 final\n4 S p2 final\n"
+        assert render_trace(shapes["final directive"]) == "4 S p1 final 7:2\n4 S p2 final 7:2\n"
 
     @pytest.mark.parametrize("alg", ["simple", "modified", "dist", "tree"])
     def test_matches_on_protocol_traces(self, alg):
