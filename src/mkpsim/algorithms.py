@@ -718,12 +718,14 @@ def run_algorithm(
     )
     _check_run(inst, assignment, processors)
     pre = source.pre_final_assignment
+    profit = objective(assignment, inst)
     return RunResult(
         algorithm=name,
         assignment=assignment,
-        profit=objective(assignment, inst),
+        profit=profit,
         pre_final_assignment=pre,
-        pre_final_profit=objective(pre, inst),
+        # one object when nothing ran after the dispatch (``simple``)
+        pre_final_profit=profit if pre is assignment else objective(pre, inst),
         changed_knapsacks=source.changed,
         metrics=metrics,
         trace=trace,

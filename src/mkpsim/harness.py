@@ -357,6 +357,7 @@ def verify_instance(inst: Instance, *, with_oracle: bool = True) -> InstanceVeri
     unavailable oracle starts with the protocol's name."""
     n = inst.n
     opt = exact_optimum(inst) if with_oracle else None
+    order = sort_by_density(inst.items)  # shared by the runs, not the cross-checks
     results: dict[str, RunResult] = {}
     recomputed = {}  # greedy -> (its placement, final_reassign of it)
     bad: list[str] = []
@@ -364,7 +365,7 @@ def verify_instance(inst: Instance, *, with_oracle: bool = True) -> InstanceVeri
     # messages formatted only on failure: a sweep runs this per instance
     for name, protocol in PROTOCOLS.items():
         # run_algorithm raises on an infeasible final assignment
-        res = results[name] = run_algorithm(name, inst)
+        res = results[name] = run_algorithm(name, inst, order=order)
         violation = check_feasible(res.pre_final_assignment, inst)
         if violation is not None:
             bad.append(f"{name}: pre-final assignment infeasible: {violation}")

@@ -15,8 +15,10 @@ cross-checks of the protocol simulations.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate
 
 from .core import Assignment, Instance, objective, sort_by_density
 
@@ -94,64 +96,63 @@ def _branch_and_bound(inst: Instance, node_budget: int) -> OptimalSolution | Non
     """Depth-first branch and bound over items in density order.
 
     Upper bound: the fractional single-knapsack relaxation of the remaining
-    items over the pooled remaining capacity, compared in exact integer
-    arithmetic.  Two dominance rules keep symmetric instances tractable:
-    knapsacks with equal remaining capacity are interchangeable for every
-    future decision, so only one representative per distinct capacity is
-    branched on; and a state already reached with the same remaining-capacity
-    multiset at no smaller profit cannot be improved by revisiting.
+    items over the pooled remaining capacity (the Dantzig bound), compared in
+    exact integer arithmetic.  Each node carries its pooled capacity, and
+    prefix sums of weight and cost over the density order give the bound in
+    O(log m): one ``bisect_right`` over the weight prefix finds the critical
+    item, the first that no longer fits whole, and one integer comparison
+    settles it.
+
+    Two dominance rules keep symmetric instances tractable: knapsacks with
+    equal remaining capacity are interchangeable for every future decision,
+    so only one representative per distinct capacity is branched on; and a
+    state (depth, remaining-capacity multiset) already expanded at no smaller
+    profit cannot be improved by revisiting.  The bound is tested first, and
+    the memo records only the states that pass it.  That visits the same
+    nodes as recording every state before the bound test would: for a fixed
+    state the bound grows with profit and the incumbent never falls, so a
+    node whose state was last reached by a bound-pruned node at no smaller
+    profit fails the bound itself.
 
     The search runs on an explicit stack, one child generator per open node,
     so its depth is bounded by memory alone.  Returns ``None`` only when the
     node budget runs out.
     """
     order = sort_by_density(inst.items)
-    items = [inst.items[i] for i in order]
     m, n = inst.m, inst.n
+    weights = [inst.items[i].weight for i in order]  # per density position
+    costs = [inst.items[i].cost for i in order]
+    wsum = [0, *accumulate(weights)]  # wsum[k]: weight of the first k items
+    csum = [0, *accumulate(costs)]
     remaining = list(inst.capacities)
     placement: list[int | None] = [None] * m  # per density position
     best_profit = -1
     best_placement: list[int | None] = list(placement)
-    seen: dict[tuple, int] = {}
+    seen: list[dict[tuple[int, ...], int]] = [{} for _ in range(m)]  # per depth
     explored = 0
 
-    def promising(idx: int, profit: int) -> bool:
-        # True iff the fractional bound strictly beats the incumbent.
-        pool = sum(remaining)
-        ub = profit
-        for k in range(idx, m):
-            if ub > best_profit:
-                return True
-            item = items[k]
-            if item.weight <= pool:
-                pool -= item.weight
-                ub += item.cost
-            else:
-                return ub * item.weight + pool * item.cost > best_profit * item.weight
-        return ub > best_profit
-
-    def children(idx: int, profit: int):
+    def children(idx: int, profit: int, pool: int):
         # Place item idx in one knapsack per distinct remaining capacity,
         # largest first (ties: smallest index), then leave it out.  Each
         # placement is undone when the generator resumes after its subtree.
-        item = items[idx]
+        weight, cost = weights[idx], costs[idx]
         last_cap = None
         # a reverse sort is stable, so equal capacities keep ascending index
         for j in sorted(range(n), key=remaining.__getitem__, reverse=True):
             cap = remaining[j]
-            if cap < item.weight:
+            if cap < weight:
                 break  # capacities only fall from here on
             if cap == last_cap:
                 continue
             last_cap = cap
-            remaining[j] -= item.weight
+            remaining[j] -= weight
             placement[idx] = j
-            yield idx + 1, profit + item.cost
+            yield idx + 1, profit + cost, pool - weight
             placement[idx] = None
-            remaining[j] += item.weight
-        yield idx + 1, profit
+            remaining[j] += weight
+        yield idx + 1, profit, pool
 
-    stack = [iter([(0, 0)])]
+    stack = [iter([(0, 0, sum(remaining))])]
     while stack:
         node = next(stack[-1], None)
         if node is None:
@@ -160,18 +161,29 @@ def _branch_and_bound(inst: Instance, node_budget: int) -> OptimalSolution | Non
         explored += 1
         if explored > node_budget:
             return None
-        idx, profit = node
+        idx, profit, pool = node
         if idx == m:
             if profit > best_profit:
                 best_profit = profit
                 best_placement = list(placement)
             continue
-        state = (idx, tuple(sorted(remaining)))
-        if profit <= seen.get(state, -1):
+        # items idx..k-1 fit whole in the pool; item k, if any, is critical
+        k = bisect_right(wsum, wsum[idx] + pool, idx + 1) - 1
+        bound = profit + csum[k] - csum[idx]
+        if k == m:
+            if bound <= best_profit:
+                continue
+        else:
+            weight = weights[k]
+            left = pool - (wsum[k] - wsum[idx])
+            if bound * weight + left * costs[k] <= best_profit * weight:
+                continue
+        state = tuple(sorted(remaining))
+        memo = seen[idx]
+        if profit <= memo.get(state, -1):
             continue
-        seen[state] = profit
-        if promising(idx, profit):
-            stack.append(children(idx, profit))
+        memo[state] = profit
+        stack.append(children(idx, profit, pool))
 
     by_item: list[int | None] = [None] * m
     for pos, j in enumerate(best_placement):

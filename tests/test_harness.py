@@ -364,8 +364,8 @@ def _verify_with_one_run_changed(monkeypatch, inst, name, change, *, with_oracle
 
     honest = harness.run_algorithm
 
-    def run_algorithm(alg, instance):
-        run = honest(alg, instance)
+    def run_algorithm(alg, instance, **kwargs):
+        run = honest(alg, instance, **kwargs)
         return change(run) if alg == name else run
 
     monkeypatch.setattr(harness, "run_algorithm", run_algorithm)

@@ -1,3 +1,4 @@
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -61,9 +62,22 @@ class TestExactOptimum:
         # per item; 2640 is confirmed by an independent two-knapsack DP
         inst = gen_random(GenParams(1500, 2, 50, 50, 1, 100, seed=1))
         opt = exact_optimum(inst)
-        assert opt is not None and opt.opt == 2640
+        assert opt is not None and (opt.opt, opt.explored) == (2640, 4556)
         assert check_feasible(opt.assignment, inst) is None
         assert objective(opt.assignment, inst) == 2640
+
+    def test_memo_keeps_only_states_that_pass_the_bound(self):
+        # 164,663 nodes; recording every visited state, bound-pruned ones
+        # included, peaked at 21.2 MiB here
+        inst = gen_random(GenParams(16, 5, 50, 50, 1, 100, seed=1))
+        tracemalloc.start()
+        try:
+            solution = exact_optimum(inst)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (solution.opt, solution.explored) == (351, 164663)
+        assert peak < 15 * 2**20
 
     def test_solution_is_repeatable(self, instance_a):
         first = exact_optimum(instance_a)
@@ -99,6 +113,7 @@ class TestSearchOrder:
             (("random", 12, 3, 1), 317, 3131),
             (("random", 15, 4, 2), 257, 24628),
             (("random", 15, 5, 1), 313, 8053),
+            (("random", 16, 5, 1), 351, 164663),
             (("random", 20, 4, 2), 189, 2181),
         ],
         ids=lambda v: "-".join(map(str, v)) if isinstance(v, tuple) else None,
