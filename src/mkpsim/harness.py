@@ -236,16 +236,17 @@ def run_experiment(inst: Instance, algorithms=ALGORITHMS, with_oracle: bool = Fa
 # ---------------------------------------------------------------------------
 
 def audit_max_capacity_dispatch(
-    inst: Instance, trace: Trace, period: int, sequential: dict[int, int | None]
+    inst: Instance, trace: Trace, period: int, sequential: dict[int, int | None], order: list[int]
 ) -> list[str]:
     """Check a one-item-per-round protocol's trace against the greedy
     dispatch: round r must award the r-th item in density order to a
     largest remaining knapsack that fits it (ties: smallest id), or to
     nobody when none fits.
 
-    ``period`` is the protocol's phases per round and ``sequential`` the
-    :func:`strict_sequential_greedy` placement of ``inst``, which
-    :func:`verify_instance` has already computed.  Winners are read off the
+    ``period`` is the protocol's phases per round, ``sequential`` the
+    :func:`strict_sequential_greedy` placement of ``inst`` and ``order``
+    its ``sort_by_density`` order, both of which :func:`verify_instance`
+    has already computed.  Winners are read off the
     trace's winner reports, each in the round its phase falls in.  By
     induction over the rounds, every winner is the greedy choice given the
     earlier winners iff the winner sequence is the one ``sequential``
@@ -262,7 +263,6 @@ def audit_max_capacity_dispatch(
                 return [f"round {round_index}: more than one winner report"]
             winners[round_index] = d.payload.processor
 
-    order = sort_by_density(inst.items)
     greedy = {r: sequential[i] + 1 for r, i in enumerate(order) if sequential[i] is not None}
     if winners == greedy:
         return []
@@ -357,7 +357,7 @@ def verify_instance(inst: Instance, *, with_oracle: bool = True) -> InstanceVeri
     unavailable oracle starts with the protocol's name."""
     n = inst.n
     opt = exact_optimum(inst) if with_oracle else None
-    order = sort_by_density(inst.items)  # shared by the runs, not the cross-checks
+    order = sort_by_density(inst.items)  # shared by the runs and the trace audit
     results: dict[str, RunResult] = {}
     recomputed = {}  # greedy -> (its placement, final_reassign of it)
     bad: list[str] = []
@@ -400,7 +400,7 @@ def verify_instance(inst: Instance, *, with_oracle: bool = True) -> InstanceVeri
 
         if protocol.one_item_per_round:  # so ``dispatched`` is the sequential greedy's
             period = protocol.period(inst)
-            for problem in audit_max_capacity_dispatch(inst, res.trace, period, dispatched):
+            for problem in audit_max_capacity_dispatch(inst, res.trace, period, dispatched, order):
                 bad.append(f"{name}: trace audit: {problem}")
         if protocol.reassigns and opt is not None and not bound_holds(res.profit, opt, n):
             bad.append(f"{name}: bound violated: {res.profit} * ({n}+1) < {opt.opt}")

@@ -119,7 +119,7 @@ def _branch_and_bound(inst: Instance, node_budget: int) -> OptimalSolution | Non
     node budget runs out.
     """
     order = sort_by_density(inst.items)
-    m, n = inst.m, inst.n
+    m = inst.m
     weights = [inst.items[i].weight for i in order]  # per density position
     costs = [inst.items[i].cost for i in order]
     wsum = [0, *accumulate(weights)]  # wsum[k]: weight of the first k items
@@ -131,20 +131,22 @@ def _branch_and_bound(inst: Instance, node_budget: int) -> OptimalSolution | Non
     seen: list[dict[tuple[int, ...], int]] = [{} for _ in range(m)]  # per depth
     explored = 0
 
-    def children(idx: int, profit: int, pool: int):
+    def children(idx: int, profit: int, pool: int, state: tuple[int, ...]):
         # Place item idx in one knapsack per distinct remaining capacity,
-        # largest first (ties: smallest index), then leave it out.  Each
-        # placement is undone when the generator resumes after its subtree.
+        # largest first (ties: smallest index), then leave it out.  ``state``
+        # is the node's capacities in ascending order, so it is read from
+        # the end; each placement is undone when the generator resumes after
+        # its subtree, so ``remaining`` is the node's own whenever a
+        # capacity's smallest index is looked up in it.
         weight, cost = weights[idx], costs[idx]
         last_cap = None
-        # a reverse sort is stable, so equal capacities keep ascending index
-        for j in sorted(range(n), key=remaining.__getitem__, reverse=True):
-            cap = remaining[j]
+        for cap in reversed(state):
             if cap < weight:
                 break  # capacities only fall from here on
             if cap == last_cap:
                 continue
             last_cap = cap
+            j = remaining.index(cap)
             remaining[j] -= weight
             placement[idx] = j
             yield idx + 1, profit + cost, pool - weight
@@ -183,7 +185,7 @@ def _branch_and_bound(inst: Instance, node_budget: int) -> OptimalSolution | Non
         if profit <= memo.get(state, -1):
             continue
         memo[state] = profit
-        stack.append(children(idx, profit, pool))
+        stack.append(children(idx, profit, pool, state))
 
     by_item: list[int | None] = [None] * m
     for pos, j in enumerate(best_placement):

@@ -13,8 +13,10 @@ phase 1, and the source steps in every phase until it halts.  After phase 1
 a processor steps only in a phase where its inbox is non-empty or that it
 asked to be woken in (see :class:`Node`): in the synchronous model a node
 with no mail and nothing scheduled does nothing in a phase, so leaving it
-unstepped changes no trace.  The model is failure free: every sent message
-is delivered exactly once, one phase later.
+unstepped changes no trace.  The engine finds the processors with mail from
+the unicasts of the phase before, so a phase costs no scan of all n inboxes
+unless a multicast was sent in the phase before.  The model is failure
+free: every sent message is delivered exactly once, one phase later.
 
 Accounting: every point-to-point delivery counts as one message, so a
 broadcast to k recipients counts k.  The phase counter reported in
@@ -60,46 +62,50 @@ class SimulationFault(RuntimeError):
 # ---------------------------------------------------------------------------
 #
 # The payload classes are final by contract -- nothing subclasses them -- so
-# a node program may dispatch on a payload's exact type.
+# a node program may dispatch on a payload's exact type.  They are immutable
+# by contract, as records are, but not frozen: a frozen dataclass sets each
+# field through ``object.__setattr__`` and builds about twice as slowly.
+# Equal payloads hash alike.  They have no ``__slots__``: a test takes weak
+# references to payloads, and Python 3.10 has no ``weakref_slot``.
 
-@dataclass(frozen=True)
+@dataclass(unsafe_hash=True)
 class CapacityReport:
     """Processor -> source: current remaining capacity."""
     capacity: int
 
 
-@dataclass(frozen=True)
+@dataclass(unsafe_hash=True)
 class ItemOffer:
     """Source -> processor: a dispatched item as a (cost, weight) pair."""
     cost: int
     weight: int
 
 
-@dataclass(frozen=True)
+@dataclass(unsafe_hash=True)
 class WeightOffer:
     """Source -> processors: an item's weight only (costs stay at the source)."""
     weight: int
 
 
-@dataclass(frozen=True)
+@dataclass(unsafe_hash=True)
 class Bottom:
     """The explicit 'nothing for you' message."""
 
 
-@dataclass(frozen=True)
+@dataclass(unsafe_hash=True)
 class ConsensusPair:
     """A (processor id, capacity) candidate; either side may be absent."""
     best: int | None
     capacity: int | None
 
 
-@dataclass(frozen=True)
+@dataclass(unsafe_hash=True)
 class Winner:
     """The processor id that takes the current item."""
     processor: int
 
 
-@dataclass(frozen=True)
+@dataclass(unsafe_hash=True)
 class FinalDirective:
     """Source -> processor: the one item that replaces the knapsack's contents."""
     item: int
@@ -123,7 +129,9 @@ class Delivery:
     -- and use ``__slots__`` rather than a frozen dataclass or a named
     tuple, because both of those make building a record or reading its
     fields several times slower, and the engine builds one per send while
-    the programs read them all.
+    the programs read them all.  The engine fills the slots itself, after
+    ``object.__new__``, to save a call per send; other callers use
+    ``__init__``.
     """
 
     __slots__ = ("phase", "sender", "recipient", "payload")
@@ -364,7 +372,9 @@ def run_protocol(
     the source's.  A multicast costs one record and one set of checks,
     however many recipients it has, and counts one message per recipient;
     its record is appended to the slice of next-phase inboxes its range
-    covers.
+    covers.  The next phase's ready list is the sorted ids whose inbox a
+    unicast made non-empty, with the wake-ups merged in; only after a phase
+    that sent a multicast does the engine scan all n+1 inboxes for it.
 
     Faults (raised as :class:`SimulationFault`, never silently dropped):
     a processor map that is empty or does not cover 1..n exactly, a
@@ -400,6 +410,11 @@ def run_protocol(
     inboxes: list[list[Delivery]] = [[] for _ in ids]
     sent_now: list[list[Delivery]] = [[] for _ in ids]
     wakeups: dict[int, list[int]] = {1: list(range(1, n + 1))}  # phase -> ids
+    # the ids whose next-phase inbox a unicast made non-empty, and whether a
+    # multicast filled inboxes too (then the next phase scans them all)
+    filled: list[int] = []
+    multicast = False
+    new = object.__new__
     phase = 0
     halt_phase: int | None = None
 
@@ -411,7 +426,10 @@ def run_protocol(
         was_halted = source.halted
         if was_halted and inboxes[SOURCE]:
             raise SimulationFault("message delivered to the halted source")
-        ready = list(compress(ids, inboxes))  # the ids with mail, ascending
+        # the ids with mail, ascending
+        ready = list(compress(ids, inboxes)) if multicast else sorted(filled)
+        filled = []
+        multicast = False
         woken = wakeups.pop(phase, None)
         if woken:
             ready = sorted(set(ready).union(woken))
@@ -423,50 +441,60 @@ def run_protocol(
         for node_id in ready:
             inbox = inboxes[node_id]
             inboxes[node_id] = []
-            node_start = len(log)
-            for recipient, payload in steps[node_id](inbox):
-                if recipient in node_ids:
-                    if recipient == node_id:
-                        raise SimulationFault(f"{node_name(node_id)} sent to itself")
-                    if was_halted:
-                        raise SimulationFault(
-                            f"{node_name(node_id)} sent a message after the source halted"
-                        )
-                    delivery = Delivery(phase, node_id, recipient, payload)
-                    log.append(delivery)
-                    sent_now[recipient].append(delivery)
-                elif type(recipient) is range:
-                    start, stop = recipient.start, recipient.stop
-                    if start >= stop or recipient.step != 1:
-                        raise SimulationFault(
-                            f"{node_name(node_id)} sent to {recipient!r}: a multicast "
-                            f"needs a non-empty range with step 1"
-                        )
-                    if start < 0 or stop > n + 1:
-                        raise SimulationFault(
-                            f"{node_name(node_id)} sent to nonexistent node "
-                            f"{start if start < 0 else max(start, n + 1)}"
-                        )
-                    if start <= node_id < stop:
-                        raise SimulationFault(f"{node_name(node_id)} sent to itself")
-                    if was_halted:
-                        raise SimulationFault(
-                            f"{node_name(node_id)} sent a message after the source halted"
-                        )
-                    delivery = Delivery(phase, node_id, recipient, payload)
-                    log.append(delivery)
-                    for box in sent_now[start:stop]:
+            sends = steps[node_id](inbox)
+            if sends:
+                node_start = len(log)
+                for recipient, payload in sends:
+                    # the one place records are built; a fault drops this one
+                    delivery = new(Delivery)
+                    delivery.phase = phase
+                    delivery.sender = node_id
+                    delivery.recipient = recipient
+                    delivery.payload = payload
+                    if recipient in node_ids:
+                        if recipient == node_id:
+                            raise SimulationFault(f"{node_name(node_id)} sent to itself")
+                        if was_halted:
+                            raise SimulationFault(
+                                f"{node_name(node_id)} sent a message after the source halted"
+                            )
+                        log.append(delivery)
+                        box = sent_now[recipient]
+                        if not box:
+                            filled.append(recipient)
                         box.append(delivery)
-                    fanned += stop - start - 1
-                else:
-                    raise SimulationFault(
-                        f"{node_name(node_id)} sent to nonexistent node {recipient}"
-                    )
-            # Nodes step in id order and each emits in recipient order, so the
-            # log is in (sender, recipient) order once this check passes, and
-            # each inbox holds its records in the same order.
-            if len(log) - node_start > 1:
-                _check_send_order(log[node_start:], node_id)
+                    elif type(recipient) is range:
+                        start, stop = recipient.start, recipient.stop
+                        if start >= stop or recipient.step != 1:
+                            raise SimulationFault(
+                                f"{node_name(node_id)} sent to {recipient!r}: a multicast "
+                                f"needs a non-empty range with step 1"
+                            )
+                        if start < 0 or stop > n + 1:
+                            raise SimulationFault(
+                                f"{node_name(node_id)} sent to nonexistent node "
+                                f"{start if start < 0 else max(start, n + 1)}"
+                            )
+                        if start <= node_id < stop:
+                            raise SimulationFault(f"{node_name(node_id)} sent to itself")
+                        if was_halted:
+                            raise SimulationFault(
+                                f"{node_name(node_id)} sent a message after the source halted"
+                            )
+                        log.append(delivery)
+                        for box in sent_now[start:stop]:
+                            box.append(delivery)
+                        fanned += stop - start - 1
+                        multicast = True
+                    else:
+                        raise SimulationFault(
+                            f"{node_name(node_id)} sent to nonexistent node {recipient}"
+                        )
+                # Nodes step in id order and each emits in recipient order, so
+                # the log is in (sender, recipient) order once this check
+                # passes, and each inbox holds its records in the same order.
+                if len(log) - node_start > 1:
+                    _check_send_order(log[node_start:], node_id)
             wake = nodes[node_id].wake_at
             if wake is not None:
                 nodes[node_id].wake_at = None

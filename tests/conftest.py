@@ -1,7 +1,14 @@
 import pytest
 from hypothesis import strategies as st
 
-from mkpsim import PROTOCOLS, DomainError, Instance, RunMetrics, strict_sequential_greedy
+from mkpsim import (
+    PROTOCOLS,
+    DomainError,
+    Instance,
+    RunMetrics,
+    sort_by_density,
+    strict_sequential_greedy,
+)
 from mkpsim.harness import audit_max_capacity_dispatch
 
 
@@ -73,4 +80,7 @@ def audit_trace(inst, trace, name) -> list[str]:
     one-item-per-round protocol's trace, given the protocol's period and the
     sequential greedy placement, as ``verify_instance`` calls it."""
     sequential = strict_sequential_greedy(inst).assignment.placement
-    return audit_max_capacity_dispatch(inst, trace, PROTOCOLS[name].period(inst), sequential)
+    period = PROTOCOLS[name].period(inst)
+    return audit_max_capacity_dispatch(
+        inst, trace, period, sequential, sort_by_density(inst.items)
+    )

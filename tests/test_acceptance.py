@@ -32,6 +32,7 @@ from mkpsim import (
     render_trace,
     run_algorithm,
     save_instance,
+    sort_by_density,
 )
 from mkpsim.cli import main as cli_main
 from mkpsim.harness import SweepParams, audit_max_capacity_dispatch
@@ -113,11 +114,12 @@ def sweep():
             equivalence.append(f"{tag}: simple placement != batch recomputation")
 
         # criterion 5: per-round greedy trace audit
+        order = sort_by_density(inst.items)
         for name in ("dist", "tree"):
             period = PROTOCOLS[name].period(inst)
             trace = results[name].trace
             placement = sequential.assignment.placement
-            for problem in audit_max_capacity_dispatch(inst, trace, period, placement):
+            for problem in audit_max_capacity_dispatch(inst, trace, period, placement, order):
                 audits.append(f"{tag}: {name}: {problem}")
     elapsed = time.perf_counter() - start
     return SimpleNamespace(

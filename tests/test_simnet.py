@@ -808,6 +808,210 @@ class TestActiveStepping:
         assert steps == 450 + 100 + 50 * (100 + 50 + 13) + 50 == 8750
 
 
+# A plan maps (node id, phase) to what the node does if it steps in that
+# phase: its sends and the phase it asks to be woken in, or None.
+
+
+class _PlannedSource(SourceNode):
+    """Follows the plan in every phase, logging (phase, S), and halts in
+    phase ``halt_at``."""
+
+    def __init__(self, plan, log, halt_at):
+        self.plan, self.log, self.halt_at = plan, log, halt_at
+        self.phase = 0
+
+    def step(self, inbox):
+        self.phase += 1
+        self.log.append((self.phase, SOURCE))
+        self.halted = self.phase == self.halt_at
+        return self.plan.get((SOURCE, self.phase), ([], None))[0]
+
+    def recorded_assignment(self):
+        return None
+
+
+class _Planned(Node):
+    """Follows the plan, logging (phase, id) for each step.  It works out the
+    phase from its mail, which must all be from the phase before, else as
+    phase 1 on its first step, else as its earliest wake-up past its last
+    step: a step with none of them has no phase under the stepping rule and
+    fails the run."""
+
+    def __init__(self, j, plan, log):
+        self.j, self.plan, self.log = j, plan, log
+        self.phase = 0
+        self.asked = []
+
+    def step(self, inbox):
+        if inbox:
+            phase = inbox[0].phase + 1
+            assert {d.phase for d in inbox} == {phase - 1}, f"p{self.j} read stale mail"
+        elif self.phase == 0:
+            phase = 1
+        else:
+            phase = min((w for w in self.asked if w > self.phase), default=None)
+            assert phase is not None, f"p{self.j} stepped with no mail and no wake-up"
+        self.phase = phase
+        self.log.append((phase, self.j))
+        sends, wake = self.plan.get((self.j, phase), ([], None))
+        if wake is not None:
+            self.wake_at = wake
+            self.asked.append(wake)
+        return sends
+
+
+def _planned_steps(n, halt_at, plan):
+    """The (phase, id) steps of a planned run through the engine."""
+    log = []
+    nodes = {j: _Planned(j, plan, log) for j in range(1, n + 1)}
+    run_protocol(_PlannedSource(plan, log, halt_at), nodes)
+    return log
+
+
+def _stepping_rule(n, halt_at, plan):
+    """The same steps from the module docstring's rule alone: S steps in
+    every phase until it halts; a processor steps in phase 1, then only in
+    a phase in which it has mail or asked to be woken.  The run ends with
+    the first phase from the halt on in which nobody sends."""
+    mail = {}  # phase -> ids with mail in it
+    woken = {1: set(range(1, n + 1))}  # phase -> ids woken in it
+    steps = []
+    phase = 0
+    while True:
+        phase += 1
+        stepping = mail.pop(phase, set()) | woken.pop(phase, set())
+        if phase <= halt_at:
+            stepping.add(SOURCE)
+        sent = False
+        for j in sorted(stepping):
+            steps.append((phase, j))
+            sends, wake = plan.get((j, phase), ([], None))
+            for recipient, _ in sends:
+                ids = recipient if type(recipient) is range else (recipient,)
+                mail.setdefault(phase + 1, set()).update(ids)
+                sent = True
+            if wake is not None:
+                woken.setdefault(wake, set()).add(j)
+        if phase >= halt_at and not sent:
+            return steps
+
+
+@st.composite
+def _plans(draw):
+    """(n, halt phase, plan) for a legal run: random unicasts, multicasts,
+    messages to S, wake-ups and silent steps.  Nobody sends after the halt
+    phase or to S in it, and each node's sends come in recipient order."""
+    n = draw(st.integers(min_value=1, max_value=5))
+    halt_at = draw(st.integers(min_value=1, max_value=5))
+    plan = {}
+    for phase in range(1, halt_at + 3):
+        for j in range(n + 1):
+            if not draw(st.booleans()):
+                continue  # a silent step, if the node steps at all
+            sends = []
+            if phase <= halt_at:
+                allowed = [k for k in range(n + 1) if k != j and (k or phase < halt_at)]
+                recipients = sorted(draw(st.sets(st.sampled_from(allowed)))) if allowed else []
+                i = 0
+                while i < len(recipients):
+                    k = i  # join a run of consecutive ids into one multicast, maybe
+                    while k + 1 < len(recipients) and recipients[k + 1] == recipients[k] + 1:
+                        k += 1
+                    k = draw(st.integers(min_value=i, max_value=k))
+                    payload = WeightOffer(phase)
+                    if k > i or draw(st.booleans()):
+                        sends.append((range(recipients[i], recipients[k] + 1), payload))
+                    else:
+                        sends.append((recipients[i], payload))
+                    i = k + 1
+            wake = None
+            if j != SOURCE and draw(st.booleans()):
+                wake = draw(st.integers(min_value=phase + 1, max_value=halt_at + 3))
+            plan[j, phase] = (sends, wake)
+    return n, halt_at, plan
+
+
+class TestSchedulerDifferential:
+    @settings(max_examples=300, deadline=None)
+    @given(_plans())
+    def test_steps_follow_the_stepping_rule(self, case):
+        n, halt_at, plan = case
+        assert _planned_steps(n, halt_at, plan) == _stepping_rule(n, halt_at, plan)
+
+    @pytest.mark.parametrize(
+        "n,halt_at,plan,steps",
+        [
+            # S's multicast and p4's unicast land in p2's box
+            (4, 2,
+             {(SOURCE, 1): ([(range(1, 4), WeightOffer(1))], None),
+              (4, 1): ([(2, CapacityReport(4))], None)},
+             [(1, 0), (1, 1), (1, 2), (1, 3), (1, 4), (2, 0), (2, 1), (2, 2), (2, 3)]),
+            # a phase of unicasts only, right after a multicast phase
+            (3, 3,
+             {(SOURCE, 1): ([(range(1, 3), WeightOffer(1))], None),
+              (SOURCE, 2): ([(3, WeightOffer(2))], None),
+              (1, 2): ([(2, CapacityReport(1))], None)},
+             [(1, 0), (1, 1), (1, 2), (1, 3), (2, 0), (2, 1), (2, 2),
+              (3, 0), (3, 2), (3, 3)]),
+            # a wake-up in a phase that also brings mail steps p1 once
+            (2, 4,
+             {(1, 1): ([], 3), (SOURCE, 2): ([(1, WeightOffer(2))], None)},
+             [(1, 0), (1, 1), (1, 2), (2, 0), (3, 0), (3, 1), (4, 0)]),
+            # mail for S, and a drain phase after the halt
+            (2, 2,
+             {(2, 1): ([(SOURCE, CapacityReport(2))], None),
+              (SOURCE, 2): ([(range(1, 3), WeightOffer(2))], None)},
+             [(1, 0), (1, 1), (1, 2), (2, 0), (3, 1), (3, 2)]),
+        ],
+        ids=["multicast and unicast in one box", "unicasts after a multicast",
+             "wake-up with mail", "mail for S and a drain"],
+    )
+    def test_named_cases(self, n, halt_at, plan, steps):
+        assert _planned_steps(n, halt_at, plan) == _stepping_rule(n, halt_at, plan) == steps
+
+
+_PAYLOADS = [
+    (CapacityReport(5), "CapacityReport(capacity=5)"),
+    (ItemOffer(8, 4), "ItemOffer(cost=8, weight=4)"),
+    (WeightOffer(5), "WeightOffer(weight=5)"),
+    (Bottom(), "Bottom()"),
+    (ConsensusPair(2, None), "ConsensusPair(best=2, capacity=None)"),
+    (Winner(5), "Winner(processor=5)"),
+    (FinalDirective(2, 7), "FinalDirective(item=2, weight=7)"),
+]
+
+
+class TestPayloadAndRecordContract:
+    @pytest.mark.parametrize("payload,text", _PAYLOADS, ids=[t for _, t in _PAYLOADS])
+    def test_repr_equality_and_hash(self, payload, text):
+        assert repr(payload) == text
+        twin = type(payload)(**vars(payload))
+        assert twin is not payload
+        assert twin == payload and hash(twin) == hash(payload)
+
+    def test_payloads_of_different_classes_with_equal_fields_differ(self):
+        assert CapacityReport(5) != WeightOffer(5)
+        kinds = [type(payload) for payload, _ in _PAYLOADS]
+        pairs = 0
+        for a in kinds:
+            for b in kinds:
+                arity = len(a.__dataclass_fields__)
+                if a is not b and arity == len(b.__dataclass_fields__) > 0:
+                    values = range(1, arity + 1)
+                    assert a(*values) != b(*values)
+                    pairs += 1
+        assert pairs == 12  # three one-field and three two-field classes, both ways
+
+    @pytest.mark.parametrize("alg", ["simple", "dist", "tree"])
+    def test_records_of_a_traced_run_match_constructed_ones(self, alg):
+        trace = run_algorithm(alg, gen_random(GenParams(6, 5, 50, 50, 1, 100, seed=2))).trace
+        assert any(type(d.recipient) is range for d in trace) == (alg != "simple")
+        for d in trace:
+            assert type(d) is Delivery
+            fields = [getattr(d, name) for name in Delivery.__slots__]  # all four set
+            assert repr(d) == repr(Delivery(*fields))
+
+
 class TestMetricsAndRendering:
     def test_empty_trace_metrics(self):
         metrics = metrics_of(())
