@@ -45,7 +45,7 @@ from bisect import bisect_left, insort
 from dataclasses import dataclass
 from typing import Callable
 
-from .core import Assignment, DomainError, Instance, check_feasible, objective, sort_by_density
+from .core import Assignment, DomainError, Instance, check_feasible, objective
 from .simnet import (
     SOURCE,
     Bottom,
@@ -168,15 +168,14 @@ class ProcessorNode(Node):
 
 
 class GreedySource(SourceNode):
-    """Common source-side state: the sorted item list and the running record.
+    """Common source-side state: the items in the instance's
+    :attr:`~mkpsim.core.Instance.density_order`, whether the protocol
+    ``reassigns``, and the running record."""
 
-    ``order`` is ``sort_by_density(inst.items)``, taken once per instance by
-    the caller."""
-
-    def __init__(self, inst: Instance, reassigns: bool, order: list[int]):
+    def __init__(self, inst: Instance, protocol: Protocol):
         self.inst = inst
-        self.reassigns = reassigns
-        self.order = [inst.items[i] for i in order]
+        self.reassigns = protocol.reassigns
+        self.order = [inst.items[i] for i in inst.density_order]
         self.assignment = Assignment.empty(inst)
         self.pre_final_assignment: Assignment | None = None
         self.changed: tuple[int, ...] = ()
@@ -219,9 +218,9 @@ class BatchProcessor(ProcessorNode):
     """Reports capacity once per round; the round budget is fixed up front
     so the protocol ends without any extra signalling."""
 
-    def __init__(self, inst: Instance, j: int, rounds: int, period: int):
+    def __init__(self, inst: Instance, j: int, protocol: Protocol):
         super().__init__(inst, j)
-        self.rounds_total = rounds
+        self.rounds_total = protocol.rounds(inst)
         self.rounds_sent = 0
 
     def step(self, inbox: list[Delivery]) -> list[Send]:
@@ -249,11 +248,9 @@ class BatchProcessor(ProcessorNode):
 
 
 class BatchSource(GreedySource):
-    def __init__(
-        self, inst: Instance, rounds: int, period: int, reassigns: bool, order: list[int]
-    ):
-        super().__init__(inst, reassigns, order)
-        self.rounds_total = rounds
+    def __init__(self, inst: Instance, protocol: Protocol):
+        super().__init__(inst, protocol)
+        self.rounds_total = protocol.rounds(inst)
         self.cursor = 0
 
     def step(self, inbox: list[Delivery]) -> list[Send]:
@@ -323,7 +320,7 @@ def _best_pair(pairs: list[ConsensusPair]) -> ConsensusPair | None:
 # A round whose item fits nowhere simply leaves phase 3r+3 silent.
 
 class BroadcastProcessor(ProcessorNode):
-    def __init__(self, inst: Instance, j: int, rounds: int, period: int):
+    def __init__(self, inst: Instance, j: int, protocol: Protocol):
         super().__init__(inst, j)
         self.n = inst.n
         self.current_weight: int | None = None
@@ -386,11 +383,9 @@ class BroadcastProcessor(ProcessorNode):
 
 
 class BroadcastSource(GreedySource):
-    def __init__(
-        self, inst: Instance, rounds: int, period: int, reassigns: bool, order: list[int]
-    ):
-        super().__init__(inst, reassigns, order)
-        self.period = period
+    def __init__(self, inst: Instance, protocol: Protocol):
+        super().__init__(inst, protocol)
+        self.period = protocol.period(inst)
         self.pending: int | None = None  # item id awaiting this round's winner
 
     def step(self, inbox: list[Delivery]) -> list[Send]:
@@ -448,13 +443,13 @@ _NO_PAIR = ConsensusPair(None, None)
 
 
 class TreeProcessor(ProcessorNode):
-    def __init__(self, inst: Instance, j: int, rounds: int, period: int):
+    def __init__(self, inst: Instance, j: int, protocol: Protocol):
         super().__init__(inst, j)
         links = tree_links(j, inst.n)
         self.parent = links.parent
         self.children = (links.left, links.right)
-        self.period = period
-        self.send_offset = period - j.bit_length()  # P - 1 - depth of p_j
+        self.period = protocol.period(inst)
+        self.send_offset = self.period - j.bit_length()  # P - 1 - depth of p_j
         # a childless node above the bottom level: no child's pair will
         # arrive to step it when it sends
         self.needs_alarm = links.left is None and self.send_offset > 2
@@ -514,11 +509,9 @@ class TreeProcessor(ProcessorNode):
 
 
 class TreeSource(GreedySource):
-    def __init__(
-        self, inst: Instance, rounds: int, period: int, reassigns: bool, order: list[int]
-    ):
-        super().__init__(inst, reassigns, order)
-        self.period = period
+    def __init__(self, inst: Instance, protocol: Protocol):
+        super().__init__(inst, protocol)
+        self.period = protocol.period(inst)
 
     def step(self, inbox: list[Delivery]) -> list[Send]:
         self.phase += 1
@@ -563,9 +556,9 @@ class TreeSource(GreedySource):
 class Protocol:
     """One algorithm: its node programs and its exact accounting.
 
-    The programs are built as ``source(inst, rounds, period, reassigns,
-    order)``, where ``order`` is ``sort_by_density(inst.items)``, and
-    ``processor(inst, j, rounds, period)``.  A run has ``rounds(inst)``
+    The programs are built as ``source(inst, protocol)`` and
+    ``processor(inst, j, protocol)`` from the record itself; each reads the
+    schedule fields it needs and nothing else.  A run has ``rounds(inst)``
     rounds of ``period(inst)`` phases, and its source halts ``tail`` phases
     after the last one.  ``messages(inst, assigned, changed)`` is the exact
     total of a run that placed ``assigned`` items before the reassignment
@@ -582,8 +575,8 @@ class Protocol:
     for; one that does not reports the dispatch placement as final.
     """
 
-    source: Callable[[Instance, int, int, bool, list[int]], GreedySource]
-    processor: Callable[[Instance, int, int, int], ProcessorNode]
+    source: Callable[[Instance, Protocol], GreedySource]
+    processor: Callable[[Instance, int, Protocol], ProcessorNode]
     rounds: Callable[[Instance], int]
     period: Callable[[Instance], int]
     tail: int
@@ -687,30 +680,19 @@ def _check_run(inst: Instance, assignment: Assignment, processors: dict[int, Pro
             )
 
 
-def run_algorithm(
-    name: str,
-    inst: Instance,
-    *,
-    keep_trace: bool = True,
-    order: list[int] | None = None,
-) -> RunResult:
+def run_algorithm(name: str, inst: Instance, *, keep_trace: bool = True) -> RunResult:
     """Build the named protocol's node programs from its record and run them.
 
     With ``keep_trace`` false the run keeps no trace (see
     :func:`~mkpsim.simnet.run_protocol`) and its ``trace`` is ``None``;
-    everything else about it is the same.  ``order`` is
-    ``sort_by_density(inst.items)`` when the caller has it already, so that
-    several runs on one instance sort it once.
+    everything else about it is the same.
     """
     try:
         protocol = PROTOCOLS[name]
     except KeyError:
         raise ValueError(f"unknown algorithm {name!r}; choose from {ALGORITHMS}") from None
-    if order is None:
-        order = sort_by_density(inst.items)
-    rounds, period = protocol.rounds(inst), protocol.period(inst)
-    source = protocol.source(inst, rounds, period, protocol.reassigns, order)
-    processors = {j: protocol.processor(inst, j, rounds, period) for j in range(1, inst.n + 1)}
+    source = protocol.source(inst, protocol)
+    processors = {j: protocol.processor(inst, j, protocol) for j in range(1, inst.n + 1)}
     # The run's own phase bound, not the engine's fixed default: one phase
     # past the source's halt delivers the last sends, and then it must end.
     assignment, metrics, trace = run_protocol(

@@ -8,6 +8,7 @@ or the requested file; diagnostics go to stderr.  Exit codes: 0 success,
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 
 from .algorithms import ALGORITHMS, run_algorithm
@@ -123,6 +124,9 @@ def _cmd_gen_adversarial(args) -> int:
 
 
 def _cmd_run(args) -> int:
+    if args.report and args.trace:
+        if os.path.realpath(args.report) == os.path.realpath(args.trace):
+            raise ValueError("--report and --trace name the same file")
     inst = load_instance(args.instance)
     result = run_algorithm(args.alg, inst, keep_trace=bool(args.trace))
     opt = None

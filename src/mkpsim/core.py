@@ -20,7 +20,7 @@ import hashlib
 import json
 import sys
 from dataclasses import dataclass
-from functools import cmp_to_key
+from functools import cached_property, cmp_to_key
 
 
 class DomainError(ValueError):
@@ -82,7 +82,9 @@ class Instance:
     """An instance: m items and n >= 1 knapsack capacities.
 
     Item ids must equal their list position so that id-keyed maps and
-    positional structures agree.
+    positional structures agree.  :attr:`density_order` and :attr:`digest`
+    are computed on first use and kept; as they are not fields, equality,
+    hashing, ``repr`` and the JSON document ignore them.
     """
 
     items: tuple[Item, ...]
@@ -92,6 +94,8 @@ class Instance:
         object.__setattr__(self, "items", tuple(self.items))
         object.__setattr__(self, "capacities", tuple(self.capacities))
         for pos, item in enumerate(self.items):
+            if not isinstance(item, Item):
+                raise DomainError(f"item at position {pos} is not an Item: {_shown(item)}")
             if item.id != pos:
                 raise DomainError(
                     f"item at position {pos} has id {_shown(item.id)}; ids must equal position"
@@ -115,6 +119,16 @@ class Instance:
     @property
     def n(self) -> int:
         return len(self.capacities)
+
+    @cached_property
+    def density_order(self) -> tuple[int, ...]:
+        """:func:`sort_by_density` of the items, as a tuple no caller can reorder."""
+        return tuple(sort_by_density(self.items))
+
+    @cached_property
+    def digest(self) -> str:
+        """:func:`instance_digest` of the instance."""
+        return instance_digest(self)
 
     def item(self, item_id: int) -> Item:
         if not 0 <= item_id < self.m:

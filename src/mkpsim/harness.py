@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .algorithms import ALGORITHMS, PROTOCOLS, RunResult, final_reassign, run_algorithm
-from .core import Instance, check_feasible, instance_digest, sort_by_density
+from .core import Instance, check_feasible
 from .oracle import (
     OptimalSolution,
     approx_ratio,
@@ -171,15 +171,9 @@ def reports_to_csv(reports) -> str:
 
 
 def make_report(
-    inst: Instance,
-    result: RunResult,
-    opt: OptimalSolution | None,
-    oracle: str,
-    *,
-    digest: str | None = None,
+    inst: Instance, result: RunResult, opt: OptimalSolution | None, oracle: str
 ) -> RunReport:
-    """The report of one run; ``digest`` is ``instance_digest(inst)`` when
-    the caller has it already."""
+    """The report of one run; it names the instance by its cached digest."""
     ratio = bound = None
     opt_value = None
     if oracle == "ok":
@@ -188,7 +182,7 @@ def make_report(
         bound = bound_holds(result.profit, opt, inst.n)
     return RunReport(
         algorithm=result.algorithm,
-        instance=instance_digest(inst) if digest is None else digest,
+        instance=inst.digest,
         m=inst.m,
         n=inst.n,
         profit=result.profit,
@@ -208,9 +202,9 @@ def run_experiment(inst: Instance, algorithms=ALGORITHMS, with_oracle: bool = Fa
     :data:`PROTOCOLS` order; oracle data is attached when requested
     and available, and marked unavailable otherwise.
 
-    The runs keep no trace, since no report reads one.  The instance is
-    sorted by density and digested once per call, for all of its runs; the
-    call keeps neither afterwards.
+    The runs keep no trace, since no report reads one.  They and the
+    reports read the instance's cached density order and digest, so an
+    instance is sorted and digested once however many calls use it.
     """
     requested = set(algorithms)
     unknown = requested - set(ALGORITHMS)
@@ -221,13 +215,11 @@ def run_experiment(inst: Instance, algorithms=ALGORITHMS, with_oracle: bool = Fa
     if with_oracle:
         opt = exact_optimum(inst)
         oracle = "ok" if opt is not None else "unavailable"
-    order = sort_by_density(inst.items)
-    digest = instance_digest(inst)
     reports = []
     for name in ALGORITHMS:
         if name in requested:
-            result = run_algorithm(name, inst, keep_trace=False, order=order)
-            reports.append(make_report(inst, result, opt, oracle, digest=digest))
+            result = run_algorithm(name, inst, keep_trace=False)
+            reports.append(make_report(inst, result, opt, oracle))
     return reports
 
 
@@ -236,17 +228,17 @@ def run_experiment(inst: Instance, algorithms=ALGORITHMS, with_oracle: bool = Fa
 # ---------------------------------------------------------------------------
 
 def audit_max_capacity_dispatch(
-    inst: Instance, trace: Trace, period: int, sequential: dict[int, int | None], order: list[int]
+    inst: Instance, trace: Trace, period: int, sequential: dict[int, int | None]
 ) -> list[str]:
     """Check a one-item-per-round protocol's trace against the greedy
     dispatch: round r must award the r-th item in density order to a
     largest remaining knapsack that fits it (ties: smallest id), or to
     nobody when none fits.
 
-    ``period`` is the protocol's phases per round, ``sequential`` the
-    :func:`strict_sequential_greedy` placement of ``inst`` and ``order``
-    its ``sort_by_density`` order, both of which :func:`verify_instance`
-    has already computed.  Winners are read off the
+    ``period`` is the protocol's phases per round and ``sequential`` the
+    :func:`strict_sequential_greedy` placement of ``inst``, which
+    :func:`verify_instance` has already computed; round r's item is the
+    r-th of ``inst.density_order``.  Winners are read off the
     trace's winner reports, each in the round its phase falls in.  By
     induction over the rounds, every winner is the greedy choice given the
     earlier winners iff the winner sequence is the one ``sequential``
@@ -263,6 +255,7 @@ def audit_max_capacity_dispatch(
                 return [f"round {round_index}: more than one winner report"]
             winners[round_index] = d.payload.processor
 
+    order = inst.density_order
     greedy = {r: sequential[i] + 1 for r, i in enumerate(order) if sequential[i] is not None}
     if winners == greedy:
         return []
@@ -354,10 +347,10 @@ def verify_instance(inst: Instance, *, with_oracle: bool = True) -> InstanceVeri
     recomputation itself.  A one-item-per-round run's trace must pass
     :func:`audit_max_capacity_dispatch`, and with the oracle a run that
     reassigns must earn at least OPT/(n+1).  Every violation but an
-    unavailable oracle starts with the protocol's name."""
+    unavailable oracle starts with the protocol's name.  All of them read
+    the instance's one cached :attr:`~mkpsim.core.Instance.density_order`."""
     n = inst.n
     opt = exact_optimum(inst) if with_oracle else None
-    order = sort_by_density(inst.items)  # shared by the runs and the trace audit
     results: dict[str, RunResult] = {}
     recomputed = {}  # greedy -> (its placement, final_reassign of it)
     bad: list[str] = []
@@ -365,7 +358,7 @@ def verify_instance(inst: Instance, *, with_oracle: bool = True) -> InstanceVeri
     # messages formatted only on failure: a sweep runs this per instance
     for name, protocol in PROTOCOLS.items():
         # run_algorithm raises on an infeasible final assignment
-        res = results[name] = run_algorithm(name, inst, order=order)
+        res = results[name] = run_algorithm(name, inst)
         violation = check_feasible(res.pre_final_assignment, inst)
         if violation is not None:
             bad.append(f"{name}: pre-final assignment infeasible: {violation}")
@@ -400,7 +393,7 @@ def verify_instance(inst: Instance, *, with_oracle: bool = True) -> InstanceVeri
 
         if protocol.one_item_per_round:  # so ``dispatched`` is the sequential greedy's
             period = protocol.period(inst)
-            for problem in audit_max_capacity_dispatch(inst, res.trace, period, dispatched, order):
+            for problem in audit_max_capacity_dispatch(inst, res.trace, period, dispatched):
                 bad.append(f"{name}: trace audit: {problem}")
         if protocol.reassigns and opt is not None and not bound_holds(res.profit, opt, n):
             bad.append(f"{name}: bound violated: {res.profit} * ({n}+1) < {opt.opt}")

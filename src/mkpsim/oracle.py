@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate
 
-from .core import Assignment, Instance, objective, sort_by_density
+from .core import Assignment, Instance, objective
 
 BRUTE_FORCE_GUARD = 10**8  # hard cap on (n+1)**m for exhaustive enumeration
 DEFAULT_NODE_BUDGET = 5_000_000
@@ -118,7 +118,7 @@ def _branch_and_bound(inst: Instance, node_budget: int) -> OptimalSolution | Non
     so its depth is bounded by memory alone.  Returns ``None`` only when the
     node budget runs out.
     """
-    order = sort_by_density(inst.items)
+    order = inst.density_order
     m = inst.m
     weights = [inst.items[i].weight for i in order]  # per density position
     costs = [inst.items[i].cost for i in order]
@@ -206,7 +206,7 @@ def strict_sequential_greedy(inst: Instance) -> GreedySolution:
     fits (ties: smallest index), or discarded.  Matches the pre-reassignment
     output of the one-item-per-round protocols."""
     assignment = Assignment.empty(inst)
-    for item_id in sort_by_density(inst.items):
+    for item_id in inst.density_order:
         item = inst.items[item_id]
         best_j = None
         for j in range(inst.n):
@@ -227,7 +227,7 @@ def batch_round_greedy(inst: Instance) -> GreedySolution:
     cursor advances past every considered item, fit or not.
     """
     assignment = Assignment.empty(inst)
-    order = sort_by_density(inst.items)
+    order = inst.density_order
     cursor = 0
     while cursor < inst.m:
         ranked = sorted(range(inst.n), key=lambda j: (-assignment.remaining[j], j))

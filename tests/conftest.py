@@ -6,7 +6,6 @@ from mkpsim import (
     DomainError,
     Instance,
     RunMetrics,
-    sort_by_density,
     strict_sequential_greedy,
 )
 from mkpsim.harness import audit_max_capacity_dispatch
@@ -81,6 +80,4 @@ def audit_trace(inst, trace, name) -> list[str]:
     sequential greedy placement, as ``verify_instance`` calls it."""
     sequential = strict_sequential_greedy(inst).assignment.placement
     period = PROTOCOLS[name].period(inst)
-    return audit_max_capacity_dispatch(
-        inst, trace, period, sequential, sort_by_density(inst.items)
-    )
+    return audit_max_capacity_dispatch(inst, trace, period, sequential)

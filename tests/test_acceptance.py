@@ -32,7 +32,6 @@ from mkpsim import (
     render_trace,
     run_algorithm,
     save_instance,
-    sort_by_density,
 )
 from mkpsim.cli import main as cli_main
 from mkpsim.harness import SweepParams, audit_max_capacity_dispatch
@@ -114,12 +113,11 @@ def sweep():
             equivalence.append(f"{tag}: simple placement != batch recomputation")
 
         # criterion 5: per-round greedy trace audit
-        order = sort_by_density(inst.items)
         for name in ("dist", "tree"):
             period = PROTOCOLS[name].period(inst)
             trace = results[name].trace
             placement = sequential.assignment.placement
-            for problem in audit_max_capacity_dispatch(inst, trace, period, placement, order):
+            for problem in audit_max_capacity_dispatch(inst, trace, period, placement):
                 audits.append(f"{tag}: {name}: {problem}")
     elapsed = time.perf_counter() - start
     return SimpleNamespace(

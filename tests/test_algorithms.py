@@ -17,7 +17,6 @@ from mkpsim import (
     gen_random,
     render_trace,
     run_algorithm,
-    sort_by_density,
 )
 from mkpsim.algorithms import PROTOCOLS, BroadcastProcessor, TreeProcessor, _best_pair
 from mkpsim.oracle import batch_round_greedy, strict_sequential_greedy
@@ -327,7 +326,7 @@ class TestDistributedGreedy:
     # p1's single range is pinned by test_capacity_exchange_missing_a_pair
     @pytest.mark.parametrize("j,others", [(2, [range(1, 2), range(3, 4)]), (3, [range(1, 3)])])
     def test_pair_is_multicast_to_the_ids_below_and_above(self, j, others):
-        node = BroadcastProcessor(Instance.from_pairs([(5, 2)], [9, 9, 9]), j, 1, 3)
+        node = BroadcastProcessor(Instance.from_pairs([(5, 2)], [9, 9, 9]), j, PROTOCOLS["dist"])
         sends = node.step([Delivery(1, SOURCE, range(1, 4), WeightOffer(2))])
         assert [r for r, _ in sends] == others
         assert all(pair is node.my_report == ConsensusPair(j, 9) for _, pair in sends)
@@ -338,7 +337,7 @@ class TestBroadcastProcessorFaults:
 
     @staticmethod
     def p1():
-        return BroadcastProcessor(Instance.from_pairs([(5, 2)], [9, 9, 9]), 1, 1, 3)
+        return BroadcastProcessor(Instance.from_pairs([(5, 2)], [9, 9, 9]), 1, PROTOCOLS["dist"])
 
     @staticmethod
     def mail(*messages):
@@ -425,8 +424,7 @@ class TestBestPair:
 
 def tree_node(j, capacities):
     """Processor p_j of a ``tree`` run over ``capacities``, with the run's period."""
-    inst = Instance.from_pairs([], capacities)
-    return TreeProcessor(inst, j, 1, PROTOCOLS["tree"].period(inst))
+    return TreeProcessor(Instance.from_pairs([], capacities), j, PROTOCOLS["tree"])
 
 
 def tree_round(node, n, weight, child_mail, start=1):
@@ -1055,11 +1053,3 @@ class TestRunsWithoutTrace:
         if name != "simple":
             # the pass swaps every knapsack for a heavy item
             assert run.changed_knapsacks == tuple(range(8)) and run.profit == 8 * 100
-
-    def test_a_shared_density_order_changes_nothing(self):
-        inst = adversarial_with_fillers(4, 20, 40, seed=2)
-        order = sort_by_density(inst.items)
-        for name in ALGORITHMS:
-            shared = run_algorithm(name, inst, keep_trace=False, order=order)
-            assert shared == run_algorithm(name, inst, keep_trace=False)
-        assert order == sort_by_density(inst.items)  # the runs leave it as it was

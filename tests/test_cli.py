@@ -75,6 +75,22 @@ class TestRun:
         first_line = trace.read_text().splitlines()[0]
         assert first_line == "1 S p1 weight 4"
 
+    def test_report_and_trace_naming_one_file_exit_2(self, capsys, tmp_path, instance_a):
+        # the trace would be written over the report
+        inst = tmp_path / "a.json"
+        save_instance(instance_a, inst)
+        (tmp_path / "sub").mkdir()
+        (tmp_path / "link.out").symlink_to(tmp_path / "same.out")
+        same = str(tmp_path / "same.out")
+        for trace in [same, str(tmp_path / "sub" / ".." / "link.out")]:
+            code, out, err = run_cli(
+                capsys, "run", "--alg", "tree", "--instance", str(inst),
+                "--report", same, "--trace", trace,
+            )
+            assert code == 2 and out == ""
+            assert err == "mkpsim: error: --report and --trace name the same file\n"
+            assert not (tmp_path / "same.out").exists()
+
     def test_repeated_runs_are_byte_identical(self, capsys, tmp_path, instance_a):
         inst = tmp_path / "a.json"
         save_instance(instance_a, inst)

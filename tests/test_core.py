@@ -1,4 +1,5 @@
 import hashlib
+import pickle
 import sys
 from fractions import Fraction
 from functools import cmp_to_key
@@ -58,6 +59,42 @@ class TestItemAndInstance:
     def test_negative_capacity_rejected(self):
         with pytest.raises(DomainError):
             Instance.from_pairs([], [-1])
+
+    @pytest.mark.parametrize("bad", ["x", (1, 1, 1), None])
+    def test_an_item_that_is_not_an_item_is_rejected(self, bad):
+        with pytest.raises(DomainError, match=r"^item at position 1 is not an Item: "):
+            Instance((Item(0, 1, 1), bad), (3,))
+
+
+class TestDerivedValues:
+    """``Instance.density_order`` and ``Instance.digest``: computed on first
+    use, kept with the instance, and invisible to everything that compares,
+    prints or serializes it."""
+
+    @settings(max_examples=50, deadline=None)
+    @given(small_instances(max_m=10, max_n=4))
+    def test_they_equal_the_functions_they_cache(self, inst):
+        assert inst.density_order == tuple(sort_by_density(inst.items))
+        assert inst.digest == instance_digest(inst)
+
+    def test_they_are_computed_once(self, instance_a):
+        order, digest = instance_a.density_order, instance_a.digest
+        assert instance_a.density_order is order and instance_a.digest is digest
+        assert isinstance(order, tuple)  # no caller can reorder the shared copy
+
+    def test_a_filled_cache_changes_nothing_observable(self, instance_a):
+        filled = instance_from_json(instance_to_json(instance_a))
+        filled.density_order, filled.digest  # fill the cache
+        fresh = Instance.from_pairs([(8, 4), (6, 4), (7, 7), (3, 6)], [10, 7])
+        assert filled == fresh and hash(filled) == hash(fresh)
+        assert repr(filled) == repr(fresh)
+        assert instance_to_json(filled) == instance_to_json(fresh)
+        assert instance_to_json(filled, indent=None) == instance_to_json(fresh, indent=None)
+        thawed = pickle.loads(pickle.dumps(filled))
+        thawed_fresh = pickle.loads(pickle.dumps(fresh))
+        assert thawed == thawed_fresh == fresh
+        assert thawed.density_order == thawed_fresh.density_order == (0, 1, 2, 3)
+        assert thawed.digest == thawed_fresh.digest == A_DIGEST
 
 
 @pytest.fixture

@@ -16,6 +16,8 @@ from mkpsim import (
     gen_adversarial,
     gen_random,
     instance_digest,
+    instance_from_json,
+    instance_to_json,
     run_algorithm,
     run_experiment,
     verify_instance,
@@ -120,8 +122,9 @@ class TestRunExperiment:
 
     @pytest.mark.parametrize("with_oracle", [False, True])
     def test_reports_equal_those_of_traced_runs(self, with_oracle):
-        # run_experiment's runs keep no trace and share one density order
-        # and one digest; each report is still the one make_report gives
+        # run_experiment's runs keep no trace and read the instance's cached
+        # density order and digest; each report is still the one
+        # make_report gives
         inst = gen_random(GenParams(12, 3, 50, 50, 1, 100, seed=7))
         opt = exact_optimum(inst) if with_oracle else None
         oracle = "ok" if with_oracle else "none"
@@ -131,6 +134,34 @@ class TestRunExperiment:
     def test_unknown_algorithm_rejected(self, instance_a):
         with pytest.raises(ValueError):
             run_experiment(instance_a, algorithms=("simple", "bogus"))
+
+    def test_all_four_runs_digest_the_instance_once(self, monkeypatch):
+        calls = count_calls(monkeypatch, "instance_digest")
+        reports = run_experiment(gen_random(GenParams(12, 3, 50, 50, 1, 100, seed=7)))
+        assert len(reports) == len(ALGORITHMS) and calls == [1]
+
+    @settings(max_examples=40, deadline=None)
+    @given(small_instances(max_m=8, max_n=4))
+    def test_a_filled_cache_gives_the_same_reports(self, inst):
+        copy = instance_from_json(instance_to_json(inst))
+        copy.density_order, copy.digest  # fill the cache first
+        assert run_experiment(copy, with_oracle=True) == run_experiment(inst, with_oracle=True)
+
+
+def count_calls(monkeypatch, name: str) -> list[int]:
+    """Wrap ``mkpsim.core.<name>`` in a counter; returns the one-element list
+    that holds the number of calls made so far."""
+    import mkpsim.core as core
+
+    calls = [0]
+    original = getattr(core, name)
+
+    def counted(*args):
+        calls[0] += 1
+        return original(*args)
+
+    monkeypatch.setattr(core, name, counted)
+    return calls
 
 
 class TestReports:
@@ -315,6 +346,14 @@ class TestVerification:
         verdict = verify_instance(gen_adversarial(4, 10))
         assert verdict.ok, verdict.violations
 
+    def test_a_fresh_instance_is_sorted_once(self, monkeypatch):
+        # the oracle, four runs, two recomputations and two trace audits all
+        # read the one cached density order
+        calls = count_calls(monkeypatch, "sort_by_density")
+        verdict = verify_instance(gen_random(GenParams(8, 3, 50, 50, 1, 100, seed=4)))
+        assert verdict.ok, verdict.violations
+        assert calls == [1]
+
     def test_small_sweep_is_clean(self):
         summary = verify_sweep(SweepParams(0, 4, 1, 3, seeds=3))
         assert summary.instances == 45
@@ -444,15 +483,18 @@ def test_an_infeasible_final_assignment_stops_verify_instance(monkeypatch):
 
 
 def test_a_source_that_skips_a_round_is_reported(monkeypatch):
-    # the programs run one batch round fewer than the record counts, so the
-    # last round's items are never dispatched; the run reports the rounds
-    # its source dispatched, not the record's count
+    # the programs read a record with one batch round fewer than the one
+    # verify_instance checks against, so the last round's items are never
+    # dispatched; the run reports the rounds its source dispatched, not the
+    # record's count
     from mkpsim.algorithms import PROTOCOLS, BatchProcessor, BatchSource
 
+    modified = PROTOCOLS["modified"]
+    fewer = replace(modified, rounds=lambda inst: modified.rounds(inst) - 1)
     short = replace(
-        PROTOCOLS["modified"],
-        source=lambda inst, rounds, *rest: BatchSource(inst, rounds - 1, *rest),
-        processor=lambda inst, j, rounds, period: BatchProcessor(inst, j, rounds - 1, period),
+        modified,
+        source=lambda inst, protocol: BatchSource(inst, fewer),
+        processor=lambda inst, j, protocol: BatchProcessor(inst, j, fewer),
     )
     monkeypatch.setitem(PROTOCOLS, "modified", short)
     inst = gen_random(GenParams(9, 3, 50, 50, 1, 100, seed=1))
