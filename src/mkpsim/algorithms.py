@@ -318,19 +318,45 @@ def _best_pair(pairs: list[ConsensusPair]) -> ConsensusPair | None:
 #   3r+3  everyone computes the same argmax; the winner reports and deducts
 # One more phase books the last winner, runs the reassignment pass and halts.
 # A round whose item fits nowhere simply leaves phase 3r+3 silent.
+#
+# The n - 1 pairs of phase 3r+3 are nearly all of the mail, so a processor
+# takes them in one pass that keeps the running best, and turns to the
+# general dispatch only for an inbox that holds something else.  Like a tree
+# node, it sends one object for every equal pair: its eligible pair is
+# rebuilt only after a win or a directive has changed its capacity, and its
+# ineligible pair is built once.
 
 class BroadcastProcessor(ProcessorNode):
     def __init__(self, inst: Instance, j: int, protocol: Protocol):
         super().__init__(inst, j)
         self.n = inst.n
         self.current_weight: int | None = None
-        self.my_report: ConsensusPair | None = None
+        self.my_report: ConsensusPair | None = None  # this round's pair, until it is decided
+        self.own_pair = ConsensusPair(j, self.remaining)
+        self.no_pair = ConsensusPair(j, None)
 
     def step(self, inbox: list[Delivery]) -> list[Send]:
+        # an inbox is in sender order, so a record from S would come first
+        if self.my_report is not None and inbox and inbox[0].sender != SOURCE:
+            # the exchange: _best_pair's scan, over the records themselves
+            best = best_capacity = None
+            for msg in inbox:
+                pair = msg.payload
+                if type(pair) is not ConsensusPair:
+                    break  # the dispatch below names the fault
+                capacity = pair.capacity
+                if capacity is not None and (
+                    best is None
+                    or capacity > best_capacity
+                    or (capacity == best_capacity and pair.best < best.best)
+                ):
+                    best, best_capacity = pair, capacity
+            else:
+                return self._decide(len(inbox), best)
+
         offers: list[WeightOffer] = []
         pairs: list[ConsensusPair] = []
-        # payload classes are final, so the exact type decides; pairs are
-        # most of the mail, n - 1 per processor per round
+        # payload classes are final, so the exact type decides
         for msg in inbox:
             payload = msg.payload
             kind = type(payload)
@@ -356,8 +382,9 @@ class BroadcastProcessor(ProcessorNode):
             weight = offers[0].weight
             self.current_weight = weight
             eligible = self.remaining >= weight
-            report = ConsensusPair(self.j, self.remaining if eligible else None)
-            self.my_report = report
+            if eligible and self.own_pair.capacity != self.remaining:
+                self.own_pair = ConsensusPair(self.j, self.remaining)
+            report = self.my_report = self.own_pair if eligible else self.no_pair
             if self.n > 1:
                 # to every other processor: the ids below j and those above
                 if self.j > 1:
@@ -371,15 +398,22 @@ class BroadcastProcessor(ProcessorNode):
                     self._take(weight)
                 self.my_report = None
         elif pairs:
-            if self.my_report is None or len(pairs) != self.n - 1:
-                raise SimulationFault(f"p{self.j}: capacity exchange out of step")
-            pairs.append(self.my_report)
-            best = _best_pair(pairs)
-            if best is not None and best.best == self.j:
-                out.append((SOURCE, Winner(self.j)))
-                self._take(self.current_weight)
-            self.my_report = None
+            return self._decide(len(pairs), _best_pair(pairs))
         return out
+
+    def _decide(self, count: int, best: ConsensusPair | None) -> list[Send]:
+        """End the exchange of ``count`` pairs, ``best`` the best of them:
+        p_j wins iff ``_best_pair(pairs + [my_report])`` names it."""
+        report = self.my_report
+        if report is None or count != self.n - 1:
+            raise SimulationFault(f"p{self.j}: capacity exchange out of step")
+        # _best_pair is a left fold, so the best of the pairs stands for them
+        best = _best_pair([report] if best is None else [best, report])
+        self.my_report = None
+        if best is None or best.best != self.j:
+            return []
+        self._take(self.current_weight)
+        return [(SOURCE, Winner(self.j))]
 
 
 class BroadcastSource(GreedySource):
@@ -571,8 +605,10 @@ class Protocol:
     (:func:`~mkpsim.oracle.strict_sequential_greedy`); the others dispatch
     in batch rounds (:func:`~mkpsim.oracle.batch_round_greedy`).  A
     protocol that ``reassigns`` ends with :func:`final_reassign` applied to
-    that placement, and is the one the paper's 1/(n+1) bound is claimed
-    for; one that does not reports the dispatch placement as final.
+    that placement, and ``verify`` checks the 1/(n+1) bound on it; one that
+    does not reports the dispatch placement as final.  The pass alone does
+    not give the bound: the paper claims it for the one-item-per-round
+    protocols, and ``modified`` as implemented can miss it.
     """
 
     source: Callable[[Instance, Protocol], GreedySource]

@@ -269,16 +269,17 @@ def render_trace(trace: Trace) -> str:
 
     A multicast record expands to one line per recipient, in ascending id
     order.  Its lines share everything but the recipient's name, so they are
-    built with one join over a slice of the name table: the record's
+    built with one join over a slice of the name table, kept as three parts
+    so that the long middle one is not copied again: the record's
     ``"{phase} {sender} "`` head, then the names joined by the payload text
     plus the head, then the payload text.  The name table is a list indexed
     by node id, grown with :func:`node_name` when a record names an id past
     its end, so every name is rendered once; node ids are non-negative, as
     in every trace the engine returns.  Payloads are rendered once per
-    object (a tree node forwards the pair it received, and resends its own
-    cached pair in every round its capacity has not changed), memoised by
-    identity, which is sound because payloads are immutable and the trace
-    keeps every one alive while the dump is built.
+    object (a tree node forwards the pair it received, and a ``tree`` or
+    ``dist`` processor resends its own pair in every round its capacity has
+    not changed), memoised by identity, which is sound because payloads are
+    immutable and the trace keeps every one alive while the dump is built.
     """
     names: list[str] = []
     texts: dict[int, str] = {}
@@ -295,7 +296,9 @@ def render_trace(trace: Trace) -> str:
             if stop > len(names) or sender >= len(names):
                 names.extend(map(node_name, range(len(names), max(stop, sender + 1))))
             head = f"{d.phase} {names[sender]} "
-            append(head + (text + head).join(names[recipient.start:stop]) + text)
+            append(head)
+            append((text + head).join(names[recipient.start:stop]))
+            append(text)
         else:
             try:
                 append(f"{d.phase} {names[sender]} {names[recipient]}{text}")

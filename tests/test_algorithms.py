@@ -386,6 +386,120 @@ class TestBroadcastProcessorFaults:
         with pytest.raises(SimulationFault, match="^p1: capacity exchange out of step$"):
             node.step(self.mail((2, ConsensusPair(2, 9))))
 
+    @pytest.mark.parametrize(
+        "where,sender,payload,message",
+        [
+            (where, 3, payload, message)
+            for where in (0, 1, 2)
+            for payload, message in [
+                (Winner(3), "unexpected payload Winner(processor=3)"),
+                (WeightOffer(2), "weight offer from non-source"),
+                (FinalDirective(0, 2), "directive from non-source"),
+            ]
+        ]
+        + [  # a record from S comes first in an inbox
+            (0, SOURCE, WeightOffer(2), "malformed round start"),
+            (0, SOURCE, ConsensusPair(3, 9), "capacity pair from the source"),
+        ],
+    )
+    def test_stray_record_among_the_exchange_pairs(self, where, sender, payload, message):
+        node = self.p1()
+        node.step(self.mail((SOURCE, WeightOffer(2))))
+        pairs = [(2, ConsensusPair(2, 9)), (3, ConsensusPair(3, 9))]
+        pairs.insert(where, (sender, payload))
+        with pytest.raises(SimulationFault, match=f"^{re.escape('p1: ' + message)}$"):
+            node.step(self.mail(*pairs))
+
+
+@st.composite
+def exchanges(draw):
+    """p_j of a ``dist`` run over n processors, its capacity, a round's
+    weight and the n - 1 pairs of its exchange, one from each other
+    processor in sender order: each names any id, its sender's or not, and
+    carries no capacity, a small one (so that ties are common) or a huge one."""
+    n = draw(st.integers(2, 9))
+    j = draw(st.integers(1, n))
+    capacities = st.integers(0, 12) | st.integers(0, 10**30)
+    capacity = draw(capacities)
+    weight = draw(st.integers(1, 12))
+    pairs = [
+        ConsensusPair(draw(st.integers(1, n + 1)), draw(st.none() | capacities))
+        for _ in range(n - 1)
+    ]
+    return n, j, capacity, weight, pairs
+
+
+class TestBroadcastExchange:
+    """The exchange step against ``_best_pair`` over the pairs and p_j's own."""
+
+    @settings(max_examples=400)
+    @given(exchanges())
+    # another pair names p_j and beats its own, eligible and not
+    @example((3, 2, 5, 3, [ConsensusPair(2, 9), ConsensusPair(3, None)]))
+    @example((3, 2, 5, 7, [ConsensusPair(2, 9), ConsensusPair(3, None)]))
+    # a three-way capacity tie goes to the smallest id
+    @example((3, 2, 5, 3, [ConsensusPair(1, 5), ConsensusPair(3, 5)]))
+    @example((3, 2, 5, 3, [ConsensusPair(3, 5), ConsensusPair(4, 5)]))
+    def test_wins_iff_the_best_pair_names_it(self, exchange):
+        n, j, capacity, weight, pairs = exchange
+        capacities = [1] * n
+        capacities[j - 1] = capacity
+        node = BroadcastProcessor(Instance.from_pairs([], capacities), j, PROTOCOLS["dist"])
+        node.step([Delivery(1, SOURCE, range(1, n + 1), WeightOffer(weight))])
+        own = ConsensusPair(j, capacity if capacity >= weight else None)
+        assert node.my_report == own
+        senders = [k for k in range(1, n + 1) if k != j]
+        inbox = [Delivery(2, k, j, pair) for k, pair in zip(senders, pairs)]
+        best = _best_pair(pairs + [own])
+        wins = best is not None and best.best == j
+        if wins and capacity < weight:
+            # a pair naming p_j won although the item does not fit it
+            message = f"^p{j} received an item of weight {weight} with only {capacity} remaining$"
+            with pytest.raises(SimulationFault, match=message):
+                node.step(inbox)
+            return
+        assert node.step(inbox) == ([(SOURCE, Winner(j))] if wins else [])
+        assert node.remaining == (capacity - weight if wins else capacity)
+        assert node.my_report is None
+
+
+def dist_round(node, weight, rival):
+    """One round of p1 in a ``dist`` run over two processors: the offer of
+    ``weight``, then p2's pair with capacity ``rival``.  Returns the pair p1
+    sent."""
+    [(_, pair)] = node.step([Delivery(1, SOURCE, range(1, 3), WeightOffer(weight))])
+    node.step([Delivery(2, 2, 1, ConsensusPair(2, rival))])
+    return pair
+
+
+class TestBroadcastPairReuse:
+    def test_a_pair_is_sent_again_until_the_capacity_changes(self):
+        node = BroadcastProcessor(Instance.from_pairs([], [10, 10]), 1, PROTOCOLS["dist"])
+        first = dist_round(node, 3, 20)  # p2 wins
+        assert first == ConsensusPair(1, 10)
+        assert dist_round(node, 4, 20) is first
+        ineligible = dist_round(node, 11, None)
+        assert ineligible == ConsensusPair(1, None)
+        assert dist_round(node, 12, None) is ineligible
+        assert dist_round(node, 3, 5) is first  # p1 wins: 10 remaining -> 7
+        after_win = dist_round(node, 3, 20)
+        assert after_win == ConsensusPair(1, 7) and after_win is not first
+        assert dist_round(node, 4, 20) is after_win
+        assert dist_round(node, 8, 20) is ineligible
+        node.step([Delivery(1, SOURCE, 1, FinalDirective(0, 6))])  # 4 remaining
+        after_directive = dist_round(node, 3, 20)
+        assert after_directive == ConsensusPair(1, 4)
+        assert after_directive is not after_win
+
+    def test_a_trace_holds_few_pair_objects(self):
+        # n ineligible pairs, and one eligible pair per processor and win;
+        # one per processor and round (1,920 here) without the reuse
+        inst = gen_random(GenParams(30, 64, 50, 50, 1, 100, seed=1))
+        run = run_algorithm("dist", inst)
+        pairs = {id(d.payload) for d in run.trace if type(d.payload) is ConsensusPair}
+        assigned = len(run.pre_final_assignment.assigned_items())
+        assert len(pairs) <= 2 * inst.n + assigned
+
 
 def best_pair_by_max(pairs):
     """The consensus argmax restated: the first pair of largest capacity,

@@ -346,6 +346,20 @@ class TestVerification:
         verdict = verify_instance(gen_adversarial(4, 10))
         assert verdict.ok, verdict.violations
 
+    def test_modified_misses_the_bound_on_a_known_instance(self):
+        # every batch round ranks knapsack 1 (capacity 15) first, so the
+        # 2nd, 4th and 6th items in density order go to knapsack 0, do not
+        # fit it and are dropped; the pass finds no single item worth more
+        # than knapsack 1's 27
+        inst = Instance.from_pairs(
+            [(2, 1), (15, 4), (13, 7), (5, 1), (20, 1), (27, 2)], [1, 15]
+        )
+        verdict = verify_instance(inst)
+        assert verdict.violations == ["modified: bound violated: 27 * (2+1) < 82"]
+        assert verdict.opt.opt == 82
+        profits = {name: run.profit for name, run in verdict.results.items()}
+        assert profits == {"simple": 27, "modified": 27, "dist": 69, "tree": 69}
+
     def test_a_fresh_instance_is_sorted_once(self, monkeypatch):
         # the oracle, four runs, two recomputations and two trace audits all
         # read the one cached density order
