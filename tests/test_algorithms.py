@@ -463,6 +463,133 @@ class TestBroadcastExchange:
         assert node.my_report is None
 
 
+def reference_broadcast_step(node, inbox):
+    """``BroadcastProcessor.step`` as a per-message dispatch: each record is
+    checked on its own and sorted into offers and pairs, and only then does
+    the step start a round or decide the exchange."""
+    offers: list[WeightOffer] = []
+    pairs: list[ConsensusPair] = []
+    # payload classes are final, so the exact type decides
+    for msg in inbox:
+        payload = msg.payload
+        kind = type(payload)
+        if kind is ConsensusPair:
+            if msg.sender == SOURCE:
+                raise SimulationFault(f"p{node.j}: capacity pair from the source")
+            pairs.append(payload)
+        elif kind is WeightOffer:
+            if msg.sender != SOURCE:
+                raise SimulationFault(f"p{node.j}: weight offer from non-source")
+            offers.append(payload)
+        elif kind is FinalDirective:
+            if msg.sender != SOURCE:
+                raise SimulationFault(f"p{node.j}: directive from non-source")
+            node._apply_directive(payload)
+        else:
+            raise SimulationFault(f"p{node.j}: unexpected payload {payload!r}")
+
+    out = []
+    if offers:
+        if len(offers) != 1 or pairs:
+            raise SimulationFault(f"p{node.j}: malformed round start")
+        weight = offers[0].weight
+        node.current_weight = weight
+        eligible = node.remaining >= weight
+        if eligible and node.own_pair.capacity != node.remaining:
+            node.own_pair = ConsensusPair(node.j, node.remaining)
+        report = node.my_report = node.own_pair if eligible else node.no_pair
+        if node.n > 1:
+            # to every other processor: the ids below j and those above
+            if node.j > 1:
+                out.append((range(1, node.j), report))
+            if node.j < node.n:
+                out.append((range(node.j + 1, node.n + 1), report))
+        else:
+            # nobody to talk to: the lone processor decides immediately
+            if eligible:
+                out.append((SOURCE, Winner(node.j)))
+                node._take(weight)
+            node.my_report = None
+    elif pairs:
+        report = node.my_report
+        if report is None or len(pairs) != node.n - 1:
+            raise SimulationFault(f"p{node.j}: capacity exchange out of step")
+        best = _best_pair(pairs + [report])
+        node.my_report = None
+        if best is None or best.best != node.j:
+            return []
+        node._take(node.current_weight)
+        return [(SOURCE, Winner(node.j))]
+    return out
+
+
+@st.composite
+def broadcast_steps(draw):
+    """A ``dist`` processor p_j of n, its capacity, the weight of the
+    exchange it is inside (``None``: it waits for an offer) and one inbox in
+    sender order: up to two records from S, then up to n from peers.  S
+    sends an offer, a directive, a pair, a winner, a bottom or a capacity
+    report; the peers send pairs, one of which may be a stray offer,
+    directive or winner."""
+    n = draw(st.integers(1, 5))
+    j = draw(st.integers(1, n))
+    capacity = draw(st.integers(0, 12))
+    exchange_weight = draw(st.none() | st.integers(1, 12))
+    small = st.integers(0, 14)
+    pair = st.builds(ConsensusPair, st.integers(1, n + 1), st.none() | small)
+    offer = st.builds(WeightOffer, st.integers(1, 14))
+    directive = st.builds(FinalDirective, st.integers(0, 3), small)
+    winner = st.builds(Winner, st.integers(1, n))
+    stray = pair | winner | st.just(Bottom()) | st.builds(CapacityReport, small)
+    from_source = draw(st.lists(offer | directive, max_size=2) | st.lists(offer | stray, max_size=2))
+    # none, as at a round start, n - 1, as in an exchange, or up to n
+    count = draw(st.just(0) | st.just(n - 1) | st.integers(0, n))
+    from_peers = draw(st.lists(pair, min_size=count, max_size=count))
+    if from_peers and draw(st.integers(0, 2)) == 0:
+        from_peers[draw(st.integers(0, count - 1))] = draw(offer | directive | winner)
+    senders = sorted(draw(st.lists(st.integers(1, n), min_size=len(from_peers),
+                                   max_size=len(from_peers))))
+    inbox = [Delivery(2, SOURCE, j, payload) for payload in from_source]
+    inbox += [Delivery(2, k, j, payload) for k, payload in zip(senders, from_peers)]
+    return n, j, capacity, exchange_weight, inbox
+
+
+class TestBroadcastStepDifferential:
+    """The step against :func:`reference_broadcast_step` on any inbox."""
+
+    @staticmethod
+    def outcome(step, node, inbox):
+        try:
+            sends = step(node, inbox)
+        except SimulationFault as fault:
+            return str(fault)
+        return sends, node.remaining, node.my_report, node.current_weight
+
+    @settings(max_examples=600, deadline=None)
+    @given(broadcast_steps())
+    # a whole exchange, won and lost
+    @example((3, 2, 5, 3, [Delivery(2, 1, 2, ConsensusPair(1, 4)), Delivery(2, 3, 2, ConsensusPair(3, 5))]))
+    @example((3, 2, 5, 3, [Delivery(2, 1, 2, ConsensusPair(1, 5)), Delivery(2, 3, 2, ConsensusPair(3, 6))]))
+    # a directive, then the exchange it changed the capacity for
+    @example((2, 1, 9, 3, [Delivery(2, SOURCE, 1, FinalDirective(0, 7)),
+                           Delivery(2, 2, 1, ConsensusPair(2, 1))]))
+    # an offer after a directive, with the capacity the directive left
+    @example((3, 3, 9, None, [Delivery(2, SOURCE, 3, FinalDirective(0, 7)),
+                              Delivery(2, SOURCE, 3, WeightOffer(2))]))
+    def test_matches_the_per_message_dispatch(self, case):
+        n, j, capacity, exchange_weight, inbox = case
+        nodes = []
+        for _ in range(2):
+            capacities = [1] * n
+            capacities[j - 1] = capacity
+            node = BroadcastProcessor(Instance.from_pairs([], capacities), j, PROTOCOLS["dist"])
+            if exchange_weight is not None:
+                node.step([Delivery(1, SOURCE, range(1, n + 1), WeightOffer(exchange_weight))])
+            nodes.append(node)
+        got = self.outcome(BroadcastProcessor.step, nodes[0], inbox)
+        assert got == self.outcome(reference_broadcast_step, nodes[1], inbox)
+
+
 def dist_round(node, weight, rival):
     """One round of p1 in a ``dist`` run over two processors: the offer of
     ``weight``, then p2's pair with capacity ``rival``.  Returns the pair p1
