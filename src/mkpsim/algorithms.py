@@ -319,12 +319,12 @@ def _best_pair(pairs: list[ConsensusPair]) -> ConsensusPair | None:
 # One more phase books the last winner, runs the reassignment pass and halts.
 # A round whose item fits nowhere simply leaves phase 3r+3 silent.
 #
-# The n - 1 pairs of phase 3r+3 are nearly all of the mail, so a processor
-# takes them in one pass that keeps the running best, and turns to the
-# general dispatch only for an inbox that holds something else.  Like a tree
-# node, it sends one object for every equal pair: its eligible pair is
-# rebuilt only after a win or a directive has changed its capacity, and its
-# ineligible pair is built once.
+# The n - 1 pairs of phase 3r+3 are nearly all of the mail.  A processor
+# reads an inbox in one pass: S's records, which come first, then the
+# peers' records, each of which must be a pair and is scanned with the
+# running best.  Like a tree node, it sends one object for every equal
+# pair: its eligible pair is rebuilt only after a win or a directive has
+# changed its capacity, and its ineligible pair is built once.
 
 class BroadcastProcessor(ProcessorNode):
     def __init__(self, inst: Instance, j: int, protocol: Protocol):
@@ -336,78 +336,69 @@ class BroadcastProcessor(ProcessorNode):
         self.no_pair = ConsensusPair(j, None)
 
     def step(self, inbox: list[Delivery]) -> list[Send]:
-        # an inbox is in sender order, so a record from S would come first
-        if self.my_report is not None and inbox and inbox[0].sender != SOURCE:
-            # the exchange: _best_pair's scan, over the records themselves
-            best = best_capacity = None
-            for msg in inbox:
-                pair = msg.payload
-                if type(pair) is not ConsensusPair:
-                    break  # the dispatch below names the fault
-                capacity = pair.capacity
-                if capacity is not None and (
-                    best is None
-                    or capacity > best_capacity
-                    or (capacity == best_capacity and pair.best < best.best)
-                ):
-                    best, best_capacity = pair, capacity
-            else:
-                return self._decide(len(inbox), best)
-
-        offers: list[WeightOffer] = []
-        pairs: list[ConsensusPair] = []
-        # payload classes are final, so the exact type decides
+        # an inbox is in sender order, so S's records come first
+        offers = start = 0
         for msg in inbox:
+            if msg.sender != SOURCE:
+                break
+            start += 1
             payload = msg.payload
+            # payload classes are final, so the exact type decides
             kind = type(payload)
-            if kind is ConsensusPair:
-                if msg.sender == SOURCE:
-                    raise SimulationFault(f"p{self.j}: capacity pair from the source")
-                pairs.append(payload)
-            elif kind is WeightOffer:
-                if msg.sender != SOURCE:
-                    raise SimulationFault(f"p{self.j}: weight offer from non-source")
-                offers.append(payload)
+            if kind is WeightOffer:
+                offers += 1
+                weight = payload.weight
             elif kind is FinalDirective:
-                if msg.sender != SOURCE:
-                    raise SimulationFault(f"p{self.j}: directive from non-source")
                 self._apply_directive(payload)
+            elif kind is ConsensusPair:
+                raise SimulationFault(f"p{self.j}: capacity pair from the source")
             else:
                 raise SimulationFault(f"p{self.j}: unexpected payload {payload!r}")
 
-        out: list[Send] = []
+        # every later record must be a peer's pair: _best_pair's scan, over
+        # the records themselves
+        best = best_capacity = None
+        for msg in inbox[start:] if start else inbox:
+            pair = msg.payload
+            if type(pair) is not ConsensusPair:
+                if type(pair) is WeightOffer:
+                    raise SimulationFault(f"p{self.j}: weight offer from non-source")
+                if type(pair) is FinalDirective:
+                    raise SimulationFault(f"p{self.j}: directive from non-source")
+                raise SimulationFault(f"p{self.j}: unexpected payload {pair!r}")
+            capacity = pair.capacity
+            if capacity is not None and (
+                best is None
+                or capacity > best_capacity
+                or (capacity == best_capacity and pair.best < best.best)
+            ):
+                best, best_capacity = pair, capacity
+        count = len(inbox) - start
+
         if offers:
-            if len(offers) != 1 or pairs:
+            if offers != 1 or count:
                 raise SimulationFault(f"p{self.j}: malformed round start")
-            weight = offers[0].weight
             self.current_weight = weight
             eligible = self.remaining >= weight
             if eligible and self.own_pair.capacity != self.remaining:
                 self.own_pair = ConsensusPair(self.j, self.remaining)
             report = self.my_report = self.own_pair if eligible else self.no_pair
-            if self.n > 1:
-                # to every other processor: the ids below j and those above
-                if self.j > 1:
-                    out.append((range(1, self.j), report))
-                if self.j < self.n:
-                    out.append((range(self.j + 1, self.n + 1), report))
-            else:
-                # nobody to talk to: the lone processor decides immediately
-                if eligible:
-                    out.append((SOURCE, Winner(self.j)))
-                    self._take(weight)
-                self.my_report = None
-        elif pairs:
-            return self._decide(len(pairs), _best_pair(pairs))
-        return out
-
-    def _decide(self, count: int, best: ConsensusPair | None) -> list[Send]:
-        """End the exchange of ``count`` pairs, ``best`` the best of them:
-        p_j wins iff ``_best_pair(pairs + [my_report])`` names it."""
+            # to every other processor: the ids below j and those above
+            out: list[Send] = []
+            if self.j > 1:
+                out.append((range(1, self.j), report))
+            if self.j < self.n:
+                out.append((range(self.j + 1, self.n + 1), report))
+            if out:
+                return out
+            # nobody to talk to (n = 1): the exchange of no pairs ends now
+        elif not count:
+            return []
+        # p_j wins iff _best_pair(pairs + [report]) names it; _best_pair is a
+        # left fold, so the best of the pairs stands for them
         report = self.my_report
         if report is None or count != self.n - 1:
             raise SimulationFault(f"p{self.j}: capacity exchange out of step")
-        # _best_pair is a left fold, so the best of the pairs stands for them
         best = _best_pair([report] if best is None else [best, report])
         self.my_report = None
         if best is None or best.best != self.j:

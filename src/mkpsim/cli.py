@@ -10,9 +10,10 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from contextlib import ExitStack
 
 from .algorithms import ALGORITHMS, run_algorithm
-from .core import InstanceFormatError, instance_to_json, load_instance, save_instance
+from .core import InstanceFormatError, instance_to_json, load_instance
 from .harness import (
     GenParams,
     SweepParams,
@@ -86,11 +87,16 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _write(text: str, path: str | None) -> None:
-    if path is None:
-        sys.stdout.write(text)
-    else:
-        with open(path, "w", encoding="utf-8") as fh:
+def _write(*outputs: tuple[str, str | None]) -> None:
+    """Write each ``(text, path)`` pair, to stdout where ``path`` is None,
+    opening every file, in order, before writing any: a path that cannot be
+    opened leaves stdout empty and makes none of the files after it."""
+    with ExitStack() as stack:
+        files = [
+            sys.stdout if path is None else stack.enter_context(open(path, "w", encoding="utf-8"))
+            for _, path in outputs
+        ]
+        for (text, _), fh in zip(outputs, files):
             fh.write(text)
 
 
@@ -102,24 +108,17 @@ def _parse_range(token: str, key: str) -> tuple[int, int]:
     return int(lo_text), int(hi_text)
 
 
-def _emit_instance(inst, out_path) -> None:
-    if out_path:
-        save_instance(inst, out_path)
-    else:
-        sys.stdout.write(instance_to_json(inst))
-
-
 def _cmd_gen_random(args) -> int:
     params = GenParams(
         args.m, args.n, args.cost_max, args.weight_max, args.cap_min, args.cap_max, args.seed
     )
     inst = gen_random(params)
-    _emit_instance(inst, args.out)
+    _write((instance_to_json(inst), args.out))
     return 0
 
 
 def _cmd_gen_adversarial(args) -> int:
-    _emit_instance(gen_adversarial(args.n, args.W), args.out)
+    _write((instance_to_json(gen_adversarial(args.n, args.W)), args.out))
     return 0
 
 
@@ -134,10 +133,10 @@ def _cmd_run(args) -> int:
     if args.oracle:
         opt = exact_optimum(inst)
         oracle = "ok" if opt is not None else "unavailable"
-    report = make_report(inst, result, opt, oracle)
-    _write(report_to_json(report), args.report)
-    if args.trace:
-        _write(render_trace(result.trace), args.trace)
+    outputs = [(report_to_json(make_report(inst, result, opt, oracle)), args.report)]
+    if args.trace:  # opened first: a trace path that fails leaves no report
+        outputs.insert(0, (render_trace(result.trace), args.trace))
+    _write(*outputs)
     return 0
 
 

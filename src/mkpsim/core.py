@@ -379,19 +379,8 @@ def save_instance(inst: Instance, path) -> None:
 
 
 def instance_digest(inst: Instance) -> str:
-    """SHA-256 (hex) of the compact canonical document.
-
-    The hashed text is byte-identical to ``instance_to_json(inst,
-    indent=None)``: ``json.dumps``' default separators (``", "`` and
-    ``": "``), fields in the order id, cost, weight, then the capacities,
-    and one trailing newline.  It is built with one f-string per item rather
-    than through a dict per item and the JSON encoder, because the digest is
-    taken for every report; every field is an int, which both render as its
-    decimal digits.
-    """
-    items = ", ".join(
-        [f'{{"id": {it.id}, "cost": {it.cost}, "weight": {it.weight}}}' for it in inst.items]
-    )
-    capacities = ", ".join([f"{cap}" for cap in inst.capacities])
-    canonical = f'{{"items": [{items}], "capacities": [{capacities}]}}\n'
+    """SHA-256 (hex) of the compact canonical document,
+    ``instance_to_json(inst, indent=None)``.  An instance computes it once,
+    as its :attr:`~Instance.digest`."""
+    canonical = instance_to_json(inst, indent=None)
     return hashlib.sha256(canonical.encode("utf-8")).hexdigest()

@@ -345,8 +345,9 @@ def verify_instance(inst: Instance, *, with_oracle: bool = True) -> InstanceVeri
     :func:`batch_round_greedy`), and its final placement that recomputation
     after :func:`final_reassign` when it ``reassigns``, else the
     recomputation itself.  A one-item-per-round run's trace must pass
-    :func:`audit_max_capacity_dispatch`, and with the oracle a run that
-    reassigns must earn at least OPT/(n+1).  Every violation but an
+    :func:`audit_max_capacity_dispatch`; those are the only runs that keep
+    a trace, and a batch run's ``trace`` is ``None``.  With the oracle a
+    run that reassigns must earn at least OPT/(n+1).  Every violation but an
     unavailable oracle starts with the protocol's name.  All of them read
     the instance's one cached :attr:`~mkpsim.core.Instance.density_order`."""
     n = inst.n
@@ -358,7 +359,7 @@ def verify_instance(inst: Instance, *, with_oracle: bool = True) -> InstanceVeri
     # messages formatted only on failure: a sweep runs this per instance
     for name, protocol in PROTOCOLS.items():
         # run_algorithm raises on an infeasible final assignment
-        res = results[name] = run_algorithm(name, inst)
+        res = results[name] = run_algorithm(name, inst, keep_trace=protocol.one_item_per_round)
         violation = check_feasible(res.pre_final_assignment, inst)
         if violation is not None:
             bad.append(f"{name}: pre-final assignment infeasible: {violation}")

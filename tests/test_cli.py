@@ -91,6 +91,17 @@ class TestRun:
             assert err == "mkpsim: error: --report and --trace name the same file\n"
             assert not (tmp_path / "same.out").exists()
 
+    @pytest.mark.parametrize("with_report", [False, True], ids=["stdout", "report file"])
+    def test_unwritable_trace_exit_2_writes_no_report(self, capsys, tmp_path, instance_a, with_report):
+        inst = tmp_path / "a.json"
+        save_instance(instance_a, inst)
+        report = tmp_path / "report.json"
+        argv = ["run", "--alg", "dist", "--instance", str(inst), "--trace", str(tmp_path)]
+        code, out, err = run_cli(capsys, *argv, *(["--report", str(report)] if with_report else []))
+        assert code == 2 and out == ""
+        assert err.startswith("mkpsim: error: [Errno 21] Is a directory")
+        assert not report.exists()
+
     def test_repeated_runs_are_byte_identical(self, capsys, tmp_path, instance_a):
         inst = tmp_path / "a.json"
         save_instance(instance_a, inst)

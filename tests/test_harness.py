@@ -18,6 +18,7 @@ from mkpsim import (
     instance_digest,
     instance_from_json,
     instance_to_json,
+    render_trace,
     run_algorithm,
     run_experiment,
     verify_instance,
@@ -367,6 +368,22 @@ class TestVerification:
         verdict = verify_instance(gen_random(GenParams(8, 3, 50, 50, 1, 100, seed=4)))
         assert verdict.ok, verdict.violations
         assert calls == [1]
+
+    def test_only_the_audited_runs_keep_a_trace(self, monkeypatch):
+        inst = gen_random(GenParams(8, 3, 50, 50, 1, 100, seed=4))
+        verdict = verify_instance(inst)
+        assert verdict.ok, verdict.violations
+        kept = {name: run.trace for name, run in verdict.results.items() if run.trace is not None}
+        assert set(kept) == {"dist", "tree"}
+        for name, trace in kept.items():
+            assert render_trace(trace) == render_trace(run_algorithm(name, inst).trace)
+            # and the audit still reads it: a second winner report in round 0
+            stray = Delivery(PROTOCOLS[name].period(inst), 2, SOURCE, Winner(2))
+            violations = _verify_with_one_run_changed(
+                monkeypatch, inst, name, lambda run: replace(run, trace=run.trace + (stray,))
+            )
+            assert violations == [f"{name}: trace audit: round 0: more than one winner report"]
+            monkeypatch.undo()
 
     def test_small_sweep_is_clean(self):
         summary = verify_sweep(SweepParams(0, 4, 1, 3, seeds=3))
