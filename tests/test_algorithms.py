@@ -18,7 +18,14 @@ from mkpsim import (
     render_trace,
     run_algorithm,
 )
-from mkpsim.algorithms import PROTOCOLS, BroadcastProcessor, TreeProcessor, _best_pair
+from mkpsim.algorithms import (
+    _BOTTOM,
+    _NO_PAIR,
+    PROTOCOLS,
+    BroadcastProcessor,
+    TreeProcessor,
+    _best_pair,
+)
 from mkpsim.oracle import batch_round_greedy, strict_sequential_greedy
 from mkpsim.simnet import (
     SOURCE,
@@ -777,6 +784,170 @@ class TestTreeProcessorDifferential:
         assert tree_round(root, 3, 4, mail) == [(SOURCE, Winner(2))]
         silent = [(2, ConsensusPair(None, None)), (3, ConsensusPair(None, None))]
         assert tree_round(root, 3, 4, silent, start=root.period + 1) == [(SOURCE, Bottom())]
+
+
+def reference_tree_step(node, child_pairs, inbox):
+    """``TreeProcessor.step`` as a list of the round's pairs: each child's
+    pair is appended to ``child_pairs`` as it is read, the own pair is
+    appended at the send offset, and :func:`_best_pair` chooses among them.
+    The caller keeps ``child_pairs`` from step to step; the round's offer
+    empties it."""
+    phase = inbox[0].phase + 1 if inbox else node.alarm
+    offset = (phase - 1) % node.period + 1
+    for msg in inbox:
+        payload = msg.payload
+        kind = type(payload)
+        if kind is ConsensusPair:
+            if msg.sender not in node.children:
+                raise SimulationFault(
+                    f"p{node.j}: aggregation pair from non-child p{msg.sender}"
+                )
+            child_pairs.append(payload)
+        elif kind is WeightOffer:
+            if msg.sender != SOURCE:
+                raise SimulationFault(f"p{node.j}: weight offer from non-source")
+            if offset == 2:  # the round's offer broadcast
+                node.current_weight = payload.weight
+                child_pairs.clear()
+                if node.needs_alarm:
+                    node.alarm = node.wake_at = phase + node.send_offset - offset
+            elif offset == 1:  # the award for the round just decided
+                if payload.weight != node.current_weight:
+                    raise SimulationFault(f"p{node.j}: award weight mismatch")
+                node._take(payload.weight)
+            else:
+                raise SimulationFault(f"p{node.j}: weight offer off schedule")
+        elif kind is FinalDirective:
+            if msg.sender != SOURCE:
+                raise SimulationFault(f"p{node.j}: directive from non-source")
+            node._apply_directive(payload)
+        else:
+            raise SimulationFault(f"p{node.j}: unexpected payload {payload!r}")
+
+    if offset != node.send_offset or node.current_weight is None:
+        return []
+    remaining = node.remaining
+    if remaining >= node.current_weight:
+        own = node.own_pair
+        if own.capacity != remaining:
+            own = node.own_pair = ConsensusPair(node.j, remaining)
+        child_pairs.append(own)
+    best = _best_pair(child_pairs)
+    if node.parent is not None:
+        return [(node.parent, best or _NO_PAIR)]
+    return [(SOURCE, _BOTTOM if best is None else Winner(best.best))]
+
+
+@st.composite
+def tree_step_sequences(draw):
+    """p_j of a tree over 1..n, its capacity and up to eight inboxes for it.
+    Each inbox is read at round offset 1, 2, p_j's send offset or any other,
+    and holds offers and awards, directives and pairs from p_j's children,
+    with ties, absent capacities and ids from anywhere; now and then one
+    record at any position is a pair from a non-child, an offer or a
+    directive from a processor, or a stray winner, bottom or capacity
+    report.  An empty inbox is a wake-up."""
+    n = draw(st.integers(1, 12))
+    j = draw(st.integers(1, n))
+    capacity = draw(st.integers(0, 8))
+    period = n.bit_length() + 2
+    send_offset = period - j.bit_length()
+    children = [c for c in (2 * j, 2 * j + 1) if c <= n]
+    small = st.integers(0, 8)
+    ids = st.sampled_from([j, *children]) | st.integers(-1, n + 2)
+    pair = st.builds(ConsensusPair, ids, st.none() | small)
+    offer = st.builds(WeightOffer, st.integers(1, 4))
+    directive = st.builds(FinalDirective, st.integers(0, 3), small)
+    good = st.tuples(st.just(SOURCE), offer | directive)
+    if children:
+        good = good | st.tuples(st.sampled_from(children), pair)
+    others = [k for k in range(n + 3) if k not in children]
+    bad = (
+        st.tuples(st.sampled_from(others), pair)
+        | st.tuples(st.integers(1, n + 2), offer | directive)
+        | st.tuples(
+            st.integers(0, n + 2),
+            st.builds(Winner, st.integers(1, n)) | st.just(Bottom())
+            | st.builds(CapacityReport, small),
+        )
+    )
+    inboxes = []
+    for _ in range(draw(st.integers(1, 8))):
+        records = draw(st.lists(good, max_size=4))
+        if draw(st.integers(0, 7)) == 0:
+            records.insert(draw(st.integers(0, len(records))), draw(bad))
+        offset = draw(st.sampled_from([1, 2, send_offset]) | st.integers(1, period))
+        sent_in = draw(st.integers(1, 3)) * period + offset - 1
+        inboxes.append([Delivery(sent_in, k, j, payload) for k, payload in records])
+    return n, j, capacity, inboxes
+
+
+class TestTreeStepDifferential:
+    """The step against :func:`reference_tree_step` over a sequence of inboxes."""
+
+    @staticmethod
+    def outcome(step, *args):
+        try:
+            return step(*args)
+        except SimulationFault as fault:
+            return str(fault)
+
+    @settings(max_examples=600, deadline=None)
+    @given(tree_step_sequences())
+    # a round of p2 of 5 (a round has 5 phases; p2 sends at offset 3): the
+    # offer, then its children's pairs, tied on capacity with each other
+    # and with p2's own
+    @example((5, 2, 6, [
+        [Delivery(6, SOURCE, 2, WeightOffer(3))],
+        [Delivery(7, 4, 2, ConsensusPair(5, 6)), Delivery(7, 5, 2, ConsensusPair(4, 6))],
+    ]))
+    # equal pairs, distinct objects: the first one read goes up, and a
+    # child's pair beats an equal own pair
+    @example((5, 2, 6, [
+        [Delivery(6, SOURCE, 2, WeightOffer(3))],
+        [Delivery(7, 4, 2, ConsensusPair(2, 6)), Delivery(7, 5, 2, ConsensusPair(2, 6))],
+    ]))
+    # a leaf's round (it sends at offset 2), its award and the next round
+    @example((3, 3, 5, [
+        [Delivery(5, SOURCE, 3, WeightOffer(2))],
+        [Delivery(8, SOURCE, 3, WeightOffer(2))],
+        [Delivery(9, SOURCE, 3, WeightOffer(2))],
+    ]))
+    # p1 of 3 (p1 sends at offset 3 of 4) sends twice in a round, with its
+    # award between, so the own pair it sent first beats the later pairs
+    @example((3, 1, 7, [
+        [Delivery(5, SOURCE, 1, WeightOffer(4))],
+        [Delivery(6, 2, 1, ConsensusPair(2, None))],
+        [Delivery(8, SOURCE, 1, WeightOffer(4))],
+        [Delivery(10, 3, 1, ConsensusPair(3, 1))],
+    ]))
+    def test_matches_the_pair_list_step(self, case):
+        n, j, capacity, inboxes = case
+        capacities = [1] * n
+        capacities[j - 1] = capacity
+        node, ref = tree_node(j, capacities), tree_node(j, capacities)
+        child_pairs = []
+        owns = []  # (the node's own pair, the reference's), as each is built
+        for inbox in inboxes:
+            got = self.outcome(TreeProcessor.step, node, inbox)
+            want = self.outcome(reference_tree_step, ref, child_pairs, inbox)
+            if isinstance(want, str):
+                assert got == want
+                return
+            owns.append((node.own_pair, ref.own_pair))
+            assert [r for r, _ in got] == [r for r, _ in want]
+            for (_, sent), (_, expected) in zip(got, want):
+                # the same object: a child's, the shared constants, or the
+                # node's own pair where the reference sent its own
+                assert (
+                    sent is expected
+                    or any(sent is a and expected is b for a, b in owns)
+                    or (type(sent) is Winner and sent == expected)
+                )
+            assert (node.remaining, node.own_pair, node.current_weight, node.wake_at,
+                    node.alarm) == (ref.remaining, ref.own_pair, ref.current_weight,
+                                    ref.wake_at, ref.alarm)
+            node.wake_at = ref.wake_at = None  # the engine takes the request
 
 
 class TestTreeProcessorFaults:

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from mkpsim import GenParams, gen_adversarial, gen_random, run_algorithm
+from mkpsim.algorithms import PROTOCOLS
 
 from mkpsim.simnet import (
     SOURCE,
@@ -395,6 +396,42 @@ class TestRunWithoutTrace:
         assert runs == [message, message]
 
 
+class _SendsOnce(Node):
+    """Sends ``sends`` in its first step and nothing after."""
+
+    def __init__(self, sends):
+        self.sends = sends
+
+    def step(self, inbox):
+        sends, self.sends = self.sends, []
+        return sends
+
+
+class TestSendOrderOfALaterSender:
+    @pytest.mark.parametrize(
+        "recipients,message",
+        [
+            ([3, 1], "p2 sent to p1 after a send to p3"),
+            ([0, 4, 3], "p2 sent to p3 after a send to p4"),
+            ([0, range(3, 5), 1], "p2 sent to p1 after a send to p4"),
+        ],
+        ids=["second send", "third send", "third after a multicast"],
+    )
+    def test_the_check_reads_only_the_nodes_own_records(self, recipients, message):
+        # S and p1 send before p2 in phase 1, so p2's records are not the
+        # first of the phase
+        message += ": a node's sends must come in ascending recipient order"
+        for keep in (True, False):
+            processors = {
+                1: _SendsOnce([(3, WeightOffer(7)), (4, WeightOffer(8))]),
+                2: _SendsOnce([(r, WeightOffer(k)) for k, r in enumerate(recipients)]),
+                3: _SilentNode(),
+                4: _SilentNode(),
+            }
+            source = _OneShotSource([(1, WeightOffer(5)), (range(3, 5), WeightOffer(6))])
+            assert _fault_text(source, processors, keep_trace=keep) == message
+
+
 class _Recorder(Node):
     """Keeps every inbox it is stepped with; sends nothing."""
 
@@ -762,6 +799,48 @@ class TestActiveStepping:
 
         with pytest.raises(SimulationFault, match="S asked for a wake-up"):
             run_protocol(Sleepy([], halt_at=5), {1: _SilentNode()})
+
+    @pytest.mark.parametrize(
+        "preset,plan,woken",
+        [
+            (3, {}, [1, 3]),  # taken after the node's step in phase 1
+            (3, {1: ([], 4)}, [1, 4]),  # that step asks for another phase
+            (None, {1: ([], 4)}, [1, 4]),
+        ],
+        ids=["kept", "replaced in the first step", "none"],
+    )
+    def test_a_wake_up_set_before_the_run(self, preset, plan, woken):
+        phases = []
+
+        class Logged(_Scripted):
+            def step(self, inbox):
+                phases.append(source.phase)
+                return super().step(inbox)
+
+        source = _Metronome([], halt_at=5)
+        p1 = Logged(1, [], plan)
+        p1.wake_at = preset
+        run_protocol(source, {1: p1})
+        assert phases == woken
+        assert p1.wake_at is None
+
+    def test_a_wake_up_set_on_the_source_before_the_run_faults(self):
+        source = _Metronome([], halt_at=5)
+        source.wake_at = 2
+        with pytest.raises(SimulationFault, match="^S asked for a wake-up; it steps in every phase$"):
+            run_protocol(source, {1: _SilentNode()})
+
+    @pytest.mark.parametrize("n", [5, 9, 11])
+    def test_no_wake_up_is_left_after_a_run(self, n):
+        # trees with childless nodes above the bottom level, which ask for
+        # wake-ups in every round
+        inst = gen_random(GenParams(6, n, 50, 50, 1, 100, seed=n))
+        protocol = PROTOCOLS["tree"]
+        source = protocol.source(inst, protocol)
+        processors = {j: protocol.processor(inst, j, protocol) for j in range(1, n + 1)}
+        assert any(p.needs_alarm for p in processors.values())
+        run_protocol(source, processors)
+        assert [node.wake_at for node in [source, *processors.values()]] == [None] * (n + 1)
 
     def test_steps_within_a_phase_run_in_ascending_id_order(self):
         log = []
