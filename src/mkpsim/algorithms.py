@@ -458,6 +458,8 @@ class BroadcastSource(GreedySource):
 # from it.  The one that must send without mail is a childless node above
 # the bottom level (depth D-1): it asks for a wake-up when the offer arrives.
 #
+# A node folds each child's pair into the round's running best as it reads
+# it, and its own pair last; a child's pair goes up as the object it sent.
 # Payloads are immutable, so a node sends the same object whenever it would
 # send an equal one: its own pair is built when first needed and rebuilt
 # only after an award or a directive has changed its capacity, so it may go
@@ -480,12 +482,13 @@ class TreeProcessor(ProcessorNode):
         self.needs_alarm = links.left is None and self.send_offset > 2
         self.alarm = 1  # the phase of a step with no mail: 1, or a wake-up's
         self.current_weight: int | None = None
-        self.child_pairs: list[ConsensusPair] = []
+        self.best: ConsensusPair | None = None  # the round's running best; the offer resets it
         self.own_pair = _NO_PAIR  # p_j's own pair, built anew when its capacity differs
 
     def step(self, inbox: list[Delivery]) -> list[Send]:
         phase = inbox[0].phase + 1 if inbox else self.alarm
         offset = (phase - 1) % self.period + 1
+        best = self.best
         # payload classes are final, so the exact type decides; pairs and
         # offers are nearly all of the mail
         for msg in inbox:
@@ -496,13 +499,16 @@ class TreeProcessor(ProcessorNode):
                     raise SimulationFault(
                         f"p{self.j}: aggregation pair from non-child p{msg.sender}"
                     )
-                self.child_pairs.append(payload)
+                capacity = payload.capacity  # folded in by _best_pair's rule
+                if capacity is not None and (best is None or capacity > best.capacity or (
+                        capacity == best.capacity and payload.best < best.best)):
+                    best = payload
             elif kind is WeightOffer:
                 if msg.sender != SOURCE:
                     raise SimulationFault(f"p{self.j}: weight offer from non-source")
                 if offset == 2:  # the round's offer broadcast
                     self.current_weight = payload.weight
-                    self.child_pairs = []
+                    best = None
                     if self.needs_alarm:
                         self.alarm = self.wake_at = phase + self.send_offset - offset
                 elif offset == 1:  # the award for the round just decided
@@ -518,16 +524,18 @@ class TreeProcessor(ProcessorNode):
             else:
                 raise SimulationFault(f"p{self.j}: unexpected payload {payload!r}")
 
+        self.best = best
         if offset != self.send_offset or self.current_weight is None:
             return []
-        pairs = self.child_pairs
         remaining = self.remaining
         if remaining >= self.current_weight:
             own = self.own_pair
             if own.capacity != remaining:
                 own = self.own_pair = ConsensusPair(self.j, remaining)
-            pairs.append(own)
-        best = _best_pair(pairs)
+            # the own pair goes last, by the same rule
+            if best is None or remaining > best.capacity or (
+                    remaining == best.capacity and self.j < best.best):
+                best = self.best = own
         if self.parent is not None:
             return [(self.parent, best or _NO_PAIR)]
         return [(SOURCE, _BOTTOM if best is None else Winner(best.best))]

@@ -89,14 +89,23 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _write(*outputs: tuple[str, str | None]) -> None:
     """Write each ``(text, path)`` pair, to stdout where ``path`` is None,
-    opening every file, in order, before writing any: a path that cannot be
-    opened leaves stdout empty and makes none of the files after it."""
-    with ExitStack() as stack:
-        files = [
-            sys.stdout if path is None else stack.enter_context(open(path, "w", encoding="utf-8"))
-            for _, path in outputs
-        ]
-        for (text, _), fh in zip(outputs, files):
+    opening every file, in order, before emptying or writing any: a path
+    that cannot be opened leaves stdout empty and every named file as it
+    was, and removes the files opened before it that did not exist."""
+    with ExitStack() as stack, ExitStack() as made:
+        files = []
+        for _, path in outputs:
+            if path is None:
+                files.append(sys.stdout)
+                continue
+            new = not os.path.exists(path)
+            files.append(stack.enter_context(open(path, "a", encoding="utf-8")))
+            if new:
+                made.callback(os.remove, path)  # unless every open succeeds
+        made.pop_all()
+        for (text, path), fh in zip(outputs, files):
+            if path is not None and os.path.isfile(path):
+                fh.truncate(0)  # a device or a pipe is written as it is
             fh.write(text)
 
 
@@ -133,10 +142,8 @@ def _cmd_run(args) -> int:
     if args.oracle:
         opt = exact_optimum(inst)
         oracle = "ok" if opt is not None else "unavailable"
-    outputs = [(report_to_json(make_report(inst, result, opt, oracle)), args.report)]
-    if args.trace:  # opened first: a trace path that fails leaves no report
-        outputs.insert(0, (render_trace(result.trace), args.trace))
-    _write(*outputs)
+    trace = [(render_trace(result.trace), args.trace)] if args.trace else []
+    _write(*trace, (report_to_json(make_report(inst, result, opt, oracle)), args.report))
     return 0
 
 

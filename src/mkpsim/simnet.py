@@ -189,12 +189,13 @@ class Node:
 
     The engine steps a processor in phase 1 and afterwards only in phases
     where it has mail, so a processor that must act in a phase without mail
-    asks for a wake-up: it sets ``wake_at`` to that phase during a step.
-    The engine takes the request when the step returns and clears the
-    attribute; the node is then stepped once in that phase, with whatever
-    mail arrives there (possibly none).  The phase must be later than the
-    current one.  A pending wake-up does not keep a finished run alive.  The
-    source steps in every phase until it halts and may not ask for one.
+    asks for a wake-up: it sets ``wake_at``, an instance attribute of every
+    node from the run's start, to that phase during a step.  The engine
+    takes the request when the step returns and clears the attribute; the
+    node is then stepped once in that phase, with whatever mail arrives
+    there (possibly none).  The phase must be later than the current one.
+    A pending wake-up does not keep a finished run alive.  The source steps
+    in every phase until it halts and may not ask for one.
 
     ``step`` returns the node's sends for this phase (see :data:`Send`) in
     ascending recipient order: each send starts past the last recipient of
@@ -398,6 +399,8 @@ def run_protocol(
     if sorted(processors) != list(range(1, n + 1)):
         raise SimulationFault("processor programs must cover ids 1..n exactly")
     nodes = [source] + [processors[j] for j in range(1, n + 1)]
+    for node in nodes:  # a plain store: reading __dict__ would slow the node's attribute loads
+        node.wake_at = node.wake_at
     steps = [node.step for node in nodes]
 
     log: list[Delivery] = []
@@ -446,7 +449,6 @@ def run_protocol(
             inboxes[node_id] = []
             sends = steps[node_id](inbox)
             if sends:
-                node_start = len(log)
                 for recipient, payload in sends:
                     # the one place records are built; a fault drops this one
                     delivery = new(Delivery)
@@ -493,11 +495,11 @@ def run_protocol(
                         raise SimulationFault(
                             f"{node_name(node_id)} sent to nonexistent node {recipient}"
                         )
-                # Nodes step in id order and each emits in recipient order, so
-                # the log is in (sender, recipient) order once this check
-                # passes, and each inbox holds its records in the same order.
-                if len(log) - node_start > 1:
-                    _check_send_order(log[node_start:], node_id)
+                # The node's records end the log, one per send.  Nodes step in
+                # id order and each emits in recipient order, so once this
+                # passes the log and each inbox are in (sender, recipient) order.
+                if len(sends) > 1:
+                    _check_send_order(log[-len(sends):], node_id)
             wake = nodes[node_id].wake_at
             if wake is not None:
                 nodes[node_id].wake_at = None

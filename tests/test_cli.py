@@ -1,4 +1,5 @@
 import json
+import os
 
 import pytest
 
@@ -101,6 +102,49 @@ class TestRun:
         assert code == 2 and out == ""
         assert err.startswith("mkpsim: error: [Errno 21] Is a directory")
         assert not report.exists()
+
+    @pytest.mark.parametrize("old", [None, b"an earlier trace\n"], ids=["new trace", "old trace"])
+    def test_unwritable_report_leaves_the_trace_as_it_was(self, capsys, tmp_path, instance_a, old):
+        # the trace is opened first; the report's open fails after it
+        inst = tmp_path / "a.json"
+        save_instance(instance_a, inst)
+        trace = tmp_path / "run.trace"
+        if old is not None:
+            trace.write_bytes(old)
+        before = sorted(tmp_path.iterdir())
+        code, out, err = run_cli(
+            capsys, "run", "--alg", "dist", "--instance", str(inst),
+            "--report", str(tmp_path), "--trace", str(trace),
+        )
+        assert code == 2 and out == ""
+        assert err.startswith("mkpsim: error: [Errno 21] Is a directory")
+        assert sorted(tmp_path.iterdir()) == before
+        if old is not None:
+            assert trace.read_bytes() == old
+
+    def test_files_are_written_over_in_full(self, capsys, tmp_path, instance_a):
+        # a longer earlier report and trace leave no tail behind
+        inst = tmp_path / "a.json"
+        save_instance(instance_a, inst)
+        report, trace = tmp_path / "report.json", tmp_path / "run.trace"
+        argv = ["run", "--alg", "tree", "--instance", str(inst),
+                "--report", str(report), "--trace", str(trace)]
+        assert run_cli(capsys, *argv)[0] == 0
+        fresh = report.read_bytes(), trace.read_bytes()
+        report.write_bytes(fresh[0] * 3)
+        trace.write_bytes(fresh[1] * 3)
+        assert run_cli(capsys, *argv) == (0, "", "")
+        assert (report.read_bytes(), trace.read_bytes()) == fresh
+
+    def test_trace_to_a_device(self, capsys, tmp_path, instance_a):
+        # a file that cannot be truncated is written as it is
+        inst = tmp_path / "a.json"
+        save_instance(instance_a, inst)
+        code, out, err = run_cli(
+            capsys, "run", "--alg", "tree", "--instance", str(inst), "--trace", os.devnull
+        )
+        assert code == 0 and err == ""
+        assert json.loads(out)["profit"] == 18
 
     def test_repeated_runs_are_byte_identical(self, capsys, tmp_path, instance_a):
         inst = tmp_path / "a.json"
