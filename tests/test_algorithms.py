@@ -9,6 +9,7 @@ from hypothesis import example, given, settings, strategies as st
 from mkpsim import (
     ALGORITHMS,
     Assignment,
+    DomainError,
     GenParams,
     Instance,
     check_feasible,
@@ -22,9 +23,11 @@ from mkpsim.algorithms import (
     _BOTTOM,
     _NO_PAIR,
     PROTOCOLS,
+    BatchProcessor,
     BroadcastProcessor,
     TreeProcessor,
     _best_pair,
+    _check_run,
 )
 from mkpsim.oracle import batch_round_greedy, strict_sequential_greedy
 from mkpsim.simnet import (
@@ -1026,6 +1029,133 @@ class TestTreeProcessorFaults:
     def test_the_first_faulty_message_decides(self, messages, fault):
         with pytest.raises(SimulationFault, match=f"^p1: {fault}$"):
             self.p1().step(self.mail(3, *messages))
+
+
+def fault_text(call, *args):
+    """The text of the fault that ``call(*args)`` raises."""
+    with pytest.raises(SimulationFault) as fault:
+        call(*args)
+    return str(fault.value)
+
+
+class TestBatchProcessorFaults:
+    """Each fault of one ``simple`` processor, raised from a single step."""
+
+    @staticmethod
+    def p1():
+        return BatchProcessor(Instance.from_pairs([(5, 2)], [9, 9, 9]), 1, PROTOCOLS["simple"])
+
+    def test_traffic_from_a_peer(self):
+        inbox = [Delivery(2, 2, 1, Bottom())]
+        assert fault_text(self.p1().step, inbox) == "p1 expected traffic from S only"
+
+    @pytest.mark.parametrize("payload", [Winner(2), CapacityReport(4), WeightOffer(2)])
+    def test_unexpected_payload(self, payload):
+        inbox = [Delivery(2, SOURCE, 1, payload)]
+        assert fault_text(self.p1().step, inbox) == f"p1: unexpected payload {payload!r}"
+
+
+class TestSourceFaults:
+    """Each fault of a source, raised from its steps on hand-built inboxes.
+    The instance has two items and three processors, so a ``tree`` round
+    has four phases."""
+
+    INST = Instance.from_pairs([(5, 2), (3, 1)], [9, 9, 9])
+
+    @classmethod
+    def source(cls, name):
+        protocol = PROTOCOLS[name]
+        return protocol.source(cls.INST, protocol)
+
+    @staticmethod
+    def to_source(phase, *messages):
+        return [Delivery(phase, sender, SOURCE, payload) for sender, payload in messages]
+
+    @pytest.mark.parametrize("name", ["simple", "modified"])
+    @pytest.mark.parametrize("payload", [Winner(1), Bottom(), ConsensusPair(1, 9)])
+    def test_batch_source_unexpected_payload(self, name, payload):
+        inbox = self.to_source(1, (1, CapacityReport(9)), (2, payload))
+        assert fault_text(self.source(name).step, inbox) == f"S: unexpected payload {payload!r}"
+
+    @pytest.mark.parametrize("name", ["simple", "modified"])
+    def test_batch_source_missing_a_report(self, name):
+        inbox = self.to_source(1, (1, CapacityReport(9)), (3, CapacityReport(9)))
+        assert (
+            fault_text(self.source(name).step, inbox)
+            == "S expected a capacity report from every processor"
+        )
+
+    @pytest.mark.parametrize("payload", [Bottom(), CapacityReport(4), ConsensusPair(1, 9)])
+    def test_broadcast_source_unexpected_payload(self, payload):
+        inbox = self.to_source(3, (1, payload))
+        assert fault_text(self.source("dist").step, inbox) == f"S: unexpected payload {payload!r}"
+
+    def test_broadcast_source_two_winners(self):
+        source = self.source("dist")
+        assert source.step([]) == [(range(1, 4), WeightOffer(1))]
+        inbox = self.to_source(3, (1, Winner(3)), (2, Winner(1)))
+        assert fault_text(source.step, inbox) == "two winners in one round: [1, 3]"
+
+    def test_broadcast_source_winner_before_any_round(self):
+        inbox = self.to_source(1, (1, Winner(1)))
+        assert fault_text(self.source("dist").step, inbox) == "winner reported outside any round"
+
+    def test_broadcast_source_second_winner_of_a_round(self):
+        # the round's winner is booked in phase 2; the one read in phase 3
+        # has no item left to take
+        source = self.source("dist")
+        assert source.step([]) == [(range(1, 4), WeightOffer(1))]
+        assert source.step(self.to_source(1, (2, Winner(2)))) == []
+        assert source.assignment.placement == {0: None, 1: 1}
+        inbox = self.to_source(2, (1, Winner(1)))
+        assert fault_text(source.step, inbox) == "winner reported outside any round"
+
+    @pytest.mark.parametrize("steps", [0, 1, 2])
+    def test_tree_source_result_off_schedule(self, steps):
+        # after ``steps`` empty phases the source's next phase is not a
+        # round's last, the one the root's verdict is due in
+        source = self.source("tree")
+        for _ in range(steps):
+            source.step([])
+        inbox = self.to_source(steps, (1, Winner(1)))
+        assert fault_text(source.step, inbox) == "S: consensus result arrived off schedule"
+
+    @pytest.mark.parametrize(
+        "messages",
+        [[], [(1, Winner(1)), (1, Winner(2))], [(2, Winner(2))]],
+        ids=["none", "two", "from p2"],
+    )
+    def test_tree_source_wants_one_verdict_from_the_root(self, messages):
+        source = self.source("tree")
+        for _ in range(3):
+            source.step([])
+        inbox = self.to_source(3, *messages)
+        assert fault_text(source.step, inbox) == "S expected exactly one verdict from the root"
+
+    @pytest.mark.parametrize("payload", [CapacityReport(4), ConsensusPair(1, 9), WeightOffer(2)])
+    def test_tree_source_unexpected_verdict(self, payload):
+        source = self.source("tree")
+        for _ in range(3):
+            source.step([])
+        inbox = self.to_source(3, (1, payload))
+        assert fault_text(source.step, inbox) == f"S: unexpected verdict {payload!r}"
+
+    def test_a_processor_that_disagrees_with_the_record(self):
+        inst = self.INST
+        processors = {j: BatchProcessor(inst, j, PROTOCOLS["simple"]) for j in (1, 2, 3)}
+        processors[2].remaining = 7
+        assert (
+            fault_text(_check_run, inst, Assignment.empty(inst), processors)
+            == "p2 remaining capacity 7 disagrees with the source's record"
+        )
+
+    @pytest.mark.parametrize("knapsack", [3, -1])
+    def test_reassigning_an_item_in_an_unknown_knapsack(self, knapsack):
+        inst = self.INST
+        assignment = Assignment({0: None, 1: knapsack}, [9, 9, 9])
+        with pytest.raises(DomainError) as fault:
+            final_reassign(assignment, inst)
+        assert str(fault.value) == f"item 1 assigned to unknown knapsack {knapsack}"
 
 
 class TestTreeGreedy:

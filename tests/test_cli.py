@@ -1,9 +1,10 @@
 import json
 import os
+from dataclasses import replace
 
 import pytest
 
-from mkpsim import save_instance
+from mkpsim import PROTOCOLS, save_instance
 from mkpsim.cli import main
 
 
@@ -328,3 +329,19 @@ class TestVerify:
         assert code == 1
         assert "violation" in err
         assert "1 violation(s)" in out
+
+    def test_sweep_with_violations_exits_1_with_one_line_each(self, capsys, monkeypatch):
+        # a bound of 0 messages: every run with m >= 1 breaks it, an empty
+        # one does not
+        zero_bound = replace(PROTOCOLS["simple"], message_bound=lambda inst: 0)
+        monkeypatch.setitem(PROTOCOLS, "simple", zero_bound)
+        code, out, err = run_cli(capsys, "verify", "--sweep", "m=0..1", "n=1..2", "--seeds", "2")
+        assert code == 1
+        # grid order: m, then n, then seed = m * 1_000_003 + n * 10_007 + s
+        assert err == (
+            "violation (m=1 n=1 seed=1010010): simple: messages 2 > bound 0\n"
+            "violation (m=1 n=1 seed=1010011): simple: messages 2 > bound 0\n"
+            "violation (m=1 n=2 seed=1020017): simple: messages 4 > bound 0\n"
+            "violation (m=1 n=2 seed=1020018): simple: messages 4 > bound 0\n"
+        )
+        assert out == "verified 8 instances: 4 with violations\n"

@@ -535,3 +535,38 @@ def test_a_source_that_skips_a_round_is_reported(monkeypatch):
     counts = [v for v in violations if v.startswith("modified: (messages, phases, rounds) ")]
     assert len(counts) == 1
     assert re.fullmatch(r".* \(\d+, \d+, 2\) != \(\d+, \d+, 3\)", counts[0]), counts
+
+
+def test_an_infeasible_pre_final_assignment_is_reported(monkeypatch, instance_a):
+    # every item in knapsack 0 (capacity 10) before the pass
+    overfull = Assignment({i: 0 for i in range(4)}, [10 - 21, 7])
+    violations = _verify_with_one_run_changed(
+        monkeypatch, instance_a, "tree", lambda run: replace(run, pre_final_assignment=overfull)
+    )
+    assert "tree: pre-final assignment infeasible: knapsack 0: load 21 exceeds capacity 10" in (
+        violations
+    )
+    assert all(v.startswith("tree: ") for v in violations), violations
+
+
+def test_a_pass_that_lowers_the_profit_is_reported(monkeypatch, instance_a):
+    violations = _verify_with_one_run_changed(
+        monkeypatch, instance_a, "dist", lambda run: replace(run, profit=run.pre_final_profit - 1)
+    )
+    pre = run_algorithm("dist", instance_a).pre_final_profit
+    assert f"dist: reassignment decreased profit {pre} -> {pre - 1}" in violations
+    assert all(v.startswith("dist: ") for v in violations), violations
+
+
+@pytest.mark.parametrize("name", ["simple", "modified", "dist", "tree"])
+def test_messages_past_the_bound_are_reported(monkeypatch, instance_a, name):
+    bound = PROTOCOLS[name].message_bound(instance_a)
+
+    def past_the_bound(run):
+        return replace(run, metrics=replace(run.metrics, messages=bound + 1))
+
+    violations = _verify_with_one_run_changed(
+        monkeypatch, instance_a, name, past_the_bound, with_oracle=False
+    )
+    assert f"{name}: messages {bound + 1} > bound {bound}" in violations
+    assert all(v.startswith(f"{name}: ") for v in violations), violations
