@@ -7,7 +7,6 @@ from .algorithms import (
     RunResult,
     final_reassign,
     run_algorithm,
-    tree_links,
 )
 from .core import (
     Assignment,
@@ -54,6 +53,7 @@ from .simnet import (
     SimulationFault,
     render_trace,
     run_protocol,
+    tree_links,
 )
 
 __version__ = "0.1.0"

@@ -3,7 +3,9 @@
 All four share the same skeleton: the source holds every item, sorted by
 decreasing cost/weight (ties by ascending item id), and items are handed to
 knapsacks greedily, preferring the largest remaining capacity with ties going
-to the smallest processor id.
+to the smallest processor id.  ``dist`` and ``tree`` fold (id, capacity)
+pairs by that rule: a pair with a capacity replaces the running best when
+there is none, or when its capacity is larger, or equal with a smaller id.
 
 ``simple``   batch rounds.  Each round every processor reports its remaining
              capacity; the source ranks the reports (capacity descending, id
@@ -73,7 +75,6 @@ __all__ = [
     "RunResult",
     "final_reassign",
     "run_algorithm",
-    "tree_links",
 ]
 
 
@@ -169,11 +170,12 @@ class ProcessorNode(Node):
 
 class GreedySource(SourceNode):
     """Common source-side state: the items in the instance's
-    :attr:`~mkpsim.core.Instance.density_order`, whether the protocol
-    ``reassigns``, and the running record."""
+    :attr:`~mkpsim.core.Instance.density_order`, the protocol's ``period``,
+    whether it ``reassigns``, and the running record."""
 
     def __init__(self, inst: Instance, protocol: Protocol):
         self.inst = inst
+        self.period = protocol.period(inst)
         self.reassigns = protocol.reassigns
         self.order = [inst.items[i] for i in inst.density_order]
         self.assignment = Assignment.empty(inst)
@@ -184,6 +186,14 @@ class GreedySource(SourceNode):
 
     def recorded_assignment(self) -> Assignment:
         return self.assignment
+
+    def _open_round(self) -> list[Send]:
+        """Offer the next item's weight to every processor; after round m, finish."""
+        if self.rounds_done == self.inst.m:
+            return self._finish()
+        item = self.order[self.rounds_done]
+        self.rounds_done += 1
+        return [(range(1, self.inst.n + 1), WeightOffer(item.weight))]
 
     def _finish(self) -> list[Send]:
         """Run the reassignment pass (if any) and halt; returns one directive
@@ -293,21 +303,6 @@ class BatchSource(GreedySource):
         return self._finish()
 
 
-def _best_pair(pairs: list[ConsensusPair]) -> ConsensusPair | None:
-    """The greedy choice among candidate pairs: largest capacity, ties to the
-    smallest processor id; ``None`` when no pair carries a capacity."""
-    best = best_capacity = None
-    for pair in pairs:
-        capacity = pair.capacity
-        if capacity is not None and (
-            best is None
-            or capacity > best_capacity
-            or (capacity == best_capacity and pair.best < best.best)
-        ):
-            best, best_capacity = pair, capacity
-    return best
-
-
 # ---------------------------------------------------------------------------
 # Full-broadcast consensus (dist)
 # ---------------------------------------------------------------------------
@@ -321,10 +316,10 @@ def _best_pair(pairs: list[ConsensusPair]) -> ConsensusPair | None:
 #
 # The n - 1 pairs of phase 3r+3 are nearly all of the mail.  A processor
 # reads an inbox in one pass: S's records, which come first, then the
-# peers' records, each of which must be a pair and is scanned with the
-# running best.  Like a tree node, it sends one object for every equal
-# pair: its eligible pair is rebuilt only after a win or a directive has
-# changed its capacity, and its ineligible pair is built once.
+# peers' pairs, each folded into the running best, and its own pair last,
+# as a tree node does.  Like a tree node, it sends one object for every
+# equal pair: its eligible pair is rebuilt only after a win or a directive
+# has changed its capacity, and its ineligible pair is built once.
 
 class BroadcastProcessor(ProcessorNode):
     def __init__(self, inst: Instance, j: int, protocol: Protocol):
@@ -355,8 +350,7 @@ class BroadcastProcessor(ProcessorNode):
             else:
                 raise SimulationFault(f"p{self.j}: unexpected payload {payload!r}")
 
-        # every later record must be a peer's pair: _best_pair's scan, over
-        # the records themselves
+        # every later record must be a peer's pair, folded in by the module's rule
         best = best_capacity = None
         for msg in inbox[start:] if start else inbox:
             pair = msg.payload
@@ -394,13 +388,15 @@ class BroadcastProcessor(ProcessorNode):
             # nobody to talk to (n = 1): the exchange of no pairs ends now
         elif not count:
             return []
-        # p_j wins iff _best_pair(pairs + [report]) names it; _best_pair is a
-        # left fold, so the best of the pairs stands for them
         report = self.my_report
         if report is None or count != self.n - 1:
             raise SimulationFault(f"p{self.j}: capacity exchange out of step")
-        best = _best_pair([report] if best is None else [best, report])
         self.my_report = None
+        # the own pair goes last, by the same rule; p_j wins iff the best names it
+        capacity = report.capacity
+        if capacity is not None and (best is None or capacity > best.capacity or (
+                capacity == best.capacity and self.j < best.best)):
+            best = report
         if best is None or best.best != self.j:
             return []
         self._take(self.current_weight)
@@ -408,10 +404,7 @@ class BroadcastProcessor(ProcessorNode):
 
 
 class BroadcastSource(GreedySource):
-    def __init__(self, inst: Instance, protocol: Protocol):
-        super().__init__(inst, protocol)
-        self.period = protocol.period(inst)
-        self.pending: int | None = None  # item id awaiting this round's winner
+    pending: int | None = None  # item id awaiting this round's winner
 
     def step(self, inbox: list[Delivery]) -> list[Send]:
         self.phase += 1
@@ -431,13 +424,9 @@ class BroadcastSource(GreedySource):
         if (self.phase - 1) % self.period != 0:
             return []
         # round boundary: an unresolved item fit nowhere and stays unassigned
-        self.pending = None
-        if self.rounds_done < self.inst.m:
-            item = self.order[self.rounds_done]
-            self.rounds_done += 1
-            self.pending = item.id
-            return [(range(1, self.inst.n + 1), WeightOffer(item.weight))]
-        return self._finish()
+        out = self._open_round()
+        self.pending = None if self.halted else self.order[self.rounds_done - 1].id
+        return out
 
 
 # ---------------------------------------------------------------------------
@@ -446,7 +435,7 @@ class BroadcastSource(GreedySource):
 #
 # P phases per round (the record's period), D = P - 3 tree levels below the
 # root.  Round-local offsets:
-#   1    source broadcasts the item weight (last round's award lands now)
+#   1    source broadcasts the item weight, as in dist (last round's award lands now)
 #   2    offer arrives; nodes at depth D send their pair up
 #   ...  a node at depth d sends at offset P - 1 - d, by which time both of
 #        its children (depth d+1) have been heard
@@ -499,7 +488,7 @@ class TreeProcessor(ProcessorNode):
                     raise SimulationFault(
                         f"p{self.j}: aggregation pair from non-child p{msg.sender}"
                     )
-                capacity = payload.capacity  # folded in by _best_pair's rule
+                capacity = payload.capacity  # folded in by the module's rule
                 if capacity is not None and (best is None or capacity > best.capacity or (
                         capacity == best.capacity and payload.best < best.best)):
                     best = payload
@@ -542,38 +531,28 @@ class TreeProcessor(ProcessorNode):
 
 
 class TreeSource(GreedySource):
-    def __init__(self, inst: Instance, protocol: Protocol):
-        super().__init__(inst, protocol)
-        self.period = protocol.period(inst)
-
     def step(self, inbox: list[Delivery]) -> list[Send]:
         self.phase += 1
         offset = (self.phase - 1) % self.period + 1
-        round_index = (self.phase - 1) // self.period
 
         if offset != self.period:
             if inbox:
                 raise SimulationFault("S: consensus result arrived off schedule")
-            if offset == 1:
-                if round_index < self.inst.m:
-                    self.rounds_done += 1
-                    offer = WeightOffer(self.order[round_index].weight)
-                    return [(range(1, self.inst.n + 1), offer)]
-                return self._finish()  # m == 0: nothing to dispatch
-            return []
+            # the last round finishes at its verdict, so only m == 0 finishes here
+            return self._open_round() if offset == 1 else []
 
         # offset == period: the root's verdict for this round's item is due
         if len(inbox) != 1 or inbox[0].sender != 1:
             raise SimulationFault("S expected exactly one verdict from the root")
         payload = inbox[0].payload
-        item = self.order[round_index]
+        item = self.order[self.rounds_done - 1]
         award = None
         if isinstance(payload, Winner):
             self.assignment.assign(self.inst, item.id, payload.processor - 1)
             award = (payload.processor, WeightOffer(item.weight))
         elif not isinstance(payload, Bottom):
             raise SimulationFault(f"S: unexpected verdict {payload!r}")
-        out = self._finish() if round_index == self.inst.m - 1 else []
+        out = self._finish() if self.rounds_done == self.inst.m else []
         if award is not None:
             # in recipient order: (j,) sorts before (j, directive), so the
             # award goes before a directive to its winner

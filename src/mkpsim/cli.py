@@ -45,10 +45,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--m", type=int, required=True, help="number of items")
     p.add_argument("--n", type=int, required=True, help="number of knapsacks")
     p.add_argument("--seed", type=int, required=True, help="generator seed")
-    p.add_argument("--cost-max", type=int, default=50, help="costs drawn from [1, COST_MAX]")
-    p.add_argument("--weight-max", type=int, default=50, help="weights drawn from [1, WEIGHT_MAX]")
-    p.add_argument("--cap-min", type=int, default=1, help="capacity range lower bound")
-    p.add_argument("--cap-max", type=int, default=100, help="capacity range upper bound")
     p.add_argument("--out", help="output path (default: stdout)")
 
     p = sub.add_parser("gen-adversarial", help="generate a worst-case family instance")
@@ -80,10 +76,15 @@ def build_parser() -> argparse.ArgumentParser:
         help="verify a grid of random instances",
     )
     p.add_argument("--seeds", type=int, default=100, help="seeds per sweep grid point")
-    p.add_argument("--cost-max", type=int, default=50)
-    p.add_argument("--weight-max", type=int, default=50)
-    p.add_argument("--cap-min", type=int, default=1)
-    p.add_argument("--cap-max", type=int, default=100)
+
+    # the generator's ranges: gen-random's, and verify's for a sweep
+    for p in (sub.choices["gen-random"], sub.choices["verify"]):
+        p.add_argument("--cost-max", type=int, default=50, help="costs drawn from [1, COST_MAX]")
+        p.add_argument(
+            "--weight-max", type=int, default=50, help="weights drawn from [1, WEIGHT_MAX]"
+        )
+        p.add_argument("--cap-min", type=int, default=1, help="capacity range lower bound")
+        p.add_argument("--cap-max", type=int, default=100, help="capacity range upper bound")
     return parser
 
 

@@ -414,13 +414,13 @@ class SweepSummary:
         return not self.failures
 
 
-def verify_sweep(params: SweepParams, *, with_oracle: bool = True) -> SweepSummary:
-    """Verify every instance of the sweep grid; collects per-instance failures."""
+def verify_sweep(params: SweepParams) -> SweepSummary:
+    """Verify every instance of the grid, with the oracle; collects per-instance failures."""
     failures = []
     count = 0
     for gp in params.grid():
         count += 1
-        verdict = verify_instance(gen_random(gp), with_oracle=with_oracle)
+        verdict = verify_instance(gen_random(gp))
         if not verdict.ok:
             failures.append((gp, verdict.violations))
     return SweepSummary(count, failures)

@@ -26,7 +26,6 @@ from mkpsim.algorithms import (
     BatchProcessor,
     BroadcastProcessor,
     TreeProcessor,
-    _best_pair,
     _check_run,
 )
 from mkpsim.oracle import batch_round_greedy, strict_sequential_greedy
@@ -471,6 +470,21 @@ class TestBroadcastExchange:
         assert node.step(inbox) == ([(SOURCE, Winner(j))] if wins else [])
         assert node.remaining == (capacity - weight if wins else capacity)
         assert node.my_report is None
+
+
+def _best_pair(pairs: list[ConsensusPair]) -> ConsensusPair | None:
+    """The greedy choice among candidate pairs: largest capacity, ties to the
+    smallest processor id; ``None`` when no pair carries a capacity."""
+    best = best_capacity = None
+    for pair in pairs:
+        capacity = pair.capacity
+        if capacity is not None and (
+            best is None
+            or capacity > best_capacity
+            or (capacity == best_capacity and pair.best < best.best)
+        ):
+            best, best_capacity = pair, capacity
+    return best
 
 
 def reference_broadcast_step(node, inbox):

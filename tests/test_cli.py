@@ -5,7 +5,7 @@ from dataclasses import replace
 import pytest
 
 from mkpsim import PROTOCOLS, save_instance
-from mkpsim.cli import main
+from mkpsim.cli import build_parser, main
 
 
 def run_cli(capsys, *argv):
@@ -44,6 +44,21 @@ class TestGeneration:
         code, out, err = run_cli(capsys, "gen-adversarial", "--n", "2", "--W", "2")
         assert code == 2
         assert "W must be >= 3" in err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["gen-random", "--m", "1", "--n", "1", "--seed", "1"],
+            ["verify", "--sweep", "m=0..0", "n=1..1"],
+        ],
+        ids=["gen-random", "verify"],
+    )
+    def test_generator_ranges_and_their_defaults(self, argv):
+        args = build_parser().parse_args(argv)
+        assert (args.cost_max, args.weight_max, args.cap_min, args.cap_max) == (50, 50, 1, 100)
+        ranges = ["--cost-max", "7", "--weight-max", "8", "--cap-min", "2", "--cap-max", "9"]
+        args = build_parser().parse_args(argv + ranges)
+        assert (args.cost_max, args.weight_max, args.cap_min, args.cap_max) == (7, 8, 2, 9)
 
 
 class TestRun:
