@@ -49,6 +49,7 @@ from typing import Callable
 
 from .core import Assignment, DomainError, Instance, check_feasible, objective
 from .simnet import (
+    PEERS,
     SOURCE,
     Bottom,
     CapacityReport,
@@ -312,14 +313,20 @@ class BatchSource(GreedySource):
 #   3r+2  processors broadcast (id, capacity or bottom) to each other
 #   3r+3  everyone computes the same argmax; the winner reports and deducts
 # One more phase books the last winner, runs the reassignment pass and halts.
-# A round whose item fits nowhere simply leaves phase 3r+3 silent.
+# A round whose item fits nowhere simply leaves phase 3r+3 silent.  The
+# source books a winner only in phase 3r+4, the next round's first, except
+# at n = 1: the lone processor has no pairs to wait for and reports in phase
+# 3r+2, so its report lands in 3r+3.
 #
-# The n - 1 pairs of phase 3r+3 are nearly all of the mail.  A processor
-# reads an inbox in one pass: S's records, which come first, then the
-# peers' pairs, each folded into the running best, and its own pair last,
-# as a tree node does.  Like a tree node, it sends one object for every
-# equal pair: its eligible pair is rebuilt only after a win or a directive
-# has changed its capacity, and its ineligible pair is built once.
+# Each processor sends its pair as one PEERS record, which the engine hands
+# to the n - 1 others, so a round costs n + 1 records (the offer and n
+# pairs) and a winner report if the item is placed.  The n - 1 pairs of
+# phase 3r+3 are nearly all of the mail.  A processor reads an inbox in one
+# pass: S's records, which come first, then the peers' pairs, each folded
+# into the running best, and its own pair last, as a tree node does.  Like
+# a tree node, it sends one object for every equal pair: its eligible pair
+# is rebuilt only after a win or a directive has changed its capacity, and
+# its ineligible pair is built once.
 
 class BroadcastProcessor(ProcessorNode):
     def __init__(self, inst: Instance, j: int, protocol: Protocol):
@@ -377,14 +384,8 @@ class BroadcastProcessor(ProcessorNode):
             if eligible and self.own_pair.capacity != self.remaining:
                 self.own_pair = ConsensusPair(self.j, self.remaining)
             report = self.my_report = self.own_pair if eligible else self.no_pair
-            # to every other processor: the ids below j and those above
-            out: list[Send] = []
-            if self.j > 1:
-                out.append((range(1, self.j), report))
-            if self.j < self.n:
-                out.append((range(self.j + 1, self.n + 1), report))
-            if out:
-                return out
+            if self.n > 1:
+                return [(PEERS, report)]
             # nobody to talk to (n = 1): the exchange of no pairs ends now
         elif not count:
             return []
@@ -415,13 +416,17 @@ class BroadcastSource(GreedySource):
             winners.append(msg.payload.processor)
         if len(winners) > 1:
             raise SimulationFault(f"two winners in one round: {sorted(winners)}")
+        offset = (self.phase - 1) % self.period
         if winners:
+            # the next round's first phase, or at n = 1 this round's last
+            if offset != (0 if self.inst.n > 1 else self.period - 1):
+                raise SimulationFault("S: winner report arrived off schedule")
             if self.pending is None:
                 raise SimulationFault("winner reported outside any round")
             self.assignment.assign(self.inst, self.pending, winners[0] - 1)
             self.pending = None
 
-        if (self.phase - 1) % self.period != 0:
+        if offset != 0:
             return []
         # round boundary: an unresolved item fit nowhere and stays unassigned
         out = self._open_round()

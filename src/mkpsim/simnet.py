@@ -27,12 +27,15 @@ Phases in which nobody speaks still count if the source is still running --
 a silent phase is meaningful in a synchronous protocol.
 
 Deliveries: a send names one recipient or, as a *multicast*, a ``range``
-of them, and becomes exactly one :class:`Delivery` record (phase, sender,
-recipient or range, payload).  The engine appends it to the trace, when the
-caller keeps one, and to the inbox of each recipient for the next phase, so
-programs read the same records the trace keeps.  A multicast to k
-recipients still counts k messages, one per point-to-point delivery; it is
-a cheaper way to write k sends of one payload, not a different network.
+of them or :data:`PEERS` (every processor but the sender), and becomes
+exactly one :class:`Delivery` record (phase, sender, recipient or range,
+payload).  A multicast record reaches every id in its range except its
+sender; only a ``PEERS`` send, whose range is 1..n, makes a record whose
+range holds its sender.  The engine appends the record to the trace, when
+the caller keeps one, and to the inbox of each recipient for the next
+phase, so programs read the same records the trace keeps.  A multicast to
+k recipients still counts k messages, one per point-to-point delivery; it
+is a cheaper way to write k sends of one payload, not a different network.
 The per-phase counts in :class:`RunMetrics` are taken as each phase closes.
 
 Determinism: within a phase, deliveries are ordered by (sender, recipient).
@@ -47,6 +50,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import compress
+from operator import attrgetter
 
 from .core import Assignment
 
@@ -121,17 +125,18 @@ class Delivery:
     """One sent message, stamped with the phase in which it was sent.
 
     The engine builds exactly one record per send.  ``recipient`` is a node
-    id, or for a multicast the ascending ``range`` (step 1) of node ids the
-    send went to: each of those recipients finds this one object in its
-    inbox one phase later, and the trace keeps the same object, so a record
-    stands for ``len(recipient)`` deliveries.  Records are immutable by
-    contract -- neither the engine nor any node program assigns to a field
-    -- and use ``__slots__`` rather than a frozen dataclass or a named
-    tuple, because both of those make building a record or reading its
-    fields several times slower, and the engine builds one per send while
-    the programs read them all.  The engine fills the slots itself, after
-    ``object.__new__``, to save a call per send; other callers use
-    ``__init__``.
+    id, or for a multicast an ascending ``range`` (step 1) of node ids: the
+    send went to each of them except the sender, which a range holds only
+    for a :data:`PEERS` send (its range is 1..n).  Each recipient finds this
+    one object in its inbox one phase later, and the trace keeps the same
+    object, so a record stands for one delivery per recipient.  Records are
+    immutable by contract -- neither the engine nor any node program
+    assigns to a field -- and use ``__slots__`` rather than a frozen
+    dataclass or a named tuple, because both of those make building a
+    record or reading its fields several times slower, and the engine
+    builds one per send while the programs read them all.  The engine fills
+    the slots itself, after ``object.__new__``, to save a call per send;
+    other callers use ``__init__``.
     """
 
     __slots__ = ("phase", "sender", "recipient", "payload")
@@ -149,10 +154,21 @@ class Delivery:
         )
 
 
-# (recipient, payload) or, for a multicast, (range of recipients, payload);
-# the engine stamps the sender.  The range is non-empty, has step 1 and
-# leaves out the sender: a broadcast to everyone else is two ranges.
-Send = tuple[int | range, Payload]
+class _Peers:
+    __slots__ = ()
+
+    def __repr__(self) -> str:
+        return "PEERS"
+
+
+# The recipient of a send to every processor except the sender: from S, all
+# of 1..n.  Its one record's ``recipient`` is the run's range 1..n.
+PEERS = _Peers()
+
+# (recipient, payload) or, for a multicast, (range of recipients, payload) or
+# (PEERS, payload); the engine stamps the sender.  A range is non-empty, has
+# step 1 and leaves out the sender.
+Send = tuple[int | range | _Peers, Payload]
 
 
 # ---------------------------------------------------------------------------
@@ -201,9 +217,12 @@ class Node:
     ascending recipient order: each send starts past the last recipient of
     the send before it, except that two unicasts may go to one recipient, in
     the order they are returned.  So a multicast shares no recipient with
-    another send of its node in the phase.  Several sends of one payload to
-    a contiguous block of ids are best written as one multicast: the engine
-    then builds, checks and keeps one record for all of them.
+    another send of its node in the phase.  A :data:`PEERS` send counts as a
+    multicast to 1..n here, so of a node's other sends in that phase only
+    those to S, before it, pass.  Several sends of one payload to a
+    contiguous block of ids are best written as one multicast, and to every
+    other processor as one ``PEERS`` send: the engine then builds, checks
+    and keeps one record for all of them.
     """
 
     wake_at: int | None = None
@@ -269,9 +288,10 @@ def render_trace(trace: Trace) -> str:
     """Line-oriented dump, one delivery per line: ``phase from to payload``.
 
     A multicast record expands to one line per recipient, in ascending id
-    order.  Its lines share everything but the recipient's name, so they are
-    built with one join over a slice of the name table, kept as three parts
-    so that the long middle one is not copied again: the record's
+    order, leaving out the sender when its range holds it.  Its lines share
+    everything but the recipient's name, so they are built with one join
+    over a slice of the name table (two slices around the sender), kept as
+    three parts so that the long middle one is not copied again: the record's
     ``"{phase} {sender} "`` head, then the names joined by the payload text
     plus the head, then the payload text.  The name table is a list indexed
     by node id, grown with :func:`node_name` when a record names an id past
@@ -296,9 +316,16 @@ def render_trace(trace: Trace) -> str:
             stop = recipient.stop
             if stop > len(names) or sender >= len(names):
                 names.extend(map(node_name, range(len(names), max(stop, sender + 1))))
+            start = recipient.start
+            if start <= sender < stop:
+                recipients = names[start:sender] + names[sender + 1:stop]
+                if not recipients:
+                    continue  # a range of the sender alone reaches nobody
+            else:
+                recipients = names[start:stop]
             head = f"{d.phase} {names[sender]} "
             append(head)
-            append((text + head).join(names[recipient.start:stop]))
+            append((text + head).join(recipients))
             append(text)
         else:
             try:
@@ -324,7 +351,8 @@ def _check_send_order(records: list[Delivery], sender: int) -> None:
     they were emitted in.  A record that breaks this and shares a recipient
     with the record before it, one of the two a multicast, names the lowest
     shared recipient; any other names its first recipient and the last
-    recipient of the record before it.
+    recipient of the record before it.  A ``PEERS`` record counts as
+    reaching 1..n, but a fault never names its sender as a recipient.
     """
     reach = -1  # the last recipient of the record before
     before: int | range = -1  # that record's recipient
@@ -342,14 +370,49 @@ def _check_send_order(records: list[Delivery], sender: int) -> None:
             first = last = recipient
         low = before.start if type(before) is range else before
         if last >= low and (type(before) is range or type(recipient) is range):
+            shared = max(first, low)  # the sender only when both are PEERS records
             raise SimulationFault(
-                f"{node_name(sender)} sent to {node_name(max(first, low))} by a "
+                f"{node_name(sender)} sent to {node_name(shared + (shared == sender))} by a "
                 f"multicast and another send in one phase"
             )
+        reach -= reach == sender  # the top of a PEERS record's range
         raise SimulationFault(
             f"{node_name(sender)} sent to {node_name(first)} after a send to "
             f"{node_name(reach)}: a node's sends must come in ascending recipient order"
         )
+
+
+_sender = attrgetter("sender")
+
+
+def _deliver_broadcasts(broadcasts: list[Delivery], inboxes: list[list[Delivery]]) -> None:
+    """Hand one phase's :data:`PEERS` records, at most one per sender and in
+    sender order, to processors 1..n: each inbox gets all of them but its
+    own record.
+
+    A processor's part costs one list copy and at most one ``del``.  It
+    follows the inbox's direct mail when all of that comes from lower
+    senders, such as S; otherwise a stable sort by sender merges the two,
+    keeping each sender's records as emitted.  In a ``dist`` round the
+    pairs arrive alone, so every part is the whole inbox.
+    """
+    own = 1 if broadcasts[0].sender == SOURCE else 0  # the next processor's record
+    count = len(broadcasts)
+    for j in range(1, len(inboxes)):
+        part = broadcasts[:]
+        if own < count and broadcasts[own].sender == j:
+            del part[own]
+            own += 1
+            if not part:
+                continue
+        box = inboxes[j]
+        if not box:
+            inboxes[j] = part
+        elif box[-1].sender < part[0].sender:
+            box += part
+        else:
+            box += part
+            box.sort(key=_sender)
 
 
 def run_protocol(
@@ -374,24 +437,30 @@ def run_protocol(
 
     A phase costs one step per node that has mail or a wake-up in it, plus
     the source's.  A multicast costs one record and one set of checks,
-    however many recipients it has, and counts one message per recipient;
-    its record is appended to the slice of next-phase inboxes its range
-    covers.  The next phase's ready list is the sorted ids whose inbox a
-    unicast made non-empty, with the wake-ups merged in; only after a phase
-    that sent a multicast does the engine scan all n+1 inboxes for it.
+    however many recipients it has, and counts one message per recipient.
+    A range's record is appended to the slice of next-phase inboxes it
+    covers.  A ``PEERS`` record is kept in the phase's list of broadcasts,
+    which the next phase hands to the processors' inboxes before any node
+    steps (see :func:`_deliver_broadcasts`), so no inbox gets it by an
+    append of its own.  The next phase's ready list is the sorted ids whose
+    inbox a unicast made non-empty, with the wake-ups merged in; only after
+    a phase that sent a multicast does the engine scan all n+1 inboxes for
+    it.
 
     Faults (raised as :class:`SimulationFault`, never silently dropped):
     a processor map that is empty or does not cover 1..n exactly, a
     multicast range that is empty or has a step other than 1, a message
-    addressed to a nonexistent node or to the node itself, a message sent
-    after the source halted, a message delivered to the already-halted
-    source, a wake-up asked by the source or for a phase that is not after
-    the current one, and a run that needs more than ``max_phases`` phases.
+    addressed to a nonexistent node or to the node itself, a ``PEERS`` send
+    from the one processor of a run, a message sent after the source
+    halted, a message delivered to the already-halted source, a wake-up
+    asked by the source or for a phase that is not after the current one,
+    and a run that needs more than ``max_phases`` phases.
     Each send is checked in the order its node emitted it, against those
     rules in that order; a multicast names its lowest nonexistent
     recipient.  Once a node's sends have passed, sends out of ascending
     recipient order are a fault too, and a multicast among them that shares
-    a recipient with the send before it names the lowest shared recipient.
+    a recipient with the send before it names the lowest shared recipient;
+    a ``PEERS`` send counts as a multicast to 1..n.
     """
     n = len(processors)
     if n < 1:
@@ -420,6 +489,10 @@ def run_protocol(
     # multicast filled inboxes too (then the next phase scans them all)
     filled: list[int] = []
     multicast = False
+    # this phase's PEERS records, in sender order; a new list only after a
+    # phase that sent one
+    broadcasts: list[Delivery] = []
+    everyone = range(1, n + 1)
     new = object.__new__
     phase = 0
     halt_phase: int | None = None
@@ -433,7 +506,13 @@ def run_protocol(
         if was_halted and inboxes[SOURCE]:
             raise SimulationFault("message delivered to the halted source")
         # the ids with mail, ascending
-        ready = list(compress(ids, inboxes)) if multicast else sorted(filled)
+        if multicast:
+            if broadcasts:
+                _deliver_broadcasts(broadcasts, inboxes)
+                broadcasts = []
+            ready = list(compress(ids, inboxes))
+        else:
+            ready = sorted(filled)
         filled = []
         multicast = False
         woken = wakeups.pop(phase, None)
@@ -490,6 +569,20 @@ def run_protocol(
                         for box in sent_now[start:stop]:
                             box.append(delivery)
                         fanned += stop - start - 1
+                        multicast = True
+                    elif recipient is PEERS:
+                        if node_id != SOURCE and n == 1:
+                            raise SimulationFault(
+                                f"{node_name(node_id)} sent to its peers, but it has none"
+                            )
+                        if was_halted:
+                            raise SimulationFault(
+                                f"{node_name(node_id)} sent a message after the source halted"
+                            )
+                        delivery.recipient = everyone
+                        log.append(delivery)
+                        broadcasts.append(delivery)
+                        fanned += n - 1 if node_id == SOURCE else n - 2
                         multicast = True
                     else:
                         raise SimulationFault(

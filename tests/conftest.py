@@ -40,10 +40,14 @@ def small_instances(
 def deliveries(trace) -> list[tuple]:
     """A trace expanded to one (phase, sender, recipient, payload) tuple per
     point-to-point delivery: a multicast record, whose ``recipient`` is a
-    range, gives one tuple per id in it, in ascending order."""
+    range, gives one tuple per id in it except its sender, in ascending
+    order."""
     out = []
     for d in trace:
-        recipients = d.recipient if isinstance(d.recipient, range) else (d.recipient,)
+        if isinstance(d.recipient, range):
+            recipients = [k for k in d.recipient if k != d.sender]
+        else:
+            recipients = [d.recipient]
         out += [(d.phase, d.sender, k, d.payload) for k in recipients]
     return out
 

@@ -30,6 +30,7 @@ from mkpsim.algorithms import (
 )
 from mkpsim.oracle import batch_round_greedy, strict_sequential_greedy
 from mkpsim.simnet import (
+    PEERS,
     SOURCE,
     Bottom,
     CapacityReport,
@@ -39,6 +40,7 @@ from mkpsim.simnet import (
     SimulationFault,
     WeightOffer,
     Winner,
+    run_protocol,
 )
 
 from conftest import deliveries, items_by_knapsack, metrics_of, small_instances
@@ -332,13 +334,13 @@ class TestDistributedGreedy:
         run = run_algorithm("dist", inst)
         assert placement(run) == {0: 0}
 
-    # p1's single range is pinned by test_capacity_exchange_missing_a_pair
-    @pytest.mark.parametrize("j,others", [(2, [range(1, 2), range(3, 4)]), (3, [range(1, 3)])])
-    def test_pair_is_multicast_to_the_ids_below_and_above(self, j, others):
+    # p1's send is pinned by test_capacity_exchange_missing_a_pair too
+    @pytest.mark.parametrize("j", [1, 2, 3])
+    def test_pair_is_one_send_to_every_peer(self, j):
         node = BroadcastProcessor(Instance.from_pairs([(5, 2)], [9, 9, 9]), j, PROTOCOLS["dist"])
         sends = node.step([Delivery(1, SOURCE, range(1, 4), WeightOffer(2))])
-        assert [r for r, _ in sends] == others
-        assert all(pair is node.my_report == ConsensusPair(j, 9) for _, pair in sends)
+        assert sends == [(PEERS, ConsensusPair(j, 9))]
+        assert sends[0][1] is node.my_report
 
 
 class TestBroadcastProcessorFaults:
@@ -390,7 +392,7 @@ class TestBroadcastProcessorFaults:
     def test_capacity_exchange_missing_a_pair(self):
         node = self.p1()
         assert node.step(self.mail((SOURCE, WeightOffer(2)))) == [
-            (range(2, 4), ConsensusPair(1, 9)),
+            (PEERS, ConsensusPair(1, 9)),
         ]
         with pytest.raises(SimulationFault, match="^p1: capacity exchange out of step$"):
             node.step(self.mail((2, ConsensusPair(2, 9))))
@@ -523,11 +525,7 @@ def reference_broadcast_step(node, inbox):
             node.own_pair = ConsensusPair(node.j, node.remaining)
         report = node.my_report = node.own_pair if eligible else node.no_pair
         if node.n > 1:
-            # to every other processor: the ids below j and those above
-            if node.j > 1:
-                out.append((range(1, node.j), report))
-            if node.j < node.n:
-                out.append((range(node.j + 1, node.n + 1), report))
+            out.append((PEERS, report))  # to every other processor
         else:
             # nobody to talk to: the lone processor decides immediately
             if eligible:
@@ -1115,14 +1113,39 @@ class TestSourceFaults:
         assert fault_text(self.source("dist").step, inbox) == "winner reported outside any round"
 
     def test_broadcast_source_second_winner_of_a_round(self):
-        # the round's winner is booked in phase 2; the one read in phase 3
-        # has no item left to take
+        # a winner read in phase 2, before any processor can have decided
+        # the round, is not booked: the round's winner lands in phase 4
         source = self.source("dist")
         assert source.step([]) == [(range(1, 4), WeightOffer(1))]
-        assert source.step(self.to_source(1, (2, Winner(2)))) == []
-        assert source.assignment.placement == {0: None, 1: 1}
-        inbox = self.to_source(2, (1, Winner(1)))
-        assert fault_text(source.step, inbox) == "winner reported outside any round"
+        inbox = self.to_source(1, (2, Winner(2)))
+        assert fault_text(source.step, inbox) == "S: winner report arrived off schedule"
+        assert source.assignment.placement == {0: None, 1: None}
+
+    @pytest.mark.parametrize("offset", [1, 2])
+    def test_broadcast_source_winner_off_schedule(self, offset):
+        # after round 1 opens, a winner read at any offset but 0 (phase 4,
+        # the next round's first) is a fault and books nothing
+        source = self.source("dist")
+        for _ in range(offset):
+            source.step([])
+        inbox = self.to_source(offset, (1, Winner(1)))
+        assert fault_text(source.step, inbox) == "S: winner report arrived off schedule"
+        assert source.assignment.placement == {0: None, 1: None}
+
+    @pytest.mark.parametrize("offset", [0, 1])
+    def test_broadcast_source_of_one_processor_books_at_offset_two(self, offset):
+        # the lone processor reports as soon as the offer arrives (phase 2),
+        # so its report lands in phase 3 and anywhere else is off schedule
+        inst = Instance.from_pairs([(5, 2), (3, 1)], [9])
+        source = PROTOCOLS["dist"].source(inst, PROTOCOLS["dist"])
+        assert source.step([]) == [(range(1, 2), WeightOffer(1))]
+        assert source.step([]) == []
+        assert source.step(self.to_source(2, (1, Winner(1)))) == []
+        assert source.assignment.placement == {0: None, 1: 0}
+        for _ in range(offset):
+            source.step([])
+        inbox = self.to_source(3 + offset, (1, Winner(1)))
+        assert fault_text(source.step, inbox) == "S: winner report arrived off schedule"
 
     @pytest.mark.parametrize("steps", [0, 1, 2])
     def test_tree_source_result_off_schedule(self, steps):
@@ -1443,6 +1466,70 @@ def test_evicting_instance_matches_golden_digests():
         for j in (16, 17):
             (taken,) = final_groups[j]
             assert pre.placement[taken] in range(16), name  # evicted earlier
+
+
+class _SplitBroadcastProcessor(BroadcastProcessor):
+    """A ``dist`` processor that sends its pair as two ``range`` multicasts,
+    to the ids below its own and to those above, instead of one ``PEERS``
+    send: the send shape ``dist`` had before ``PEERS``."""
+
+    def step(self, inbox):
+        sends = super().step(inbox)
+        if sends and sends[0][0] is PEERS:
+            [(_, report)] = sends
+            others = (range(1, self.j), range(self.j + 1, self.n + 1))
+            return [(r, report) for r in others if r]
+        return sends
+
+
+def dist_run_with(processor, inst):
+    """A traced ``dist`` run of ``inst`` whose processors are built by
+    ``processor``, through the engine directly: (assignment, pre-final
+    assignment, metrics, trace, inboxes), where ``inboxes[j]`` lists each
+    inbox node j was stepped with as (phase, sender, payload) triples."""
+    protocol = PROTOCOLS["dist"]
+    source = protocol.source(inst, protocol)
+    processors = {j: processor(inst, j, protocol) for j in range(1, inst.n + 1)}
+    stepped = {j: [] for j in range(inst.n + 1)}
+    for j, node in [(SOURCE, source), *processors.items()]:
+        def recording(inbox, step=node.step, log=stepped[j]):
+            log.append(tuple(inbox))  # the trace keeps the records alive anyway
+            return step(inbox)
+
+        node.step = recording
+    assignment, metrics, trace = run_protocol(source, processors)
+    inboxes = {
+        j: [[(d.phase, d.sender, d.payload) for d in inbox] for inbox in log]
+        for j, log in stepped.items()
+    }
+    return assignment, source.pre_final_assignment, metrics, trace, inboxes
+
+
+class TestPeersSendAgainstTheSplit:
+    """``dist`` with one ``PEERS`` send per pair against the same processors
+    sending the two-range split: one run, told apart only by its records."""
+
+    CASES = {**GOLDEN_INSTANCES, "random-m100-n64": GenParams(100, 64, 50, 50, 1, 100, seed=1)}
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_same_run_and_fewer_records(self, case):
+        spec = self.CASES[case]
+        inst = gen_random(spec) if isinstance(spec, GenParams) else gen_adversarial(*spec)
+        peers = dist_run_with(BroadcastProcessor, inst)
+        split = dist_run_with(_SplitBroadcastProcessor, inst)
+        assignment, pre, metrics, trace, inboxes = peers
+        assert assignment.placement == split[0].placement
+        assert pre.placement == split[1].placement
+        assert metrics == split[2]
+        assert render_trace(trace) == render_trace(split[3])
+        assert inboxes == split[4]
+        # m(n + 1) records: each round's offer and one pair per processor;
+        # then a winner report per item placed and a directive per change
+        changed = len(final_reassign(pre, inst)[1])
+        assert len(trace) == inst.m * (inst.n + 1) + len(pre.assigned_items()) + changed
+        assert len(split[3]) == len(trace) + inst.m * (inst.n - 2)
+        if case == "random-m100-n64":
+            assert len(trace) == 6593
 
 
 # Trees with a node that must send without having mail: at n = 5, 12 and 33

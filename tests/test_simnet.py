@@ -8,6 +8,7 @@ from mkpsim import GenParams, gen_adversarial, gen_random, run_algorithm
 from mkpsim.algorithms import PROTOCOLS
 
 from mkpsim.simnet import (
+    PEERS,
     SOURCE,
     TreeLinks,
     Bottom,
@@ -457,6 +458,25 @@ class _OneShotSource(SourceNode):
         return None
 
 
+class _Chorus(Node):
+    """Answers an offer from S with one send of its id to every other
+    processor, as ``PEERS`` or as the split around its own id; keeps every
+    inbox it is stepped with."""
+
+    def __init__(self, j, n, split=False):
+        self.j, self.n, self.split = j, n, split
+        self.inboxes = []
+
+    def step(self, inbox):
+        self.inboxes.append(inbox)
+        if not any(m.sender == SOURCE for m in inbox):
+            return []
+        if self.split:
+            others = (range(1, self.j), range(self.j + 1, self.n + 1))
+            return [(r, CapacityReport(self.j)) for r in others if r]
+        return [(PEERS, CapacityReport(self.j))]
+
+
 class TestMulticast:
     def test_every_recipient_reads_the_record_the_trace_keeps(self):
         nodes = {j: _Recorder() for j in (1, 2, 3, 4)}
@@ -495,19 +515,7 @@ class TestMulticast:
         assert metrics.per_phase == ((1, 6),)
 
     def test_a_broadcast_split_around_the_sender(self):
-        class Chorus(Node):
-            def __init__(self, j):
-                self.j = j
-                self.inboxes = []
-
-            def step(self, inbox):
-                self.inboxes.append(inbox)
-                if not any(m.sender == SOURCE for m in inbox):
-                    return []
-                others = (range(1, self.j), range(self.j + 1, 4))
-                return [(r, CapacityReport(self.j)) for r in others if r]
-
-        nodes = {j: Chorus(j) for j in (1, 2, 3)}
+        nodes = {j: _Chorus(j, 3, split=True) for j in (1, 2, 3)}
         source = _Metronome([], halt_at=2, sends={1: [(range(1, 4), WeightOffer(1))]})
         _, metrics, trace = run_protocol(source, nodes)
         assert metrics.messages == 3 + 3 * 2
@@ -654,6 +662,124 @@ class TestMulticast:
 
         with pytest.raises(SimulationFault, match="halted source"):
             run_protocol(_SilentSource(), {1: Straggler()})
+
+
+class TestPeers:
+    @staticmethod
+    def chorus(n, split=False, keep_trace=True):
+        nodes = {j: _Chorus(j, n, split) for j in range(1, n + 1)}
+        source = _Metronome([], halt_at=2, sends={1: [(range(1, n + 1), WeightOffer(1))]})
+        _, metrics, trace = run_protocol(source, nodes, keep_trace=keep_trace)
+        return nodes, metrics, trace
+
+    def test_one_record_reaches_every_other_processor(self):
+        nodes, metrics, trace = self.chorus(3)
+        assert metrics.messages == 3 + 3 * 2
+        assert metrics.per_phase == ((1, 3), (2, 6))
+        assert metrics_of(trace) == metrics
+        pairs = trace[1:]
+        assert [(d.sender, d.recipient) for d in pairs] == [(j, range(1, 4)) for j in (1, 2, 3)]
+        for j, node in nodes.items():
+            # each processor reads the others' records themselves, none of its own
+            assert [id(m) for m in node.inboxes[2]] == [id(d) for d in pairs if d.sender != j]
+        assert render_trace(trace) == render_by_line(trace) == (
+            "1 S p1 weight 1\n1 S p2 weight 1\n1 S p3 weight 1\n"
+            "2 p1 p2 capacity 1\n2 p1 p3 capacity 1\n"
+            "2 p2 p1 capacity 2\n2 p2 p3 capacity 2\n"
+            "2 p3 p1 capacity 3\n2 p3 p2 capacity 3\n"
+        )
+
+    @pytest.mark.parametrize("n", [2, 3, 6])
+    @pytest.mark.parametrize("keep_trace", [True, False])
+    def test_same_run_as_the_split_around_the_sender(self, n, keep_trace):
+        peers, metrics, trace = self.chorus(n, keep_trace=keep_trace)
+        split, split_metrics, split_trace = self.chorus(n, split=True, keep_trace=keep_trace)
+        assert metrics == split_metrics
+        if keep_trace:
+            assert render_trace(trace) == render_trace(split_trace)
+            assert len(trace) == 1 + n and len(split_trace) == 1 + 2 * n - 2
+        for j in peers:
+            got = [[(m.sender, m.payload) for m in inbox] for inbox in peers[j].inboxes]
+            assert got == [[(m.sender, m.payload) for m in inbox] for inbox in split[j].inboxes]
+
+    @pytest.mark.parametrize("n", [1, 4])
+    def test_from_the_source_it_reaches_every_processor(self, n):
+        nodes = {j: _Recorder() for j in range(1, n + 1)}
+        _, metrics, trace = run_protocol(_OneShotSource([(PEERS, WeightOffer(6))]), nodes)
+        (record,) = trace
+        assert record.recipient == range(1, n + 1)
+        assert all(node.inboxes[1] == [record] for node in nodes.values())
+        assert metrics == metrics_of(trace) == RunMetrics(n, 1, ((1, n),))
+
+    def test_a_unicast_to_the_source_may_come_first(self):
+        log = []
+        nodes = {
+            1: _Scripted(1, log),
+            2: _Scripted(2, log, {1: ([(SOURCE, WeightOffer(1)), (PEERS, WeightOffer(2))], None)}),
+            3: _Scripted(3, log),
+        }
+        _, metrics, trace = run_protocol(_Metronome(log, halt_at=2), nodes)
+        assert metrics.per_phase == ((1, 3),)
+        assert log[4:] == [(SOURCE, [2]), (1, [2]), (3, [2])]
+        assert render_trace(trace) == "1 p2 S weight 1\n1 p2 p1 weight 2\n1 p2 p3 weight 2\n"
+
+    @pytest.mark.parametrize(
+        "j,sends,message",
+        [
+            (2, [(3, WeightOffer(1)), (PEERS, WeightOffer(2))],
+             "p2 sent to p3 by a multicast and another send in one phase"),
+            (2, [(1, WeightOffer(1)), (PEERS, WeightOffer(2))],
+             "p2 sent to p1 by a multicast and another send in one phase"),
+            (2, [(range(3, 4), WeightOffer(1)), (PEERS, WeightOffer(2))],
+             "p2 sent to p3 by a multicast and another send in one phase"),
+            (2, [(PEERS, WeightOffer(2)), (3, WeightOffer(1))],
+             "p2 sent to p3 by a multicast and another send in one phase"),
+            (2, [(PEERS, WeightOffer(1)), (PEERS, WeightOffer(2))],
+             "p2 sent to p1 by a multicast and another send in one phase"),
+            (1, [(PEERS, WeightOffer(1)), (PEERS, WeightOffer(2))],
+             "p1 sent to p2 by a multicast and another send in one phase"),
+            (2, [(PEERS, WeightOffer(2)), (SOURCE, WeightOffer(1))],
+             "p2 sent to S after a send to p3: "
+             "a node's sends must come in ascending recipient order"),
+            (3, [(PEERS, WeightOffer(2)), (SOURCE, WeightOffer(1))],
+             "p3 sent to S after a send to p2: "
+             "a node's sends must come in ascending recipient order"),
+            (SOURCE, [(1, WeightOffer(1)), (PEERS, WeightOffer(2))],
+             "S sent to p1 by a multicast and another send in one phase"),
+            (SOURCE, [(PEERS, WeightOffer(2)), (3, WeightOffer(1))],
+             "S sent to p3 by a multicast and another send in one phase"),
+        ],
+        ids=["unicast above first", "unicast below first", "range first", "unicast after",
+             "twice", "twice from p1", "to S after", "to S after, from the top id",
+             "from S, unicast first", "from S, unicast after"],
+    )
+    def test_it_shares_every_processor_with_the_other_sends(self, j, sends, message):
+        # a PEERS record counts as reaching 1..n in the order check, but no
+        # fault names its sender as a recipient
+        for keep in (True, False):
+            processors = {k: _SendsOnce(sends if k == j else []) for k in (1, 2, 3)}
+            source = _OneShotSource(sends if j == SOURCE else [])
+            assert _fault_text(source, processors, keep_trace=keep) == message
+
+    @pytest.mark.parametrize(
+        "n,message",
+        [(1, "p1 sent to its peers, but it has none"),
+         (2, "p1 sent a message after the source halted")],
+        ids=["no peers", "after the halt"],
+    )
+    def test_faults(self, n, message):
+        # p1 answers in phase 2 the offer the source sent as it halted: at
+        # n = 1 the missing peers are reported before the halt
+        class Answer(Node):
+            def step(self, inbox):
+                return [(PEERS, CapacityReport(1))] if inbox else []
+
+        source = _OneShotSource([(1, WeightOffer(1))])
+        processors = {1: Answer(), **{k: _SilentNode() for k in range(2, n + 1)}}
+        assert _fault_text(source, processors) == message
+        processors = {1: _SendsOnce([(PEERS, CapacityReport(1))])}
+        if n == 1:  # and in phase 1, before any halt
+            assert _fault_text(_Metronome([], halt_at=2), processors) == message
 
 
 def _first_recipient_order(trace):
@@ -891,9 +1017,13 @@ class TestActiveStepping:
 # phase: its sends and the phase it asks to be woken in, or None.
 
 
+def _pairs(inbox):
+    return [(d.sender, d.payload) for d in inbox]
+
+
 class _PlannedSource(SourceNode):
-    """Follows the plan in every phase, logging (phase, S), and halts in
-    phase ``halt_at``."""
+    """Follows the plan in every phase, logging (phase, S) and its inbox as
+    (sender, payload) pairs, and halts in phase ``halt_at``."""
 
     def __init__(self, plan, log, halt_at):
         self.plan, self.log, self.halt_at = plan, log, halt_at
@@ -901,7 +1031,7 @@ class _PlannedSource(SourceNode):
 
     def step(self, inbox):
         self.phase += 1
-        self.log.append((self.phase, SOURCE))
+        self.log.append(((self.phase, SOURCE), _pairs(inbox)))
         self.halted = self.phase == self.halt_at
         return self.plan.get((SOURCE, self.phase), ([], None))[0]
 
@@ -910,7 +1040,8 @@ class _PlannedSource(SourceNode):
 
 
 class _Planned(Node):
-    """Follows the plan, logging (phase, id) for each step.  It works out the
+    """Follows the plan, logging (phase, id) and the inbox, as (sender,
+    payload) pairs, for each step.  It works out the
     phase from its mail, which must all be from the phase before, else as
     phase 1 on its first step, else as its earliest wake-up past its last
     step: a step with none of them has no phase under the stepping rule and
@@ -931,7 +1062,7 @@ class _Planned(Node):
             phase = min((w for w in self.asked if w > self.phase), default=None)
             assert phase is not None, f"p{self.j} stepped with no mail and no wake-up"
         self.phase = phase
-        self.log.append((phase, self.j))
+        self.log.append(((phase, self.j), _pairs(inbox)))
         sends, wake = self.plan.get((self.j, phase), ([], None))
         if wake is not None:
             self.wake_at = wake
@@ -939,8 +1070,9 @@ class _Planned(Node):
         return sends
 
 
-def _planned_steps(n, halt_at, plan):
-    """The (phase, id) steps of a planned run through the engine."""
+def _planned_run(n, halt_at, plan):
+    """The (phase, id) steps of a planned run through the engine, each with
+    the inbox it read as (sender, payload) pairs."""
     log = []
     nodes = {j: _Planned(j, plan, log) for j in range(1, n + 1)}
     run_protocol(_PlannedSource(plan, log, halt_at), nodes)
@@ -948,27 +1080,35 @@ def _planned_steps(n, halt_at, plan):
 
 
 def _stepping_rule(n, halt_at, plan):
-    """The same steps from the module docstring's rule alone: S steps in
-    every phase until it halts; a processor steps in phase 1, then only in
-    a phase in which it has mail or asked to be woken.  The run ends with
-    the first phase from the halt on in which nobody sends."""
-    mail = {}  # phase -> ids with mail in it
+    """The same steps and inboxes from the module docstring's rule alone: S
+    steps in every phase until it halts; a processor steps in phase 1, then
+    only in a phase in which it has mail or asked to be woken.  Each send
+    is fanned out to its recipients one at a time, in the order the nodes
+    step and emit; a ``PEERS`` send goes to every processor but its sender.
+    The run ends with the first phase from the halt on in which nobody
+    sends."""
+    mail = {}  # phase -> {id: the (sender, payload) pairs it reads then}
     woken = {1: set(range(1, n + 1))}  # phase -> ids woken in it
     steps = []
     phase = 0
     while True:
         phase += 1
-        stepping = mail.pop(phase, set()) | woken.pop(phase, set())
+        boxes = mail.pop(phase, {})
+        stepping = set(boxes) | woken.pop(phase, set())
         if phase <= halt_at:
             stepping.add(SOURCE)
         sent = False
         for j in sorted(stepping):
-            steps.append((phase, j))
+            steps.append(((phase, j), boxes.get(j, [])))
             sends, wake = plan.get((j, phase), ([], None))
-            for recipient, _ in sends:
-                ids = recipient if type(recipient) is range else (recipient,)
-                mail.setdefault(phase + 1, set()).update(ids)
-                sent = True
+            for recipient, payload in sends:
+                if recipient is PEERS:
+                    ids = [k for k in range(1, n + 1) if k != j]
+                else:
+                    ids = recipient if type(recipient) is range else (recipient,)
+                for k in ids:
+                    mail.setdefault(phase + 1, {}).setdefault(k, []).append((j, payload))
+                    sent = True
             if wake is not None:
                 woken.setdefault(wake, set()).add(j)
         if phase >= halt_at and not sent:
@@ -978,8 +1118,10 @@ def _stepping_rule(n, halt_at, plan):
 @st.composite
 def _plans(draw):
     """(n, halt phase, plan) for a legal run: random unicasts, multicasts,
-    messages to S, wake-ups and silent steps.  Nobody sends after the halt
-    phase or to S in it, and each node's sends come in recipient order."""
+    ``PEERS`` sends, messages to S, wake-ups and silent steps.  Nobody sends
+    after the halt phase or to S in it, each node's sends come in recipient
+    order, a node that sends ``PEERS`` sends it last and to no processor
+    else, and each send of a node in a phase has its own payload."""
     n = draw(st.integers(min_value=1, max_value=5))
     halt_at = draw(st.integers(min_value=1, max_value=5))
     plan = {}
@@ -990,6 +1132,9 @@ def _plans(draw):
             sends = []
             if phase <= halt_at:
                 allowed = [k for k in range(n + 1) if k != j and (k or phase < halt_at)]
+                peers = (j == SOURCE or n > 1) and draw(st.booleans())
+                if peers:  # then a processor's only other send may go to S
+                    allowed = [k for k in allowed if k == SOURCE]
                 recipients = sorted(draw(st.sets(st.sampled_from(allowed)))) if allowed else []
                 i = 0
                 while i < len(recipients):
@@ -997,12 +1142,14 @@ def _plans(draw):
                     while k + 1 < len(recipients) and recipients[k + 1] == recipients[k] + 1:
                         k += 1
                     k = draw(st.integers(min_value=i, max_value=k))
-                    payload = WeightOffer(phase)
+                    payload = WeightOffer(10 * phase + len(sends))
                     if k > i or draw(st.booleans()):
                         sends.append((range(recipients[i], recipients[k] + 1), payload))
                     else:
                         sends.append((recipients[i], payload))
                     i = k + 1
+                if peers:
+                    sends.append((PEERS, WeightOffer(10 * phase + len(sends))))
             wake = None
             if j != SOURCE and draw(st.booleans()):
                 wake = draw(st.integers(min_value=phase + 1, max_value=halt_at + 3))
@@ -1015,7 +1162,7 @@ class TestSchedulerDifferential:
     @given(_plans())
     def test_steps_follow_the_stepping_rule(self, case):
         n, halt_at, plan = case
-        assert _planned_steps(n, halt_at, plan) == _stepping_rule(n, halt_at, plan)
+        assert _planned_run(n, halt_at, plan) == _stepping_rule(n, halt_at, plan)
 
     @pytest.mark.parametrize(
         "n,halt_at,plan,steps",
@@ -1046,7 +1193,55 @@ class TestSchedulerDifferential:
              "wake-up with mail", "mail for S and a drain"],
     )
     def test_named_cases(self, n, halt_at, plan, steps):
-        assert _planned_steps(n, halt_at, plan) == _stepping_rule(n, halt_at, plan) == steps
+        run = _planned_run(n, halt_at, plan)
+        assert run == _stepping_rule(n, halt_at, plan)
+        assert [step for step, _ in run] == steps
+
+    W1, W2, W3 = WeightOffer(1), WeightOffer(2), WeightOffer(3)
+
+    @pytest.mark.parametrize(
+        "n,plan,inboxes",
+        [
+            (3,
+             {(2, 1): ([(PEERS, W1)], None)},
+             {1: [(2, W1)], 3: [(2, W1)]}),
+            (3,
+             {(SOURCE, 1): ([(1, W1)], None), (2, 1): ([(PEERS, W2)], None)},
+             {1: [(SOURCE, W1), (2, W2)], 3: [(2, W2)]}),
+            (3,
+             {(1, 1): ([(PEERS, W1)], None), (2, 1): ([(PEERS, W2)], None),
+              (3, 1): ([(2, W3)], None)},
+             {1: [(2, W2)], 2: [(1, W1), (3, W3)], 3: [(1, W1), (2, W2)]}),
+            (3,
+             {(SOURCE, 1): ([(PEERS, W1)], None), (1, 1): ([(PEERS, W2)], None)},
+             {1: [(SOURCE, W1)], 2: [(SOURCE, W1), (1, W2)], 3: [(SOURCE, W1), (1, W2)]}),
+            (2,
+             {(1, 1): ([(SOURCE, W1), (PEERS, W2)], None)},
+             {2: [(1, W2)]}),
+        ],
+        ids=["a lone broadcaster", "after S's unicast", "around a higher sender's unicast",
+             "S's and a processor's", "after a unicast to S"],
+    )
+    def test_named_broadcast_cases(self, n, plan, inboxes):
+        # the processors' inboxes in phase 2, after the broadcasts of phase 1:
+        # each holds every broadcast but its own, in sender order with its
+        # direct mail; a processor whose inbox is empty does not step
+        run = _planned_run(n, 2, plan)
+        assert run == _stepping_rule(n, 2, plan)
+        assert {j: pairs for (phase, j), pairs in run if phase == 2 and j != SOURCE} == inboxes
+
+    @pytest.mark.parametrize(
+        "n,plan,message",
+        [
+            (1, {(1, 1): ([(PEERS, W1)], None)}, "p1 sent to its peers, but it has none"),
+            (3, {(2, 1): ([(3, W1), (PEERS, W2)], None)},
+             "p2 sent to p3 by a multicast and another send in one phase"),
+        ],
+        ids=["no peers", "after a send to a processor"],
+    )
+    def test_named_broadcast_faults(self, n, plan, message):
+        with pytest.raises(SimulationFault, match=f"^{re.escape(message)}$"):
+            _planned_run(n, 2, plan)
 
 
 _PAYLOADS = [
@@ -1163,9 +1358,11 @@ def render_by_line(trace):
 
 @st.composite
 def hand_built_traces(draw):
-    """Records over a small pool of payload objects, in groups of three
-    shapes: a run of unicasts, one multicast over a range of ids, and a
-    broadcast to processors 1..n split around its sender into two ranges.
+    """Records over a small pool of payload objects, in groups of four
+    shapes: a run of unicasts, one multicast over a range of ids, a
+    broadcast to processors 1..n split around its sender into two ranges,
+    and one range that holds its sender (a ``PEERS`` record's shape, or the
+    sender alone, which reaches nobody).
     The pool holds distinct objects of equal value, and a group may reuse
     any object, so groups meet with the same payload under another phase,
     sender or shape, and objects recur at non-adjacent positions.  Ids go
@@ -1192,14 +1389,17 @@ def hand_built_traces(draw):
     for _ in range(draw(st.integers(0, 8))):
         phase, sender = draw(st.integers(1, 3)), draw(ids)
         payload = draw(st.sampled_from(pool))
-        shape = draw(st.sampled_from(["unicasts", "multicast", "split"]))
+        shape = draw(st.sampled_from(["unicasts", "multicast", "split", "holding"]))
         if shape == "unicasts":
             recipients = draw(unicasts)
         elif shape == "multicast":
             recipients = draw(multicast)
-        else:
+        elif shape == "split":
             n = draw(st.integers(max(sender, 1), sender + 6))
             recipients = [r for r in (range(1, sender), range(sender + 1, n + 1)) if r]
+        else:
+            start = draw(st.integers(max(sender - 6, 0), sender))
+            recipients = [range(start, draw(st.integers(sender + 1, sender + 7)))]
         records += [Delivery(phase, sender, r, payload) for r in recipients]
     return tuple(records)
 
@@ -1263,6 +1463,15 @@ class TestRenderDifferential:
                 Delivery(2, 3, range(1, 3), pair),
                 Delivery(2, 3, range(4, 6), pair),
             ),
+            "holding the sender": (Delivery(2, 3, range(1, 6), pair),),
+            "holding the sender first and last": (
+                Delivery(2, 1, range(1, 4), pair),
+                Delivery(2, 3, range(1, 4), pair),
+            ),
+            "holding the sender alone": (
+                Delivery(2, 3, range(3, 4), pair),
+                Delivery(3, 1, SOURCE, pair),
+            ),
             "unicasts and a multicast of one object": (
                 Delivery(1, SOURCE, 1, offer),
                 Delivery(1, SOURCE, range(2, 4), offer),
@@ -1280,6 +1489,10 @@ class TestRenderDifferential:
         assert render_trace(shapes["split around the sender"]) == "".join(
             f"2 p3 p{k} pair 1 4\n" for k in (1, 2, 4, 5)
         )
+        assert render_trace(shapes["holding the sender"]) == render_trace(
+            shapes["split around the sender"]
+        )
+        assert render_trace(shapes["holding the sender alone"]) == "3 p1 S pair 1 4\n"
         assert render_trace(shapes["final directive"]) == "4 S p1 final 7:2\n4 S p2 final 7:2\n"
 
     @pytest.mark.parametrize("alg", ["simple", "modified", "dist", "tree"])
