@@ -418,11 +418,11 @@ class BroadcastSource(GreedySource):
             raise SimulationFault(f"two winners in one round: {sorted(winners)}")
         offset = (self.phase - 1) % self.period
         if winners:
+            if self.pending is None:
+                raise SimulationFault("winner reported outside any round")
             # the next round's first phase, or at n = 1 this round's last
             if offset != (0 if self.inst.n > 1 else self.period - 1):
                 raise SimulationFault("S: winner report arrived off schedule")
-            if self.pending is None:
-                raise SimulationFault("winner reported outside any round")
             self.assignment.assign(self.inst, self.pending, winners[0] - 1)
             self.pending = None
 

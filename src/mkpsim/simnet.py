@@ -161,8 +161,9 @@ class _Peers:
         return "PEERS"
 
 
-# The recipient of a send to every processor except the sender: from S, all
-# of 1..n.  Its one record's ``recipient`` is the run's range 1..n.
+# The recipient of a send from a processor to every other processor.  Its one
+# record's ``recipient`` is the run's range 1..n.  S, outside the processors'
+# complete graph, has no peers: it reaches them all by the range 1..n.
 PEERS = _Peers()
 
 # (recipient, payload) or, for a multicast, (range of recipients, payload) or
@@ -288,7 +289,8 @@ def render_trace(trace: Trace) -> str:
     """Line-oriented dump, one delivery per line: ``phase from to payload``.
 
     A multicast record expands to one line per recipient, in ascending id
-    order, leaving out the sender when its range holds it.  Its lines share
+    order, leaving out the sender when its range holds it (a ``PEERS``
+    record, whose range 1..n holds another processor too).  Its lines share
     everything but the recipient's name, so they are built with one join
     over a slice of the name table (two slices around the sender), kept as
     three parts so that the long middle one is not copied again: the record's
@@ -319,8 +321,6 @@ def render_trace(trace: Trace) -> str:
             start = recipient.start
             if start <= sender < stop:
                 recipients = names[start:sender] + names[sender + 1:stop]
-                if not recipients:
-                    continue  # a range of the sender alone reaches nobody
             else:
                 recipients = names[start:stop]
             head = f"{d.phase} {names[sender]} "
@@ -390,13 +390,12 @@ def _deliver_broadcasts(broadcasts: list[Delivery], inboxes: list[list[Delivery]
     sender order, to processors 1..n: each inbox gets all of them but its
     own record.
 
-    A processor's part costs one list copy and at most one ``del``.  It
-    follows the inbox's direct mail when all of that comes from lower
-    senders, such as S; otherwise a stable sort by sender merges the two,
-    keeping each sender's records as emitted.  In a ``dist`` round the
-    pairs arrive alone, so every part is the whole inbox.
+    A processor's part costs one list copy and at most one ``del``.  It is
+    the whole inbox when the processor has no direct mail, as in a ``dist``
+    round; otherwise a stable sort by sender merges the two, keeping each
+    sender's records as emitted.
     """
-    own = 1 if broadcasts[0].sender == SOURCE else 0  # the next processor's record
+    own = 0  # the index of the next processor's record
     count = len(broadcasts)
     for j in range(1, len(inboxes)):
         part = broadcasts[:]
@@ -408,8 +407,6 @@ def _deliver_broadcasts(broadcasts: list[Delivery], inboxes: list[list[Delivery]
         box = inboxes[j]
         if not box:
             inboxes[j] = part
-        elif box[-1].sender < part[0].sender:
-            box += part
         else:
             box += part
             box.sort(key=_sender)
@@ -451,10 +448,10 @@ def run_protocol(
     a processor map that is empty or does not cover 1..n exactly, a
     multicast range that is empty or has a step other than 1, a message
     addressed to a nonexistent node or to the node itself, a ``PEERS`` send
-    from the one processor of a run, a message sent after the source
-    halted, a message delivered to the already-halted source, a wake-up
-    asked by the source or for a phase that is not after the current one,
-    and a run that needs more than ``max_phases`` phases.
+    from S or from the one processor of a run, a message sent after the
+    source halted, a message delivered to the already-halted source, a
+    wake-up asked by the source or for a phase that is not after the current
+    one, and a run that needs more than ``max_phases`` phases.
     Each send is checked in the order its node emitted it, against those
     rules in that order; a multicast names its lowest nonexistent
     recipient.  Once a node's sends have passed, sends out of ascending
@@ -571,7 +568,7 @@ def run_protocol(
                         fanned += stop - start - 1
                         multicast = True
                     elif recipient is PEERS:
-                        if node_id != SOURCE and n == 1:
+                        if node_id == SOURCE or n == 1:
                             raise SimulationFault(
                                 f"{node_name(node_id)} sent to its peers, but it has none"
                             )
@@ -582,7 +579,7 @@ def run_protocol(
                         delivery.recipient = everyone
                         log.append(delivery)
                         broadcasts.append(delivery)
-                        fanned += n - 1 if node_id == SOURCE else n - 2
+                        fanned += n - 2
                         multicast = True
                     else:
                         raise SimulationFault(

@@ -1112,6 +1112,14 @@ class TestSourceFaults:
         inbox = self.to_source(1, (1, Winner(1)))
         assert fault_text(self.source("dist").step, inbox) == "winner reported outside any round"
 
+    def test_broadcast_source_of_one_processor_winner_before_any_round(self):
+        # phase 1 is off the lone processor's schedule too, but no item is
+        # pending yet, and that is the fault reported
+        inst = Instance.from_pairs([(5, 2), (3, 1)], [9])
+        source = PROTOCOLS["dist"].source(inst, PROTOCOLS["dist"])
+        inbox = self.to_source(1, (1, Winner(1)))
+        assert fault_text(source.step, inbox) == "winner reported outside any round"
+
     def test_broadcast_source_second_winner_of_a_round(self):
         # a winner read in phase 2, before any processor can have decided
         # the round, is not booked: the round's winner lands in phase 4
@@ -1132,10 +1140,14 @@ class TestSourceFaults:
         assert fault_text(source.step, inbox) == "S: winner report arrived off schedule"
         assert source.assignment.placement == {0: None, 1: None}
 
-    @pytest.mark.parametrize("offset", [0, 1])
-    def test_broadcast_source_of_one_processor_books_at_offset_two(self, offset):
+    @pytest.mark.parametrize(
+        "offset,message",
+        [(0, "winner reported outside any round"), (1, "S: winner report arrived off schedule")],
+    )
+    def test_broadcast_source_of_one_processor_books_at_offset_two(self, offset, message):
         # the lone processor reports as soon as the offer arrives (phase 2),
-        # so its report lands in phase 3 and anywhere else is off schedule
+        # so its report lands in phase 3; in phase 4 round 1 is booked and
+        # round 2 not yet open, and in phase 5 round 2 is open but not due
         inst = Instance.from_pairs([(5, 2), (3, 1)], [9])
         source = PROTOCOLS["dist"].source(inst, PROTOCOLS["dist"])
         assert source.step([]) == [(range(1, 2), WeightOffer(1))]
@@ -1145,7 +1157,7 @@ class TestSourceFaults:
         for _ in range(offset):
             source.step([])
         inbox = self.to_source(3 + offset, (1, Winner(1)))
-        assert fault_text(source.step, inbox) == "S: winner report arrived off schedule"
+        assert fault_text(source.step, inbox) == message
 
     @pytest.mark.parametrize("steps", [0, 1, 2])
     def test_tree_source_result_off_schedule(self, steps):

@@ -703,13 +703,12 @@ class TestPeers:
             assert got == [[(m.sender, m.payload) for m in inbox] for inbox in split[j].inboxes]
 
     @pytest.mark.parametrize("n", [1, 4])
-    def test_from_the_source_it_reaches_every_processor(self, n):
-        nodes = {j: _Recorder() for j in range(1, n + 1)}
-        _, metrics, trace = run_protocol(_OneShotSource([(PEERS, WeightOffer(6))]), nodes)
-        (record,) = trace
-        assert record.recipient == range(1, n + 1)
-        assert all(node.inboxes[1] == [record] for node in nodes.values())
-        assert metrics == metrics_of(trace) == RunMetrics(n, 1, ((1, n),))
+    @pytest.mark.parametrize("first", [[], [(1, WeightOffer(1))]], ids=["alone", "after a unicast"])
+    def test_from_the_source_is_a_fault(self, n, first):
+        # S reaches every processor by the range 1..n; it has no peers
+        processors = {j: _SilentNode() for j in range(1, n + 1)}
+        source = _OneShotSource(first + [(PEERS, WeightOffer(6))])
+        assert _fault_text(source, processors) == "S sent to its peers, but it has none"
 
     def test_a_unicast_to_the_source_may_come_first(self):
         log = []
@@ -744,22 +743,16 @@ class TestPeers:
             (3, [(PEERS, WeightOffer(2)), (SOURCE, WeightOffer(1))],
              "p3 sent to S after a send to p2: "
              "a node's sends must come in ascending recipient order"),
-            (SOURCE, [(1, WeightOffer(1)), (PEERS, WeightOffer(2))],
-             "S sent to p1 by a multicast and another send in one phase"),
-            (SOURCE, [(PEERS, WeightOffer(2)), (3, WeightOffer(1))],
-             "S sent to p3 by a multicast and another send in one phase"),
         ],
         ids=["unicast above first", "unicast below first", "range first", "unicast after",
-             "twice", "twice from p1", "to S after", "to S after, from the top id",
-             "from S, unicast first", "from S, unicast after"],
+             "twice", "twice from p1", "to S after", "to S after, from the top id"],
     )
     def test_it_shares_every_processor_with_the_other_sends(self, j, sends, message):
         # a PEERS record counts as reaching 1..n in the order check, but no
         # fault names its sender as a recipient
         for keep in (True, False):
             processors = {k: _SendsOnce(sends if k == j else []) for k in (1, 2, 3)}
-            source = _OneShotSource(sends if j == SOURCE else [])
-            assert _fault_text(source, processors, keep_trace=keep) == message
+            assert _fault_text(_OneShotSource([]), processors, keep_trace=keep) == message
 
     @pytest.mark.parametrize(
         "n,message",
@@ -1120,8 +1113,8 @@ def _plans(draw):
     """(n, halt phase, plan) for a legal run: random unicasts, multicasts,
     ``PEERS`` sends, messages to S, wake-ups and silent steps.  Nobody sends
     after the halt phase or to S in it, each node's sends come in recipient
-    order, a node that sends ``PEERS`` sends it last and to no processor
-    else, and each send of a node in a phase has its own payload."""
+    order, only a processor with a peer sends ``PEERS``, last and to no
+    processor else, and each send of a node in a phase has its own payload."""
     n = draw(st.integers(min_value=1, max_value=5))
     halt_at = draw(st.integers(min_value=1, max_value=5))
     plan = {}
@@ -1132,7 +1125,7 @@ def _plans(draw):
             sends = []
             if phase <= halt_at:
                 allowed = [k for k in range(n + 1) if k != j and (k or phase < halt_at)]
-                peers = (j == SOURCE or n > 1) and draw(st.booleans())
+                peers = j != SOURCE and n > 1 and draw(st.booleans())
                 if peers:  # then a processor's only other send may go to S
                     allowed = [k for k in allowed if k == SOURCE]
                 recipients = sorted(draw(st.sets(st.sampled_from(allowed)))) if allowed else []
@@ -1213,14 +1206,14 @@ class TestSchedulerDifferential:
               (3, 1): ([(2, W3)], None)},
              {1: [(2, W2)], 2: [(1, W1), (3, W3)], 3: [(1, W1), (2, W2)]}),
             (3,
-             {(SOURCE, 1): ([(PEERS, W1)], None), (1, 1): ([(PEERS, W2)], None)},
+             {(SOURCE, 1): ([(range(1, 4), W1)], None), (1, 1): ([(PEERS, W2)], None)},
              {1: [(SOURCE, W1)], 2: [(SOURCE, W1), (1, W2)], 3: [(SOURCE, W1), (1, W2)]}),
             (2,
              {(1, 1): ([(SOURCE, W1), (PEERS, W2)], None)},
              {2: [(1, W2)]}),
         ],
         ids=["a lone broadcaster", "after S's unicast", "around a higher sender's unicast",
-             "S's and a processor's", "after a unicast to S"],
+             "after S's multicast", "after a unicast to S"],
     )
     def test_named_broadcast_cases(self, n, plan, inboxes):
         # the processors' inboxes in phase 2, after the broadcasts of phase 1:
@@ -1234,10 +1227,11 @@ class TestSchedulerDifferential:
         "n,plan,message",
         [
             (1, {(1, 1): ([(PEERS, W1)], None)}, "p1 sent to its peers, but it has none"),
+            (3, {(SOURCE, 1): ([(PEERS, W1)], None)}, "S sent to its peers, but it has none"),
             (3, {(2, 1): ([(3, W1), (PEERS, W2)], None)},
              "p2 sent to p3 by a multicast and another send in one phase"),
         ],
-        ids=["no peers", "after a send to a processor"],
+        ids=["no peers", "from S", "after a send to a processor"],
     )
     def test_named_broadcast_faults(self, n, plan, message):
         with pytest.raises(SimulationFault, match=f"^{re.escape(message)}$"):
@@ -1361,8 +1355,8 @@ def hand_built_traces(draw):
     """Records over a small pool of payload objects, in groups of four
     shapes: a run of unicasts, one multicast over a range of ids, a
     broadcast to processors 1..n split around its sender into two ranges,
-    and one range that holds its sender (a ``PEERS`` record's shape, or the
-    sender alone, which reaches nobody).
+    and one range that holds its sender and another id (a ``PEERS``
+    record's shape).
     The pool holds distinct objects of equal value, and a group may reuse
     any object, so groups meet with the same payload under another phase,
     sender or shape, and objects recur at non-adjacent positions.  Ids go
@@ -1392,14 +1386,15 @@ def hand_built_traces(draw):
         shape = draw(st.sampled_from(["unicasts", "multicast", "split", "holding"]))
         if shape == "unicasts":
             recipients = draw(unicasts)
-        elif shape == "multicast":
-            recipients = draw(multicast)
+        elif shape == "multicast":  # any range but the sender alone, which reaches nobody
+            recipients = draw(multicast.filter(lambda rs, s=sender: rs[0] != range(s, s + 1)))
         elif shape == "split":
             n = draw(st.integers(max(sender, 1), sender + 6))
             recipients = [r for r in (range(1, sender), range(sender + 1, n + 1)) if r]
         else:
             start = draw(st.integers(max(sender - 6, 0), sender))
-            recipients = [range(start, draw(st.integers(sender + 1, sender + 7)))]
+            stop = draw(st.integers(sender + 1 + (start == sender), sender + 7))
+            recipients = [range(start, stop)]
         records += [Delivery(phase, sender, r, payload) for r in recipients]
     return tuple(records)
 
@@ -1468,10 +1463,6 @@ class TestRenderDifferential:
                 Delivery(2, 1, range(1, 4), pair),
                 Delivery(2, 3, range(1, 4), pair),
             ),
-            "holding the sender alone": (
-                Delivery(2, 3, range(3, 4), pair),
-                Delivery(3, 1, SOURCE, pair),
-            ),
             "unicasts and a multicast of one object": (
                 Delivery(1, SOURCE, 1, offer),
                 Delivery(1, SOURCE, range(2, 4), offer),
@@ -1492,7 +1483,6 @@ class TestRenderDifferential:
         assert render_trace(shapes["holding the sender"]) == render_trace(
             shapes["split around the sender"]
         )
-        assert render_trace(shapes["holding the sender alone"]) == "3 p1 S pair 1 4\n"
         assert render_trace(shapes["final directive"]) == "4 S p1 final 7:2\n4 S p2 final 7:2\n"
 
     @pytest.mark.parametrize("alg", ["simple", "modified", "dist", "tree"])
