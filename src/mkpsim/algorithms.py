@@ -194,7 +194,7 @@ class GreedySource(SourceNode):
             return self._finish()
         item = self.order[self.rounds_done]
         self.rounds_done += 1
-        return [(range(1, self.inst.n + 1), WeightOffer(item.weight))]
+        return [(PEERS, WeightOffer(item.weight))]
 
     def _finish(self) -> list[Send]:
         """Run the reassignment pass (if any) and halt; returns one directive

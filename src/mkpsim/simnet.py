@@ -15,7 +15,7 @@ asked to be woken in (see :class:`Node`): in the synchronous model a node
 with no mail and nothing scheduled does nothing in a phase, so leaving it
 unstepped changes no trace.  The engine finds the processors with mail from
 the unicasts of the phase before, so a phase costs no scan of all n inboxes
-unless a multicast was sent in the phase before.  The model is failure
+unless a ``PEERS`` send was made in the phase before.  The model is failure
 free: every sent message is delivered exactly once, one phase later.
 
 Accounting: every point-to-point delivery counts as one message, so a
@@ -26,17 +26,17 @@ bookkeeping at the processors) are not counted as communication phases.
 Phases in which nobody speaks still count if the source is still running --
 a silent phase is meaningful in a synchronous protocol.
 
-Deliveries: a send names one recipient or, as a *multicast*, a ``range``
-of them or :data:`PEERS` (every processor but the sender), and becomes
-exactly one :class:`Delivery` record (phase, sender, recipient or range,
-payload).  A multicast record reaches every id in its range except its
-sender; only a ``PEERS`` send, whose range is 1..n, makes a record whose
-range holds its sender.  The engine appends the record to the trace, when
-the caller keeps one, and to the inbox of each recipient for the next
-phase, so programs read the same records the trace keeps.  A multicast to
-k recipients still counts k messages, one per point-to-point delivery; it
-is a cheaper way to write k sends of one payload, not a different network.
-The per-phase counts in :class:`RunMetrics` are taken as each phase closes.
+Deliveries: a send names one recipient or, as the one *multicast*,
+:data:`PEERS`: from S all n processors, from a processor the other n - 1.
+Either becomes exactly one :class:`Delivery` record (phase, sender,
+recipient, payload); a ``PEERS`` record's recipient is the range 1..n, and
+it reaches every id in it but its sender.  The engine appends the record to
+the trace, when the caller keeps one, and to the inbox of each recipient
+for the next phase, so programs read the same records the trace keeps.  A
+``PEERS`` send to k recipients still counts k messages, one per
+point-to-point delivery; it is a cheaper way to write k sends of one
+payload, not a different network.  The per-phase counts in
+:class:`RunMetrics` are taken as each phase closes.
 
 Determinism: within a phase, deliveries are ordered by (sender, recipient).
 Nodes step in ascending id order, and each node returns its sends in
@@ -125,11 +125,10 @@ class Delivery:
     """One sent message, stamped with the phase in which it was sent.
 
     The engine builds exactly one record per send.  ``recipient`` is a node
-    id, or for a multicast an ascending ``range`` (step 1) of node ids: the
-    send went to each of them except the sender, which a range holds only
-    for a :data:`PEERS` send (its range is 1..n).  Each recipient finds this
-    one object in its inbox one phase later, and the trace keeps the same
-    object, so a record stands for one delivery per recipient.  Records are
+    id, or for a :data:`PEERS` send the run's ``range`` 1..n: the send went
+    to each of them except the sender.  Each recipient finds this one object
+    in its inbox one phase later, and the trace keeps the same object, so a
+    record stands for one delivery per recipient.  Records are
     immutable by contract -- neither the engine nor any node program
     assigns to a field -- and use ``__slots__`` rather than a frozen
     dataclass or a named tuple, because both of those make building a
@@ -161,15 +160,13 @@ class _Peers:
         return "PEERS"
 
 
-# The recipient of a send from a processor to every other processor.  Its one
-# record's ``recipient`` is the run's range 1..n.  S, outside the processors'
-# complete graph, has no peers: it reaches them all by the range 1..n.
+# The recipient of a send to every processor but the sender: from S all n of
+# them, from a processor the other n - 1.  Its one record's ``recipient`` is
+# the run's range 1..n.
 PEERS = _Peers()
 
-# (recipient, payload) or, for a multicast, (range of recipients, payload) or
-# (PEERS, payload); the engine stamps the sender.  A range is non-empty, has
-# step 1 and leaves out the sender.
-Send = tuple[int | range | _Peers, Payload]
+# (recipient id, payload) or (PEERS, payload); the engine stamps the sender.
+Send = tuple[int | _Peers, Payload]
 
 
 # ---------------------------------------------------------------------------
@@ -215,15 +212,12 @@ class Node:
     in every phase until it halts and may not ask for one.
 
     ``step`` returns the node's sends for this phase (see :data:`Send`) in
-    ascending recipient order: each send starts past the last recipient of
-    the send before it, except that two unicasts may go to one recipient, in
-    the order they are returned.  So a multicast shares no recipient with
-    another send of its node in the phase.  A :data:`PEERS` send counts as a
-    multicast to 1..n here, so of a node's other sends in that phase only
-    those to S, before it, pass.  Several sends of one payload to a
-    contiguous block of ids are best written as one multicast, and to every
-    other processor as one ``PEERS`` send: the engine then builds, checks
-    and keeps one record for all of them.
+    ascending recipient order; two unicasts may go to one recipient, in the
+    order they are returned.  A :data:`PEERS` send counts as a send to 1..n
+    here, so of a node's other sends in that phase only those to S, before
+    it, pass.  Sends of one payload to every processor (from S) or every
+    other processor are best written as one ``PEERS`` send: the engine then
+    builds, checks and keeps one record for all of them.
     """
 
     wake_at: int | None = None
@@ -288,12 +282,12 @@ def render_payload(payload: Payload) -> str:
 def render_trace(trace: Trace) -> str:
     """Line-oriented dump, one delivery per line: ``phase from to payload``.
 
-    A multicast record expands to one line per recipient, in ascending id
-    order, leaving out the sender when its range holds it (a ``PEERS``
-    record, whose range 1..n holds another processor too).  Its lines share
-    everything but the recipient's name, so they are built with one join
-    over a slice of the name table (two slices around the sender), kept as
-    three parts so that the long middle one is not copied again: the record's
+    A record whose recipient is a range (a ``PEERS`` record's 1..n) expands
+    to one line per id in it, in ascending order, leaving out the sender
+    when the range holds it.  Its lines share everything but the
+    recipient's name, so they are built with one join over a slice of the
+    name table (two slices around the sender), kept as three parts so that
+    the long middle one is not copied again: the record's
     ``"{phase} {sender} "`` head, then the names joined by the payload text
     plus the head, then the payload text.  The name table is a list indexed
     by node id, grown with :func:`node_name` when a record names an id past
@@ -346,38 +340,40 @@ DEFAULT_MAX_PHASES = 1_000_000
 def _check_send_order(records: list[Delivery], sender: int) -> None:
     """Check one node's records of a phase, more than one, in one pass.
 
-    Each record must start past the last recipient of the record before it;
-    two unicasts to one recipient may follow each other, and keep the order
-    they were emitted in.  A record that breaks this and shares a recipient
-    with the record before it, one of the two a multicast, names the lowest
-    shared recipient; any other names its first recipient and the last
-    recipient of the record before it.  A ``PEERS`` record counts as
-    reaching 1..n, but a fault never names its sender as a recipient.
+    A unicast's recipient must not be below the one before it; two unicasts
+    to one recipient keep the order they were emitted in.  A ``PEERS``
+    record counts as reaching 1..n, so only a unicast to S may come before
+    it and nothing after it.  A fault names the lowest recipient that a
+    ``PEERS`` record shares with the record next to it, other than its
+    sender; a unicast below the one before it, or to S after a ``PEERS``
+    record, is out of order and names the last recipient before it.
     """
-    reach = -1  # the last recipient of the record before
-    before: int | range = -1  # that record's recipient
+    before: int | range = -1  # the recipient of the record before
     for d in records:
         recipient = d.recipient
-        if type(recipient) is range:
-            if recipient.start > reach:
-                reach, before = recipient.stop - 1, recipient
+        # shared: the lowest recipient the two records share, or S (which no
+        # PEERS record reaches) when they share none
+        if type(before) is range:  # nothing passes after a PEERS record
+            shared = 1 if type(recipient) is range else recipient
+            reach = before.stop - 1
+            reach -= reach == sender
+        elif type(recipient) is range:  # only a unicast to S passes before one
+            if before <= SOURCE:
+                before = recipient
                 continue
-            first, last = recipient.start, recipient.stop - 1
-        elif recipient > reach or (recipient == reach and type(before) is not range):
-            reach = before = recipient
+            shared = before
+        elif recipient >= before:
+            before = recipient
             continue
         else:
-            first = last = recipient
-        low = before.start if type(before) is range else before
-        if last >= low and (type(before) is range or type(recipient) is range):
-            shared = max(first, low)  # the sender only when both are PEERS records
+            shared, reach = SOURCE, before
+        if shared != SOURCE:
             raise SimulationFault(
                 f"{node_name(sender)} sent to {node_name(shared + (shared == sender))} by a "
                 f"multicast and another send in one phase"
             )
-        reach -= reach == sender  # the top of a PEERS record's range
         raise SimulationFault(
-            f"{node_name(sender)} sent to {node_name(first)} after a send to "
+            f"{node_name(sender)} sent to {node_name(recipient)} after a send to "
             f"{node_name(reach)}: a node's sends must come in ascending recipient order"
         )
 
@@ -425,39 +421,37 @@ def run_protocol(
     when the source has halted and no messages remain in flight; processors
     are reactive and never halt on their own.  Returns the assignment the
     source recorded, the metrics, and the trace: every record the run sent,
-    a multicast as the one record its recipients read.  With ``keep_trace``
-    false the trace is ``None``: the run checks and counts every send as a
-    traced run does, but lets go of each phase's records once they are
-    delivered, so its memory does not grow with the message count
-    (``per_phase`` still grows with the number of phases that carry
+    a ``PEERS`` send as the one record its recipients read.  With
+    ``keep_trace`` false the trace is ``None``: the run checks and counts
+    every send as a traced run does, but lets go of each phase's records
+    once they are delivered, so its memory does not grow with the message
+    count (``per_phase`` still grows with the number of phases that carry
     traffic).
 
     A phase costs one step per node that has mail or a wake-up in it, plus
-    the source's.  A multicast costs one record and one set of checks,
+    the source's.  A ``PEERS`` send costs one record and one set of checks,
     however many recipients it has, and counts one message per recipient.
-    A range's record is appended to the slice of next-phase inboxes it
-    covers.  A ``PEERS`` record is kept in the phase's list of broadcasts,
-    which the next phase hands to the processors' inboxes before any node
-    steps (see :func:`_deliver_broadcasts`), so no inbox gets it by an
-    append of its own.  The next phase's ready list is the sorted ids whose
-    inbox a unicast made non-empty, with the wake-ups merged in; only after
-    a phase that sent a multicast does the engine scan all n+1 inboxes for
-    it.
+    S's record is appended to every processor's next-phase inbox.  A
+    processor's is kept in the phase's list of broadcasts, which the next
+    phase hands to the other processors' inboxes before any node steps (see
+    :func:`_deliver_broadcasts`), so no inbox gets it by an append of its
+    own.  The next phase's ready list is the sorted ids whose inbox a
+    unicast made non-empty, with the wake-ups merged in; only after a phase
+    with a ``PEERS`` send does the engine scan all n+1 inboxes for it.
 
     Faults (raised as :class:`SimulationFault`, never silently dropped):
     a processor map that is empty or does not cover 1..n exactly, a
-    multicast range that is empty or has a step other than 1, a message
-    addressed to a nonexistent node or to the node itself, a ``PEERS`` send
-    from S or from the one processor of a run, a message sent after the
-    source halted, a message delivered to the already-halted source, a
-    wake-up asked by the source or for a phase that is not after the current
-    one, and a run that needs more than ``max_phases`` phases.
-    Each send is checked in the order its node emitted it, against those
-    rules in that order; a multicast names its lowest nonexistent
-    recipient.  Once a node's sends have passed, sends out of ascending
-    recipient order are a fault too, and a multicast among them that shares
-    a recipient with the send before it names the lowest shared recipient;
-    a ``PEERS`` send counts as a multicast to 1..n.
+    message addressed to a nonexistent node (a recipient, a ``range``
+    included, that is not ``PEERS`` and equals no node id) or to the node
+    itself, a ``PEERS`` send from the one processor of a run, a message
+    sent after the source halted, a message delivered to the
+    already-halted source, a wake-up asked by the source or for a phase
+    that is not after the current one, and a run that needs more than
+    ``max_phases`` phases.  Each send is checked in the
+    order its node emitted it, against those rules in that order.  Once a
+    node's sends have passed, sends out of ascending recipient order are a
+    fault too (see :func:`_check_send_order`), and a ``PEERS`` send counts
+    there as a send to 1..n.
     """
     n = len(processors)
     if n < 1:
@@ -477,13 +471,13 @@ def run_protocol(
     # a fresh one, so only the nodes that step cost an allocation.
     ids = range(n + 1)
     # a set test costs a unicast no more than a bounds check, and it is false
-    # for a range, so a multicast costs the unicasts nothing
+    # for PEERS, so a broadcast costs the unicasts nothing
     node_ids = frozenset(ids)
     inboxes: list[list[Delivery]] = [[] for _ in ids]
     sent_now: list[list[Delivery]] = [[] for _ in ids]
     wakeups: dict[int, list[int]] = {1: list(range(1, n + 1))}  # phase -> ids
     # the ids whose next-phase inbox a unicast made non-empty, and whether a
-    # multicast filled inboxes too (then the next phase scans them all)
+    # PEERS send filled inboxes too (then the next phase scans them all)
     filled: list[int] = []
     multicast = False
     # this phase's PEERS records, in sender order; a new list only after a
@@ -544,31 +538,8 @@ def run_protocol(
                         if not box:
                             filled.append(recipient)
                         box.append(delivery)
-                    elif type(recipient) is range:
-                        start, stop = recipient.start, recipient.stop
-                        if start >= stop or recipient.step != 1:
-                            raise SimulationFault(
-                                f"{node_name(node_id)} sent to {recipient!r}: a multicast "
-                                f"needs a non-empty range with step 1"
-                            )
-                        if start < 0 or stop > n + 1:
-                            raise SimulationFault(
-                                f"{node_name(node_id)} sent to nonexistent node "
-                                f"{start if start < 0 else max(start, n + 1)}"
-                            )
-                        if start <= node_id < stop:
-                            raise SimulationFault(f"{node_name(node_id)} sent to itself")
-                        if was_halted:
-                            raise SimulationFault(
-                                f"{node_name(node_id)} sent a message after the source halted"
-                            )
-                        log.append(delivery)
-                        for box in sent_now[start:stop]:
-                            box.append(delivery)
-                        fanned += stop - start - 1
-                        multicast = True
                     elif recipient is PEERS:
-                        if node_id == SOURCE or n == 1:
+                        if n == 1 and node_id != SOURCE:
                             raise SimulationFault(
                                 f"{node_name(node_id)} sent to its peers, but it has none"
                             )
@@ -578,8 +549,13 @@ def run_protocol(
                             )
                         delivery.recipient = everyone
                         log.append(delivery)
-                        broadcasts.append(delivery)
-                        fanned += n - 2
+                        if node_id == SOURCE:  # no sender to skip: one append per box
+                            for box in sent_now[1:]:
+                                box.append(delivery)
+                            fanned += n - 1
+                        else:
+                            broadcasts.append(delivery)
+                            fanned += n - 2
                         multicast = True
                     else:
                         raise SimulationFault(

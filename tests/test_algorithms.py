@@ -1104,7 +1104,7 @@ class TestSourceFaults:
 
     def test_broadcast_source_two_winners(self):
         source = self.source("dist")
-        assert source.step([]) == [(range(1, 4), WeightOffer(1))]
+        assert source.step([]) == [(PEERS, WeightOffer(1))]
         inbox = self.to_source(3, (1, Winner(3)), (2, Winner(1)))
         assert fault_text(source.step, inbox) == "two winners in one round: [1, 3]"
 
@@ -1124,7 +1124,7 @@ class TestSourceFaults:
         # a winner read in phase 2, before any processor can have decided
         # the round, is not booked: the round's winner lands in phase 4
         source = self.source("dist")
-        assert source.step([]) == [(range(1, 4), WeightOffer(1))]
+        assert source.step([]) == [(PEERS, WeightOffer(1))]
         inbox = self.to_source(1, (2, Winner(2)))
         assert fault_text(source.step, inbox) == "S: winner report arrived off schedule"
         assert source.assignment.placement == {0: None, 1: None}
@@ -1150,7 +1150,7 @@ class TestSourceFaults:
         # round 2 not yet open, and in phase 5 round 2 is open but not due
         inst = Instance.from_pairs([(5, 2), (3, 1)], [9])
         source = PROTOCOLS["dist"].source(inst, PROTOCOLS["dist"])
-        assert source.step([]) == [(range(1, 2), WeightOffer(1))]
+        assert source.step([]) == [(PEERS, WeightOffer(1))]
         assert source.step([]) == []
         assert source.step(self.to_source(2, (1, Winner(1)))) == []
         assert source.assignment.placement == {0: None, 1: 0}
@@ -1480,68 +1480,27 @@ def test_evicting_instance_matches_golden_digests():
             assert pre.placement[taken] in range(16), name  # evicted earlier
 
 
-class _SplitBroadcastProcessor(BroadcastProcessor):
-    """A ``dist`` processor that sends its pair as two ``range`` multicasts,
-    to the ids below its own and to those above, instead of one ``PEERS``
-    send: the send shape ``dist`` had before ``PEERS``."""
-
-    def step(self, inbox):
-        sends = super().step(inbox)
-        if sends and sends[0][0] is PEERS:
-            [(_, report)] = sends
-            others = (range(1, self.j), range(self.j + 1, self.n + 1))
-            return [(r, report) for r in others if r]
-        return sends
-
-
-def dist_run_with(processor, inst):
-    """A traced ``dist`` run of ``inst`` whose processors are built by
-    ``processor``, through the engine directly: (assignment, pre-final
-    assignment, metrics, trace, inboxes), where ``inboxes[j]`` lists each
-    inbox node j was stepped with as (phase, sender, payload) triples."""
-    protocol = PROTOCOLS["dist"]
-    source = protocol.source(inst, protocol)
-    processors = {j: processor(inst, j, protocol) for j in range(1, inst.n + 1)}
-    stepped = {j: [] for j in range(inst.n + 1)}
-    for j, node in [(SOURCE, source), *processors.items()]:
-        def recording(inbox, step=node.step, log=stepped[j]):
-            log.append(tuple(inbox))  # the trace keeps the records alive anyway
-            return step(inbox)
-
-        node.step = recording
-    assignment, metrics, trace = run_protocol(source, processors)
-    inboxes = {
-        j: [[(d.phase, d.sender, d.payload) for d in inbox] for inbox in log]
-        for j, log in stepped.items()
-    }
-    return assignment, source.pre_final_assignment, metrics, trace, inboxes
-
-
-class TestPeersSendAgainstTheSplit:
-    """``dist`` with one ``PEERS`` send per pair against the same processors
-    sending the two-range split: one run, told apart only by its records."""
+class TestOneRecordPerBroadcast:
+    """A ``dist`` run keeps one record per ``PEERS`` send: each round's offer
+    from S and each processor's pair are one record apiece."""
 
     CASES = {**GOLDEN_INSTANCES, "random-m100-n64": GenParams(100, 64, 50, 50, 1, 100, seed=1)}
 
     @pytest.mark.parametrize("case", sorted(CASES))
-    def test_same_run_and_fewer_records(self, case):
+    def test_a_round_is_n_plus_one_records(self, case):
         spec = self.CASES[case]
         inst = gen_random(spec) if isinstance(spec, GenParams) else gen_adversarial(*spec)
-        peers = dist_run_with(BroadcastProcessor, inst)
-        split = dist_run_with(_SplitBroadcastProcessor, inst)
-        assignment, pre, metrics, trace, inboxes = peers
-        assert assignment.placement == split[0].placement
-        assert pre.placement == split[1].placement
-        assert metrics == split[2]
-        assert render_trace(trace) == render_trace(split[3])
-        assert inboxes == split[4]
+        run = run_algorithm("dist", inst)
+        everyone = range(1, inst.n + 1)
+        offers = [d for d in run.trace if isinstance(d.payload, WeightOffer)]
+        assert len(offers) == inst.m
+        assert all(d.sender == SOURCE and d.recipient == everyone for d in offers)
         # m(n + 1) records: each round's offer and one pair per processor;
         # then a winner report per item placed and a directive per change
-        changed = len(final_reassign(pre, inst)[1])
-        assert len(trace) == inst.m * (inst.n + 1) + len(pre.assigned_items()) + changed
-        assert len(split[3]) == len(trace) + inst.m * (inst.n - 2)
+        placed = len(run.pre_final_assignment.assigned_items())
+        assert len(run.trace) == inst.m * (inst.n + 1) + placed + len(run.changed_knapsacks)
         if case == "random-m100-n64":
-            assert len(trace) == 6593
+            assert len(run.trace) == 6593
 
 
 # Trees with a node that must send without having mail: at n = 5, 12 and 33
@@ -1708,3 +1667,66 @@ class TestRunsWithoutTrace:
         if name != "simple":
             # the pass swaps every knapsack for a heavy item
             assert run.changed_knapsacks == tuple(range(8)) and run.profit == 8 * 100
+
+
+def _scaled(inst, cost=1, weight=1):
+    """``inst`` with every cost times ``cost`` and every weight and capacity
+    times ``weight``."""
+    return Instance.from_pairs(
+        [(it.cost * cost, it.weight * weight) for it in inst.items],
+        [c * weight for c in inst.capacities],
+    )
+
+
+def _shape(run):
+    """What a run decided and what it cost, apart from its profit."""
+    return (
+        run.assignment.placement,
+        run.pre_final_assignment.placement,
+        run.messages,
+        run.phases,
+        run.rounds,
+        run.changed_knapsacks,
+    )
+
+
+class TestMetamorphicRelations:
+    """Exact relations between runs of related instances, none of which
+    needs an oracle: they hold at any size.  Every protocol runs at every
+    size here, ``dist`` too (n <= 40)."""
+
+    SIZES = [(0, 1), (1, 1), (3, 2), (8, 3), (20, 5), (40, 8), (80, 13), (120, 20), (200, 33)]
+    FACTORS = (7, 10**20 + 3)
+
+    @pytest.mark.parametrize("m,n", SIZES, ids=[f"m{m}-n{n}" for m, n in SIZES])
+    @pytest.mark.parametrize("name", ALGORITHMS)
+    def test_scaling_and_an_item_that_fits_nowhere(self, name, m, n):
+        inst = gen_random(GenParams(m, n, 50, 50, 1, 100, seed=m + n))
+        base = run_algorithm(name, inst, keep_trace=False)
+        for k in self.FACTORS:
+            # every cost times k: the same run, k times the profit
+            run = run_algorithm(name, _scaled(inst, cost=k), keep_trace=False)
+            assert _shape(run) == _shape(base), k
+            assert (run.profit, run.pre_final_profit) == (
+                k * base.profit, k * base.pre_final_profit
+            ), k
+            # every weight and capacity times k: the same run
+            run = run_algorithm(name, _scaled(inst, weight=k), keep_trace=False)
+            assert _shape(run) + (run.profit,) == _shape(base) + (base.profit,), k
+        if not PROTOCOLS[name].one_item_per_round:
+            return
+        # an item heavier than every knapsack, and the densest: one more
+        # round, in which every processor reports no room and nobody wins
+        heavy = Instance.from_pairs(
+            [(it.cost, it.weight) for it in inst.items]
+            + [(51 * (max(inst.capacities) + 1), max(inst.capacities) + 1)],
+            inst.capacities,
+        )
+        run = run_algorithm(name, heavy, keep_trace=False)
+        assert run.assignment.placement == {**base.assignment.placement, m: None}
+        assert run.pre_final_assignment.placement == {
+            **base.pre_final_assignment.placement, m: None
+        }
+        assert run.rounds == base.rounds + 1
+        assert run.messages == base.messages + (n * n if name == "dist" else 2 * n)
+        assert (run.profit, run.changed_knapsacks) == (base.profit, base.changed_knapsacks)

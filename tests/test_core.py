@@ -411,6 +411,44 @@ class TestAssignmentMutators:
             items_by_knapsack(assignment, instance_a)
 
 
+class TestSafetyChecks:
+    """The exact text of each guard that no run of a well-formed instance
+    reaches."""
+
+    @pytest.mark.parametrize("item_id", [-1, -7])
+    def test_a_negative_item_id(self, item_id):
+        with pytest.raises(DomainError, match=f"^item id must be >= 0, got {item_id}$"):
+            Item(item_id, 1, 1)
+
+    @pytest.mark.parametrize("item_id", [-1, 4, 9])
+    def test_instance_item_of_an_unknown_id(self, instance_a, item_id):
+        with pytest.raises(DomainError, match=f"^unknown item id {item_id}$"):
+            instance_a.item(item_id)
+
+    @pytest.mark.parametrize(
+        "item_id,knapsack,message",
+        [
+            (4, 0, "unknown item id 4"),
+            (-1, 0, "unknown item id -1"),
+            (0, 2, "unknown knapsack 2"),
+            (0, -1, "unknown knapsack -1"),
+            (9, 9, "unknown item id 9"),  # the item is checked first
+        ],
+    )
+    def test_assign_of_an_unknown_id(self, instance_a, item_id, knapsack, message):
+        assignment = Assignment.empty(instance_a)
+        with pytest.raises(DomainError, match=f"^{message}$"):
+            assignment.assign(instance_a, item_id, knapsack)
+        assert assignment == Assignment.empty(instance_a)
+
+    @pytest.mark.parametrize("remaining", [[10], [10, 7, 0], []])
+    def test_check_feasible_of_a_remaining_vector_of_the_wrong_length(self, instance_a, remaining):
+        assignment = Assignment({i: None for i in range(instance_a.m)}, remaining)
+        assert check_feasible(assignment, instance_a) == (
+            f"remaining vector has length {len(remaining)}, expected 2"
+        )
+
+
 class TestInstanceDocument:
     def test_round_trip(self, instance_a):
         assert instance_from_json(instance_to_json(instance_a)) == instance_a

@@ -347,19 +347,34 @@ class TestVerification:
         verdict = verify_instance(gen_adversarial(4, 10))
         assert verdict.ok, verdict.violations
 
-    def test_modified_misses_the_bound_on_a_known_instance(self):
-        # every batch round ranks knapsack 1 (capacity 15) first, so the
-        # 2nd, 4th and 6th items in density order go to knapsack 0, do not
-        # fit it and are dropped; the pass finds no single item worth more
-        # than knapsack 1's 27
-        inst = Instance.from_pairs(
-            [(2, 1), (15, 4), (13, 7), (5, 1), (20, 1), (27, 2)], [1, 15]
-        )
-        verdict = verify_instance(inst)
-        assert verdict.violations == ["modified: bound violated: 27 * (2+1) < 82"]
-        assert verdict.opt.opt == 82
-        profits = {name: run.profit for name, run in verdict.results.items()}
-        assert profits == {"simple": 27, "modified": 27, "dist": 69, "tree": 69}
+    # the k = 5 member of the family with capacities [1, C], C the total
+    # weight, and k rounds of the items (1, i+1) and (100, 100(i+1)+1):
+    # `modified` earns 100 against an optimum of 101k
+    FAMILY_K5 = [pair for i in range(5) for pair in ((1, i + 1), (100, 100 * (i + 1) + 1))]
+
+    @pytest.mark.parametrize(
+        "pairs,capacities,violation,opt,profits",
+        [
+            ([(2, 1), (15, 4), (13, 7), (5, 1), (20, 1), (27, 2)], [1, 15],
+             "modified: bound violated: 27 * (2+1) < 82", 82,
+             {"simple": 27, "modified": 27, "dist": 69, "tree": 69}),
+            (FAMILY_K5, [1, sum(w for _, w in FAMILY_K5)],
+             "modified: bound violated: 100 * (2+1) < 505", 505,
+             {"simple": 5, "modified": 100, "dist": 505, "tree": 505}),
+        ],
+        ids=["six items", "family k=5"],
+    )
+    def test_modified_misses_the_bound_on_a_known_instance(
+        self, pairs, capacities, violation, opt, profits
+    ):
+        # every batch round ranks knapsack 1 (the large one) first, so the
+        # 2nd, 4th, ... items in density order go to knapsack 0, do not fit
+        # it and are dropped; the pass finds no single item worth more than
+        # knapsack 1's contents
+        verdict = verify_instance(Instance.from_pairs(pairs, capacities))
+        assert verdict.violations == [violation]
+        assert verdict.opt.opt == opt
+        assert {name: run.profit for name, run in verdict.results.items()} == profits
 
     def test_a_fresh_instance_is_sorted_once(self, monkeypatch):
         # the oracle, four runs, two recomputations and two trace audits all

@@ -219,10 +219,15 @@ class TestEngine:
             (-1, "p1 sent to nonexistent node -1"),
             (3, "p1 sent to nonexistent node 3"),
             (1, "p1 sent to itself"),
+            # a range, like any recipient that is not PEERS and equals no
+            # node id, names a nonexistent node
+            (range(1, 3), "p1 sent to nonexistent node range(1, 3)"),
+            ("p2", "p1 sent to nonexistent node p2"),
+            (None, "p1 sent to nonexistent node None"),
         ],
     )
     def test_a_send_breaking_several_rules_reports_the_first(self, recipient, message):
-        # each send is also made after the source halted: the range check
+        # each send is also made after the source halted: the id check
         # comes first, then the self check, then the halted check
         class LastWord(SourceNode):
             def step(self, inbox):
@@ -236,8 +241,10 @@ class TestEngine:
             def step(self, inbox):
                 return [(recipient, CapacityReport(1))] if inbox else []
 
-        with pytest.raises(SimulationFault, match=f"^{message}$"):
+        with pytest.raises(SimulationFault, match=f"^{re.escape(message)}$") as fault:
             run_protocol(LastWord(), {1: Stray(), 2: _SilentNode()})
+        # the refused send left no record: the log holds S's offer alone
+        assert [(d.phase, d.sender, d.recipient) for d in _log_at(fault)] == [(1, SOURCE, 1)]
 
     def test_deliveries_are_ordered_by_sender_then_recipient(self):
         class Scatter(SourceNode):
@@ -296,19 +303,11 @@ class TestEngine:
         [
             ([3, 1], "S sent to p1 after a send to p3"),
             ([1, 3, 3, 2], "S sent to p2 after a send to p3"),
-            ([4, range(1, 3)], "S sent to p1 after a send to p4"),
-            ([range(3, 5), 1], "S sent to p1 after a send to p4"),
-            ([range(3, 5), range(1, 3)], "S sent to p1 after a send to p4"),
-            ([range(1, 3), 4, 2], "S sent to p2 after a send to p4"),
         ],
-        ids=["two unicasts", "after a repeated unicast", "range after a unicast",
-             "unicast after a range", "touching ranges reversed",
-             "back into an earlier range"],
+        ids=["two unicasts", "after a repeated unicast"],
     )
     def test_sends_out_of_recipient_order_fault(self, recipients, message):
-        # the engine checks a node's order and never fixes it; a send that
-        # shares no recipient with the one before it breaks only the order
-        # rule, even when an earlier multicast covers its recipient
+        # the engine checks a node's order and never fixes it
         sends = [(r, WeightOffer(k)) for k, r in enumerate(recipients)]
         message += ": a node's sends must come in ascending recipient order"
         with pytest.raises(SimulationFault, match=f"^{re.escape(message)}$"):
@@ -319,6 +318,14 @@ def _fault_text(source, processors, **kwargs) -> str:
     with pytest.raises(SimulationFault) as fault:
         run_protocol(source, processors, **kwargs)
     return str(fault.value)
+
+
+def _log_at(fault) -> list:
+    """The records a run had logged when it raised ``fault``."""
+    tb = fault.value.__traceback__
+    while tb.tb_frame.f_code is not run_protocol.__code__:
+        tb = tb.tb_next
+    return tb.tb_frame.f_locals["log"]
 
 
 class _Talker(SourceNode):
@@ -381,7 +388,7 @@ class TestRunWithoutTrace:
             ([(2, WeightOffer(0)), (1, WeightOffer(0))],
              "S sent to p1 after a send to p2: "
              "a node's sends must come in ascending recipient order"),
-            ([(range(1, 3), WeightOffer(0)), (2, WeightOffer(0))],
+            ([(PEERS, WeightOffer(0)), (2, WeightOffer(0))],
              "S sent to p2 by a multicast and another send in one phase"),
             ([(1, WeightOffer(0))], "p1 sent a message after the source halted"),
         ],
@@ -414,9 +421,9 @@ class TestSendOrderOfALaterSender:
         [
             ([3, 1], "p2 sent to p1 after a send to p3"),
             ([0, 4, 3], "p2 sent to p3 after a send to p4"),
-            ([0, range(3, 5), 1], "p2 sent to p1 after a send to p4"),
+            ([0, PEERS, 0], "p2 sent to S after a send to p4"),
         ],
-        ids=["second send", "third send", "third after a multicast"],
+        ids=["second send", "third send", "third after a PEERS send"],
     )
     def test_the_check_reads_only_the_nodes_own_records(self, recipients, message):
         # S and p1 send before p2 in phase 1, so p2's records are not the
@@ -429,7 +436,7 @@ class TestSendOrderOfALaterSender:
                 3: _SilentNode(),
                 4: _SilentNode(),
             }
-            source = _OneShotSource([(1, WeightOffer(5)), (range(3, 5), WeightOffer(6))])
+            source = _OneShotSource([(PEERS, WeightOffer(6))])
             assert _fault_text(source, processors, keep_trace=keep) == message
 
 
@@ -459,100 +466,83 @@ class _OneShotSource(SourceNode):
 
 
 class _Chorus(Node):
-    """Answers an offer from S with one send of its id to every other
-    processor, as ``PEERS`` or as the split around its own id; keeps every
+    """Answers an offer from S with one ``PEERS`` send of its id; keeps every
     inbox it is stepped with."""
 
-    def __init__(self, j, n, split=False):
-        self.j, self.n, self.split = j, n, split
+    def __init__(self, j):
+        self.j = j
         self.inboxes = []
 
     def step(self, inbox):
         self.inboxes.append(inbox)
         if not any(m.sender == SOURCE for m in inbox):
             return []
-        if self.split:
-            others = (range(1, self.j), range(self.j + 1, self.n + 1))
-            return [(r, CapacityReport(self.j)) for r in others if r]
         return [(PEERS, CapacityReport(self.j))]
 
 
 class TestMulticast:
-    def test_every_recipient_reads_the_record_the_trace_keeps(self):
-        nodes = {j: _Recorder() for j in (1, 2, 3, 4)}
-        _, metrics, trace = run_protocol(_OneShotSource([(range(1, 5), WeightOffer(6))]), nodes)
+    @pytest.mark.parametrize("n", [1, 4])
+    def test_every_recipient_reads_the_record_the_trace_keeps(self, n):
+        # from S, outside the processors' complete graph, PEERS is all n
+        nodes = {j: _Recorder() for j in range(1, n + 1)}
+        _, metrics, trace = run_protocol(_OneShotSource([(PEERS, WeightOffer(6))]), nodes)
         (record,) = trace
-        assert record.recipient == range(1, 5)
+        assert record.recipient == range(1, n + 1)
         for node in nodes.values():
             (inbox,) = node.inboxes[1:]
             assert len(inbox) == 1 and inbox[0] is record
-        assert (metrics.messages, metrics.phases, metrics.per_phase) == (4, 1, ((1, 4),))
+        assert (metrics.messages, metrics.phases, metrics.per_phase) == (n, 1, ((1, n),))
         assert metrics_of(trace) == metrics
-        assert render_trace(trace) == "".join(f"1 S p{j} weight 6\n" for j in (1, 2, 3, 4))
+        assert render_trace(trace) == "".join(f"1 S p{j} weight 6\n" for j in range(1, n + 1))
 
-    def test_records_keep_emission_order_around_unicasts(self):
-        a, b, c, d = WeightOffer(1), WeightOffer(2), WeightOffer(3), WeightOffer(4)
-        nodes = {j: _Recorder() for j in range(1, 6)}
-        # ranges {1, 2} and {4, 5} around two unicasts to p3, which keep
-        # their order; the same sends with the ranges swapped are a fault
-        sends = [(range(1, 3), c), (3, a), (3, d), (range(4, 6), b)]
-        message = ("S sent to p3 after a send to p5: "
+    def test_records_keep_emission_order_before_a_peers_send(self):
+        # two unicasts to S keep their order before p2's PEERS send; the
+        # same sends with the PEERS send first are a fault
+        a, b, d = WeightOffer(1), WeightOffer(2), WeightOffer(4)
+        sends = [(SOURCE, a), (SOURCE, d), (PEERS, b)]
+
+        def run(sends, log):
+            nodes = {j: _Recorder() for j in range(1, 6)}
+            nodes[2] = _SendsOnce(sends)
+            return nodes, run_protocol(_PlannedSource({}, log, halt_at=2), nodes)
+
+        message = ("p2 sent to S after a send to p5: "
                    "a node's sends must come in ascending recipient order")
         with pytest.raises(SimulationFault, match=f"^{re.escape(message)}$"):
-            run_protocol(_OneShotSource([sends[3], *sends[1:3], sends[0]]), nodes)
-        nodes = {j: _Recorder() for j in range(1, 6)}
-        _, metrics, trace = run_protocol(_OneShotSource(sends), nodes)
-        assert [(record.recipient, record.payload) for record in trace] == sends
-        assert render_trace(trace) == (
-            "1 S p1 weight 3\n"
-            "1 S p2 weight 3\n"
-            "1 S p3 weight 1\n"
-            "1 S p3 weight 4\n"
-            "1 S p4 weight 2\n"
-            "1 S p5 weight 2\n"
-        )
-        assert [m.payload for m in nodes[3].inboxes[1]] == [a, d]
-        assert metrics.per_phase == ((1, 6),)
-
-    def test_a_broadcast_split_around_the_sender(self):
-        nodes = {j: _Chorus(j, 3, split=True) for j in (1, 2, 3)}
-        source = _Metronome([], halt_at=2, sends={1: [(range(1, 4), WeightOffer(1))]})
-        _, metrics, trace = run_protocol(source, nodes)
-        assert metrics.messages == 3 + 3 * 2
-        assert metrics.per_phase == ((1, 3), (2, 6))
-        assert [(d.sender, d.recipient) for d in trace[1:]] == [
-            (1, range(2, 4)), (2, range(1, 2)), (2, range(3, 4)), (3, range(1, 3)),
+            run([sends[2], *sends[:2]], [])
+        log = []
+        nodes, (_, metrics, trace) = run(sends, log)
+        assert [(record.recipient, record.payload) for record in trace] == [
+            (SOURCE, a), (SOURCE, d), (range(1, 6), b),
         ]
-        assert [m.sender for m in nodes[2].inboxes[2]] == [1, 3]
-        assert render_trace(trace) == render_by_line(trace)
+        assert render_trace(trace) == (
+            "1 p2 S weight 1\n"
+            "1 p2 S weight 4\n"
+            "1 p2 p1 weight 2\n"
+            "1 p2 p3 weight 2\n"
+            "1 p2 p4 weight 2\n"
+            "1 p2 p5 weight 2\n"
+        )
+        assert log[1] == ((2, SOURCE), [(2, a), (2, d)])
+        assert [m.payload for m in nodes[3].inboxes[1]] == [b]
+        assert metrics.per_phase == ((1, 6),)
 
     @pytest.mark.parametrize(
         "sends,message",
         [
-            ([(range(2, 2), CapacityReport(1))],
-             "p1 sent to range(2, 2): a multicast needs a non-empty range with step 1"),
-            ([(range(2, 5, 2), CapacityReport(1))],
-             "p1 sent to range(2, 5, 2): a multicast needs a non-empty range with step 1"),
-            ([(range(3, 1, -1), CapacityReport(1))],
-             "p1 sent to range(3, 1, -1): a multicast needs a non-empty range with step 1"),
-            ([(range(2, 6), CapacityReport(1))], "p1 sent to nonexistent node 4"),
-            ([(range(-2, 3), CapacityReport(1))], "p1 sent to nonexistent node -2"),
-            ([(range(0, 9), CapacityReport(1))], "p1 sent to nonexistent node 4"),
-            ([(range(0, 3), CapacityReport(1))], "p1 sent to itself"),
-            ([(range(1, 3), CapacityReport(1))], "p1 sent to itself"),
-            ([(range(2, 4), CapacityReport(1))], "p1 sent a message after the source halted"),
-            ([(range(5, 9), CapacityReport(1)), (range(1, 2), CapacityReport(1))],
-             "p1 sent to nonexistent node 5"),
-            ([(2, CapacityReport(1)), (range(2, 2), CapacityReport(1))],
+            ([(PEERS, CapacityReport(1))], "p1 sent a message after the source halted"),
+            ([(9, CapacityReport(1)), (PEERS, CapacityReport(1))],
+             "p1 sent to nonexistent node 9"),
+            ([(PEERS, CapacityReport(1)), (9, CapacityReport(1))],
              "p1 sent a message after the source halted"),
+            ([(range(2, 4), CapacityReport(1)), (PEERS, CapacityReport(1))],
+             "p1 sent to nonexistent node range(2, 4)"),
         ],
-        ids=["empty", "step 2", "descending", "past n", "below 0", "past n and self",
-             "self", "self first", "halted", "first of two", "unicast first"],
+        ids=["halted", "nonexistent first", "halted first", "stale range first"],
     )
-    def test_a_multicast_breaking_several_rules_reports_the_first(self, sends, message):
-        # every send is also made after the source halted: a multicast's
-        # shape is checked first, then the range, the self and the halted
-        # checks, each once per record, in the order the node emitted them
+    def test_a_peers_send_breaking_several_rules_reports_the_first(self, sends, message):
+        # every send is also made after the source halted: each is checked
+        # once, in the order the node emitted them, before the order check
         class Stray(Node):
             def step(self, inbox):
                 return sends if inbox else []
@@ -564,112 +554,84 @@ class TestMulticast:
     @pytest.mark.parametrize(
         "sends,shared",
         [
-            ([(range(1, 4), WeightOffer(1)), (2, WeightOffer(2))], 2),
-            ([(2, WeightOffer(2)), (range(1, 4), WeightOffer(1))], 2),
-            ([(range(1, 3), WeightOffer(1)), (range(2, 5), WeightOffer(2))], 2),
-            ([(range(3, 5), WeightOffer(1)), (range(1, 4), WeightOffer(2))], 3),
-            ([(range(1, 5), WeightOffer(1)), (range(1, 5), WeightOffer(2))], 1),
-            ([(range(1, 3), WeightOffer(1)), (2, WeightOffer(2)), (2, WeightOffer(3))], 2),
+            ([(PEERS, WeightOffer(1)), (2, WeightOffer(2))], 2),
+            ([(2, WeightOffer(2)), (PEERS, WeightOffer(1))], 2),
+            ([(1, WeightOffer(1)), (3, WeightOffer(2)), (PEERS, WeightOffer(3))], 3),
+            ([(PEERS, WeightOffer(1)), (PEERS, WeightOffer(2))], 1),
+            ([(PEERS, WeightOffer(1)), (2, WeightOffer(2)), (2, WeightOffer(3))], 2),
         ],
-        ids=["unicast inside", "unicast first", "ranges overlap", "ranges overlap reversed",
-             "same range twice", "two unicasts inside"],
+        ids=["unicast after", "unicast first", "after two unicasts", "twice",
+             "two unicasts after"],
     )
     def test_a_multicast_sharing_a_recipient_with_another_send_faults(self, sends, shared):
-        # a multicast may share no recipient with another send of its node
-        # in one phase: the engine refuses such sends, whatever their
-        # emission order, rather than expand the multicast to unicasts
+        # S's PEERS send may share no recipient with another send of S in
+        # one phase: the engine refuses such sends, whatever their emission
+        # order, and names the lowest recipient shared with the send before
         message = f"^S sent to p{shared} by a multicast and another send in one phase$"
         with pytest.raises(SimulationFault, match=message):
             run_protocol(_OneShotSource(sends), {j: _SilentNode() for j in range(1, 5)})
 
-    @pytest.mark.parametrize(
-        "order",
-        [[0, 1], [1, 0]],
-        ids=["in order", "reversed"],
-    )
-    @pytest.mark.parametrize(
-        "first,second",
-        [(range(1, 3), range(3, 5)), (range(1, 3), 3), (2, range(3, 5))],
-        ids=["touching ranges", "unicast just past a range", "range just past a unicast"],
-    )
-    def test_sends_that_only_touch_are_legal(self, first, second, order):
-        # touching is not sharing: in order the two sends pass, reversed
-        # they break the order rule and not the multicast one
-        a, b = WeightOffer(1), WeightOffer(2)
-        sends = [(first, a), (second, b)]
-        nodes = {j: _Recorder() for j in range(1, 5)}
-        source = _OneShotSource([sends[k] for k in order])
-        if order != [0, 1]:
-            low = first.start if isinstance(first, range) else first
-            high = second.stop - 1 if isinstance(second, range) else second
-            message = (f"S sent to p{low} after a send to p{high}: "
-                       f"a node's sends must come in ascending recipient order")
-            with pytest.raises(SimulationFault, match=f"^{re.escape(message)}$"):
-                run_protocol(source, nodes)
-            return
-        _, metrics, trace = run_protocol(source, nodes)
-        assert [(d.recipient, d.payload) for d in trace] == sends
-        assert render_trace(trace) == render_by_line(trace)
-        assert metrics.messages == len(deliveries(trace))
-        assert [m.payload for m in nodes[3].inboxes[1]] == [b]
-
     @settings(max_examples=200, deadline=None)
     @given(
-        st.lists(
-            st.one_of(
-                st.integers(1, 6),
-                st.builds(lambda lo, k: range(lo, min(lo + k, 7)), st.integers(1, 6),
-                          st.integers(1, 4)),
-            ),
-            min_size=1,
-            max_size=5,
+        st.integers(2, 6).flatmap(
+            lambda n: st.tuples(
+                st.just(n),
+                st.integers(0, n).flatmap(
+                    lambda j: st.tuples(
+                        st.just(j),
+                        st.lists(
+                            st.sampled_from([PEERS, *(k for k in range(n + 1) if k != j)]),
+                            min_size=1,
+                            max_size=5,
+                        ),
+                    )
+                ),
+            )
         )
     )
-    def test_a_nodes_records_pass_as_emitted_or_fault(self, recipients):
-        # the reference expands each record to its recipients and asks for a
-        # strictly ascending sequence, except that consecutive unicasts may
-        # repeat a recipient; the first record that breaks it names the fault
+    def test_a_nodes_records_pass_as_emitted_or_fault(self, case):
+        # node j of a run of n processors sends in phase 1.  The reference
+        # expands each record to its recipients, a PEERS record to 1..n but
+        # for the sender, and asks for a strictly ascending sequence, except
+        # that consecutive unicasts may repeat a recipient; the first record
+        # that breaks it names the fault.
+        n, (j, recipients) = case
         sends = [(r, WeightOffer(k)) for k, r in enumerate(recipients)]
-        nodes = {j: _SilentNode() for j in range(1, 7)}
-        spans = [r if isinstance(r, range) else [r] for r in recipients]
-        unicast = [not isinstance(r, range) for r in recipients]
-        expanded = [(k, j) for k, span in enumerate(spans) for j in span]
-        for (k0, j0), (k1, j1) in zip(expanded, expanded[1:]):
-            if j1 > j0 or (j1 == j0 and unicast[k0] and unicast[k1]):
+        spans = [
+            [k for k in range(1, n + 1) if k != j] if r is PEERS else [r] for r in recipients
+        ]
+        unicast = [r is not PEERS for r in recipients]
+        expanded = [(k, i) for k, span in enumerate(spans) for i in span]
+        for (k0, i0), (k1, i1) in zip(expanded, expanded[1:]):
+            if i1 > i0 or (i1 == i0 and unicast[k0] and unicast[k1]):
                 continue
             shared = set(spans[k0]) & set(spans[k1])
             if shared and not (unicast[k0] and unicast[k1]):
-                message = f"S sent to p{min(shared)} by a multicast and another send in one phase"
+                message = f"sent to p{min(shared)} by a multicast and another send in one phase"
             else:
-                message = (f"S sent to p{j1} after a send to p{j0}: "
+                message = (f"sent to {node_name(i1)} after a send to {node_name(i0)}: "
                            f"a node's sends must come in ascending recipient order")
-            with pytest.raises(SimulationFault, match=f"^{re.escape(message)}$"):
-                run_protocol(_OneShotSource(sends), nodes)
-            return
-        _, _, trace = run_protocol(_OneShotSource(sends), nodes)
-        assert [(d.recipient, d.payload) for d in trace] == sends
-
-    def test_a_multicast_to_the_halted_source_faults(self):
-        class Straggler(Node):
-            def __init__(self):
-                self.sent = False
-
-            def step(self, inbox):
-                if not self.sent:
-                    self.sent = True
-                    return [(range(0, 1), CapacityReport(1))]
-                return []
-
-        with pytest.raises(SimulationFault, match="halted source"):
-            run_protocol(_SilentSource(), {1: Straggler()})
+            break
+        else:
+            message = None
+        processors = {k: _SendsOnce(sends if k == j else []) for k in range(1, n + 1)}
+        source = _Metronome([], halt_at=2, sends={1: sends} if j == SOURCE else {})
+        if message is None:
+            _, _, trace = run_protocol(source, processors)
+            everyone = range(1, n + 1)
+            assert [(d.recipient, d.payload) for d in trace] == [
+                (everyone if r is PEERS else r, payload) for r, payload in sends
+            ]
+        else:
+            assert _fault_text(source, processors) == f"{node_name(j)} {message}"
 
 
 class TestPeers:
     @staticmethod
-    def chorus(n, split=False, keep_trace=True):
-        nodes = {j: _Chorus(j, n, split) for j in range(1, n + 1)}
-        source = _Metronome([], halt_at=2, sends={1: [(range(1, n + 1), WeightOffer(1))]})
-        _, metrics, trace = run_protocol(source, nodes, keep_trace=keep_trace)
+    def chorus(n):
+        nodes = {j: _Chorus(j) for j in range(1, n + 1)}
+        source = _Metronome([], halt_at=2, sends={1: [(PEERS, WeightOffer(1))]})
+        _, metrics, trace = run_protocol(source, nodes)
         return nodes, metrics, trace
 
     def test_one_record_reaches_every_other_processor(self):
@@ -688,27 +650,6 @@ class TestPeers:
             "2 p2 p1 capacity 2\n2 p2 p3 capacity 2\n"
             "2 p3 p1 capacity 3\n2 p3 p2 capacity 3\n"
         )
-
-    @pytest.mark.parametrize("n", [2, 3, 6])
-    @pytest.mark.parametrize("keep_trace", [True, False])
-    def test_same_run_as_the_split_around_the_sender(self, n, keep_trace):
-        peers, metrics, trace = self.chorus(n, keep_trace=keep_trace)
-        split, split_metrics, split_trace = self.chorus(n, split=True, keep_trace=keep_trace)
-        assert metrics == split_metrics
-        if keep_trace:
-            assert render_trace(trace) == render_trace(split_trace)
-            assert len(trace) == 1 + n and len(split_trace) == 1 + 2 * n - 2
-        for j in peers:
-            got = [[(m.sender, m.payload) for m in inbox] for inbox in peers[j].inboxes]
-            assert got == [[(m.sender, m.payload) for m in inbox] for inbox in split[j].inboxes]
-
-    @pytest.mark.parametrize("n", [1, 4])
-    @pytest.mark.parametrize("first", [[], [(1, WeightOffer(1))]], ids=["alone", "after a unicast"])
-    def test_from_the_source_is_a_fault(self, n, first):
-        # S reaches every processor by the range 1..n; it has no peers
-        processors = {j: _SilentNode() for j in range(1, n + 1)}
-        source = _OneShotSource(first + [(PEERS, WeightOffer(6))])
-        assert _fault_text(source, processors) == "S sent to its peers, but it has none"
 
     def test_a_unicast_to_the_source_may_come_first(self):
         log = []
@@ -729,8 +670,6 @@ class TestPeers:
              "p2 sent to p3 by a multicast and another send in one phase"),
             (2, [(1, WeightOffer(1)), (PEERS, WeightOffer(2))],
              "p2 sent to p1 by a multicast and another send in one phase"),
-            (2, [(range(3, 4), WeightOffer(1)), (PEERS, WeightOffer(2))],
-             "p2 sent to p3 by a multicast and another send in one phase"),
             (2, [(PEERS, WeightOffer(2)), (3, WeightOffer(1))],
              "p2 sent to p3 by a multicast and another send in one phase"),
             (2, [(PEERS, WeightOffer(1)), (PEERS, WeightOffer(2))],
@@ -744,7 +683,7 @@ class TestPeers:
              "p3 sent to S after a send to p2: "
              "a node's sends must come in ascending recipient order"),
         ],
-        ids=["unicast above first", "unicast below first", "range first", "unicast after",
+        ids=["unicast above first", "unicast below first", "unicast after",
              "twice", "twice from p1", "to S after", "to S after, from the top id"],
     )
     def test_it_shares_every_processor_with_the_other_sends(self, j, sends, message):
@@ -1095,10 +1034,7 @@ def _stepping_rule(n, halt_at, plan):
             steps.append(((phase, j), boxes.get(j, [])))
             sends, wake = plan.get((j, phase), ([], None))
             for recipient, payload in sends:
-                if recipient is PEERS:
-                    ids = [k for k in range(1, n + 1) if k != j]
-                else:
-                    ids = recipient if type(recipient) is range else (recipient,)
+                ids = [k for k in range(1, n + 1) if k != j] if recipient is PEERS else [recipient]
                 for k in ids:
                     mail.setdefault(phase + 1, {}).setdefault(k, []).append((j, payload))
                     sent = True
@@ -1110,11 +1046,12 @@ def _stepping_rule(n, halt_at, plan):
 
 @st.composite
 def _plans(draw):
-    """(n, halt phase, plan) for a legal run: random unicasts, multicasts,
-    ``PEERS`` sends, messages to S, wake-ups and silent steps.  Nobody sends
-    after the halt phase or to S in it, each node's sends come in recipient
-    order, only a processor with a peer sends ``PEERS``, last and to no
-    processor else, and each send of a node in a phase has its own payload."""
+    """(n, halt phase, plan) for a legal run: random unicasts, ``PEERS``
+    sends from S and from processors, messages to S, wake-ups and silent
+    steps.  Nobody sends after the halt phase or to S in it, each node's
+    sends come in recipient order, S or a processor with a peer sends
+    ``PEERS`` last and to no processor else, and each send of a node in a
+    phase has its own payload."""
     n = draw(st.integers(min_value=1, max_value=5))
     halt_at = draw(st.integers(min_value=1, max_value=5))
     plan = {}
@@ -1125,22 +1062,12 @@ def _plans(draw):
             sends = []
             if phase <= halt_at:
                 allowed = [k for k in range(n + 1) if k != j and (k or phase < halt_at)]
-                peers = j != SOURCE and n > 1 and draw(st.booleans())
-                if peers:  # then a processor's only other send may go to S
+                peers = (j == SOURCE or n > 1) and draw(st.booleans())
+                if peers:  # then a node's only other send may go to S
                     allowed = [k for k in allowed if k == SOURCE]
                 recipients = sorted(draw(st.sets(st.sampled_from(allowed)))) if allowed else []
-                i = 0
-                while i < len(recipients):
-                    k = i  # join a run of consecutive ids into one multicast, maybe
-                    while k + 1 < len(recipients) and recipients[k + 1] == recipients[k] + 1:
-                        k += 1
-                    k = draw(st.integers(min_value=i, max_value=k))
-                    payload = WeightOffer(10 * phase + len(sends))
-                    if k > i or draw(st.booleans()):
-                        sends.append((range(recipients[i], recipients[k] + 1), payload))
-                    else:
-                        sends.append((recipients[i], payload))
-                    i = k + 1
+                for k in recipients:
+                    sends.append((k, WeightOffer(10 * phase + len(sends))))
                 if peers:
                     sends.append((PEERS, WeightOffer(10 * phase + len(sends))))
             wake = None
@@ -1160,17 +1087,17 @@ class TestSchedulerDifferential:
     @pytest.mark.parametrize(
         "n,halt_at,plan,steps",
         [
-            # S's multicast and p4's unicast land in p2's box
+            # S's PEERS record and p4's unicast land in p2's box
             (4, 2,
-             {(SOURCE, 1): ([(range(1, 4), WeightOffer(1))], None),
+             {(SOURCE, 1): ([(PEERS, WeightOffer(1))], None),
               (4, 1): ([(2, CapacityReport(4))], None)},
-             [(1, 0), (1, 1), (1, 2), (1, 3), (1, 4), (2, 0), (2, 1), (2, 2), (2, 3)]),
-            # a phase of unicasts only, right after a multicast phase
+             [(1, 0), (1, 1), (1, 2), (1, 3), (1, 4), (2, 0), (2, 1), (2, 2), (2, 3), (2, 4)]),
+            # a phase of unicasts only, right after a PEERS phase
             (3, 3,
-             {(SOURCE, 1): ([(range(1, 3), WeightOffer(1))], None),
+             {(SOURCE, 1): ([(PEERS, WeightOffer(1))], None),
               (SOURCE, 2): ([(3, WeightOffer(2))], None),
               (1, 2): ([(2, CapacityReport(1))], None)},
-             [(1, 0), (1, 1), (1, 2), (1, 3), (2, 0), (2, 1), (2, 2),
+             [(1, 0), (1, 1), (1, 2), (1, 3), (2, 0), (2, 1), (2, 2), (2, 3),
               (3, 0), (3, 2), (3, 3)]),
             # a wake-up in a phase that also brings mail steps p1 once
             (2, 4,
@@ -1179,10 +1106,10 @@ class TestSchedulerDifferential:
             # mail for S, and a drain phase after the halt
             (2, 2,
              {(2, 1): ([(SOURCE, CapacityReport(2))], None),
-              (SOURCE, 2): ([(range(1, 3), WeightOffer(2))], None)},
+              (SOURCE, 2): ([(PEERS, WeightOffer(2))], None)},
              [(1, 0), (1, 1), (1, 2), (2, 0), (3, 1), (3, 2)]),
         ],
-        ids=["multicast and unicast in one box", "unicasts after a multicast",
+        ids=["PEERS and unicast in one box", "unicasts after a PEERS phase",
              "wake-up with mail", "mail for S and a drain"],
     )
     def test_named_cases(self, n, halt_at, plan, steps):
@@ -1206,14 +1133,14 @@ class TestSchedulerDifferential:
               (3, 1): ([(2, W3)], None)},
              {1: [(2, W2)], 2: [(1, W1), (3, W3)], 3: [(1, W1), (2, W2)]}),
             (3,
-             {(SOURCE, 1): ([(range(1, 4), W1)], None), (1, 1): ([(PEERS, W2)], None)},
+             {(SOURCE, 1): ([(PEERS, W1)], None), (1, 1): ([(PEERS, W2)], None)},
              {1: [(SOURCE, W1)], 2: [(SOURCE, W1), (1, W2)], 3: [(SOURCE, W1), (1, W2)]}),
             (2,
              {(1, 1): ([(SOURCE, W1), (PEERS, W2)], None)},
              {2: [(1, W2)]}),
         ],
         ids=["a lone broadcaster", "after S's unicast", "around a higher sender's unicast",
-             "after S's multicast", "after a unicast to S"],
+             "after S's PEERS send", "after a unicast to S"],
     )
     def test_named_broadcast_cases(self, n, plan, inboxes):
         # the processors' inboxes in phase 2, after the broadcasts of phase 1:
@@ -1227,11 +1154,12 @@ class TestSchedulerDifferential:
         "n,plan,message",
         [
             (1, {(1, 1): ([(PEERS, W1)], None)}, "p1 sent to its peers, but it has none"),
-            (3, {(SOURCE, 1): ([(PEERS, W1)], None)}, "S sent to its peers, but it has none"),
+            (3, {(SOURCE, 1): ([(1, W1), (PEERS, W2)], None)},
+             "S sent to p1 by a multicast and another send in one phase"),
             (3, {(2, 1): ([(3, W1), (PEERS, W2)], None)},
              "p2 sent to p3 by a multicast and another send in one phase"),
         ],
-        ids=["no peers", "from S", "after a send to a processor"],
+        ids=["no peers", "from S after a unicast", "after a send to a processor"],
     )
     def test_named_broadcast_faults(self, n, plan, message):
         with pytest.raises(SimulationFault, match=f"^{re.escape(message)}$"):
@@ -1329,6 +1257,11 @@ class TestMetricsAndRendering:
     )
     def test_payload_rendering(self, payload, text):
         assert render_payload(payload) == text
+
+    @pytest.mark.parametrize("payload", ["weight 3", None, (1, 2)], ids=repr)
+    def test_payload_rendering_refuses_an_unknown_payload(self, payload):
+        with pytest.raises(TypeError, match=f"^{re.escape(f'unknown payload {payload!r}')}$"):
+            render_payload(payload)
 
     def test_trace_rendering_format(self):
         trace = (Delivery(3, 2, SOURCE, Winner(2)),)
