@@ -182,7 +182,6 @@ class GreedySource(SourceNode):
         self.assignment = Assignment.empty(inst)
         self.pre_final_assignment: Assignment | None = None
         self.changed: tuple[int, ...] = ()
-        self.phase = 0
         self.rounds_done = 0  # the rounds dispatched so far
 
     def recorded_assignment(self) -> Assignment:
@@ -408,7 +407,6 @@ class BroadcastSource(GreedySource):
     pending: int | None = None  # item id awaiting this round's winner
 
     def step(self, inbox: list[Delivery]) -> list[Send]:
-        self.phase += 1
         winners = []
         for msg in inbox:
             if not isinstance(msg.payload, Winner):
@@ -448,9 +446,10 @@ class BroadcastSource(GreedySource):
 #   P    the source books the round and awards the item to the winner;
 #        after the last round it also runs the reassignment pass and halts,
 #        so its directives land at offset 1, in which no node sends.
-# A processor steps only on mail (the engine's rule), and reads the phase
-# from it.  The one that must send without mail is a childless node above
-# the bottom level (depth D-1): it asks for a wake-up when the offer arrives.
+# The engine steps a processor only on mail or a wake-up, and every node
+# reads the phase from it.  The one processor that must send without mail is
+# a childless node above the bottom level (depth D-1): it asks for a wake-up
+# when the offer arrives.
 #
 # A node folds each child's pair into the round's running best as it reads
 # it, and its own pair last; a child's pair goes up as the object it sent.
@@ -473,15 +472,13 @@ class TreeProcessor(ProcessorNode):
         self.send_offset = self.period - j.bit_length()  # P - 1 - depth of p_j
         # a childless node above the bottom level: no child's pair will
         # arrive to step it when it sends
-        self.needs_alarm = links.left is None and self.send_offset > 2
-        self.alarm = 1  # the phase of a step with no mail: 1, or a wake-up's
+        self.needs_wake = links.left is None and self.send_offset > 2
         self.current_weight: int | None = None
         self.best: ConsensusPair | None = None  # the round's running best; the offer resets it
         self.own_pair = _NO_PAIR  # p_j's own pair, built anew when its capacity differs
 
     def step(self, inbox: list[Delivery]) -> list[Send]:
-        phase = inbox[0].phase + 1 if inbox else self.alarm
-        offset = (phase - 1) % self.period + 1
+        offset = (self.phase - 1) % self.period + 1
         best = self.best
         # payload classes are final, so the exact type decides; pairs and
         # offers are nearly all of the mail
@@ -503,8 +500,8 @@ class TreeProcessor(ProcessorNode):
                 if offset == 2:  # the round's offer broadcast
                     self.current_weight = payload.weight
                     best = None
-                    if self.needs_alarm:
-                        self.alarm = self.wake_at = phase + self.send_offset - offset
+                    if self.needs_wake:
+                        self.wake_at = self.phase + self.send_offset - offset
                 elif offset == 1:  # the award for the round just decided
                     if payload.weight != self.current_weight:
                         raise SimulationFault(f"p{self.j}: award weight mismatch")
@@ -537,7 +534,6 @@ class TreeProcessor(ProcessorNode):
 
 class TreeSource(GreedySource):
     def step(self, inbox: list[Delivery]) -> list[Send]:
-        self.phase += 1
         offset = (self.phase - 1) % self.period + 1
 
         if offset != self.period:

@@ -6,17 +6,19 @@ number of processor programs a run is given.  Protocols that aggregate over
 a binary tree use :func:`tree_links`: p_1 is the root, the children of p_j
 are p_2j and p_2j+1, the parent is p_floor(j/2).
 
-Execution model: the run proceeds in *phases*.  A node that steps in phase
-t consumes the messages sent to it during phase t-1 and may emit new ones;
-nothing sent in a phase is readable before the next.  Every node steps in
-phase 1, and the source steps in every phase until it halts.  After phase 1
-a processor steps only in a phase where its inbox is non-empty or that it
-asked to be woken in (see :class:`Node`): in the synchronous model a node
-with no mail and nothing scheduled does nothing in a phase, so leaving it
-unstepped changes no trace.  The engine finds the processors with mail from
-the unicasts of the phase before, so a phase costs no scan of all n inboxes
-unless a ``PEERS`` send was made in the phase before.  The model is failure
-free: every sent message is delivered exactly once, one phase later.
+Execution model: the run proceeds in *phases*, counted by the engine alone:
+before each step it sets the node's ``phase`` to the current one (see
+:class:`Node`).  A node that steps in phase t consumes the messages sent to
+it during phase t-1 and may emit new ones; nothing sent in a phase is
+readable before the next.  Every node steps in phase 1, and the source
+steps in every phase until it halts.  After phase 1 a processor steps only
+in a phase where its inbox is non-empty or that it asked to be woken in: in
+the synchronous model a node with no mail and nothing scheduled does
+nothing in a phase, so leaving it unstepped changes no trace.  The engine
+finds the processors with mail from the unicasts of the phase before, so a
+phase costs no scan of all n inboxes unless a ``PEERS`` send was made in
+the phase before.  The model is failure free: every sent message is
+delivered exactly once, one phase later.
 
 Accounting: every point-to-point delivery counts as one message, so a
 broadcast to k recipients counts k.  The phase counter reported in
@@ -26,17 +28,16 @@ bookkeeping at the processors) are not counted as communication phases.
 Phases in which nobody speaks still count if the source is still running --
 a silent phase is meaningful in a synchronous protocol.
 
-Deliveries: a send names one recipient or, as the one *multicast*,
-:data:`PEERS`: from S all n processors, from a processor the other n - 1.
-Either becomes exactly one :class:`Delivery` record (phase, sender,
-recipient, payload); a ``PEERS`` record's recipient is the range 1..n, and
-it reaches every id in it but its sender.  The engine appends the record to
+Deliveries: a send names one recipient, an ``int`` node id, or, as the one
+*multicast*, :data:`PEERS`: from S all n processors, from a processor the
+other n - 1.  Either becomes exactly one :class:`Delivery` record (phase,
+sender, recipient, payload); a ``PEERS`` record's recipient is the range
+1..n, and it reaches every id in it but its sender.  The engine appends the record to
 the trace, when the caller keeps one, and to the inbox of each recipient
 for the next phase, so programs read the same records the trace keeps.  A
 ``PEERS`` send to k recipients still counts k messages, one per
 point-to-point delivery; it is a cheaper way to write k sends of one
-payload, not a different network.  The per-phase counts in
-:class:`RunMetrics` are taken as each phase closes.
+payload, not a different network.
 
 Determinism: within a phase, deliveries are ordered by (sender, recipient).
 Nodes step in ascending id order, and each node returns its sends in
@@ -201,13 +202,15 @@ def tree_links(j: int, n: int) -> TreeLinks:
 class Node:
     """A deterministic step function: inbox -> outbox, state held on self.
 
-    The engine steps a processor in phase 1 and afterwards only in phases
-    where it has mail, so a processor that must act in a phase without mail
-    asks for a wake-up: it sets ``wake_at``, an instance attribute of every
-    node from the run's start, to that phase during a step.  The engine
-    takes the request when the step returns and clears the attribute; the
-    node is then stepped once in that phase, with whatever mail arrives
-    there (possibly none).  The phase must be later than the current one.
+    Before each step the engine sets ``phase`` to the phase the node steps
+    in, so a program reads its phase there, whatever its mail.  The engine
+    steps a processor in phase 1 and afterwards only in phases where it has
+    mail, so a processor that must act in a phase without mail asks for a
+    wake-up: it sets ``wake_at``, an instance attribute of every node from
+    the run's start, to that phase during a step.  The engine takes the
+    request when the step returns and clears the attribute; the node is
+    then stepped once in that phase, with whatever mail arrives there
+    (possibly none).  The phase must be later than the current one.
     A pending wake-up does not keep a finished run alive.  The source steps
     in every phase until it halts and may not ask for one.
 
@@ -220,6 +223,7 @@ class Node:
     builds, checks and keeps one record for all of them.
     """
 
+    phase: int
     wake_at: int | None = None
 
     def step(self, inbox: list[Delivery]) -> list[Send]:
@@ -244,15 +248,11 @@ Trace = tuple[Delivery, ...]
 
 @dataclass(frozen=True)
 class RunMetrics:
-    """Message/phase accounting for one protocol run.
-
-    ``per_phase`` lists (phase, deliveries sent in that phase) for every
-    phase with traffic; it always sums to ``messages``.
-    """
+    """Message/phase accounting for one protocol run: the point-to-point
+    deliveries sent, and the phase in which the source halted."""
 
     messages: int
     phases: int
-    per_phase: tuple[tuple[int, int], ...]
 
 
 def node_name(node_id: int) -> str:
@@ -425,12 +425,12 @@ def run_protocol(
     ``keep_trace`` false the trace is ``None``: the run checks and counts
     every send as a traced run does, but lets go of each phase's records
     once they are delivered, so its memory does not grow with the message
-    count (``per_phase`` still grows with the number of phases that carry
-    traffic).
+    count.
 
     A phase costs one step per node that has mail or a wake-up in it, plus
-    the source's.  A ``PEERS`` send costs one record and one set of checks,
-    however many recipients it has, and counts one message per recipient.
+    the source's, and one store of ``phase`` on the node before each step.
+    A ``PEERS`` send costs one record and one set of checks, however many
+    recipients it has, and counts one message per recipient.
     S's record is appended to every processor's next-phase inbox.  A
     processor's is kept in the phase's list of broadcasts, which the next
     phase hands to the other processors' inboxes before any node steps (see
@@ -441,13 +441,13 @@ def run_protocol(
 
     Faults (raised as :class:`SimulationFault`, never silently dropped):
     a processor map that is empty or does not cover 1..n exactly, a
-    message addressed to a nonexistent node (a recipient, a ``range``
-    included, that is not ``PEERS`` and equals no node id) or to the node
-    itself, a ``PEERS`` send from the one processor of a run, a message
-    sent after the source halted, a message delivered to the
-    already-halted source, a wake-up asked by the source or for a phase
-    that is not after the current one, and a run that needs more than
-    ``max_phases`` phases.  Each send is checked in the
+    message addressed to a nonexistent node (a recipient that is neither
+    ``PEERS`` nor an ``int`` node id, such as a ``range``, or a ``bool`` or
+    ``float`` equal to an id) or to the node itself, a ``PEERS`` send from
+    the one processor of a run, a message sent after the source halted, a
+    message delivered to the already-halted source, a wake-up asked by the
+    source or for a phase that is not after the current one, and a run that
+    needs more than ``max_phases`` phases.  Each send is checked in the
     order its node emitted it, against those rules in that order.  Once a
     node's sends have passed, sends out of ascending recipient order are a
     fault too (see :func:`_check_send_order`), and a ``PEERS`` send counts
@@ -464,14 +464,14 @@ def run_protocol(
     steps = [node.step for node in nodes]
 
     log: list[Delivery] = []
-    per_phase: list[tuple[int, int]] = []
     messages = 0
     # One list per node id in each of two buffers: the mail read in this
     # phase and the mail sent in it.  A stepped node keeps its list and gets
     # a fresh one, so only the nodes that step cost an allocation.
     ids = range(n + 1)
     # a set test costs a unicast no more than a bounds check, and it is false
-    # for PEERS, so a broadcast costs the unicasts nothing
+    # for PEERS, so a broadcast costs the unicasts nothing; it passes any
+    # value equal to an id, so a unicast's type is checked after it
     node_ids = frozenset(ids)
     inboxes: list[list[Delivery]] = [[] for _ in ids]
     sent_now: list[list[Delivery]] = [[] for _ in ids]
@@ -515,6 +515,8 @@ def run_protocol(
         phase_start = len(log)
         fanned = 0  # deliveries beyond one per record, from this phase's multicasts
         for node_id in ready:
+            node = nodes[node_id]
+            node.phase = phase
             inbox = inboxes[node_id]
             inboxes[node_id] = []
             sends = steps[node_id](inbox)
@@ -526,7 +528,7 @@ def run_protocol(
                     delivery.sender = node_id
                     delivery.recipient = recipient
                     delivery.payload = payload
-                    if recipient in node_ids:
+                    if recipient in node_ids and type(recipient) is int:
                         if recipient == node_id:
                             raise SimulationFault(f"{node_name(node_id)} sent to itself")
                         if was_halted:
@@ -566,9 +568,9 @@ def run_protocol(
                 # passes the log and each inbox are in (sender, recipient) order.
                 if len(sends) > 1:
                     _check_send_order(log[-len(sends):], node_id)
-            wake = nodes[node_id].wake_at
+            wake = node.wake_at
             if wake is not None:
-                nodes[node_id].wake_at = None
+                node.wake_at = None
                 if node_id == SOURCE:
                     raise SimulationFault("S asked for a wake-up; it steps in every phase")
                 if wake <= phase:
@@ -579,9 +581,7 @@ def run_protocol(
         inboxes, sent_now = sent_now, inboxes
 
         sent = len(log) - phase_start + fanned
-        if sent:
-            per_phase.append((phase, sent))
-            messages += sent
+        messages += sent
         if not keep_trace:
             log.clear()  # the inboxes hold this phase's records until delivery
         if source.halted:
@@ -590,5 +590,5 @@ def run_protocol(
             if not sent:
                 break
 
-    metrics = RunMetrics(messages, halt_phase, tuple(per_phase))
+    metrics = RunMetrics(messages, halt_phase)
     return source.recorded_assignment(), metrics, tuple(log) if keep_trace else None

@@ -52,6 +52,15 @@ def deliveries(trace) -> list[tuple]:
     return out
 
 
+def per_phase_of(trace) -> tuple[tuple[int, int], ...]:
+    """(phase, deliveries sent in it) for every phase of a trace with
+    traffic, one delivery per recipient of each record."""
+    counts: dict[int, int] = {}
+    for phase, *_ in deliveries(trace):
+        counts[phase] = counts.get(phase, 0) + 1
+    return tuple(sorted(counts.items()))
+
+
 def metrics_of(trace) -> RunMetrics:
     """Recompute metrics from a trace alone: the tests' independent recount
     of what the engine reports, one message per recipient of each record.
@@ -60,11 +69,8 @@ def metrics_of(trace) -> RunMetrics:
     metric can be higher when the protocol ends on a deliberately silent
     phase.  Message counts always agree.
     """
-    counts: dict[int, int] = {}
-    for phase, *_ in deliveries(trace):
-        counts[phase] = counts.get(phase, 0) + 1
-    phases = max(counts) if counts else 0
-    return RunMetrics(sum(counts.values()), phases, tuple(sorted(counts.items())))
+    counts = per_phase_of(trace)
+    return RunMetrics(sum(count for _, count in counts), counts[-1][0] if counts else 0)
 
 
 def items_by_knapsack(assignment, inst) -> list[list[int]]:

@@ -690,6 +690,14 @@ def tree_node(j, capacities):
     return TreeProcessor(Instance.from_pairs([], capacities), j, PROTOCOLS["tree"])
 
 
+def engine_step(node, inbox, phase=None):
+    """``node.step(inbox)`` with ``node.phase`` set as the engine sets it:
+    to the phase after the stamp of the inbox's records, or for an empty
+    inbox to ``phase`` (phase 1, or a wake-up's)."""
+    node.phase = inbox[0].phase + 1 if inbox else phase
+    return node.step(inbox)
+
+
 def tree_round(node, n, weight, child_mail, start=1):
     """Step p_j of a tree over 1..n through the round that starts in phase
     ``start``: the weight offer, then its children's ``(sender, pair)`` mail
@@ -697,15 +705,15 @@ def tree_round(node, n, weight, child_mail, start=1):
     sends of its send phase, which is ``start + 1`` on the bottom level."""
     j = node.j
     send_phase = start + n.bit_length() - j.bit_length() + 1
-    sends = node.step([Delivery(start, SOURCE, range(1, n + 1), WeightOffer(weight))])
+    sends = engine_step(node, [Delivery(start, SOURCE, range(1, n + 1), WeightOffer(weight))])
     if send_phase == start + 1:
         return sends
     assert sends == []
     if child_mail:
-        return node.step([Delivery(send_phase - 1, c, j, pair) for c, pair in child_mail])
+        return engine_step(node, [Delivery(send_phase - 1, c, j, pair) for c, pair in child_mail])
     assert node.wake_at == send_phase
     node.wake_at = None  # the engine takes the request
-    return node.step([])
+    return engine_step(node, [], send_phase)
 
 
 def expected_verdict(j, remaining, weight, child_pairs):
@@ -764,7 +772,7 @@ class TestTreeProcessorDifferential:
         period = node.period
         silent = [(4, ConsensusPair(None, None)), (5, ConsensusPair(None, None))]
         assert tree_round(node, 5, 4, silent) == [(1, ConsensusPair(2, 9))]
-        assert node.step([Delivery(period, SOURCE, 2, WeightOffer(4))]) == []
+        assert engine_step(node, [Delivery(period, SOURCE, 2, WeightOffer(4))]) == []
         assert tree_round(node, 5, 3, silent, start=period + 1) == [(1, ConsensusPair(2, 5))]
         # a child's larger capacity now beats p2's
         mail = [(4, ConsensusPair(4, 6)), (5, ConsensusPair(5, 3))]
@@ -777,7 +785,7 @@ class TestTreeProcessorDifferential:
         (_, first), = tree_round(node, 5, 4, silent)
         (_, again), = tree_round(node, 5, 2, silent, start=period + 1)
         assert again is first == ConsensusPair(2, 9)
-        node.step([Delivery(2 * period, SOURCE, 2, WeightOffer(2))])  # p2 won that round
+        engine_step(node, [Delivery(2 * period, SOURCE, 2, WeightOffer(2))])  # p2 won that round
         (_, after), = tree_round(node, 5, 2, silent, start=2 * period + 1)
         assert after == ConsensusPair(2, 7) and after is not first
 
@@ -787,7 +795,7 @@ class TestTreeProcessorDifferential:
         silent = [(6, ConsensusPair(None, None)), (7, ConsensusPair(None, None))]
         assert tree_round(node, 7, 2, silent) == [(1, ConsensusPair(3, 9))]
         # the reassignment pass refills p3 with one item of weight 5
-        assert node.step([Delivery(period, SOURCE, 3, FinalDirective(0, 5))]) == []
+        assert engine_step(node, [Delivery(period, SOURCE, 3, FinalDirective(0, 5))]) == []
         assert tree_round(node, 7, 4, silent, start=period + 1) == [(1, ConsensusPair(3, 4))]
         assert tree_round(node, 7, 5, silent, start=2 * period + 1) == [
             (1, ConsensusPair(None, None))
@@ -807,8 +815,7 @@ def reference_tree_step(node, child_pairs, inbox):
     appended at the send offset, and :func:`_best_pair` chooses among them.
     The caller keeps ``child_pairs`` from step to step; the round's offer
     empties it."""
-    phase = inbox[0].phase + 1 if inbox else node.alarm
-    offset = (phase - 1) % node.period + 1
+    offset = (node.phase - 1) % node.period + 1
     for msg in inbox:
         payload = msg.payload
         kind = type(payload)
@@ -824,8 +831,8 @@ def reference_tree_step(node, child_pairs, inbox):
             if offset == 2:  # the round's offer broadcast
                 node.current_weight = payload.weight
                 child_pairs.clear()
-                if node.needs_alarm:
-                    node.alarm = node.wake_at = phase + node.send_offset - offset
+                if node.needs_wake:
+                    node.wake_at = node.phase + node.send_offset - offset
             elif offset == 1:  # the award for the round just decided
                 if payload.weight != node.current_weight:
                     raise SimulationFault(f"p{node.j}: award weight mismatch")
@@ -943,8 +950,10 @@ class TestTreeStepDifferential:
         node, ref = tree_node(j, capacities), tree_node(j, capacities)
         child_pairs = []
         owns = []  # (the node's own pair, the reference's), as each is built
+        woken = 1  # the phase of a step with no mail: 1, then the last wake-up's
         for inbox in inboxes:
-            got = self.outcome(TreeProcessor.step, node, inbox)
+            got = self.outcome(engine_step, node, inbox, woken)
+            ref.phase = node.phase
             want = self.outcome(reference_tree_step, ref, child_pairs, inbox)
             if isinstance(want, str):
                 assert got == want
@@ -959,9 +968,10 @@ class TestTreeStepDifferential:
                     or any(sent is a and expected is b for a, b in owns)
                     or (type(sent) is Winner and sent == expected)
                 )
-            assert (node.remaining, node.own_pair, node.current_weight, node.wake_at,
-                    node.alarm) == (ref.remaining, ref.own_pair, ref.current_weight,
-                                    ref.wake_at, ref.alarm)
+            assert (node.remaining, node.own_pair, node.current_weight, node.wake_at) == (
+                ref.remaining, ref.own_pair, ref.current_weight, ref.wake_at)
+            if node.wake_at is not None:
+                woken = node.wake_at
             node.wake_at = ref.wake_at = None  # the engine takes the request
 
 
@@ -983,45 +993,45 @@ class TestTreeProcessorFaults:
     def test_pair_from_a_non_child(self, sender):
         message = f"^p1: aggregation pair from non-child p{sender}$"
         with pytest.raises(SimulationFault, match=message):
-            self.p1().step(self.mail(3, (sender, ConsensusPair(sender, 9))))
+            engine_step(self.p1(), self.mail(3, (sender, ConsensusPair(sender, 9))))
 
     def test_weight_offer_from_a_non_source(self):
         with pytest.raises(SimulationFault, match="^p1: weight offer from non-source$"):
-            self.p1().step(self.mail(1, (2, WeightOffer(2))))
+            engine_step(self.p1(), self.mail(1, (2, WeightOffer(2))))
 
     def test_directive_from_a_non_source(self):
         with pytest.raises(SimulationFault, match="^p1: directive from non-source$"):
-            self.p1().step(self.mail(5, (2, FinalDirective(0, 2))))
+            engine_step(self.p1(), self.mail(5, (2, FinalDirective(0, 2))))
 
     @pytest.mark.parametrize("phase", [2, 3, 4, 7])
     def test_weight_offer_off_schedule(self, phase):
         # an offer is read at offset 2 (a round's broadcast) or 1 (an award)
         with pytest.raises(SimulationFault, match="^p1: weight offer off schedule$"):
-            self.p1().step(self.mail(phase, (SOURCE, WeightOffer(2))))
+            engine_step(self.p1(), self.mail(phase, (SOURCE, WeightOffer(2))))
 
     def test_award_weight_mismatch(self):
         node = self.p1()
-        assert node.step(self.mail(1, (SOURCE, WeightOffer(2)))) == []
+        assert engine_step(node, self.mail(1, (SOURCE, WeightOffer(2)))) == []
         with pytest.raises(SimulationFault, match="^p1: award weight mismatch$"):
-            node.step(self.mail(5, (SOURCE, WeightOffer(3))))
+            engine_step(node, self.mail(5, (SOURCE, WeightOffer(3))))
 
     def test_award_before_any_offer(self):
         with pytest.raises(SimulationFault, match="^p1: award weight mismatch$"):
-            self.p1().step(self.mail(5, (SOURCE, WeightOffer(3))))
+            engine_step(self.p1(), self.mail(5, (SOURCE, WeightOffer(3))))
 
     @pytest.mark.parametrize("payload", [Winner(2), Bottom(), CapacityReport(4)])
     def test_unexpected_payload(self, payload):
         message = re.escape(f"p1: unexpected payload {payload!r}")
         with pytest.raises(SimulationFault, match=f"^{message}$"):
-            self.p1().step(self.mail(1, (SOURCE, payload)))
+            engine_step(self.p1(), self.mail(1, (SOURCE, payload)))
 
     def test_overweight_award(self):
         node = self.p1()
-        assert node.step(self.mail(1, (SOURCE, WeightOffer(5)))) == []
+        assert engine_step(node, self.mail(1, (SOURCE, WeightOffer(5)))) == []
         with pytest.raises(
             SimulationFault, match="^p1 received an item of weight 5 with only 4 remaining$"
         ):
-            node.step(self.mail(5, (SOURCE, WeightOffer(5))))
+            engine_step(node, self.mail(5, (SOURCE, WeightOffer(5))))
 
     @pytest.mark.parametrize(
         "messages,fault",
@@ -1040,7 +1050,7 @@ class TestTreeProcessorFaults:
     )
     def test_the_first_faulty_message_decides(self, messages, fault):
         with pytest.raises(SimulationFault, match=f"^p1: {fault}$"):
-            self.p1().step(self.mail(3, *messages))
+            engine_step(self.p1(), self.mail(3, *messages))
 
 
 def fault_text(call, *args):
@@ -1100,33 +1110,37 @@ class TestSourceFaults:
     @pytest.mark.parametrize("payload", [Bottom(), CapacityReport(4), ConsensusPair(1, 9)])
     def test_broadcast_source_unexpected_payload(self, payload):
         inbox = self.to_source(3, (1, payload))
-        assert fault_text(self.source("dist").step, inbox) == f"S: unexpected payload {payload!r}"
+        assert fault_text(engine_step, self.source("dist"), inbox) == (
+            f"S: unexpected payload {payload!r}"
+        )
 
     def test_broadcast_source_two_winners(self):
         source = self.source("dist")
-        assert source.step([]) == [(PEERS, WeightOffer(1))]
+        assert engine_step(source, [], 1) == [(PEERS, WeightOffer(1))]
         inbox = self.to_source(3, (1, Winner(3)), (2, Winner(1)))
-        assert fault_text(source.step, inbox) == "two winners in one round: [1, 3]"
+        assert fault_text(engine_step, source, inbox) == "two winners in one round: [1, 3]"
 
     def test_broadcast_source_winner_before_any_round(self):
         inbox = self.to_source(1, (1, Winner(1)))
-        assert fault_text(self.source("dist").step, inbox) == "winner reported outside any round"
+        assert fault_text(engine_step, self.source("dist"), inbox) == (
+            "winner reported outside any round"
+        )
 
     def test_broadcast_source_of_one_processor_winner_before_any_round(self):
-        # phase 1 is off the lone processor's schedule too, but no item is
+        # phase 2 is off the lone processor's schedule too, but no item is
         # pending yet, and that is the fault reported
         inst = Instance.from_pairs([(5, 2), (3, 1)], [9])
         source = PROTOCOLS["dist"].source(inst, PROTOCOLS["dist"])
         inbox = self.to_source(1, (1, Winner(1)))
-        assert fault_text(source.step, inbox) == "winner reported outside any round"
+        assert fault_text(engine_step, source, inbox) == "winner reported outside any round"
 
     def test_broadcast_source_second_winner_of_a_round(self):
         # a winner read in phase 2, before any processor can have decided
         # the round, is not booked: the round's winner lands in phase 4
         source = self.source("dist")
-        assert source.step([]) == [(PEERS, WeightOffer(1))]
+        assert engine_step(source, [], 1) == [(PEERS, WeightOffer(1))]
         inbox = self.to_source(1, (2, Winner(2)))
-        assert fault_text(source.step, inbox) == "S: winner report arrived off schedule"
+        assert fault_text(engine_step, source, inbox) == "S: winner report arrived off schedule"
         assert source.assignment.placement == {0: None, 1: None}
 
     @pytest.mark.parametrize("offset", [1, 2])
@@ -1134,10 +1148,10 @@ class TestSourceFaults:
         # after round 1 opens, a winner read at any offset but 0 (phase 4,
         # the next round's first) is a fault and books nothing
         source = self.source("dist")
-        for _ in range(offset):
-            source.step([])
+        for phase in range(1, offset + 1):
+            engine_step(source, [], phase)
         inbox = self.to_source(offset, (1, Winner(1)))
-        assert fault_text(source.step, inbox) == "S: winner report arrived off schedule"
+        assert fault_text(engine_step, source, inbox) == "S: winner report arrived off schedule"
         assert source.assignment.placement == {0: None, 1: None}
 
     @pytest.mark.parametrize(
@@ -1150,24 +1164,24 @@ class TestSourceFaults:
         # round 2 not yet open, and in phase 5 round 2 is open but not due
         inst = Instance.from_pairs([(5, 2), (3, 1)], [9])
         source = PROTOCOLS["dist"].source(inst, PROTOCOLS["dist"])
-        assert source.step([]) == [(PEERS, WeightOffer(1))]
-        assert source.step([]) == []
-        assert source.step(self.to_source(2, (1, Winner(1)))) == []
+        assert engine_step(source, [], 1) == [(PEERS, WeightOffer(1))]
+        assert engine_step(source, [], 2) == []
+        assert engine_step(source, self.to_source(2, (1, Winner(1)))) == []
         assert source.assignment.placement == {0: None, 1: 0}
-        for _ in range(offset):
-            source.step([])
+        for phase in range(4, 4 + offset):
+            engine_step(source, [], phase)
         inbox = self.to_source(3 + offset, (1, Winner(1)))
-        assert fault_text(source.step, inbox) == message
+        assert fault_text(engine_step, source, inbox) == message
 
     @pytest.mark.parametrize("steps", [0, 1, 2])
     def test_tree_source_result_off_schedule(self, steps):
         # after ``steps`` empty phases the source's next phase is not a
         # round's last, the one the root's verdict is due in
         source = self.source("tree")
-        for _ in range(steps):
-            source.step([])
+        for phase in range(1, steps + 1):
+            engine_step(source, [], phase)
         inbox = self.to_source(steps, (1, Winner(1)))
-        assert fault_text(source.step, inbox) == "S: consensus result arrived off schedule"
+        assert fault_text(engine_step, source, inbox) == "S: consensus result arrived off schedule"
 
     @pytest.mark.parametrize(
         "messages",
@@ -1176,18 +1190,20 @@ class TestSourceFaults:
     )
     def test_tree_source_wants_one_verdict_from_the_root(self, messages):
         source = self.source("tree")
-        for _ in range(3):
-            source.step([])
+        for phase in range(1, 4):
+            engine_step(source, [], phase)
         inbox = self.to_source(3, *messages)
-        assert fault_text(source.step, inbox) == "S expected exactly one verdict from the root"
+        assert fault_text(engine_step, source, inbox, 4) == (
+            "S expected exactly one verdict from the root"
+        )
 
     @pytest.mark.parametrize("payload", [CapacityReport(4), ConsensusPair(1, 9), WeightOffer(2)])
     def test_tree_source_unexpected_verdict(self, payload):
         source = self.source("tree")
-        for _ in range(3):
-            source.step([])
+        for phase in range(1, 4):
+            engine_step(source, [], phase)
         inbox = self.to_source(3, (1, payload))
-        assert fault_text(source.step, inbox) == f"S: unexpected verdict {payload!r}"
+        assert fault_text(engine_step, source, inbox) == f"S: unexpected verdict {payload!r}"
 
     def test_a_processor_that_disagrees_with_the_record(self):
         inst = self.INST
@@ -1295,7 +1311,6 @@ class TestProtocolEquivalence:
             derived = metrics_of(run.trace)
             assert derived.messages == run.messages == len(deliveries(run.trace))
             assert derived.phases <= run.phases
-            assert sum(count for _, count in derived.per_phase) == run.messages
 
 
 class TestEdgesAndScale:
@@ -1440,7 +1455,6 @@ def test_seeded_traces_match_golden_digests(case):
         run = run_algorithm(name, inst)
         digest = hashlib.sha256(render_trace(run.trace).encode()).hexdigest()
         assert (run.messages, run.phases, digest) == GOLDEN_TRACE_DIGESTS[case, name], name
-        assert run.metrics.per_phase == metrics_of(run.trace).per_phase
 
 
 def evicting_instance() -> Instance:
@@ -1573,9 +1587,7 @@ def test_differential_sweep_at_depth(m, n, weight_max, cap_max, seed):
     }
     for name, run in runs.items():
         assert (run.messages, run.phases) == expected[name], name
-        recount = metrics_of(run.trace)
-        assert recount.messages == run.messages
-        assert recount.per_phase == run.metrics.per_phase
+        assert metrics_of(run.trace).messages == run.messages
         assert check_feasible(run.assignment, inst) is None
 
 
@@ -1644,12 +1656,11 @@ def adversarial_with_fillers(n: int, W: int, fillers: int, seed: int) -> Instanc
 def assert_same_run_without_trace(name, inst):
     """A run that keeps no trace returns everything a traced run does:
     assignments, pre-final assignments, profits, changed knapsacks,
-    ``RunMetrics`` (messages, phases, ``per_phase``) and rounds."""
+    ``RunMetrics`` (messages and phases) and rounds."""
     traced = run_algorithm(name, inst)
     bare = run_algorithm(name, inst, keep_trace=False)
     assert traced.trace is not None and bare.trace is None
     assert bare == replace(traced, trace=None)
-    assert bare.metrics.per_phase == metrics_of(traced.trace).per_phase
     return bare
 
 

@@ -30,7 +30,7 @@ from mkpsim.simnet import (
     tree_links,
 )
 
-from conftest import deliveries, metrics_of
+from conftest import deliveries, metrics_of, per_phase_of
 
 
 class TestTreeLinks:
@@ -85,11 +85,9 @@ class _PingSource(SourceNode):
     """Sends one ping to p1, halts when the echo comes back."""
 
     def __init__(self):
-        self.phase = 0
         self.echo_phase = None
 
     def step(self, inbox):
-        self.phase += 1
         if any(isinstance(m.payload, CapacityReport) for m in inbox):
             self.echo_phase = self.phase
             self.halted = True
@@ -105,10 +103,8 @@ class _PingSource(SourceNode):
 class _EchoNode(Node):
     def __init__(self):
         self.heard_phase = None
-        self.phase = 0
 
     def step(self, inbox):
-        self.phase += 1
         if inbox:
             self.heard_phase = self.phase
             return [(SOURCE, CapacityReport(7))]
@@ -142,16 +138,14 @@ class TestEngine:
         run2 = run_protocol(_PingSource(), {1: _EchoNode()})
         assert render_trace(run1[2]) == render_trace(run2[2])
 
-    def test_send_to_nonexistent_node_faults(self):
-        class Bad(SourceNode):
-            def step(self, inbox):
-                return [(9, WeightOffer(1))]
-
-            def recorded_assignment(self):
-                return None
-
-        with pytest.raises(SimulationFault, match="^S sent to nonexistent node 9$"):
-            run_protocol(Bad(), {1: _SilentNode(), 2: _SilentNode()})
+    # a recipient is an int node id: a bool or float equal to one is not
+    @pytest.mark.parametrize("recipient", [9, True, 1.0, 2.0], ids=repr)
+    def test_send_to_nonexistent_node_faults(self, recipient):
+        source = _OneShotSource([(recipient, WeightOffer(1))])
+        message = f"S sent to nonexistent node {recipient}"
+        with pytest.raises(SimulationFault, match=f"^{re.escape(message)}$") as fault:
+            run_protocol(source, {1: _SilentNode(), 2: _SilentNode()})
+        assert _log_at(fault) == []  # the refused send left no record
 
     def test_send_to_self_faults(self):
         class Selfy(Node):
@@ -224,6 +218,10 @@ class TestEngine:
             (range(1, 3), "p1 sent to nonexistent node range(1, 3)"),
             ("p2", "p1 sent to nonexistent node p2"),
             (None, "p1 sent to nonexistent node None"),
+            # equal to a node id, even p1's own, but not an int
+            (True, "p1 sent to nonexistent node True"),
+            (1.0, "p1 sent to nonexistent node 1.0"),
+            (2.0, "p1 sent to nonexistent node 2.0"),
         ],
     )
     def test_a_send_breaking_several_rules_reports_the_first(self, recipient, message):
@@ -287,7 +285,7 @@ class TestEngine:
             "1 p2 p1 capacity 7\n"
             "1 p2 p3 capacity 6\n"
         )
-        assert metrics.per_phase == ((1, 7),)
+        assert metrics == RunMetrics(7, 1)
         assert [(d.sender, render_payload(d.payload)) for d in nodes[3].inboxes[1]] == [
             (SOURCE, "weight 1"),
             (SOURCE, "weight 3"),
@@ -334,13 +332,11 @@ class _Talker(SourceNode):
     first ping, and in each later phase notes whether that ping is alive."""
 
     def __init__(self, last, final):
-        self.phase = 0
         self.last, self.final = last, final
         self.first_ping = None
         self.alive = []
 
     def step(self, inbox):
-        self.phase += 1
         if self.phase == 1:
             ping = WeightOffer(1)
             self.first_ping = weakref.ref(ping)
@@ -491,7 +487,7 @@ class TestMulticast:
         for node in nodes.values():
             (inbox,) = node.inboxes[1:]
             assert len(inbox) == 1 and inbox[0] is record
-        assert (metrics.messages, metrics.phases, metrics.per_phase) == (n, 1, ((1, n),))
+        assert metrics == RunMetrics(n, 1)
         assert metrics_of(trace) == metrics
         assert render_trace(trace) == "".join(f"1 S p{j} weight 6\n" for j in range(1, n + 1))
 
@@ -525,7 +521,7 @@ class TestMulticast:
         )
         assert log[1] == ((2, SOURCE), [(2, a), (2, d)])
         assert [m.payload for m in nodes[3].inboxes[1]] == [b]
-        assert metrics.per_phase == ((1, 6),)
+        assert metrics.messages == 6
 
     @pytest.mark.parametrize(
         "sends,message",
@@ -637,7 +633,7 @@ class TestPeers:
     def test_one_record_reaches_every_other_processor(self):
         nodes, metrics, trace = self.chorus(3)
         assert metrics.messages == 3 + 3 * 2
-        assert metrics.per_phase == ((1, 3), (2, 6))
+        assert per_phase_of(trace) == ((1, 3), (2, 6))
         assert metrics_of(trace) == metrics
         pairs = trace[1:]
         assert [(d.sender, d.recipient) for d in pairs] == [(j, range(1, 4)) for j in (1, 2, 3)]
@@ -659,7 +655,7 @@ class TestPeers:
             3: _Scripted(3, log),
         }
         _, metrics, trace = run_protocol(_Metronome(log, halt_at=2), nodes)
-        assert metrics.per_phase == ((1, 3),)
+        assert metrics.messages == 3
         assert log[4:] == [(SOURCE, [2]), (1, [2]), (3, [2])]
         assert render_trace(trace) == "1 p2 S weight 1\n1 p2 p1 weight 2\n1 p2 p3 weight 2\n"
 
@@ -755,10 +751,8 @@ class _Metronome(SourceNode):
         self.log = log
         self.halt_at = halt_at
         self.sends = sends or {}
-        self.phase = 0
 
     def step(self, inbox):
-        self.phase += 1
         self.log.append((SOURCE, [d.sender for d in inbox]))
         self.halted = self.phase == self.halt_at
         return self.sends.get(self.phase, [])
@@ -872,7 +866,7 @@ class TestActiveStepping:
 
         class Logged(_Scripted):
             def step(self, inbox):
-                phases.append(source.phase)
+                phases.append(self.phase)
                 return super().step(inbox)
 
         source = _Metronome([], halt_at=5)
@@ -896,7 +890,7 @@ class TestActiveStepping:
         protocol = PROTOCOLS["tree"]
         source = protocol.source(inst, protocol)
         processors = {j: protocol.processor(inst, j, protocol) for j in range(1, n + 1)}
-        assert any(p.needs_alarm for p in processors.values())
+        assert any(p.needs_wake for p in processors.values())
         run_protocol(source, processors)
         assert [node.wake_at for node in [source, *processors.values()]] == [None] * (n + 1)
 
@@ -959,10 +953,8 @@ class _PlannedSource(SourceNode):
 
     def __init__(self, plan, log, halt_at):
         self.plan, self.log, self.halt_at = plan, log, halt_at
-        self.phase = 0
 
     def step(self, inbox):
-        self.phase += 1
         self.log.append(((self.phase, SOURCE), _pairs(inbox)))
         self.halted = self.phase == self.halt_at
         return self.plan.get((SOURCE, self.phase), ([], None))[0]
@@ -973,27 +965,28 @@ class _PlannedSource(SourceNode):
 
 class _Planned(Node):
     """Follows the plan, logging (phase, id) and the inbox, as (sender,
-    payload) pairs, for each step.  It works out the
-    phase from its mail, which must all be from the phase before, else as
-    phase 1 on its first step, else as its earliest wake-up past its last
-    step: a step with none of them has no phase under the stepping rule and
-    fails the run."""
+    payload) pairs, for each step.  It also works out the phase on its own,
+    from its mail, which must all be from the phase before, else as phase 1
+    on its first step, else as its earliest wake-up past its last step: a
+    step with none of them has no phase under the stepping rule and fails
+    the run, as does a step whose phase the engine set otherwise."""
 
     def __init__(self, j, plan, log):
         self.j, self.plan, self.log = j, plan, log
-        self.phase = 0
+        self.last = 0  # the phase of its last step, 0 before the first
         self.asked = []
 
     def step(self, inbox):
         if inbox:
             phase = inbox[0].phase + 1
             assert {d.phase for d in inbox} == {phase - 1}, f"p{self.j} read stale mail"
-        elif self.phase == 0:
+        elif self.last == 0:
             phase = 1
         else:
-            phase = min((w for w in self.asked if w > self.phase), default=None)
+            phase = min((w for w in self.asked if w > self.last), default=None)
             assert phase is not None, f"p{self.j} stepped with no mail and no wake-up"
-        self.phase = phase
+        assert self.phase == phase, f"p{self.j} stepped in phase {self.phase}, not {phase}"
+        self.last = phase
         self.log.append(((phase, self.j), _pairs(inbox)))
         sends, wake = self.plan.get((self.j, phase), ([], None))
         if wake is not None:
@@ -1099,6 +1092,10 @@ class TestSchedulerDifferential:
               (1, 2): ([(2, CapacityReport(1))], None)},
              [(1, 0), (1, 1), (1, 2), (1, 3), (2, 0), (2, 1), (2, 2), (2, 3),
               (3, 0), (3, 2), (3, 3)]),
+            # a wake-up with no mail: p1 steps in phase 3 on an empty inbox
+            (2, 4,
+             {(1, 1): ([], 3), (1, 3): ([(SOURCE, CapacityReport(1))], None)},
+             [(1, 0), (1, 1), (1, 2), (2, 0), (3, 0), (3, 1), (4, 0)]),
             # a wake-up in a phase that also brings mail steps p1 once
             (2, 4,
              {(1, 1): ([], 3), (SOURCE, 2): ([(1, WeightOffer(2))], None)},
@@ -1110,7 +1107,7 @@ class TestSchedulerDifferential:
              [(1, 0), (1, 1), (1, 2), (2, 0), (3, 1), (3, 2)]),
         ],
         ids=["PEERS and unicast in one box", "unicasts after a PEERS phase",
-             "wake-up with mail", "mail for S and a drain"],
+             "wake-up without mail", "wake-up with mail", "mail for S and a drain"],
     )
     def test_named_cases(self, n, halt_at, plan, steps):
         run = _planned_run(n, halt_at, plan)
@@ -1210,9 +1207,8 @@ class TestPayloadAndRecordContract:
 
 class TestMetricsAndRendering:
     def test_empty_trace_metrics(self):
-        metrics = metrics_of(())
-        assert metrics.messages == 0 and metrics.phases == 0
-        assert metrics.per_phase == ()
+        assert metrics_of(()) == RunMetrics(0, 0)
+        assert per_phase_of(()) == ()
 
     def test_metrics_of_counts_by_send_phase(self):
         trace = (
@@ -1220,10 +1216,8 @@ class TestMetricsAndRendering:
             Delivery(1, SOURCE, 2, WeightOffer(2)),
             Delivery(3, 1, SOURCE, Winner(1)),
         )
-        metrics = metrics_of(trace)
-        assert metrics.messages == 3
-        assert metrics.phases == 3
-        assert metrics.per_phase == ((1, 2), (3, 1))
+        assert metrics_of(trace) == RunMetrics(3, 3)
+        assert per_phase_of(trace) == ((1, 2), (3, 1))
 
     def test_metrics_of_counts_each_recipient_of_a_multicast(self):
         trace = (
@@ -1232,7 +1226,8 @@ class TestMetricsAndRendering:
             Delivery(2, 2, range(3, 4), ConsensusPair(2, 5)),
             Delivery(3, 1, SOURCE, Winner(1)),
         )
-        assert metrics_of(trace) == RunMetrics(6, 3, ((1, 3), (2, 2), (3, 1)))
+        assert metrics_of(trace) == RunMetrics(6, 3)
+        assert per_phase_of(trace) == ((1, 3), (2, 2), (3, 1))
         assert [(d[0], d[2]) for d in deliveries(trace)] == [
             (1, 1), (1, 2), (1, 3), (2, 1), (2, 3), (3, SOURCE),
         ]
