@@ -261,7 +261,6 @@ class BatchSource(GreedySource):
     def __init__(self, inst: Instance, protocol: Protocol):
         super().__init__(inst, protocol)
         self.rounds_total = protocol.rounds(inst)
-        self.cursor = 0
 
     def step(self, inbox: list[Delivery]) -> list[Send]:
         reports: dict[int, int] = {}
@@ -280,7 +279,8 @@ class BatchSource(GreedySource):
             # items go out in rank order, the sends in processor-id order:
             # the ranking holds each id once, so it fills every slot
             out: list[Send] = [None] * len(reports)
-            order, cursor, m = self.order, self.cursor, inst.m
+            # each earlier round considered n items, so round r starts at r * n
+            order, cursor, m = self.order, self.rounds_done * inst.n, inst.m
             assign = self.assignment.assign
             # capacity descending, ties by ascending id: the reports arrive in
             # sender order, and a reverse sort is stable
@@ -293,7 +293,6 @@ class BatchSource(GreedySource):
                         assign(inst, item.id, j - 1)
                         continue
                 out[j - 1] = (j, _BOTTOM)
-            self.cursor = cursor
             self.rounds_done += 1
             if self.rounds_done == self.rounds_total and not self.reassigns:
                 out += self._finish()  # no reassignment pass: halt right away

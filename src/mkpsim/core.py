@@ -2,9 +2,8 @@
 
 Everything is a non-negative integer: item costs, item weights, knapsack
 capacities, remaining capacities.  Density (cost/weight) comparisons are done
-by cross-multiplication, never decided by floating point (the density sort
-uses a float key for speed and checks its result exactly), so ties are
-detected exactly and every run is reproducible bit-for-bit across platforms.
+by cross-multiplication, never by floating point, so ties are detected
+exactly and every run is reproducible bit-for-bit across platforms.
 
 Conventions used throughout the package:
   * item ids are 0..m-1 and equal the item's position in the instance list
@@ -100,6 +99,9 @@ class Instance:
                 raise DomainError(
                     f"item at position {pos} has id {_shown(item.id)}; ids must equal position"
                 )
+        # profit, OPT and the ratio's terms are at most this sum: if it prints,
+        # every figure a report shows does
+        _require_int(sum(item.cost for item in self.items), "total cost")
         if len(self.capacities) < 1:
             raise DomainError("an instance needs at least one knapsack")
         for j, cap in enumerate(self.capacities):
@@ -157,51 +159,9 @@ def _denser_first(a: Item, b: Item) -> int:
     return -compare_density(a, b) or a.id - b.id
 
 
-def _in_density_order(order) -> bool:
-    """True when every adjacent pair is strictly in the density order, checked
-    by cross-multiplication: denser first, exact ties by ascending id."""
-    for a, b in zip(order, order[1:]):
-        lhs = a.cost * b.weight
-        rhs = b.cost * a.weight
-        if lhs < rhs or (lhs == rhs and a.id >= b.id):
-            return False
-    return True
-
-
 def sort_by_density(items) -> list[int]:
-    """Item ids ordered by decreasing cost/weight; ties by ascending id.
-
-    The order is exact, although the sort itself runs on floats:
-
-      * ``cost / weight`` of two Python ints is correctly rounded, and
-        correct rounding is monotone, so an item that is strictly denser
-        never gets a smaller float.  A stable sort on the negated float
-        therefore leaves only items with equal floats out of exact order,
-        and equal floats keep their input order (ascending id for
-        ``Instance.items``).
-      * The result is then checked pair by pair in exact integer arithmetic
-        (:func:`_in_density_order`).  The order "denser first, exact ties by
-        ascending id" is a strict total order when the ids are distinct, so
-        it has exactly one sorted permutation, and a list whose every
-        adjacent pair passes is that permutation.
-      * When the check fails (items whose densities differ by less than the
-        float spacing, which needs integers past 2**53, or exact ties not in
-        ascending id order in the input) or a density is too large for a
-        float (``OverflowError``), the items are sorted again with the exact
-        comparator, :func:`compare_density` with ties by ascending id.
-
-    Either way the result equals the comparator sort; the float path only
-    makes the common case cheap: one float key per item instead of a Python
-    comparator call per comparison, plus one linear check.
-    """
-    items = tuple(items)  # the fallback reads them a second time
-    try:
-        order = sorted(items, key=lambda it: -(it.cost / it.weight))
-    except OverflowError:  # a density beyond the float range
-        order = None
-    if order is None or not _in_density_order(order):
-        order = sorted(items, key=cmp_to_key(_denser_first))
-    return [it.id for it in order]
+    """Item ids ordered by decreasing cost/weight; ties by ascending id."""
+    return [it.id for it in sorted(items, key=cmp_to_key(_denser_first))]
 
 
 @dataclass
@@ -348,7 +308,7 @@ def instance_from_json(text: str) -> Instance:
         raise InstanceFormatError("top level must be an object")
     if set(doc) != _TOP_KEYS:
         raise InstanceFormatError(
-            f"top-level fields must be exactly {sorted(_TOP_KEYS)}, got {sorted(doc)}"
+            f"top-level fields must be exactly {sorted(_TOP_KEYS)}, got {_shown(sorted(doc))}"
         )
     if not isinstance(doc["items"], list) or not isinstance(doc["capacities"], list):
         raise InstanceFormatError("'items' and 'capacities' must be lists")

@@ -280,8 +280,11 @@ def audit_max_capacity_dispatch(
 class SweepParams:
     """A (m, n, seed) grid for verification sweeps.
 
-    Seeds are mixed with m and n so distinct grid points never share a
-    random stream: seed = m * 1_000_003 + n * 10_007 + s for s in 0..seeds-1.
+    Seeds are mixed with m and n: seed = m * 1_000_003 + n * 10_007 + s for
+    s in 0..seeds-1.  Distinct grid points get distinct seeds, and so never
+    share a random stream, when n spans at most 99 values and seeds <= 10_007.
+    Past that, two points can share one: ``SweepParams(0, 1, 1, 101, 698)``
+    gives (m=0, n=101, s=0) and (m=1, n=1, s=697) the seed 1_010_707.
     """
 
     m_lo: int

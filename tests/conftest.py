@@ -1,3 +1,5 @@
+import sys
+
 import pytest
 from hypothesis import strategies as st
 
@@ -16,6 +18,14 @@ def instance_a() -> Instance:
     """The fixed reference instance: capacities [10, 7]; items
     (8,4), (6,4), (7,7), (3,6); exact optimum 21."""
     return Instance.from_pairs([(8, 4), (6, 4), (7, 7), (3, 6)], [10, 7])
+
+
+@pytest.fixture
+def digit_limit():
+    """Restores the interpreter's digit limit after a test changes it."""
+    before = sys.get_int_max_str_digits()
+    yield sys.set_int_max_str_digits
+    sys.set_int_max_str_digits(before)
 
 
 def small_instances(

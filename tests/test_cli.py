@@ -1,10 +1,15 @@
+import copy
+import io
 import json
 import os
+import sys
+from contextlib import redirect_stderr, redirect_stdout
 from dataclasses import replace
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
-from mkpsim import PROTOCOLS, save_instance
+from mkpsim import PROTOCOLS, Instance, instance_to_json, save_instance
 from mkpsim.cli import build_parser, main
 
 
@@ -12,6 +17,11 @@ def run_cli(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+# the commands that read an instance file, each given one with --instance
+INSTANCE_COMMANDS = [("run", "--alg", "tree"), ("compare",), ("verify",)]
+INSTANCE_COMMAND_IDS = ["run", "compare", "verify"]
 
 
 class TestGeneration:
@@ -234,6 +244,22 @@ class TestRun:
         assert len(err.encode()) < 200
         assert "Traceback" not in err
 
+    @pytest.mark.skipif(
+        not hasattr(sys, "set_int_max_str_digits"), reason="interpreter has no digit limit"
+    )
+    @pytest.mark.parametrize("argv", INSTANCE_COMMANDS, ids=INSTANCE_COMMAND_IDS)
+    def test_total_cost_past_the_digit_limit_exits_2(self, capsys, tmp_path, digit_limit, argv):
+        # each cost has 4,300 digits and prints; their sum, the profit of
+        # filling the one knapsack, has 4,301 and does not
+        digit_limit(4300)
+        cost = "1" + "0" * 4299
+        items = ", ".join('{"id": %d, "cost": %s, "weight": 1}' % (i, cost) for i in range(10))
+        path = tmp_path / "total.json"
+        path.write_text('{"items": [%s], "capacities": [10]}' % items)
+        code, out, err = run_cli(capsys, *argv, "--instance", str(path))
+        assert (code, out) == (2, "")
+        assert err == "mkpsim: error: total cost has more than 4300 decimal digits\n"
+
     def test_oracle_certifies_a_1500_item_instance(self, capsys, tmp_path):
         # the branch and bound goes one level deeper per item: m=1500 is far
         # past any call-stack depth, and OPT must still be certified
@@ -360,3 +386,110 @@ class TestVerify:
             "violation (m=1 n=2 seed=1020018): simple: messages 4 > bound 0\n"
         )
         assert out == "verified 8 instances: 4 with violations\n"
+
+
+# ---------------------------------------------------------------------------
+# Malformed instance documents
+# ---------------------------------------------------------------------------
+
+
+class Raw(str):
+    """JSON text put into a document as it is: numbers ``json`` would not write."""
+
+
+class Obj(list):
+    """A JSON object as a list of [key, value] pairs, so that a key may repeat."""
+
+
+def _render(node) -> str:
+    if isinstance(node, Raw):
+        return node
+    if isinstance(node, Obj):
+        return "{" + ", ".join(f"{json.dumps(k)}: {_render(v)}" for k, v in node) + "}"
+    if isinstance(node, list):
+        return "[" + ", ".join(map(_render, node)) + "]"
+    return json.dumps(node)  # NaN and Infinity included
+
+
+def _containers(node):
+    """Every object and array in a document, the document itself first."""
+    if isinstance(node, list):
+        yield node
+        for member in node:
+            yield from _containers(member[1] if isinstance(node, Obj) else member)
+
+
+CANONICAL = json.loads(
+    instance_to_json(Instance.from_pairs([(8, 4), (6, 4), (7, 7)], [10, 7])),
+    object_pairs_hook=lambda pairs: Obj(map(list, pairs)),
+)
+
+wrong_values = st.one_of(
+    st.sampled_from([None, True, False, "8", 0.5, 4.0, -0.0]),
+    st.sampled_from([float("nan"), float("inf"), float("-inf")]),
+    st.builds(list),
+    st.builds(Obj),
+    # past the digit limit, exactly at it, and a float past the float range
+    st.sampled_from([Raw("9" * 5000), Raw("-" + "9" * 5000), Raw("1" + "0" * 4299), Raw("1e400")]),
+    st.integers(-3, 12),
+    st.integers(-(10**30), 10**30),
+)
+keys = st.sampled_from(["", "ID", "Cost", "item", "id", "cost", "items", "capacities", "x" * 500])
+
+
+@st.composite
+def malformed_documents(draw) -> bytes:
+    """The canonical document with one to three changes, each to an object
+    or array in it: a member dropped, repeated, added, renamed or given a
+    value of the wrong type; then, sometimes, bytes that are not UTF-8 and
+    bytes after the document."""
+    doc = copy.deepcopy(CANONICAL)
+    for _ in range(draw(st.integers(1, 3))):
+        if not isinstance(doc, list) or draw(st.integers(0, 9)) == 0:
+            doc = draw(wrong_values)  # a top level of the wrong type
+            continue
+        node = draw(st.sampled_from(list(_containers(doc))))
+        op = draw(st.sampled_from(["value", "drop", "repeat", "rename", "add"]))
+        if op == "add" or not node:
+            value = draw(wrong_values)
+            node.append([draw(keys), value] if isinstance(node, Obj) else value)
+            continue
+        i = draw(st.integers(0, len(node) - 1))
+        if op == "drop":
+            del node[i]
+        elif op == "repeat":
+            node.insert(i, copy.deepcopy(node[i]))
+        elif op == "rename" and isinstance(node, Obj):
+            node[i][0] = draw(keys)
+        elif isinstance(node, Obj):
+            node[i][1] = draw(wrong_values)
+        else:
+            node[i] = draw(wrong_values)
+    data = _render(doc).encode("utf-8")
+    if draw(st.integers(0, 4)) == 0:
+        at = draw(st.integers(0, len(data)))
+        bad = draw(st.sampled_from([b"\xff", b"\x80", b"\xc3", b"\xed\xa0\x80"]))
+        data = data[:at] + bad + data[at:]
+    if draw(st.integers(0, 4)) == 0:
+        data += draw(st.sampled_from([b"\n", b" x", b"{}", b"]", b"\x00"]))
+    return data
+
+
+class TestMalformedInstance:
+    @settings(max_examples=80, deadline=None)
+    @given(malformed_documents())
+    @example(b'{"items": [], "capacities": [1], "%s": 1}' % (b"x" * 5000))  # a long field name
+    def test_every_command_exits_cleanly(self, tmp_path_factory, data):
+        path = tmp_path_factory.mktemp("malformed") / "instance.json"
+        path.write_bytes(data)
+        for argv in INSTANCE_COMMANDS:
+            out, err = io.StringIO(), io.StringIO()
+            with redirect_stdout(out), redirect_stderr(err):
+                code = main([*argv, "--instance", str(path)])  # no exception escapes
+            err = err.getvalue()
+            assert code in (0, 1, 2)
+            if code == 0:
+                assert err == ""
+            else:  # one line, of bounded length
+                assert err.count("\n") == 1 and err.endswith("\n")
+                assert len(err.encode()) < 200

@@ -97,14 +97,6 @@ class TestDerivedValues:
         assert thawed.digest == thawed_fresh.digest == A_DIGEST
 
 
-@pytest.fixture
-def digit_limit():
-    """Restores the interpreter's digit limit after a test changes it."""
-    before = sys.get_int_max_str_digits()
-    yield sys.set_int_max_str_digits
-    sys.set_int_max_str_digits(before)
-
-
 @pytest.mark.skipif(
     not hasattr(sys, "set_int_max_str_digits"), reason="interpreter has no digit limit"
 )
@@ -135,6 +127,12 @@ class TestDigitLimit:
             Instance.from_pairs([], [10**640])
         digit_limit(0)  # no limit at all
         assert Instance.from_pairs([(10**5000, 1)], [1]).items[0].cost == 10**5000
+
+    def test_a_total_cost_past_the_limit_is_a_domain_error(self, digit_limit):
+        # each cost prints, but a report's profit may be their sum
+        digit_limit(640)
+        with pytest.raises(DomainError, match="^total cost has more than 640 decimal digits$"):
+            Instance.from_pairs([(10**640 - 1, 1)] * 2, [2])
 
 
 class TestDensity:
@@ -198,10 +196,10 @@ def sort_by_comparator(items) -> list[int]:
     return [it.id for it in sorted(items, key=cmp_to_key(cmp))]
 
 
-# (cost, weight) pairs that stress the float fast path of sort_by_density:
-# repeated densities and zero costs, integers up to 10**400 (densities past
-# the float range raise OverflowError), and near-ties scaled past 2**53, whose
-# densities differ by less than the float spacing.
+# (cost, weight) pairs that check the density order is exact: repeated
+# densities and zero costs, integers up to 10**400 (densities past the float
+# range), and near-ties scaled past 2**53, whose densities differ by less than
+# the float spacing.
 density_pairs = st.one_of(
     st.tuples(st.integers(0, 20), st.integers(1, 12)),
     st.tuples(st.integers(0, 10**400), st.integers(1, 10**400)),

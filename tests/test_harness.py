@@ -420,6 +420,14 @@ class TestVerification:
             GenParams(3, 2, 50, 50, 1, 100, seed=3 * 1_000_003 + 2 * 10_007)
         ]
 
+    def test_sweep_seeds_collide_past_the_documented_ranges(self):
+        points: dict[int, list] = {}
+        for gp in SweepParams(0, 1, 1, 101, 698).grid():
+            s = gp.seed - gp.m * 1_000_003 - gp.n * 10_007
+            points.setdefault(gp.seed, []).append((gp.m, gp.n, s))
+        shared = {seed: where for seed, where in points.items() if len(where) > 1}
+        assert shared == {1_010_707: [(0, 101, 0), (1, 1, 697)]}
+
     def test_sweep_grid_is_deterministic(self):
         params = SweepParams(1, 2, 1, 2, seeds=2)
         assert list(params.grid()) == list(params.grid())
