@@ -13,7 +13,7 @@ import sys
 from contextlib import ExitStack
 
 from .algorithms import ALGORITHMS, run_algorithm
-from .core import InstanceFormatError, instance_to_json, load_instance
+from .core import InstanceFormatError, _shown, instance_to_json, load_instance
 from .harness import (
     GenParams,
     SweepParams,
@@ -112,10 +112,13 @@ def _write(*outputs: tuple[str, str | None]) -> None:
 
 def _parse_range(token: str, key: str) -> tuple[int, int]:
     prefix = key + "="
-    if not token.startswith(prefix) or ".." not in token:
-        raise ValueError(f"expected {key}=LO..HI, got {token!r}")
-    lo_text, hi_text = token[len(prefix):].split("..", 1)
-    return int(lo_text), int(hi_text)
+    if token.startswith(prefix) and ".." in token:
+        lo_text, hi_text = token[len(prefix):].split("..", 1)
+        try:
+            return int(lo_text), int(hi_text)
+        except ValueError:
+            pass  # int()'s own message quotes the whole text, however long
+    raise ValueError(f"expected {key}=LO..HI, got {_shown(token)}")
 
 
 def _cmd_gen_random(args) -> int:

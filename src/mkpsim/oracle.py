@@ -24,6 +24,8 @@ from .core import Assignment, Instance, objective
 
 BRUTE_FORCE_GUARD = 10**8  # hard cap on (n+1)**m for exhaustive enumeration
 DEFAULT_NODE_BUDGET = 5_000_000
+CELLS_PER_NODE = 16  # one search node costs about as much as 16 table cells
+TABLE_CELL_CAP = 2_000_000  # no suffix table past this many cells
 
 
 @dataclass(frozen=True)
@@ -92,16 +94,46 @@ def _build_assignment(inst: Instance, choice: list[int | None]) -> Assignment:
     return assignment
 
 
+def _suffix_table(weights: list[int], costs: list[int], capacity: int) -> list[list[int]]:
+    """``best[k][c]``: the best profit of a subset of positions ``k..m-1``
+    that weighs at most ``c``, for every ``c`` up to ``capacity``.
+
+    Row ``m`` is all zeros; each row is built from the one below it, by
+    slices and one comprehension, and a row whose item fits in no capacity
+    is the row below it, shared.
+    """
+    row = [0] * (capacity + 1)
+    table = [row]
+    for w, p in zip(reversed(weights), reversed(costs)):
+        if w <= capacity:
+            row = row[:w] + [a if a >= b + p else b + p for a, b in zip(row[w:], row)]
+        table.append(row)
+    table.reverse()
+    return table
+
+
 def _branch_and_bound(inst: Instance, node_budget: int) -> OptimalSolution | None:
     """Depth-first branch and bound over items in density order.
 
-    Upper bound: the fractional single-knapsack relaxation of the remaining
-    items over the pooled remaining capacity (the Dantzig bound), compared in
-    exact integer arithmetic.  Each node carries its pooled capacity, and
-    prefix sums of weight and cost over the density order give the bound in
-    O(log m): one ``bisect_right`` over the weight prefix finds the critical
-    item, the first that no longer fits whole, and one integer comparison
-    settles it.
+    Two upper bounds, both on the remaining items over the pooled remaining
+    capacity, so both hold for every placement below a node (every MKP
+    placement is also a placement into the pooled knapsack):
+
+    - The fractional relaxation (the Dantzig bound), compared in exact
+      integer arithmetic.  Each node carries its pooled capacity, and prefix
+      sums of weight and cost over the density order give the bound in
+      O(log m): one ``bisect_right`` over the weight prefix finds the
+      critical item, the first that no longer fits whole, and one integer
+      comparison settles it.
+    - The exact 0-1 knapsack over the pooled capacity (the surrogate bound
+      of Martello and Toth), an O(1) lookup in :func:`_suffix_table`.  It
+      never exceeds the floor of the Dantzig bound.  The table has
+      ``(m + 1) * (C + 1)`` cells for the total capacity ``C``, and a cell
+      costs about a sixteenth of a node (:data:`CELLS_PER_NODE`), so it is
+      built only once the search has spent as much: at node
+      ``cells // CELLS_PER_NODE + 1``, and never past
+      :data:`TABLE_CELL_CAP` cells.  From then on it replaces the Dantzig
+      test; a short search never builds it.
 
     Two dominance rules keep symmetric instances tractable: knapsacks with
     equal remaining capacity are interchangeable for every future decision,
@@ -110,9 +142,17 @@ def _branch_and_bound(inst: Instance, node_budget: int) -> OptimalSolution | Non
     profit cannot be improved by revisiting.  The bound is tested first, and
     the memo records only the states that pass it.  That visits the same
     nodes as recording every state before the bound test would: for a fixed
-    state the bound grows with profit and the incumbent never falls, so a
-    node whose state was last reached by a bound-pruned node at no smaller
-    profit fails the bound itself.
+    state the bound grows with profit, it only tightens when the table
+    arrives, and the incumbent never falls, so a node whose state was last
+    reached by a bound-pruned node at no smaller profit fails the bound
+    itself.
+
+    The bound changes how many nodes are visited, not which optimum is
+    returned.  The first optimal leaf in the unpruned visit order is always
+    reached: a sound bound on a node above it is at least OPT, which the
+    incumbent has not reached yet, and a memo hit on such a node would put
+    an optimal leaf in an earlier subtree.  Only a strictly better leaf
+    replaces the incumbent, so that leaf is the one returned.
 
     The search runs on an explicit stack, one child generator per open node,
     so its depth is bounded by memory alone.  Returns ``None`` only when the
@@ -125,6 +165,10 @@ def _branch_and_bound(inst: Instance, node_budget: int) -> OptimalSolution | Non
     wsum = [0, *accumulate(weights)]  # wsum[k]: weight of the first k items
     csum = [0, *accumulate(costs)]
     remaining = list(inst.capacities)
+    capacity = sum(remaining)
+    cells = (m + 1) * (capacity + 1)
+    build_at = cells // CELLS_PER_NODE + 1 if cells <= TABLE_CELL_CAP else -1
+    best = None  # the suffix table, once built
     placement: list[int | None] = [None] * m  # per density position
     best_profit = -1
     best_placement: list[int | None] = list(placement)
@@ -154,7 +198,7 @@ def _branch_and_bound(inst: Instance, node_budget: int) -> OptimalSolution | Non
             remaining[j] += weight
         yield idx + 1, profit, pool
 
-    stack = [iter([(0, 0, sum(remaining))])]
+    stack = [iter([(0, 0, capacity)])]
     while stack:
         node = next(stack[-1], None)
         if node is None:
@@ -163,23 +207,29 @@ def _branch_and_bound(inst: Instance, node_budget: int) -> OptimalSolution | Non
         explored += 1
         if explored > node_budget:
             return None
+        if explored == build_at:
+            best = _suffix_table(weights, costs, capacity)
         idx, profit, pool = node
         if idx == m:
             if profit > best_profit:
                 best_profit = profit
                 best_placement = list(placement)
             continue
-        # items idx..k-1 fit whole in the pool; item k, if any, is critical
-        k = bisect_right(wsum, wsum[idx] + pool, idx + 1) - 1
-        bound = profit + csum[k] - csum[idx]
-        if k == m:
-            if bound <= best_profit:
+        if best is not None:
+            if profit + best[idx][pool] <= best_profit:
                 continue
         else:
-            weight = weights[k]
-            left = pool - (wsum[k] - wsum[idx])
-            if bound * weight + left * costs[k] <= best_profit * weight:
-                continue
+            # items idx..k-1 fit whole in the pool; item k, if any, is critical
+            k = bisect_right(wsum, wsum[idx] + pool, idx + 1) - 1
+            bound = profit + csum[k] - csum[idx]
+            if k == m:
+                if bound <= best_profit:
+                    continue
+            else:
+                weight = weights[k]
+                left = pool - (wsum[k] - wsum[idx])
+                if bound * weight + left * costs[k] <= best_profit * weight:
+                    continue
         state = tuple(sorted(remaining))
         memo = seen[idx]
         if profit <= memo.get(state, -1):

@@ -493,3 +493,60 @@ class TestMalformedInstance:
             else:  # one line, of bounded length
                 assert err.count("\n") == 1 and err.endswith("\n")
                 assert len(err.encode()) < 200
+
+
+# pieces of a malformed `verify --sweep` word: every number that parses is
+# at most 10, so a word pair that parses is a grid of at most 110 small
+# instances; "9" * 5000 is past the interpreter's digit limit
+spec_garbage = st.one_of(
+    st.text(st.characters(blacklist_categories=("Nd", "Cs")), max_size=8),
+    st.sampled_from(["x" * 500, "\n", "\x00", "..", "=", "m=", "n="]),
+)
+spec_numbers = st.sampled_from(["0", "1", "2", "3", "10", "-1", "+1", " 2 ", "1_0", "٣"])
+wrong_numbers = st.sampled_from(["", "1.5", "0x3", "1e1", "9" * 5000])
+
+
+@st.composite
+def sweep_words(draw, key: str) -> str:
+    """One `--sweep` word meant as ``KEY=LO..HI``, each part of it wrong one
+    time in eight: another or no key, another separator, no number, another
+    range mark, or text that is no part of a spec at all."""
+    wrong_key = st.sampled_from(["m" if key == "n" else "n", "M", "", f" {key}", "x" * 300])
+    parts = [
+        (st.just(key), wrong_key),
+        (st.just("="), st.sampled_from(["", "==", ":", " = "])),
+        (spec_numbers, wrong_numbers),
+        (st.just(".."), st.sampled_from(["...", ".", "", ". ."])),
+        (spec_numbers, wrong_numbers),
+    ]
+    word = ""
+    for right, wrong in parts:
+        if draw(st.integers(0, 7)) < 7:
+            word += draw(right)
+        else:
+            word += draw(st.one_of(wrong, spec_garbage))
+    return word
+
+
+class TestMalformedSweepSpec:
+    # argparse reads a word that starts with "-" as an option, not as a spec
+    @settings(max_examples=150, deadline=None)
+    @given(
+        sweep_words("m").filter(lambda word: not word.startswith("-")),
+        sweep_words("n").filter(lambda word: not word.startswith("-")),
+    )
+    @example("m=1.." + "x" * 500, "n=1..1")  # a long bound
+    @example("x" * 500, "n=1..1")  # a long word
+    @example("m=" + "9" * 5000 + "..1", "n=1..1")  # past the digit limit
+    def test_verify_sweep_exits_cleanly(self, m_word, n_word):
+        out, err = io.StringIO(), io.StringIO()
+        argv = ["verify", "--sweep", m_word, n_word, "--seeds", "1"]
+        with redirect_stdout(out), redirect_stderr(err):
+            code = main(argv)  # no exception escapes
+        err = err.getvalue()
+        assert code in (0, 1, 2)
+        if code == 0:
+            assert err == "" and out.getvalue().startswith("verified ")
+        else:  # one line, of bounded length
+            assert err.count("\n") == 1 and err.endswith("\n")
+            assert len(err.encode()) < 200

@@ -1,12 +1,18 @@
+import math
 import tracemalloc
+from bisect import bisect_right
 from fractions import Fraction
+from itertools import accumulate, combinations
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import given, settings, strategies as st
 
 from mkpsim import GenParams, Instance, check_feasible, gen_adversarial, gen_random, objective
+from mkpsim import oracle
 from mkpsim.oracle import (
     OptimalSolution,
+    _build_assignment,
+    _suffix_table,
     approx_ratio,
     batch_round_greedy,
     bound_holds,
@@ -67,8 +73,9 @@ class TestExactOptimum:
         assert objective(opt.assignment, inst) == 2640
 
     def test_memo_keeps_only_states_that_pass_the_bound(self):
-        # 164,663 nodes; recording every visited state, bound-pruned ones
-        # included, peaked at 21.2 MiB here
+        # 76,286 nodes; under the Dantzig bound alone the search took 164,663,
+        # and recording every visited state there, bound-pruned ones
+        # included, peaked at 21.2 MiB
         inst = gen_random(GenParams(16, 5, 50, 50, 1, 100, seed=1))
         tracemalloc.start()
         try:
@@ -76,7 +83,7 @@ class TestExactOptimum:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert (solution.opt, solution.explored) == (351, 164663)
+        assert (solution.opt, solution.explored) == (351, 76286)
         assert peak < 15 * 2**20
 
     def test_solution_is_repeatable(self, instance_a):
@@ -94,10 +101,11 @@ def _pinned_instance(key):
 
 class TestSearchOrder:
     """Golden (OPT, explored) pairs: ``explored`` counts every node the
-    branch and bound visits, so these pin its visit order, bound and both
-    dominance rules, not just the optimum it finds.  The tiny instances pin
-    that ``exact_optimum`` takes the branch and bound at every size: on each
-    of them with m > 0, ``brute_force_optimum`` visits more nodes."""
+    branch and bound visits, so these pin its visit order, both bounds, the
+    node at which it builds its table and both dominance rules, not just the
+    optimum it finds.  The tiny instances pin that ``exact_optimum`` takes
+    the branch and bound at every size: on each of them with m > 0,
+    ``brute_force_optimum`` visits more nodes."""
 
     @pytest.mark.parametrize(
         "key, opt, explored",
@@ -107,14 +115,14 @@ class TestSearchOrder:
             (("random", 6, 1, 3), 143, 11),
             (("random", 5, 2, 1), 136, 14),
             (("random", 6, 2, 6020059), 99, 15),
-            (("adversarial", 2, 10), 20, 20),
-            (("adversarial", 8, 100), 800, 2339),
-            (("random", 10, 3, 1), 254, 1190),
-            (("random", 12, 3, 1), 317, 3131),
-            (("random", 15, 4, 2), 257, 24628),
-            (("random", 15, 5, 1), 313, 8053),
-            (("random", 16, 5, 1), 351, 164663),
-            (("random", 20, 4, 2), 189, 2181),
+            (("adversarial", 2, 10), 20, 17),
+            (("adversarial", 8, 100), 800, 2171),
+            (("random", 10, 3, 1), 254, 141),
+            (("random", 12, 3, 1), 317, 756),
+            (("random", 15, 4, 2), 257, 1797),
+            (("random", 15, 5, 1), 313, 2633),
+            (("random", 16, 5, 1), 351, 76286),
+            (("random", 20, 4, 2), 189, 1569),
         ],
         ids=lambda v: "-".join(map(str, v)) if isinstance(v, tuple) else None,
     )
@@ -139,6 +147,228 @@ class TestSearchOrder:
         items = [(9, 3), (7, 3), (4, 2), (2, 2), (3, 1)][: len(placement)]
         solution = exact_optimum(Instance.from_pairs(items, capacities))
         assert solution.assignment.placement == placement
+
+
+WIDE = Instance.from_pairs(  # CI's wide instance: ~400-digit costs, a 2**60 capacity
+    [(1, 1), (2**60 + 1, 2**60), (10**400 - 1, 3), (7 * 10**399, 2)], [2**60 + 5, 4]
+)
+
+
+@pytest.fixture
+def tables_built(monkeypatch):
+    """The arguments of every suffix table the search builds."""
+    built = []
+
+    def spy(*args):
+        built.append(args)
+        return _suffix_table(*args)
+
+    monkeypatch.setattr(oracle, "_suffix_table", spy)
+    return built
+
+
+@st.composite
+def knapsack_items(draw, max_m=7):
+    """(weights, costs, capacity) of a single knapsack, items in density
+    order (ties by the order drawn)."""
+    pairs = draw(st.lists(st.tuples(st.integers(0, 20), st.integers(1, 12)), max_size=max_m))
+    inst = Instance.from_pairs(pairs, [0])
+    order = inst.density_order
+    weights = [inst.items[i].weight for i in order]
+    costs = [inst.items[i].cost for i in order]
+    return weights, costs, draw(st.integers(0, 40))
+
+
+@st.composite
+def searches(draw):
+    """Instances of up to 14 items and 6 knapsacks, their sizes drawn first,
+    so that about a third of the certified searches build a table."""
+    m, n = draw(st.integers(0, 14)), draw(st.integers(1, 6))
+    pair = st.tuples(st.integers(0, 50), st.integers(1, 30))
+    pairs = draw(st.lists(pair, min_size=m, max_size=m))
+    return Instance.from_pairs(pairs, draw(st.lists(st.integers(0, 60), min_size=n, max_size=n)))
+
+
+class TestSuffixTable:
+    @settings(max_examples=80, deadline=None)
+    @given(knapsack_items())
+    def test_each_cell_is_the_single_knapsack_optimum(self, items):
+        weights, costs, capacity = items
+        table = _suffix_table(weights, costs, capacity)
+        m = len(weights)
+        assert len(table) == m + 1
+        for k in range(m + 1):
+            subsets = [
+                (sum(weights[i] for i in chosen), sum(costs[i] for i in chosen))
+                for r in range(m - k + 1)
+                for chosen in combinations(range(k, m), r)
+            ]
+            want = [max(p for w, p in subsets if w <= c) for c in range(capacity + 1)]
+            assert table[k] == want
+
+    @settings(max_examples=80, deadline=None)
+    @given(knapsack_items(max_m=12))
+    def test_no_cell_exceeds_the_floor_of_the_dantzig_bound(self, items):
+        weights, costs, capacity = items
+        table = _suffix_table(weights, costs, capacity)
+        for k in range(len(weights) + 1):
+            for c in range(capacity + 1):
+                bound, left = Fraction(0), c  # the fractional fill, densest first
+                for w, p in zip(weights[k:], costs[k:]):
+                    take = min(w, left)
+                    bound += Fraction(p * take, w)
+                    left -= take
+                assert table[k][c] <= math.floor(bound)
+
+    def test_past_the_cap_no_table_is_built(self, tables_built):
+        solution = exact_optimum(WIDE)
+        assert tables_built == []
+        assert solution.opt == brute_force_optimum(WIDE).opt
+        assert check_feasible(solution.assignment, WIDE) is None
+
+    @pytest.mark.parametrize("margin, explored", [(-1, 3131), (0, 756)])
+    def test_the_cap_counts_every_cell(self, monkeypatch, margin, explored):
+        # one cell short of the cap, the search is the Dantzig search, node
+        # for node; at the cap it builds the table and takes fewer nodes
+        inst = gen_random(GenParams(12, 3, 50, 50, 1, 100, seed=1))
+        cells = (inst.m + 1) * (sum(inst.capacities) + 1)
+        monkeypatch.setattr(oracle, "TABLE_CELL_CAP", cells + margin)
+        solution = exact_optimum(inst)
+        assert (solution.opt, solution.explored) == (317, explored)
+
+    def test_the_table_is_built_once_the_search_has_spent_its_cost(self, tables_built):
+        inst = gen_random(GenParams(12, 3, 50, 50, 1, 100, seed=1))
+        cells = (inst.m + 1) * (sum(inst.capacities) + 1)
+        build_at = cells // oracle.CELLS_PER_NODE + 1
+        assert exact_optimum(inst, node_budget=build_at - 1) is None
+        assert tables_built == []
+        exact_optimum(inst, node_budget=build_at)
+        assert len(tables_built) == 1
+
+    def test_a_short_search_builds_no_table(self, tables_built):
+        # most searches are this short: the verify-sweep grid's median is 17 nodes
+        solution = exact_optimum(gen_random(GenParams(5, 2, 50, 50, 1, 100, seed=1)))
+        assert (solution.opt, solution.explored) == (136, 14)
+        assert tables_built == []
+
+
+class TestAgainstTheDantzigSearch:
+    """The search against :func:`dantzig_branch_and_bound`, the same search
+    with the Dantzig test at every node and no table, and, past brute-force
+    sizes, against :func:`two_knapsack_optimum`."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(searches(), st.integers(1, 20_000))
+    def test_same_optimum_and_placement_in_no_more_nodes(self, inst, node_budget):
+        reference = dantzig_branch_and_bound(inst, node_budget)
+        if reference is None:
+            return  # the reference gave up: nothing certified to compare with
+        solution = exact_optimum(inst, node_budget=node_budget)
+        assert solution is not None
+        assert solution.opt == reference.opt
+        assert solution.assignment.placement == reference.assignment.placement
+        assert solution.explored <= reference.explored
+
+    @pytest.mark.parametrize("m", [30, 40, 50, 60])
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_two_knapsacks_agree_with_an_independent_dp(self, tables_built, m, seed):
+        inst = gen_random(GenParams(m, 2, 50, 50, 1, 100, seed=seed))
+        solution = exact_optimum(inst)
+        assert len(tables_built) == 1  # the table bound pruned the search's tail
+        assert solution.opt == two_knapsack_optimum(inst)
+        assert objective(solution.assignment, inst) == solution.opt
+        assert check_feasible(solution.assignment, inst) is None
+
+
+def dantzig_branch_and_bound(inst: Instance, node_budget: int) -> OptimalSolution | None:
+    """The branch and bound as it was before the suffix table: the same
+    visit order, memo and budget, with the Dantzig test at every node."""
+    order = inst.density_order
+    m = inst.m
+    weights = [inst.items[i].weight for i in order]  # per density position
+    costs = [inst.items[i].cost for i in order]
+    wsum = [0, *accumulate(weights)]  # wsum[k]: weight of the first k items
+    csum = [0, *accumulate(costs)]
+    remaining = list(inst.capacities)
+    placement: list[int | None] = [None] * m  # per density position
+    best_profit = -1
+    best_placement: list[int | None] = list(placement)
+    seen: list[dict[tuple[int, ...], int]] = [{} for _ in range(m)]  # per depth
+    explored = 0
+
+    def children(idx: int, profit: int, pool: int, state: tuple[int, ...]):
+        weight, cost = weights[idx], costs[idx]
+        last_cap = None
+        for cap in reversed(state):
+            if cap < weight:
+                break  # capacities only fall from here on
+            if cap == last_cap:
+                continue
+            last_cap = cap
+            j = remaining.index(cap)
+            remaining[j] -= weight
+            placement[idx] = j
+            yield idx + 1, profit + cost, pool - weight
+            placement[idx] = None
+            remaining[j] += weight
+        yield idx + 1, profit, pool
+
+    stack = [iter([(0, 0, sum(remaining))])]
+    while stack:
+        node = next(stack[-1], None)
+        if node is None:
+            stack.pop()
+            continue
+        explored += 1
+        if explored > node_budget:
+            return None
+        idx, profit, pool = node
+        if idx == m:
+            if profit > best_profit:
+                best_profit = profit
+                best_placement = list(placement)
+            continue
+        # items idx..k-1 fit whole in the pool; item k, if any, is critical
+        k = bisect_right(wsum, wsum[idx] + pool, idx + 1) - 1
+        bound = profit + csum[k] - csum[idx]
+        if k == m:
+            if bound <= best_profit:
+                continue
+        else:
+            weight = weights[k]
+            left = pool - (wsum[k] - wsum[idx])
+            if bound * weight + left * costs[k] <= best_profit * weight:
+                continue
+        state = tuple(sorted(remaining))
+        memo = seen[idx]
+        if profit <= memo.get(state, -1):
+            continue
+        memo[state] = profit
+        stack.append(children(idx, profit, pool, state))
+
+    by_item: list[int | None] = [None] * m
+    for pos, j in enumerate(best_placement):
+        by_item[order[pos]] = j
+    return OptimalSolution(_build_assignment(inst, by_item), best_profit, explored)
+
+
+def two_knapsack_optimum(inst: Instance) -> int:
+    """The exact optimum of a two-knapsack instance by a DP over the items in
+    id order, whose states are the sorted pairs of remaining capacities, each
+    with the best profit that reaches it.  No bound, no order, no memo of
+    the search's."""
+    assert inst.n == 2
+    states = {tuple(sorted(inst.capacities)): 0}
+    for item in inst.items:
+        after = dict(states)
+        for (lo, hi), profit in states.items():
+            for a, b in ((lo - item.weight, hi), (hi - item.weight, lo)):
+                if a >= 0:
+                    key = (a, b) if a <= b else (b, a)
+                    if after.get(key, -1) < profit + item.cost:
+                        after[key] = profit + item.cost
+        states = after
+    return max(states.values())
 
 
 class TestBruteForce:
