@@ -33,8 +33,21 @@ USAGE_ERROR = 2
 INVARIANT_ERROR = 1
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reports a usage error as one ``mkpsim: error:`` line of bounded
+    length, as every other input error is, not as the usage text and
+    argparse's own message: the message's control and non-ASCII characters
+    are escaped, and it is cut to 160 characters."""
+
+    def error(self, message):
+        text = message.encode("unicode_escape").decode("ascii")
+        if len(text) > 160:
+            text = text[:160] + "..."
+        self.exit(USAGE_ERROR, f"mkpsim: error: {text}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="mkpsim",
         description="Deterministic simulator for distributed greedy "
         "multiple-knapsack dispatch protocols.",

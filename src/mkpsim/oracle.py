@@ -26,6 +26,7 @@ BRUTE_FORCE_GUARD = 10**8  # hard cap on (n+1)**m for exhaustive enumeration
 DEFAULT_NODE_BUDGET = 5_000_000
 CELLS_PER_NODE = 16  # one search node costs about as much as 16 table cells
 TABLE_CELL_CAP = 2_000_000  # no suffix table past this many cells
+MEMO_STATE_CAP = 500_000  # the memo records no new state past this many
 
 
 @dataclass(frozen=True)
@@ -112,19 +113,33 @@ def _suffix_table(weights: list[int], costs: list[int], capacity: int) -> list[l
     return table
 
 
+def _subset_sums(weights: list[int], capacity: int) -> list[int]:
+    """``reach[k]``: a bitmask whose bit ``c`` is set when some subset of
+    positions ``k..m-1`` weighs exactly ``c``, for every ``c`` up to
+    ``capacity``; bit 0, the empty subset, is always set."""
+    mask = (2 << capacity) - 1
+    sums = 1
+    reach = [sums]
+    for w in reversed(weights):
+        sums = (sums | sums << w) & mask
+        reach.append(sums)
+    reach.reverse()
+    return reach
+
+
 def _branch_and_bound(inst: Instance, node_budget: int) -> OptimalSolution | None:
     """Depth-first branch and bound over items in density order.
 
-    Two upper bounds, both on the remaining items over the pooled remaining
-    capacity, so both hold for every placement below a node (every MKP
-    placement is also a placement into the pooled knapsack):
+    Three upper bounds on the profit of the remaining items, each holding
+    for every placement below a node, since every MKP placement is also a
+    placement into one pooled knapsack:
 
-    - The fractional relaxation (the Dantzig bound), compared in exact
-      integer arithmetic.  Each node carries its pooled capacity, and prefix
-      sums of weight and cost over the density order give the bound in
-      O(log m): one ``bisect_right`` over the weight prefix finds the
-      critical item, the first that no longer fits whole, and one integer
-      comparison settles it.
+    - The fractional relaxation (the Dantzig bound) over the pooled
+      remaining capacity, compared in exact integer arithmetic.  Each node
+      carries its pooled capacity, and prefix sums of weight and cost over
+      the density order give the bound in O(log m): one ``bisect_right``
+      over the weight prefix finds the critical item, the first that no
+      longer fits whole, and one integer comparison settles it.
     - The exact 0-1 knapsack over the pooled capacity (the surrogate bound
       of Martello and Toth), an O(1) lookup in :func:`_suffix_table`.  It
       never exceeds the floor of the Dantzig bound.  The table has
@@ -134,25 +149,43 @@ def _branch_and_bound(inst: Instance, node_budget: int) -> OptimalSolution | Non
       ``cells // CELLS_PER_NODE + 1``, and never past
       :data:`TABLE_CELL_CAP` cells.  From then on it replaces the Dantzig
       test; a short search never builds it.
+    - The subset-sum fill bound, ``best[idx][fill]``, tried only at a node
+      the pooled table does not prune.  Knapsack ``j`` holds a subset of
+      the remaining items weighing at most its remaining capacity ``r_j``,
+      so at most ``fill_j``, the largest subset sum of those items that is
+      no more than ``r_j``.  Every placement below the node weighs at most
+      ``fill``, the sum of the ``fill_j``, and fits the pooled knapsack of
+      that size.  The sums come from :func:`_subset_sums`, one bitmask per
+      depth, built with the table and only then: the bound needs the table
+      for its lookup, and a search short enough to never build the table
+      pays for neither.  ``fill`` is at most the pooled capacity, so the
+      bound is never looser than the table's, and it is tighter whenever
+      some knapsack cannot be filled exactly.
 
     Two dominance rules keep symmetric instances tractable: knapsacks with
     equal remaining capacity are interchangeable for every future decision,
     so only one representative per distinct capacity is branched on; and a
     state (depth, remaining-capacity multiset) already expanded at no smaller
-    profit cannot be improved by revisiting.  The bound is tested first, and
-    the memo records only the states that pass it.  That visits the same
-    nodes as recording every state before the bound test would: for a fixed
-    state the bound grows with profit, it only tightens when the table
-    arrives, and the incumbent never falls, so a node whose state was last
-    reached by a bound-pruned node at no smaller profit fails the bound
-    itself.
+    profit cannot be improved by revisiting.  The bounds are tested first,
+    and the memo records only the states that pass them.  Until the memo is
+    full (below), that visits the same nodes as recording every state
+    before the bound tests would: every bound depends on the node's profit
+    and state alone, for a fixed state it grows with profit, it only
+    tightens when the table arrives, and the incumbent never falls, so a
+    node whose state was last reached by a bound-pruned node at no smaller
+    profit fails the bounds itself.  The memo records no new state once it
+    holds :data:`MEMO_STATE_CAP` of them, which bounds a search's memory
+    whatever its node budget; it still raises the profit of a state it
+    holds.  A state it does not record is only pruned less often, so the
+    cap can add nodes but never change the optimum or the placement
+    returned.
 
-    The bound changes how many nodes are visited, not which optimum is
-    returned.  The first optimal leaf in the unpruned visit order is always
-    reached: a sound bound on a node above it is at least OPT, which the
-    incumbent has not reached yet, and a memo hit on such a node would put
-    an optimal leaf in an earlier subtree.  Only a strictly better leaf
-    replaces the incumbent, so that leaf is the one returned.
+    The bounds and the memo change how many nodes are visited, not which
+    optimum is returned.  The first optimal leaf in the unpruned visit order
+    is always reached: a sound bound on a node above it is at least OPT,
+    which the incumbent has not reached yet, and a memo hit on such a node
+    would put an optimal leaf in an earlier subtree.  Only a strictly better
+    leaf replaces the incumbent, so that leaf is the one returned.
 
     The search runs on an explicit stack, one child generator per open node,
     so its depth is bounded by memory alone.  Returns ``None`` only when the
@@ -168,11 +201,13 @@ def _branch_and_bound(inst: Instance, node_budget: int) -> OptimalSolution | Non
     capacity = sum(remaining)
     cells = (m + 1) * (capacity + 1)
     build_at = cells // CELLS_PER_NODE + 1 if cells <= TABLE_CELL_CAP else -1
-    best = None  # the suffix table, once built
+    best = reach = None  # the suffix table and subset sums, once built
     placement: list[int | None] = [None] * m  # per density position
     best_profit = -1
     best_placement: list[int | None] = list(placement)
-    seen: list[dict[tuple[int, ...], int]] = [{} for _ in range(m)]  # per depth
+    # per depth; dict(), not {}, so that a test can count the entries
+    seen: list[dict[tuple[int, ...], int]] = [dict() for _ in range(m)]
+    stored = 0  # states in the memo
     explored = 0
 
     def children(idx: int, profit: int, pool: int, state: tuple[int, ...]):
@@ -209,6 +244,7 @@ def _branch_and_bound(inst: Instance, node_budget: int) -> OptimalSolution | Non
             return None
         if explored == build_at:
             best = _suffix_table(weights, costs, capacity)
+            reach = _subset_sums(weights, capacity)
         idx, profit, pool = node
         if idx == m:
             if profit > best_profit:
@@ -217,6 +253,10 @@ def _branch_and_bound(inst: Instance, node_budget: int) -> OptimalSolution | Non
             continue
         if best is not None:
             if profit + best[idx][pool] <= best_profit:
+                continue
+            sums = reach[idx]
+            fill = sum((sums & ((2 << cap) - 1)).bit_length() - 1 for cap in remaining)
+            if profit + best[idx][fill] <= best_profit:
                 continue
         else:
             # items idx..k-1 fit whole in the pool; item k, if any, is critical
@@ -232,9 +272,12 @@ def _branch_and_bound(inst: Instance, node_budget: int) -> OptimalSolution | Non
                     continue
         state = tuple(sorted(remaining))
         memo = seen[idx]
-        if profit <= memo.get(state, -1):
+        known = memo.get(state, -1)  # -1: not in the memo
+        if profit <= known:
             continue
-        memo[state] = profit
+        if known >= 0 or stored < MEMO_STATE_CAP:
+            stored += known < 0
+            memo[state] = profit
         stack.append(children(idx, profit, pool, state))
 
     by_item: list[int | None] = [None] * m

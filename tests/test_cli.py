@@ -284,6 +284,32 @@ class TestRun:
             main(["run", "--alg", "sorta", "--instance", "x.json"])
         assert excinfo.value.code == 2
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            [],
+            ["run", "--alg"],
+            ["run", "--alg", "sorta" * 100, "--instance", "x.json"],
+            ["verify", "--sweep", "-1..2", "n=1..2"],
+            ["verify", "--instance", "x.json", "-\n" + "\u00e9" * 300],
+        ],
+        ids=["no-command", "missing-value", "long-choice", "dash-spec", "unknown-word"],
+    )
+    def test_usage_error_is_one_short_line(self, capsys, argv):
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv)
+        captured = capsys.readouterr()
+        assert excinfo.value.code == 2 and captured.out == ""
+        assert captured.err.startswith("mkpsim: error: ")
+        assert captured.err.count("\n") == 1 and captured.err.endswith("\n")
+        assert len(captured.err.encode()) < 200
+
+    def test_help_is_the_usage_text(self, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["verify", "--help"])
+        assert excinfo.value.code == 0
+        assert capsys.readouterr().out.startswith("usage: mkpsim verify [-h]")
+
 
 class TestCompare:
     def test_table_output(self, capsys, tmp_path, instance_a):
@@ -529,20 +555,20 @@ def sweep_words(draw, key: str) -> str:
 
 
 class TestMalformedSweepSpec:
-    # argparse reads a word that starts with "-" as an option, not as a spec
     @settings(max_examples=150, deadline=None)
-    @given(
-        sweep_words("m").filter(lambda word: not word.startswith("-")),
-        sweep_words("n").filter(lambda word: not word.startswith("-")),
-    )
+    @given(sweep_words("m"), sweep_words("n"))
     @example("m=1.." + "x" * 500, "n=1..1")  # a long bound
     @example("x" * 500, "n=1..1")  # a long word
     @example("m=" + "9" * 5000 + "..1", "n=1..1")  # past the digit limit
+    @example("-1..2", "n=1..2")  # read by argparse as an option, not a spec
     def test_verify_sweep_exits_cleanly(self, m_word, n_word):
         out, err = io.StringIO(), io.StringIO()
         argv = ["verify", "--sweep", m_word, n_word, "--seeds", "1"]
         with redirect_stdout(out), redirect_stderr(err):
-            code = main(argv)  # no exception escapes
+            try:
+                code = main(argv)  # no other exception escapes
+            except SystemExit as exc:  # how argparse ends on a usage error
+                code = exc.code
         err = err.getvalue()
         assert code in (0, 1, 2)
         if code == 0:

@@ -12,6 +12,7 @@ from mkpsim import oracle
 from mkpsim.oracle import (
     OptimalSolution,
     _build_assignment,
+    _subset_sums,
     _suffix_table,
     approx_ratio,
     batch_round_greedy,
@@ -73,9 +74,9 @@ class TestExactOptimum:
         assert objective(opt.assignment, inst) == 2640
 
     def test_memo_keeps_only_states_that_pass_the_bound(self):
-        # 76,286 nodes; under the Dantzig bound alone the search took 164,663,
-        # and recording every visited state there, bound-pruned ones
-        # included, peaked at 21.2 MiB
+        # 5,842 nodes; under the pooled table bound alone the search took
+        # 76,286, under the Dantzig bound alone 164,663, and recording every
+        # visited state there, bound-pruned ones included, peaked at 21.2 MiB
         inst = gen_random(GenParams(16, 5, 50, 50, 1, 100, seed=1))
         tracemalloc.start()
         try:
@@ -83,8 +84,28 @@ class TestExactOptimum:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert (solution.opt, solution.explored) == (351, 76286)
+        assert (solution.opt, solution.explored) == (351, 5842)
         assert peak < 15 * 2**20
+
+    @pytest.mark.parametrize("cap", [0, 100])
+    def test_the_memo_records_no_state_past_its_cap(self, monkeypatch, cap):
+        memos = []  # every per-depth memo of the searches below
+
+        class CountedDict(dict):
+            def __init__(self):
+                memos.append(self)
+
+        monkeypatch.setattr(oracle, "dict", CountedDict, raising=False)
+        inst = gen_random(GenParams(16, 5, 50, 50, 1, 100, seed=1))
+        full = exact_optimum(inst)
+        assert sum(map(len, memos)) == 1488
+        memos.clear()
+        monkeypatch.setattr(oracle, "MEMO_STATE_CAP", cap)
+        capped = exact_optimum(inst)
+        assert sum(map(len, memos)) == cap
+        assert capped.opt == full.opt
+        assert capped.assignment.placement == full.assignment.placement
+        assert capped.explored > full.explored
 
     def test_solution_is_repeatable(self, instance_a):
         first = exact_optimum(instance_a)
@@ -101,7 +122,7 @@ def _pinned_instance(key):
 
 class TestSearchOrder:
     """Golden (OPT, explored) pairs: ``explored`` counts every node the
-    branch and bound visits, so these pin its visit order, both bounds, the
+    branch and bound visits, so these pin its visit order, its bounds, the
     node at which it builds its table and both dominance rules, not just the
     optimum it finds.  The tiny instances pin that ``exact_optimum`` takes
     the branch and bound at every size: on each of them with m > 0,
@@ -116,13 +137,15 @@ class TestSearchOrder:
             (("random", 5, 2, 1), 136, 14),
             (("random", 6, 2, 6020059), 99, 15),
             (("adversarial", 2, 10), 20, 17),
-            (("adversarial", 8, 100), 800, 2171),
+            (("adversarial", 8, 100), 800, 984),
             (("random", 10, 3, 1), 254, 141),
-            (("random", 12, 3, 1), 317, 756),
-            (("random", 15, 4, 2), 257, 1797),
-            (("random", 15, 5, 1), 313, 2633),
-            (("random", 16, 5, 1), 351, 76286),
-            (("random", 20, 4, 2), 189, 1569),
+            (("random", 12, 3, 1), 317, 204),
+            (("random", 15, 4, 2), 257, 386),
+            (("random", 15, 5, 1), 313, 417),
+            (("random", 16, 5, 1), 351, 5842),
+            (("random", 20, 4, 2), 189, 469),
+            # the pooled table bound alone gives up on it after 5M nodes
+            (("random", 30, 8, 30080147), 883, 64431),
         ],
         ids=lambda v: "-".join(map(str, v)) if isinstance(v, tuple) else None,
     )
@@ -189,6 +212,16 @@ def searches(draw):
     return Instance.from_pairs(pairs, draw(st.lists(st.integers(0, 60), min_size=n, max_size=n)))
 
 
+@st.composite
+def table_searches(draw):
+    """Instances of 14 to 20 items and 3 to 8 knapsacks, whose searches
+    mostly run long enough to build their table."""
+    m, n = draw(st.integers(14, 20)), draw(st.integers(3, 8))
+    pair = st.tuples(st.integers(1, 50), st.integers(1, 30))
+    pairs = draw(st.lists(pair, min_size=m, max_size=m))
+    return Instance.from_pairs(pairs, draw(st.lists(st.integers(1, 60), min_size=n, max_size=n)))
+
+
 class TestSuffixTable:
     @settings(max_examples=80, deadline=None)
     @given(knapsack_items())
@@ -220,16 +253,35 @@ class TestSuffixTable:
                     left -= take
                 assert table[k][c] <= math.floor(bound)
 
+    @settings(max_examples=80, deadline=None)
+    @given(knapsack_items(max_m=10))
+    def test_subset_sums_are_those_of_each_suffix(self, items):
+        weights, _, capacity = items
+        reach = _subset_sums(weights, capacity)
+        m = len(weights)
+        assert len(reach) == m + 1
+        for k in range(m + 1):
+            sums = {
+                sum(weights[i] for i in chosen)
+                for r in range(m - k + 1)
+                for chosen in combinations(range(k, m), r)
+            }
+            assert reach[k] == sum(1 << c for c in sums if c <= capacity)
+            for c in range(capacity + 1):  # the fill of a knapsack of capacity c
+                fill = (reach[k] & ((2 << c) - 1)).bit_length() - 1
+                assert fill == max(w for w in sums if w <= c)
+
     def test_past_the_cap_no_table_is_built(self, tables_built):
         solution = exact_optimum(WIDE)
         assert tables_built == []
         assert solution.opt == brute_force_optimum(WIDE).opt
         assert check_feasible(solution.assignment, WIDE) is None
 
-    @pytest.mark.parametrize("margin, explored", [(-1, 3131), (0, 756)])
+    @pytest.mark.parametrize("margin, explored", [(-1, 3131), (0, 204)])
     def test_the_cap_counts_every_cell(self, monkeypatch, margin, explored):
         # one cell short of the cap, the search is the Dantzig search, node
-        # for node; at the cap it builds the table and takes fewer nodes
+        # for node; at the cap it builds the table and its subset sums and
+        # takes fewer nodes
         inst = gen_random(GenParams(12, 3, 50, 50, 1, 100, seed=1))
         cells = (inst.m + 1) * (sum(inst.capacities) + 1)
         monkeypatch.setattr(oracle, "TABLE_CELL_CAP", cells + margin)
@@ -253,14 +305,14 @@ class TestSuffixTable:
 
 
 class TestAgainstTheDantzigSearch:
-    """The search against :func:`dantzig_branch_and_bound`, the same search
-    with the Dantzig test at every node and no table, and, past brute-force
+    """The search against :func:`reference_search` without its table, the
+    same search with the Dantzig test at every node, and, past brute-force
     sizes, against :func:`two_knapsack_optimum`."""
 
     @settings(max_examples=400, deadline=None)
     @given(searches(), st.integers(1, 20_000))
     def test_same_optimum_and_placement_in_no_more_nodes(self, inst, node_budget):
-        reference = dantzig_branch_and_bound(inst, node_budget)
+        reference = reference_search(inst, node_budget, table=False)
         if reference is None:
             return  # the reference gave up: nothing certified to compare with
         solution = exact_optimum(inst, node_budget=node_budget)
@@ -280,9 +332,29 @@ class TestAgainstTheDantzigSearch:
         assert check_feasible(solution.assignment, inst) is None
 
 
-def dantzig_branch_and_bound(inst: Instance, node_budget: int) -> OptimalSolution | None:
-    """The branch and bound as it was before the suffix table: the same
-    visit order, memo and budget, with the Dantzig test at every node."""
+class TestAgainstTheTableSearch:
+    """The search against :func:`reference_search` with its table, the
+    search as it was before the subset-sum fill bound and the memo cap."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(table_searches())
+    def test_same_optimum_and_placement_in_no_more_nodes(self, inst):
+        reference = reference_search(inst, 30_000, table=True)
+        if reference is None:
+            return  # the reference gave up: nothing certified to compare with
+        solution = exact_optimum(inst)
+        assert solution is not None
+        assert solution.opt == reference.opt
+        assert solution.assignment.placement == reference.assignment.placement
+        assert solution.explored <= reference.explored
+
+
+def reference_search(inst: Instance, node_budget: int, *, table: bool) -> OptimalSolution | None:
+    """The branch and bound as it was before the subset-sum fill bound and
+    the memo cap: the same visit order, memo and budget, with the Dantzig
+    test at every node until, when ``table`` is set, the search has spent
+    its suffix table's cost, and the pooled table test from then on.
+    Without ``table`` it is the search as it was before the suffix table."""
     order = inst.density_order
     m = inst.m
     weights = [inst.items[i].weight for i in order]  # per density position
@@ -290,6 +362,12 @@ def dantzig_branch_and_bound(inst: Instance, node_budget: int) -> OptimalSolutio
     wsum = [0, *accumulate(weights)]  # wsum[k]: weight of the first k items
     csum = [0, *accumulate(costs)]
     remaining = list(inst.capacities)
+    capacity = sum(remaining)
+    cells = (m + 1) * (capacity + 1)
+    build_at = -1
+    if table and cells <= oracle.TABLE_CELL_CAP:
+        build_at = cells // oracle.CELLS_PER_NODE + 1
+    best = None  # the suffix table, once built
     placement: list[int | None] = [None] * m  # per density position
     best_profit = -1
     best_placement: list[int | None] = list(placement)
@@ -313,7 +391,7 @@ def dantzig_branch_and_bound(inst: Instance, node_budget: int) -> OptimalSolutio
             remaining[j] += weight
         yield idx + 1, profit, pool
 
-    stack = [iter([(0, 0, sum(remaining))])]
+    stack = [iter([(0, 0, capacity)])]
     while stack:
         node = next(stack[-1], None)
         if node is None:
@@ -322,23 +400,29 @@ def dantzig_branch_and_bound(inst: Instance, node_budget: int) -> OptimalSolutio
         explored += 1
         if explored > node_budget:
             return None
+        if explored == build_at:
+            best = _suffix_table(weights, costs, capacity)
         idx, profit, pool = node
         if idx == m:
             if profit > best_profit:
                 best_profit = profit
                 best_placement = list(placement)
             continue
-        # items idx..k-1 fit whole in the pool; item k, if any, is critical
-        k = bisect_right(wsum, wsum[idx] + pool, idx + 1) - 1
-        bound = profit + csum[k] - csum[idx]
-        if k == m:
-            if bound <= best_profit:
+        if best is not None:
+            if profit + best[idx][pool] <= best_profit:
                 continue
         else:
-            weight = weights[k]
-            left = pool - (wsum[k] - wsum[idx])
-            if bound * weight + left * costs[k] <= best_profit * weight:
-                continue
+            # items idx..k-1 fit whole in the pool; item k, if any, is critical
+            k = bisect_right(wsum, wsum[idx] + pool, idx + 1) - 1
+            bound = profit + csum[k] - csum[idx]
+            if k == m:
+                if bound <= best_profit:
+                    continue
+            else:
+                weight = weights[k]
+                left = pool - (wsum[k] - wsum[idx])
+                if bound * weight + left * costs[k] <= best_profit * weight:
+                    continue
         state = tuple(sorted(remaining))
         memo = seen[idx]
         if profit <= memo.get(state, -1):
