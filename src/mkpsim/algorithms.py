@@ -321,10 +321,17 @@ class BatchSource(GreedySource):
 # pairs) and a winner report if the item is placed.  The n - 1 pairs of
 # phase 3r+3 are nearly all of the mail.  A processor reads an inbox in one
 # pass: S's records, which come first, then the peers' pairs, each folded
-# into the running best, and its own pair last, as a tree node does.  Like
-# a tree node, it sends one object for every equal pair: its eligible pair
-# is rebuilt only after a win or a directive has changed its capacity, and
-# its ineligible pair is built once.
+# into the running best, and its own pair last, as a tree node does.  The
+# running best capacity starts at minus infinity, which every int exceeds
+# (floats compare exactly with ints of any size), so a peer's pair costs one
+# comparison, ``>=``, unless it ties or beats the best; only then are the
+# ids compared.  Like a tree node, it sends one object for every equal pair:
+# its eligible pair is rebuilt only after a win or a directive has changed
+# its capacity, and its ineligible pair is built once.
+
+# below every capacity: the running best capacity before any pair carried one
+_NO_CAPACITY = float("-inf")
+
 
 class BroadcastProcessor(ProcessorNode):
     def __init__(self, inst: Instance, j: int, protocol: Protocol):
@@ -356,7 +363,8 @@ class BroadcastProcessor(ProcessorNode):
                 raise SimulationFault(f"p{self.j}: unexpected payload {payload!r}")
 
         # every later record must be a peer's pair, folded in by the module's rule
-        best = best_capacity = None
+        best = None
+        best_capacity = _NO_CAPACITY  # best's capacity, once there is a best
         for msg in inbox[start:] if start else inbox:
             pair = msg.payload
             if type(pair) is not ConsensusPair:
@@ -366,12 +374,10 @@ class BroadcastProcessor(ProcessorNode):
                     raise SimulationFault(f"p{self.j}: directive from non-source")
                 raise SimulationFault(f"p{self.j}: unexpected payload {pair!r}")
             capacity = pair.capacity
-            if capacity is not None and (
-                best is None
-                or capacity > best_capacity
-                or (capacity == best_capacity and pair.best < best.best)
-            ):
-                best, best_capacity = pair, capacity
+            # a tie implies a best: no int equals minus infinity
+            if capacity is not None and capacity >= best_capacity:
+                if capacity > best_capacity or pair.best < best.best:
+                    best, best_capacity = pair, capacity
         count = len(inbox) - start
 
         if offers:

@@ -340,7 +340,8 @@ def verify_instance(inst: Instance, *, with_oracle: bool = True) -> InstanceVeri
 
     A run whose final assignment is infeasible raises
     :class:`~mkpsim.simnet.SimulationFault` from :func:`run_algorithm`.
-    Every run must have a feasible pre-final assignment, a profit the
+    Every run must have a feasible pre-final assignment (checked here
+    unless it is the final one, as in ``simple``), a profit the
     reassignment pass did not lower, the record's exact (messages, phases,
     rounds) and at most its message bound.  Its pre-final placement
     must equal the message-free recomputation of its dispatch
@@ -363,9 +364,12 @@ def verify_instance(inst: Instance, *, with_oracle: bool = True) -> InstanceVeri
     for name, protocol in PROTOCOLS.items():
         # run_algorithm raises on an infeasible final assignment
         res = results[name] = run_algorithm(name, inst, keep_trace=protocol.one_item_per_round)
-        violation = check_feasible(res.pre_final_assignment, inst)
-        if violation is not None:
-            bad.append(f"{name}: pre-final assignment infeasible: {violation}")
+        # with no pass after the dispatch (``simple``) the pre-final
+        # assignment is the final one, which run_algorithm has checked
+        if res.pre_final_assignment is not res.assignment:
+            violation = check_feasible(res.pre_final_assignment, inst)
+            if violation is not None:
+                bad.append(f"{name}: pre-final assignment infeasible: {violation}")
         if res.profit < res.pre_final_profit:
             bad.append(
                 f"{name}: reassignment decreased profit "

@@ -285,21 +285,29 @@ def render_trace(trace: Trace) -> str:
     A record whose recipient is a range (a ``PEERS`` record's 1..n) expands
     to one line per id in it, in ascending order, leaving out the sender
     when the range holds it.  Its lines share everything but the
-    recipient's name, so they are built with one join over a slice of the
-    name table (two slices around the sender), kept as three parts so that
-    the long middle one is not copied again: the record's
-    ``"{phase} {sender} "`` head, then the names joined by the payload text
-    plus the head, then the payload text.  The name table is a list indexed
-    by node id, grown with :func:`node_name` when a record names an id past
-    its end, so every name is rendered once; node ids are non-negative, as
-    in every trace the engine returns.  Payloads are rendered once per
-    object (a tree node forwards the pair it received, and a ``tree`` or
-    ``dist`` processor resends its own pair in every round its capacity has
-    not changed), memoised by identity, which is sound because payloads are
-    immutable and the trace keeps every one alive while the dump is built.
+    recipient's name, so they are built with one join over the list of the
+    recipients' names, kept as three parts so that the long middle one is
+    not copied again: the record's ``"{phase} {sender} "`` head, then the
+    names joined by the payload text plus the head, then the payload text.
+    The list depends only on the range's bounds and the sender, so it is
+    built once per (start, stop, sender), from a slice of the name table
+    (two slices around the sender), and reused by every later record of
+    that sender to that range: a ``dist`` trace builds one list per
+    processor and one for S, not one per record.  The name table is a list
+    indexed by node id, grown with :func:`node_name` when a record names an
+    id past its end, so every name is rendered once; node ids are
+    non-negative, as in every trace the engine returns.  Payloads are
+    rendered once per object (a tree node forwards the pair it received,
+    and a ``tree`` or ``dist`` processor resends its own pair in every round
+    its capacity has not changed), memoised by identity, which is sound
+    because payloads are immutable and the trace keeps every one alive
+    while the dump is built.
     """
     names: list[str] = []
     texts: dict[int, str] = {}
+    # (start, stop, sender) -> the names of the sender's recipients in the
+    # range start..stop-1
+    recipient_names: dict[tuple[int, int, int], list[str]] = {}
     parts: list[str] = []
     append = parts.append
     for d in trace:
@@ -309,14 +317,16 @@ def render_trace(trace: Trace) -> str:
             text = texts[id(payload)] = f" {render_payload(payload)}\n"
         sender, recipient = d.sender, d.recipient
         if type(recipient) is range:
-            stop = recipient.stop
-            if stop > len(names) or sender >= len(names):
-                names.extend(map(node_name, range(len(names), max(stop, sender + 1))))
-            start = recipient.start
-            if start <= sender < stop:
-                recipients = names[start:sender] + names[sender + 1:stop]
-            else:
-                recipients = names[start:stop]
+            start, stop = recipient.start, recipient.stop
+            recipients = recipient_names.get((start, stop, sender))
+            if recipients is None:
+                if stop > len(names) or sender >= len(names):
+                    names.extend(map(node_name, range(len(names), max(stop, sender + 1))))
+                if start <= sender < stop:
+                    recipients = names[start:sender] + names[sender + 1:stop]
+                else:
+                    recipients = names[start:stop]
+                recipient_names[start, stop, sender] = recipients
             head = f"{d.phase} {names[sender]} "
             append(head)
             append((text + head).join(recipients))

@@ -558,7 +558,8 @@ def broadcast_steps(draw):
     capacity = draw(st.integers(0, 12))
     exchange_weight = draw(st.none() | st.integers(1, 12))
     small = st.integers(0, 14)
-    pair = st.builds(ConsensusPair, st.integers(1, n + 1), st.none() | small)
+    extreme = st.sampled_from((-1, 0, 10**400, 10**400 + 1))
+    pair = st.builds(ConsensusPair, st.integers(1, n + 1), st.none() | small | extreme)
     offer = st.builds(WeightOffer, st.integers(1, 14))
     directive = st.builds(FinalDirective, st.integers(0, 3), small)
     winner = st.builds(Winner, st.integers(1, n))
@@ -598,6 +599,29 @@ class TestBroadcastStepDifferential:
     # an offer after a directive, with the capacity the directive left
     @example((3, 3, 9, None, [Delivery(2, SOURCE, 3, FinalDirective(0, 7)),
                               Delivery(2, SOURCE, 3, WeightOffer(2))]))
+    # capacities at the ints' extremes: -1 and 0 below p_j's own, and
+    # 400-digit ones one apart, above it and tied with it
+    @example((3, 2, 5, 3, [Delivery(2, 1, 2, ConsensusPair(1, -1)),
+                           Delivery(2, 3, 2, ConsensusPair(3, 0))]))
+    @example((3, 2, 5, 3, [Delivery(2, 1, 2, ConsensusPair(1, 0)),
+                           Delivery(2, 3, 2, ConsensusPair(3, -1))]))
+    @example((3, 2, 10**400, 3, [Delivery(2, 1, 2, ConsensusPair(1, 10**400)),
+                                 Delivery(2, 3, 2, ConsensusPair(3, 10**400 + 1))]))
+    @example((3, 2, 10**400 + 1, 3, [Delivery(2, 1, 2, ConsensusPair(1, 10**400)),
+                                     Delivery(2, 3, 2, ConsensusPair(3, 10**400 + 1))]))
+    @example((3, 1, 10**400, 3, [Delivery(2, 2, 1, ConsensusPair(2, 10**400 + 1)),
+                                 Delivery(2, 3, 1, ConsensusPair(3, -1))]))
+    # every pair ties, p_j's own too: the smallest id wins, p_j or another
+    @example((4, 3, 5, 3, [Delivery(2, k, 3, ConsensusPair(k, 5)) for k in (1, 2, 4)]))
+    @example((4, 1, 5, 3, [Delivery(2, k, 1, ConsensusPair(k, 5)) for k in (2, 3, 4)]))
+    # a peer's pair names the receiver, as the best (the item fits, or not)
+    # and tied with its own pair
+    @example((3, 2, 5, 3, [Delivery(2, 1, 2, ConsensusPair(2, 9)),
+                           Delivery(2, 3, 2, ConsensusPair(3, None))]))
+    @example((3, 2, 5, 7, [Delivery(2, 1, 2, ConsensusPair(2, 9)),
+                           Delivery(2, 3, 2, ConsensusPair(3, None))]))
+    @example((3, 3, 5, 3, [Delivery(2, 1, 3, ConsensusPair(3, 5)),
+                           Delivery(2, 2, 3, ConsensusPair(2, 5))]))
     def test_matches_the_per_message_dispatch(self, case):
         n, j, capacity, exchange_weight, inbox = case
         nodes = []
@@ -1421,6 +1445,9 @@ GOLDEN_INSTANCES = {
     "random-m4-n100": GenParams(4, 100, 50, 50, 1, 100, seed=3),  # tree depth 6
     "random-m30-n3-tight": GenParams(30, 3, 50, 80, 1, 60, seed=5),
     "adversarial-n5-W4": (5, 4),
+    # every capacity is 100 in the first round: each dist fold of it is a
+    # 32-way tie (the dist trace is pinned in CI too)
+    "adversarial-n32-W100": (32, 100),
 }
 
 GOLDEN_TRACE_DIGESTS = {
@@ -1440,6 +1467,10 @@ GOLDEN_TRACE_DIGESTS = {
     ("adversarial-n5-W4", "modified"): (25, 5, "9c389346030f3b052f32f20b06ba082638d44de6238de088ac9472ab10629d32"),
     ("adversarial-n5-W4", "dist"): (260, 31, "fdb6e38227e844a9c4985e45f05445b680aae5f36560163b3ad1deb0f8e42ac5"),
     ("adversarial-n5-W4", "tree"): (110, 50, "0e97b892a035d4a40efd232180bb36a49b63ad0186665f22a77ff50ef065cbf4"),
+    ("adversarial-n32-W100", "simple"): (128, 4, "2f38fb6873a515cf3422fc121c803afb9753c49d33771079422370a86ec3cc59"),
+    ("adversarial-n32-W100", "modified"): (160, 5, "1c84a2cbefd0ec41578c5cb2394bd7d2532f6cb540aa92fc5df5cb3bb3662c83"),
+    ("adversarial-n32-W100", "dist"): (65600, 193, "8cf2a2044c520525f453e199facd441ef93142f3ca0d2ae4ac59752204704d53"),
+    ("adversarial-n32-W100", "tree"): (4160, 512, "2099540fbbf74cc1dacf4b9a63993d479db73fc4e431f849f699982782ee2df5"),
     ("evicting-m332-n18", "simple"): (684, 38, "7c42faef892f54ea8bef460de5d314c491762a1fbb4f7af7131981c4fb942aa3"),
     ("evicting-m332-n18", "modified"): (702, 39, "d5c2b227a677f0ad24019271ffac183cc0c5d92e9b7ba8ee2a2568bfa5195881"),
     ("evicting-m332-n18", "dist"): (107634, 997, "4132730a0fffe716dc59ce9e9a3a4494f888487843325157ea61122376935512"),

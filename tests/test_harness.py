@@ -572,6 +572,30 @@ def test_an_infeasible_pre_final_assignment_is_reported(monkeypatch, instance_a)
     assert all(v.startswith("tree: ") for v in violations), violations
 
 
+def test_verify_instance_checks_each_assignment_once(monkeypatch, instance_a):
+    # run_algorithm checks every final assignment and verify_instance every
+    # pre-final one but ``simple``'s, which is its final one
+    import mkpsim.algorithms as algorithms
+    import mkpsim.harness as harness
+
+    checked = []
+
+    def recording(check):
+        def check_feasible(assignment, inst):
+            checked.append(assignment)
+            return check(assignment, inst)
+        return check_feasible
+
+    for module in (algorithms, harness):
+        monkeypatch.setattr(module, "check_feasible", recording(module.check_feasible))
+    verification = verify_instance(instance_a, with_oracle=False)
+    assert verification.ok
+    runs = verification.results.values()
+    assignments = {id(a): a for run in runs for a in (run.assignment, run.pre_final_assignment)}
+    assert len(assignments) == 2 * len(ALGORITHMS) - 1  # simple's two are one object
+    assert sorted(map(id, checked)) == sorted(assignments)
+
+
 def test_a_pass_that_lowers_the_profit_is_reported(monkeypatch, instance_a):
     violations = _verify_with_one_run_changed(
         monkeypatch, instance_a, "dist", lambda run: replace(run, profit=run.pre_final_profit - 1)

@@ -1370,10 +1370,20 @@ class TestRenderDifferential:
                 Delivery(2, 300, 1, pair),
                 Delivery(2, 301, range(1, 3), pair),
             ),
+            # the recipients' names depend on the range as well as the sender
+            "one sender, two ranges, holding it in one": (
+                Delivery(2, 4, range(1, 4), pair),
+                Delivery(5, 4, range(1, 6), pair),
+                Delivery(8, 4, range(1, 4), pair),
+            ),
         }
         for name, trace in shapes.items():
             assert render_trace(trace) == render_by_line(trace), name
         assert render_trace(shapes["final directive"]) == "4 S p1 final 7:2\n4 S p2 final 7:2\n"
+        assert render_trace(shapes["one sender, two ranges, holding it in one"]) == "".join(
+            f"{phase} p4 p{k} pair 1 4\n" for phase, ks in ((2, (1, 2, 3)), (5, (1, 2, 3, 5)),
+                                                           (8, (1, 2, 3))) for k in ks
+        )
         assert render_trace(shapes["a sender past every id before it"]).endswith(
             "2 p301 p1 pair 1 4\n2 p301 p2 pair 1 4\n"
         )
