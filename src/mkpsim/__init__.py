@@ -53,7 +53,6 @@ from .simnet import (
     SimulationFault,
     render_trace,
     run_protocol,
-    tree_links,
 )
 
 __version__ = "0.1.0"

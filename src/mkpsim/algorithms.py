@@ -58,7 +58,6 @@ from .simnet import (
     FinalDirective,
     ItemOffer,
     Node,
-    RunMetrics,
     Send,
     SimulationFault,
     SourceNode,
@@ -66,7 +65,6 @@ from .simnet import (
     WeightOffer,
     Winner,
     run_protocol,
-    tree_links,
 )
 
 __all__ = [
@@ -171,11 +169,13 @@ class ProcessorNode(Node):
 
 class GreedySource(SourceNode):
     """Common source-side state: the items in the instance's
-    :attr:`~mkpsim.core.Instance.density_order`, the protocol's ``period``,
-    whether it ``reassigns``, and the running record."""
+    :attr:`~mkpsim.core.Instance.density_order`, the protocol's
+    ``rounds_total`` and ``period``, whether it ``reassigns``, and the
+    running record, ``assignment``."""
 
     def __init__(self, inst: Instance, protocol: Protocol):
         self.inst = inst
+        self.rounds_total = protocol.rounds(inst)
         self.period = protocol.period(inst)
         self.reassigns = protocol.reassigns
         self.order = [inst.items[i] for i in inst.density_order]
@@ -184,12 +184,9 @@ class GreedySource(SourceNode):
         self.changed: tuple[int, ...] = ()
         self.rounds_done = 0  # the rounds dispatched so far
 
-    def recorded_assignment(self) -> Assignment:
-        return self.assignment
-
     def _open_round(self) -> list[Send]:
-        """Offer the next item's weight to every processor; after round m, finish."""
-        if self.rounds_done == self.inst.m:
+        """Offer the next item's weight to every processor; after the last round, finish."""
+        if self.rounds_done == self.rounds_total:
             return self._finish()
         item = self.order[self.rounds_done]
         self.rounds_done += 1
@@ -225,16 +222,15 @@ class GreedySource(SourceNode):
 # one it spends one more phase on the pass and its directives.
 
 class BatchProcessor(ProcessorNode):
-    """Reports capacity once per round; the round budget is fixed up front
-    so the protocol ends without any extra signalling."""
+    """Reports capacity in each round's first phase, 2r+1, while r is below
+    the round budget; the budget is fixed up front so the protocol ends
+    without any extra signalling."""
 
     def __init__(self, inst: Instance, j: int, protocol: Protocol):
         super().__init__(inst, j)
         self.rounds_total = protocol.rounds(inst)
-        self.rounds_sent = 0
 
     def step(self, inbox: list[Delivery]) -> list[Send]:
-        got_dispatch = False
         # payload classes are final, so the exact type decides
         for msg in inbox:
             payload = msg.payload
@@ -243,25 +239,16 @@ class BatchProcessor(ProcessorNode):
             kind = type(payload)
             if kind is ItemOffer:
                 self._take(payload.weight)
-                got_dispatch = True
-            elif kind is Bottom:
-                got_dispatch = True
             elif kind is FinalDirective:
                 self._apply_directive(payload)
-            else:
+            elif kind is not Bottom:
                 raise SimulationFault(f"p{self.j}: unexpected payload {payload!r}")
-        # the first report goes out in phase 1, each later one answers a dispatch
-        if (self.rounds_sent == 0 or got_dispatch) and self.rounds_sent < self.rounds_total:
-            self.rounds_sent += 1
+        if self.phase % 2 and self.phase // 2 < self.rounds_total:
             return [(SOURCE, CapacityReport(self.remaining))]
         return []
 
 
 class BatchSource(GreedySource):
-    def __init__(self, inst: Instance, protocol: Protocol):
-        super().__init__(inst, protocol)
-        self.rounds_total = protocol.rounds(inst)
-
     def step(self, inbox: list[Delivery]) -> list[Send]:
         reports: dict[int, int] = {}
         for msg in inbox:
@@ -470,14 +457,15 @@ _NO_PAIR = ConsensusPair(None, None)
 class TreeProcessor(ProcessorNode):
     def __init__(self, inst: Instance, j: int, protocol: Protocol):
         super().__init__(inst, j)
-        links = tree_links(j, inst.n)
-        self.parent = links.parent
-        self.children = (links.left, links.right)
+        # the heap order over 1..n: p_1 is the root, p_j's children are
+        # p_2j and p_2j+1 where they exist
+        self.parent = j // 2 or None
+        self.children = tuple(c for c in (2 * j, 2 * j + 1) if c <= inst.n)
         self.period = protocol.period(inst)
         self.send_offset = self.period - j.bit_length()  # P - 1 - depth of p_j
         # a childless node above the bottom level: no child's pair will
         # arrive to step it when it sends
-        self.needs_wake = links.left is None and self.send_offset > 2
+        self.needs_wake = not self.children and self.send_offset > 2
         self.current_weight: int | None = None
         self.best: ConsensusPair | None = None  # the round's running best; the offer resets it
         self.own_pair = _NO_PAIR  # p_j's own pair, built anew when its capacity differs
@@ -558,7 +546,7 @@ class TreeSource(GreedySource):
             award = (payload.processor, WeightOffer(item.weight))
         elif not isinstance(payload, Bottom):
             raise SimulationFault(f"S: unexpected verdict {payload!r}")
-        out = self._finish() if self.rounds_done == self.inst.m else []
+        out = self._finish() if self.rounds_done == self.rounds_total else []
         if award is not None:
             # in recipient order: (j,) sorts before (j, directive), so the
             # award goes before a directive to its winner
@@ -664,8 +652,10 @@ class RunResult:
 
     ``assignment``/``profit`` reflect the run's final output; the pre-final
     fields snapshot the state before the reassignment pass (identical for a
-    protocol that has none).  ``rounds`` counts the rounds the source
-    dispatched.  ``trace`` is ``None`` for a run that kept none.
+    protocol that has none).  ``messages`` and ``phases`` are the engine's
+    counts (see :class:`~mkpsim.simnet.RunMetrics`); ``rounds`` counts the
+    rounds the source dispatched.  ``trace`` is ``None`` for a run that kept
+    none.
     """
 
     algorithm: str
@@ -674,17 +664,10 @@ class RunResult:
     pre_final_assignment: Assignment
     pre_final_profit: int
     changed_knapsacks: tuple[int, ...]
-    metrics: RunMetrics
+    messages: int
+    phases: int
     trace: Trace | None
     rounds: int
-
-    @property
-    def messages(self) -> int:
-        return self.metrics.messages
-
-    @property
-    def phases(self) -> int:
-        return self.metrics.phases
 
 
 def _check_run(inst: Instance, assignment: Assignment, processors: dict[int, ProcessorNode]):
@@ -729,7 +712,8 @@ def run_algorithm(name: str, inst: Instance, *, keep_trace: bool = True) -> RunR
         # one object when nothing ran after the dispatch (``simple``)
         pre_final_profit=profit if pre is assignment else objective(pre, inst),
         changed_knapsacks=source.changed,
-        metrics=metrics,
+        messages=metrics.messages,
+        phases=metrics.phases,
         trace=trace,
         rounds=source.rounds_done,
     )

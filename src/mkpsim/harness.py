@@ -58,6 +58,9 @@ class GenParams:
             raise ValueError(
                 f"capacity range [{self.cap_min}, {self.cap_max}] is empty"
             )
+        # random.Random(-s) seeds the same stream as random.Random(s)
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
 
 
 def gen_random(params: GenParams) -> Instance:

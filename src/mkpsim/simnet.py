@@ -2,9 +2,7 @@
 
 Topology: one distinguished source node ``S`` (id 0) connected to every
 processor, plus a complete graph over the processors p_1..p_n; n is the
-number of processor programs a run is given.  Protocols that aggregate over
-a binary tree use :func:`tree_links`: p_1 is the root, the children of p_j
-are p_2j and p_2j+1, the parent is p_floor(j/2).
+number of processor programs a run is given.
 
 Execution model: the run proceeds in *phases*, counted by the engine alone:
 before each step it sets the node's ``phase`` to the current one (see
@@ -171,48 +169,26 @@ Send = tuple[int | _Peers, Payload]
 
 
 # ---------------------------------------------------------------------------
-# Topology
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class TreeLinks:
-    parent: int | None
-    left: int | None
-    right: int | None
-
-
-def tree_links(j: int, n: int) -> TreeLinks:
-    """Tree neighbours of processor j in the rooted binary tree over 1..n.
-
-    Parent is floor(j/2) (absent for the root p_1); children are 2j and 2j+1
-    when they exist.
-    """
-    if not 1 <= j <= n:
-        raise ValueError(f"processor id {j} out of range 1..{n}")
-    parent = j // 2 if j > 1 else None
-    left = 2 * j if 2 * j <= n else None
-    right = 2 * j + 1 if 2 * j + 1 <= n else None
-    return TreeLinks(parent, left, right)
-
-
-# ---------------------------------------------------------------------------
 # Node programs
 # ---------------------------------------------------------------------------
 
 class Node:
     """A deterministic step function: inbox -> outbox, state held on self.
 
-    Before each step the engine sets ``phase`` to the phase the node steps
-    in, so a program reads its phase there, whatever its mail.  The engine
-    steps a processor in phase 1 and afterwards only in phases where it has
-    mail, so a processor that must act in a phase without mail asks for a
-    wake-up: it sets ``wake_at``, an instance attribute of every node from
-    the run's start, to that phase during a step.  The engine takes the
-    request when the step returns and clears the attribute; the node is
-    then stepped once in that phase, with whatever mail arrives there
-    (possibly none).  The phase must be later than the current one.
-    A pending wake-up does not keep a finished run alive.  The source steps
-    in every phase until it halts and may not ask for one.
+    A program is plain state that the engine reads and writes between
+    steps: ``phase`` and ``wake_at`` here, and a source's ``halted`` and
+    ``assignment`` (see :class:`SourceNode`).  Before each step the engine
+    sets ``phase`` to the phase the node steps in, so a program reads its
+    phase there, whatever its mail.  The engine steps a processor in phase 1
+    and afterwards only in phases where it has mail, so a processor that
+    must act in a phase without mail asks for a wake-up: it sets
+    ``wake_at``, an instance attribute of every node from the run's start,
+    to that phase during a step.  The engine takes the request when the
+    step returns and clears the attribute; the node is then stepped once in
+    that phase, with whatever mail arrives there (possibly none).  The
+    phase must be later than the current one.  A pending wake-up does not
+    keep a finished run alive.  The source steps in every phase until it
+    halts and may not ask for one.
 
     ``step`` returns the node's sends for this phase (see :data:`Send`) in
     ascending recipient order; two unicasts may go to one recipient, in the
@@ -231,12 +207,16 @@ class Node:
 
 
 class SourceNode(Node):
-    """A node program for S; sets ``halted`` when the protocol is finished."""
+    """A node program for S.
+
+    It sets ``halted`` when the protocol is finished, and keeps the
+    assignment it recorded in ``assignment``, which :func:`run_protocol`
+    returns as the run ends.  A program that records none leaves it
+    ``None``.
+    """
 
     halted: bool = False
-
-    def recorded_assignment(self) -> Assignment:
-        raise NotImplementedError
+    assignment: Assignment | None = None
 
 
 # ---------------------------------------------------------------------------
@@ -424,18 +404,18 @@ def run_protocol(
     *,
     max_phases: int = DEFAULT_MAX_PHASES,
     keep_trace: bool = True,
-) -> tuple[Assignment, RunMetrics, Trace | None]:
+) -> tuple[Assignment | None, RunMetrics, Trace | None]:
     """Run source/processor programs to completion.
 
     ``processors`` maps ids 1..n to their programs, n >= 1.  The run ends
     when the source has halted and no messages remain in flight; processors
-    are reactive and never halt on their own.  Returns the assignment the
-    source recorded, the metrics, and the trace: every record the run sent,
-    a ``PEERS`` send as the one record its recipients read.  With
-    ``keep_trace`` false the trace is ``None``: the run checks and counts
-    every send as a traced run does, but lets go of each phase's records
-    once they are delivered, so its memory does not grow with the message
-    count.
+    are reactive and never halt on their own.  Returns the source's
+    ``assignment`` as the run ends, the metrics, and the trace: every record
+    the run sent, a ``PEERS`` send as the one record its recipients read.
+    With ``keep_trace`` false the trace is ``None``: the run checks and
+    counts every send as a traced run does, but lets go of each phase's
+    records once they are delivered, so its memory does not grow with the
+    message count.
 
     A phase costs one step per node that has mail or a wake-up in it, plus
     the source's, and one store of ``phase`` on the node before each step.
@@ -601,4 +581,4 @@ def run_protocol(
                 break
 
     metrics = RunMetrics(messages, halt_phase)
-    return source.recorded_assignment(), metrics, tuple(log) if keep_trace else None
+    return source.assignment, metrics, tuple(log) if keep_trace else None

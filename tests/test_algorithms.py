@@ -714,6 +714,21 @@ def tree_node(j, capacities):
     return TreeProcessor(Instance.from_pairs([], capacities), j, PROTOCOLS["tree"])
 
 
+@pytest.mark.parametrize("n", [*range(1, 71), 100, 1000])
+def test_tree_processors_form_the_heap_over_1_to_n(n):
+    inst = Instance.from_pairs([], [1] * n)
+    nodes = {j: TreeProcessor(inst, j, PROTOCOLS["tree"]) for j in range(1, n + 1)}
+    assert [j for j, node in nodes.items() if node.parent is None] == [1]
+    for j, node in nodes.items():
+        assert node.children == tuple(c for c in (2 * j, 2 * j + 1) if c <= n)
+        assert all(nodes[c].parent == j for c in node.children)
+        if j > 1:
+            assert j in nodes[node.parent].children
+        # no child's pair steps a childless node above the bottom level
+        above_bottom = j.bit_length() < n.bit_length()
+        assert node.needs_wake == (not node.children and above_bottom)
+
+
 def engine_step(node, inbox, phase=None):
     """``node.step(inbox)`` with ``node.phase`` set as the engine sets it:
     to the phase after the stamp of the inbox's records, or for an empty

@@ -50,6 +50,13 @@ class TestGeneration:
         doc = json.loads(out1)
         assert len(doc["items"]) == 6 and len(doc["capacities"]) == 2
 
+    def test_gen_random_rejects_a_negative_seed(self, capsys, tmp_path):
+        out_path = tmp_path / "inst.json"
+        argv = ["gen-random", "--m", "3", "--n", "2", "--seed", "-5"]
+        code, out, err = run_cli(capsys, *argv, "--out", str(out_path))
+        assert (code, out, err) == (2, "", "mkpsim: error: seed must be >= 0, got -5\n")
+        assert not out_path.exists()
+
     def test_gen_adversarial_rejects_small_w(self, capsys):
         code, out, err = run_cli(capsys, "gen-adversarial", "--n", "2", "--W", "2")
         assert code == 2

@@ -10,7 +10,6 @@ from mkpsim.algorithms import PROTOCOLS
 from mkpsim.simnet import (
     PEERS,
     SOURCE,
-    TreeLinks,
     Bottom,
     CapacityReport,
     ConsensusPair,
@@ -27,53 +26,15 @@ from mkpsim.simnet import (
     render_payload,
     render_trace,
     run_protocol,
-    tree_links,
 )
 
 from conftest import deliveries, metrics_of, per_phase_of
-
-
-class TestTreeLinks:
-    def test_root_of_seven(self):
-        assert tree_links(1, 7) == TreeLinks(None, 2, 3)
-
-    def test_inner_node_children(self):
-        assert tree_links(2, 7) == TreeLinks(1, 4, 5)
-        assert tree_links(5, 7).parent == 2
-
-    def test_partial_children(self):
-        assert tree_links(3, 6) == TreeLinks(1, 6, None)
-
-    def test_single_node_tree(self):
-        assert tree_links(1, 1) == TreeLinks(None, None, None)
-
-    def test_out_of_range_rejected(self):
-        with pytest.raises(ValueError):
-            tree_links(0, 3)
-        with pytest.raises(ValueError):
-            tree_links(4, 3)
-
-    @given(st.integers(min_value=1, max_value=128))
-    def test_tree_is_well_formed(self, n):
-        links = {j: tree_links(j, n) for j in range(1, n + 1)}
-        roots = [j for j, l in links.items() if l.parent is None]
-        assert roots == [1]
-        for j, l in links.items():
-            for child in (l.left, l.right):
-                if child is not None:
-                    assert links[child].parent == j
-            if j > 1:
-                parent_links = links[l.parent]
-                assert j in (parent_links.left, parent_links.right)
 
 
 class _SilentSource(SourceNode):
     def step(self, inbox):
         self.halted = True
         return []
-
-    def recorded_assignment(self):
-        return None
 
 
 class _SilentNode(Node):
@@ -95,9 +56,6 @@ class _PingSource(SourceNode):
         if self.phase == 1:
             return [(1, WeightOffer(3))]
         return []
-
-    def recorded_assignment(self):
-        return None
 
 
 class _EchoNode(Node):
@@ -132,6 +90,13 @@ class TestEngine:
             (1, SOURCE, 1),
             (2, 1, SOURCE),
         ]
+
+    def test_a_source_that_records_no_assignment_returns_none(self):
+        source = _PingSource()  # never sets ``assignment``
+        assignment, metrics, _ = run_protocol(source, {1: _EchoNode()})
+        assert "assignment" not in vars(source)
+        assert assignment is None
+        assert metrics == RunMetrics(2, 3)
 
     def test_traces_are_reproducible(self):
         run1 = run_protocol(_PingSource(), {1: _EchoNode()})
@@ -168,9 +133,6 @@ class TestEngine:
             def step(self, inbox):
                 return [(1, WeightOffer(1))]
 
-            def recorded_assignment(self):
-                return None
-
         with pytest.raises(SimulationFault):
             run_protocol(Chatter(), {1: _SilentNode()}, max_phases=50)
 
@@ -194,9 +156,6 @@ class TestEngine:
             def step(self, inbox):
                 self.halted = True
                 return [(1, WeightOffer(1))]
-
-            def recorded_assignment(self):
-                return None
 
         class Answer(Node):
             def step(self, inbox):
@@ -232,9 +191,6 @@ class TestEngine:
                 self.halted = True
                 return [(1, WeightOffer(1))]
 
-            def recorded_assignment(self):
-                return None
-
         class Stray(Node):
             def step(self, inbox):
                 return [(recipient, CapacityReport(1))] if inbox else []
@@ -256,9 +212,6 @@ class TestEngine:
                     (3, WeightOffer(1)),
                     (3, WeightOffer(3)),
                 ]
-
-            def recorded_assignment(self):
-                return None
 
         class Recorder(Node):
             def __init__(self, sends=()):
@@ -346,9 +299,6 @@ class _Talker(SourceNode):
             self.halted = True
             return self.final
         return [(1, WeightOffer(self.phase))]
-
-    def recorded_assignment(self):
-        return None
 
 
 class _Relay(Node):
@@ -456,9 +406,6 @@ class _OneShotSource(SourceNode):
     def step(self, inbox):
         self.halted = True
         return self.sends
-
-    def recorded_assignment(self):
-        return None
 
 
 class _Chorus(Node):
@@ -757,9 +704,6 @@ class _Metronome(SourceNode):
         self.halted = self.phase == self.halt_at
         return self.sends.get(self.phase, [])
 
-    def recorded_assignment(self):
-        return None
-
 
 class _Scripted(Node):
     """Logs each step; its k-th step sends ``plan[k][0]`` and asks for a
@@ -958,9 +902,6 @@ class _PlannedSource(SourceNode):
         self.log.append(((self.phase, SOURCE), _pairs(inbox)))
         self.halted = self.phase == self.halt_at
         return self.plan.get((SOURCE, self.phase), ([], None))[0]
-
-    def recorded_assignment(self):
-        return None
 
 
 class _Planned(Node):
