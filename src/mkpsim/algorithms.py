@@ -440,8 +440,8 @@ class BroadcastSource(GreedySource):
 #        so its directives land at offset 1, in which no node sends.
 # The engine steps a processor only on mail or a wake-up, and every node
 # reads the phase from it.  The one processor that must send without mail is
-# a childless node above the bottom level (depth D-1): it asks for a wake-up
-# when the offer arrives.
+# a childless node above the bottom level (depth D-1), which sends at offset
+# 3: it asks for a wake-up in the next phase when the offer arrives.
 #
 # A node folds each child's pair into the round's running best as it reads
 # it, and its own pair last; a child's pair goes up as the object it sent.
@@ -463,8 +463,8 @@ class TreeProcessor(ProcessorNode):
         self.children = tuple(c for c in (2 * j, 2 * j + 1) if c <= inst.n)
         self.period = protocol.period(inst)
         self.send_offset = self.period - j.bit_length()  # P - 1 - depth of p_j
-        # a childless node above the bottom level: no child's pair will
-        # arrive to step it when it sends
+        # a childless node above the bottom level, which sends in the phase
+        # after the offer's: no child's pair will arrive to step it then
         self.needs_wake = not self.children and self.send_offset > 2
         self.current_weight: int | None = None
         self.best: ConsensusPair | None = None  # the round's running best; the offer resets it
@@ -493,8 +493,7 @@ class TreeProcessor(ProcessorNode):
                 if offset == 2:  # the round's offer broadcast
                     self.current_weight = payload.weight
                     best = None
-                    if self.needs_wake:
-                        self.wake_at = self.phase + self.send_offset - offset
+                    self.wake_next = self.needs_wake
                 elif offset == 1:  # the award for the round just decided
                     if payload.weight != self.current_weight:
                         raise SimulationFault(f"p{self.j}: award weight mismatch")

@@ -10,13 +10,13 @@ before each step it sets the node's ``phase`` to the current one (see
 it during phase t-1 and may emit new ones; nothing sent in a phase is
 readable before the next.  Every node steps in phase 1, and the source
 steps in every phase until it halts.  After phase 1 a processor steps only
-in a phase where its inbox is non-empty or that it asked to be woken in: in
-the synchronous model a node with no mail and nothing scheduled does
-nothing in a phase, so leaving it unstepped changes no trace.  The engine
-finds the processors with mail from the unicasts of the phase before, so a
-phase costs no scan of all n inboxes unless a ``PEERS`` send was made in
-the phase before.  The model is failure free: every sent message is
-delivered exactly once, one phase later.
+in a phase where its inbox is non-empty or after a step in which it asked
+to be woken: in the synchronous model a node with no mail and nothing
+scheduled does nothing in a phase, so leaving it unstepped changes no
+trace.  The engine finds the processors with mail from the unicasts of the
+phase before, so a phase costs no scan of all n inboxes unless a ``PEERS``
+send was made in the phase before.  The model is failure free: every sent
+message is delivered exactly once, one phase later.
 
 Accounting: every point-to-point delivery counts as one message, so a
 broadcast to k recipients counts k.  The phase counter reported in
@@ -38,11 +38,12 @@ point-to-point delivery; it is a cheaper way to write k sends of one
 payload, not a different network.
 
 Determinism: within a phase, deliveries are ordered by (sender, recipient).
-Nodes step in ascending id order, and each node returns its sends in
-ascending recipient order (see :class:`Node`), which the engine checks and
-never fixes: a node's records go into the trace, and into each inbox, in the
-order it emitted them.  Programs are required to be deterministic, so
-identical inputs produce byte-identical traces.
+Nodes step in ascending id order, and each node returns either one
+``PEERS`` send or its unicasts in ascending recipient order (see
+:class:`Node`), which the engine checks and never fixes: a node's records
+go into the trace, and into each inbox, in the order it emitted them.
+Programs are required to be deterministic, so identical inputs produce
+byte-identical traces.
 """
 
 from __future__ import annotations
@@ -176,31 +177,30 @@ class Node:
     """A deterministic step function: inbox -> outbox, state held on self.
 
     A program is plain state that the engine reads and writes between
-    steps: ``phase`` and ``wake_at`` here, and a source's ``halted`` and
+    steps: ``phase`` and ``wake_next`` here, and a source's ``halted`` and
     ``assignment`` (see :class:`SourceNode`).  Before each step the engine
     sets ``phase`` to the phase the node steps in, so a program reads its
     phase there, whatever its mail.  The engine steps a processor in phase 1
     and afterwards only in phases where it has mail, so a processor that
-    must act in a phase without mail asks for a wake-up: it sets
-    ``wake_at``, an instance attribute of every node from the run's start,
-    to that phase during a step.  The engine takes the request when the
-    step returns and clears the attribute; the node is then stepped once in
-    that phase, with whatever mail arrives there (possibly none).  The
-    phase must be later than the current one.  A pending wake-up does not
-    keep a finished run alive.  The source steps in every phase until it
-    halts and may not ask for one.
+    must act in the next phase without mail asks for a wake-up: it sets
+    ``wake_next``, an instance attribute of every node from the run's
+    start, during a step.  The engine takes the request when the step
+    returns and clears the attribute; the node is then stepped once in the
+    next phase, with whatever mail arrives there (possibly none).  A
+    pending wake-up does not keep a finished run alive.  The source steps
+    in every phase until it halts and may not ask for one.
 
-    ``step`` returns the node's sends for this phase (see :data:`Send`) in
-    ascending recipient order; two unicasts may go to one recipient, in the
-    order they are returned.  A :data:`PEERS` send counts as a send to 1..n
-    here, so of a node's other sends in that phase only those to S, before
-    it, pass.  Sends of one payload to every processor (from S) or every
-    other processor are best written as one ``PEERS`` send: the engine then
-    builds, checks and keeps one record for all of them.
+    ``step`` returns the node's sends for this phase (see :data:`Send`):
+    either one :data:`PEERS` send, which must be the node's only send in
+    the phase, or unicasts in ascending recipient order; two unicasts may
+    go to one recipient, in the order they are returned.  Sends of one
+    payload to every processor (from S) or every other processor are best
+    written as one ``PEERS`` send: the engine then builds, checks and keeps
+    one record for all of them.
     """
 
     phase: int
-    wake_at: int | None = None
+    wake_next: bool = False
 
     def step(self, inbox: list[Delivery]) -> list[Send]:
         raise NotImplementedError
@@ -330,42 +330,24 @@ DEFAULT_MAX_PHASES = 1_000_000
 def _check_send_order(records: list[Delivery], sender: int) -> None:
     """Check one node's records of a phase, more than one, in one pass.
 
-    A unicast's recipient must not be below the one before it; two unicasts
-    to one recipient keep the order they were emitted in.  A ``PEERS``
-    record counts as reaching 1..n, so only a unicast to S may come before
-    it and nothing after it.  A fault names the lowest recipient that a
-    ``PEERS`` record shares with the record next to it, other than its
-    sender; a unicast below the one before it, or to S after a ``PEERS``
-    record, is out of order and names the last recipient before it.
+    None may be a ``PEERS`` record, and a unicast's recipient must not be
+    below the one before it; two unicasts to one recipient keep the order
+    they were emitted in.  The first record that breaks a rule names the
+    fault.
     """
-    before: int | range = -1  # the recipient of the record before
+    before = SOURCE  # the recipient of the record before
     for d in records:
         recipient = d.recipient
-        # shared: the lowest recipient the two records share, or S (which no
-        # PEERS record reaches) when they share none
-        if type(before) is range:  # nothing passes after a PEERS record
-            shared = 1 if type(recipient) is range else recipient
-            reach = before.stop - 1
-            reach -= reach == sender
-        elif type(recipient) is range:  # only a unicast to S passes before one
-            if before <= SOURCE:
-                before = recipient
-                continue
-            shared = before
-        elif recipient >= before:
-            before = recipient
-            continue
-        else:
-            shared, reach = SOURCE, before
-        if shared != SOURCE:
+        if type(recipient) is range:
             raise SimulationFault(
-                f"{node_name(sender)} sent to {node_name(shared + (shared == sender))} by a "
-                f"multicast and another send in one phase"
+                f"{node_name(sender)} sent a multicast and another send in one phase"
             )
-        raise SimulationFault(
-            f"{node_name(sender)} sent to {node_name(recipient)} after a send to "
-            f"{node_name(reach)}: a node's sends must come in ascending recipient order"
-        )
+        if recipient < before:
+            raise SimulationFault(
+                f"{node_name(sender)} sent to {node_name(recipient)} after a send to "
+                f"{node_name(before)}: a node's sends must come in ascending recipient order"
+            )
+        before = recipient
 
 
 _sender = attrgetter("sender")
@@ -388,8 +370,6 @@ def _deliver_broadcasts(broadcasts: list[Delivery], inboxes: list[list[Delivery]
         if own < count and broadcasts[own].sender == j:
             del part[own]
             own += 1
-            if not part:
-                continue
         box = inboxes[j]
         if not box:
             inboxes[j] = part
@@ -436,12 +416,11 @@ def run_protocol(
     ``float`` equal to an id) or to the node itself, a ``PEERS`` send from
     the one processor of a run, a message sent after the source halted, a
     message delivered to the already-halted source, a wake-up asked by the
-    source or for a phase that is not after the current one, and a run that
-    needs more than ``max_phases`` phases.  Each send is checked in the
-    order its node emitted it, against those rules in that order.  Once a
-    node's sends have passed, sends out of ascending recipient order are a
-    fault too (see :func:`_check_send_order`), and a ``PEERS`` send counts
-    there as a send to 1..n.
+    source, and a run that needs more than ``max_phases`` phases.  Each
+    send is checked in the order its node emitted it, against those rules
+    in that order.  Once a node's sends have passed, a ``PEERS`` send among
+    several and unicasts out of ascending recipient order are a fault too
+    (see :func:`_check_send_order`).
     """
     n = len(processors)
     if n < 1:
@@ -450,7 +429,7 @@ def run_protocol(
         raise SimulationFault("processor programs must cover ids 1..n exactly")
     nodes = [source] + [processors[j] for j in range(1, n + 1)]
     for node in nodes:  # a plain store: reading __dict__ would slow the node's attribute loads
-        node.wake_at = node.wake_at
+        node.wake_next = node.wake_next
     steps = [node.step for node in nodes]
 
     log: list[Delivery] = []
@@ -465,7 +444,7 @@ def run_protocol(
     node_ids = frozenset(ids)
     inboxes: list[list[Delivery]] = [[] for _ in ids]
     sent_now: list[list[Delivery]] = [[] for _ in ids]
-    wakeups: dict[int, list[int]] = {1: list(range(1, n + 1))}  # phase -> ids
+    woken = list(range(1, n + 1))  # the ids to step in the next phase, mail or not
     # the ids whose next-phase inbox a unicast made non-empty, and whether a
     # PEERS send filled inboxes too (then the next phase scans them all)
     filled: list[int] = []
@@ -496,9 +475,9 @@ def run_protocol(
             ready = sorted(filled)
         filled = []
         multicast = False
-        woken = wakeups.pop(phase, None)
         if woken:
             ready = sorted(set(ready).union(woken))
+            woken = []
         if not was_halted and (not ready or ready[0] != SOURCE):
             ready.insert(0, SOURCE)
 
@@ -558,16 +537,11 @@ def run_protocol(
                 # passes the log and each inbox are in (sender, recipient) order.
                 if len(sends) > 1:
                     _check_send_order(log[-len(sends):], node_id)
-            wake = node.wake_at
-            if wake is not None:
-                node.wake_at = None
+            if node.wake_next:
+                node.wake_next = False
                 if node_id == SOURCE:
                     raise SimulationFault("S asked for a wake-up; it steps in every phase")
-                if wake <= phase:
-                    raise SimulationFault(
-                        f"{node_name(node_id)} asked to wake in phase {wake} during phase {phase}"
-                    )
-                wakeups.setdefault(wake, []).append(node_id)
+                woken.append(node_id)
         inboxes, sent_now = sent_now, inboxes
 
         sent = len(log) - phase_start + fanned

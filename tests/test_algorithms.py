@@ -732,7 +732,8 @@ def test_tree_processors_form_the_heap_over_1_to_n(n):
 def engine_step(node, inbox, phase=None):
     """``node.step(inbox)`` with ``node.phase`` set as the engine sets it:
     to the phase after the stamp of the inbox's records, or for an empty
-    inbox to ``phase`` (phase 1, or a wake-up's)."""
+    inbox to ``phase`` (phase 1, or the one after a step that asked for a
+    wake-up)."""
     node.phase = inbox[0].phase + 1 if inbox else phase
     return node.step(inbox)
 
@@ -747,11 +748,11 @@ def tree_round(node, n, weight, child_mail, start=1):
     sends = engine_step(node, [Delivery(start, SOURCE, range(1, n + 1), WeightOffer(weight))])
     if send_phase == start + 1:
         return sends
-    assert sends == []
+    assert sends == [] and node.wake_next == (not child_mail)
     if child_mail:
         return engine_step(node, [Delivery(send_phase - 1, c, j, pair) for c, pair in child_mail])
-    assert node.wake_at == send_phase
-    node.wake_at = None  # the engine takes the request
+    assert send_phase == start + 2  # the phase after the offer's
+    node.wake_next = False  # the engine takes the request
     return engine_step(node, [], send_phase)
 
 
@@ -870,8 +871,7 @@ def reference_tree_step(node, child_pairs, inbox):
             if offset == 2:  # the round's offer broadcast
                 node.current_weight = payload.weight
                 child_pairs.clear()
-                if node.needs_wake:
-                    node.wake_at = node.phase + node.send_offset - offset
+                node.wake_next = node.needs_wake
             elif offset == 1:  # the award for the round just decided
                 if payload.weight != node.current_weight:
                     raise SimulationFault(f"p{node.j}: award weight mismatch")
@@ -989,7 +989,7 @@ class TestTreeStepDifferential:
         node, ref = tree_node(j, capacities), tree_node(j, capacities)
         child_pairs = []
         owns = []  # (the node's own pair, the reference's), as each is built
-        woken = 1  # the phase of a step with no mail: 1, then the last wake-up's
+        woken = 1  # the phase of a step with no mail: 1, then the one after the last request
         for inbox in inboxes:
             got = self.outcome(engine_step, node, inbox, woken)
             ref.phase = node.phase
@@ -1007,11 +1007,11 @@ class TestTreeStepDifferential:
                     or any(sent is a and expected is b for a, b in owns)
                     or (type(sent) is Winner and sent == expected)
                 )
-            assert (node.remaining, node.own_pair, node.current_weight, node.wake_at) == (
-                ref.remaining, ref.own_pair, ref.current_weight, ref.wake_at)
-            if node.wake_at is not None:
-                woken = node.wake_at
-            node.wake_at = ref.wake_at = None  # the engine takes the request
+            assert (node.remaining, node.own_pair, node.current_weight, node.wake_next) == (
+                ref.remaining, ref.own_pair, ref.current_weight, ref.wake_next)
+            if node.wake_next:
+                woken = node.phase + 1
+            node.wake_next = ref.wake_next = False  # the engine takes the request
 
 
 class TestTreeProcessorFaults:

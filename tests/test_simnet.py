@@ -279,6 +279,9 @@ def _log_at(fault) -> list:
     return tb.tb_frame.f_locals["log"]
 
 
+_ORDER = ": a node's sends must come in ascending recipient order"
+
+
 class _Talker(SourceNode):
     """Pings p1 in every phase until phase ``last``, then halts; in phase
     ``last`` it sends ``final`` instead.  Keeps a weak reference to its
@@ -335,7 +338,7 @@ class TestRunWithoutTrace:
              "S sent to p1 after a send to p2: "
              "a node's sends must come in ascending recipient order"),
             ([(PEERS, WeightOffer(0)), (2, WeightOffer(0))],
-             "S sent to p2 by a multicast and another send in one phase"),
+             "S sent a multicast and another send in one phase"),
             ([(1, WeightOffer(0))], "p1 sent a message after the source halted"),
         ],
         ids=["out of order", "overlap", "after the halt"],
@@ -365,16 +368,15 @@ class TestSendOrderOfALaterSender:
     @pytest.mark.parametrize(
         "recipients,message",
         [
-            ([3, 1], "p2 sent to p1 after a send to p3"),
-            ([0, 4, 3], "p2 sent to p3 after a send to p4"),
-            ([0, PEERS, 0], "p2 sent to S after a send to p4"),
+            ([3, 1], "p2 sent to p1 after a send to p3" + _ORDER),
+            ([0, 4, 3], "p2 sent to p3 after a send to p4" + _ORDER),
+            ([0, 4, PEERS], "p2 sent a multicast and another send in one phase"),
         ],
-        ids=["second send", "third send", "third after a PEERS send"],
+        ids=["second send", "third send", "a PEERS send third"],
     )
     def test_the_check_reads_only_the_nodes_own_records(self, recipients, message):
         # S and p1 send before p2 in phase 1, so p2's records are not the
         # first of the phase
-        message += ": a node's sends must come in ascending recipient order"
         for keep in (True, False):
             processors = {
                 1: _SendsOnce([(3, WeightOffer(7)), (4, WeightOffer(8))]),
@@ -438,38 +440,6 @@ class TestMulticast:
         assert metrics_of(trace) == metrics
         assert render_trace(trace) == "".join(f"1 S p{j} weight 6\n" for j in range(1, n + 1))
 
-    def test_records_keep_emission_order_before_a_peers_send(self):
-        # two unicasts to S keep their order before p2's PEERS send; the
-        # same sends with the PEERS send first are a fault
-        a, b, d = WeightOffer(1), WeightOffer(2), WeightOffer(4)
-        sends = [(SOURCE, a), (SOURCE, d), (PEERS, b)]
-
-        def run(sends, log):
-            nodes = {j: _Recorder() for j in range(1, 6)}
-            nodes[2] = _SendsOnce(sends)
-            return nodes, run_protocol(_PlannedSource({}, log, halt_at=2), nodes)
-
-        message = ("p2 sent to S after a send to p5: "
-                   "a node's sends must come in ascending recipient order")
-        with pytest.raises(SimulationFault, match=f"^{re.escape(message)}$"):
-            run([sends[2], *sends[:2]], [])
-        log = []
-        nodes, (_, metrics, trace) = run(sends, log)
-        assert [(record.recipient, record.payload) for record in trace] == [
-            (SOURCE, a), (SOURCE, d), (range(1, 6), b),
-        ]
-        assert render_trace(trace) == (
-            "1 p2 S weight 1\n"
-            "1 p2 S weight 4\n"
-            "1 p2 p1 weight 2\n"
-            "1 p2 p3 weight 2\n"
-            "1 p2 p4 weight 2\n"
-            "1 p2 p5 weight 2\n"
-        )
-        assert log[1] == ((2, SOURCE), [(2, a), (2, d)])
-        assert [m.payload for m in nodes[3].inboxes[1]] == [b]
-        assert metrics.messages == 6
-
     @pytest.mark.parametrize(
         "sends,message",
         [
@@ -495,22 +465,23 @@ class TestMulticast:
             run_protocol(source, {1: Stray(), 2: _SilentNode(), 3: _SilentNode()})
 
     @pytest.mark.parametrize(
-        "sends,shared",
+        "sends",
         [
-            ([(PEERS, WeightOffer(1)), (2, WeightOffer(2))], 2),
-            ([(2, WeightOffer(2)), (PEERS, WeightOffer(1))], 2),
-            ([(1, WeightOffer(1)), (3, WeightOffer(2)), (PEERS, WeightOffer(3))], 3),
-            ([(PEERS, WeightOffer(1)), (PEERS, WeightOffer(2))], 1),
-            ([(PEERS, WeightOffer(1)), (2, WeightOffer(2)), (2, WeightOffer(3))], 2),
+            [(PEERS, WeightOffer(1)), (2, WeightOffer(2))],
+            [(2, WeightOffer(2)), (PEERS, WeightOffer(1))],
+            [(1, WeightOffer(1)), (PEERS, WeightOffer(3))],
+            [(1, WeightOffer(1)), (3, WeightOffer(2)), (PEERS, WeightOffer(3))],
+            [(PEERS, WeightOffer(1)), (PEERS, WeightOffer(2))],
+            [(PEERS, WeightOffer(1)), (2, WeightOffer(2)), (2, WeightOffer(3))],
         ],
-        ids=["unicast after", "unicast first", "after two unicasts", "twice",
-             "two unicasts after"],
+        ids=["unicast after", "unicast first", "after the lowest unicast", "after two unicasts",
+             "twice", "two unicasts after"],
     )
-    def test_a_multicast_sharing_a_recipient_with_another_send_faults(self, sends, shared):
-        # S's PEERS send may share no recipient with another send of S in
-        # one phase: the engine refuses such sends, whatever their emission
-        # order, and names the lowest recipient shared with the send before
-        message = f"^S sent to p{shared} by a multicast and another send in one phase$"
+    def test_a_multicast_sharing_a_recipient_with_another_send_faults(self, sends):
+        # S's PEERS send reaches every processor, so it shares a recipient
+        # with any other send of S in one phase: the engine refuses such
+        # sends, whatever their emission order
+        message = "^S sent a multicast and another send in one phase$"
         with pytest.raises(SimulationFault, match=message):
             run_protocol(_OneShotSource(sends), {j: _SilentNode() for j in range(1, 5)})
 
@@ -534,29 +505,19 @@ class TestMulticast:
     )
     def test_a_nodes_records_pass_as_emitted_or_fault(self, case):
         # node j of a run of n processors sends in phase 1.  The reference
-        # expands each record to its recipients, a PEERS record to 1..n but
-        # for the sender, and asks for a strictly ascending sequence, except
-        # that consecutive unicasts may repeat a recipient; the first record
-        # that breaks it names the fault.
+        # passes one PEERS send alone, or unicasts whose recipients never go
+        # down; the first send that breaks the rule names the fault
         n, (j, recipients) = case
         sends = [(r, WeightOffer(k)) for k, r in enumerate(recipients)]
-        spans = [
-            [k for k in range(1, n + 1) if k != j] if r is PEERS else [r] for r in recipients
-        ]
-        unicast = [r is not PEERS for r in recipients]
-        expanded = [(k, i) for k, span in enumerate(spans) for i in span]
-        for (k0, i0), (k1, i1) in zip(expanded, expanded[1:]):
-            if i1 > i0 or (i1 == i0 and unicast[k0] and unicast[k1]):
-                continue
-            shared = set(spans[k0]) & set(spans[k1])
-            if shared and not (unicast[k0] and unicast[k1]):
-                message = f"sent to p{min(shared)} by a multicast and another send in one phase"
-            else:
-                message = (f"sent to {node_name(i1)} after a send to {node_name(i0)}: "
-                           f"a node's sends must come in ascending recipient order")
-            break
-        else:
-            message = None
+        message = None
+        for k, r in enumerate(recipients):
+            if r is PEERS and len(recipients) > 1:
+                message = "sent a multicast and another send in one phase"
+                break
+            if k and r is not PEERS and r < recipients[k - 1]:
+                message = (f"sent to {node_name(r)} after a send to "
+                           f"{node_name(recipients[k - 1])}" + _ORDER)
+                break
         processors = {k: _SendsOnce(sends if k == j else []) for k in range(1, n + 1)}
         source = _Metronome([], halt_at=2, sends={1: sends} if j == SOURCE else {})
         if message is None:
@@ -594,44 +555,28 @@ class TestPeers:
             "2 p3 p1 capacity 3\n2 p3 p2 capacity 3\n"
         )
 
-    def test_a_unicast_to_the_source_may_come_first(self):
-        log = []
-        nodes = {
-            1: _Scripted(1, log),
-            2: _Scripted(2, log, {1: ([(SOURCE, WeightOffer(1)), (PEERS, WeightOffer(2))], None)}),
-            3: _Scripted(3, log),
-        }
-        _, metrics, trace = run_protocol(_Metronome(log, halt_at=2), nodes)
-        assert metrics.messages == 3
-        assert log[4:] == [(SOURCE, [2]), (1, [2]), (3, [2])]
-        assert render_trace(trace) == "1 p2 S weight 1\n1 p2 p1 weight 2\n1 p2 p3 weight 2\n"
-
     @pytest.mark.parametrize(
-        "j,sends,message",
+        "j,sends",
         [
-            (2, [(3, WeightOffer(1)), (PEERS, WeightOffer(2))],
-             "p2 sent to p3 by a multicast and another send in one phase"),
-            (2, [(1, WeightOffer(1)), (PEERS, WeightOffer(2))],
-             "p2 sent to p1 by a multicast and another send in one phase"),
-            (2, [(PEERS, WeightOffer(2)), (3, WeightOffer(1))],
-             "p2 sent to p3 by a multicast and another send in one phase"),
-            (2, [(PEERS, WeightOffer(1)), (PEERS, WeightOffer(2))],
-             "p2 sent to p1 by a multicast and another send in one phase"),
-            (1, [(PEERS, WeightOffer(1)), (PEERS, WeightOffer(2))],
-             "p1 sent to p2 by a multicast and another send in one phase"),
-            (2, [(PEERS, WeightOffer(2)), (SOURCE, WeightOffer(1))],
-             "p2 sent to S after a send to p3: "
-             "a node's sends must come in ascending recipient order"),
-            (3, [(PEERS, WeightOffer(2)), (SOURCE, WeightOffer(1))],
-             "p3 sent to S after a send to p2: "
-             "a node's sends must come in ascending recipient order"),
+            (2, [(3, WeightOffer(1)), (PEERS, WeightOffer(2))]),
+            (2, [(1, WeightOffer(1)), (PEERS, WeightOffer(2))]),
+            (2, [(SOURCE, WeightOffer(1)), (PEERS, WeightOffer(2))]),
+            (2, [(SOURCE, WeightOffer(1)), (SOURCE, WeightOffer(4)), (PEERS, WeightOffer(2))]),
+            (2, [(PEERS, WeightOffer(2)), (3, WeightOffer(1))]),
+            (2, [(PEERS, WeightOffer(1)), (PEERS, WeightOffer(2))]),
+            (1, [(PEERS, WeightOffer(1)), (PEERS, WeightOffer(2))]),
+            (2, [(PEERS, WeightOffer(2)), (SOURCE, WeightOffer(1))]),
+            (3, [(PEERS, WeightOffer(2)), (SOURCE, WeightOffer(1))]),
+            (2, [(PEERS, WeightOffer(2)), (SOURCE, WeightOffer(1)), (SOURCE, WeightOffer(4))]),
         ],
-        ids=["unicast above first", "unicast below first", "unicast after",
-             "twice", "twice from p1", "to S after", "to S after, from the top id"],
+        ids=["unicast above first", "unicast below first", "unicast to S first",
+             "two unicasts to S first", "unicast after", "twice", "twice from p1", "to S after",
+             "to S after, from the top id", "two to S after"],
     )
-    def test_it_shares_every_processor_with_the_other_sends(self, j, sends, message):
-        # a PEERS record counts as reaching 1..n in the order check, but no
-        # fault names its sender as a recipient
+    def test_it_is_its_senders_only_send_in_a_phase(self, j, sends):
+        # a processor's PEERS send stands alone in its phase, even beside a
+        # unicast to S, which no PEERS record reaches
+        message = f"p{j} sent a multicast and another send in one phase"
         for keep in (True, False):
             processors = {k: _SendsOnce(sends if k == j else []) for k in (1, 2, 3)}
             assert _fault_text(_OneShotSource([]), processors, keep_trace=keep) == message
@@ -706,8 +651,8 @@ class _Metronome(SourceNode):
 
 
 class _Scripted(Node):
-    """Logs each step; its k-th step sends ``plan[k][0]`` and asks for a
-    wake-up in phase ``plan[k][1]`` unless that is None."""
+    """Logs each step; its k-th step sends ``plan[k][0]`` and, if
+    ``plan[k][1]``, asks for a wake-up in the next phase."""
 
     def __init__(self, j, log, plan=None):
         self.j = j
@@ -718,9 +663,9 @@ class _Scripted(Node):
     def step(self, inbox):
         self.steps += 1
         self.log.append((self.j, [d.sender for d in inbox]))
-        sends, wake = self.plan.get(self.steps, ([], None))
-        if wake is not None:
-            self.wake_at = wake
+        sends, wake = self.plan.get(self.steps, ([], False))
+        if wake:
+            self.wake_next = True
         return sends
 
 
@@ -745,65 +690,60 @@ class TestActiveStepping:
 
     def test_wake_up_steps_the_node_once_with_an_empty_inbox(self):
         log = []
-        p1 = _Scripted(1, log, {1: ([], 4), 2: ([(SOURCE, CapacityReport(1))], None)})
-        _, metrics, trace = run_protocol(_Metronome(log, halt_at=6), {1: p1, 2: _Scripted(2, log)})
+        p1 = _Scripted(1, log, {1: ([], True), 2: ([(SOURCE, CapacityReport(1))], False)})
+        _, metrics, trace = run_protocol(_Metronome(log, halt_at=4), {1: p1, 2: _Scripted(2, log)})
         assert log == [
             (SOURCE, []), (1, []), (2, []),
-            (SOURCE, []),
-            (SOURCE, []),
             (SOURCE, []), (1, []),
             (SOURCE, [1]),
             (SOURCE, []),
         ]
-        assert [(d.phase, d.sender, d.recipient) for d in trace] == [(4, 1, SOURCE)]
-        assert p1.wake_at is None  # the engine took the request
+        assert [(d.phase, d.sender, d.recipient) for d in trace] == [(2, 1, SOURCE)]
+        assert p1.wake_next is False  # the engine took the request
 
     def test_wake_up_and_mail_in_one_phase_step_once(self):
         log = []
-        p1 = _Scripted(1, log, {1: ([], 4)})
-        source = _Metronome(log, halt_at=5, sends={3: [(1, WeightOffer(1))]})
+        p1 = _Scripted(1, log, {1: ([], True)})
+        source = _Metronome(log, halt_at=3, sends={1: [(1, WeightOffer(1))]})
         run_protocol(source, {1: p1})
+        # p1 reads the offer in phase 2, which it also asked to be woken in
         assert p1.steps == 2
-        assert log[-3:] == [(SOURCE, []), (1, [SOURCE]), (SOURCE, [])]
+        assert log == [(SOURCE, []), (1, []), (SOURCE, []), (1, [SOURCE]), (SOURCE, [])]
 
     def test_wake_ups_reach_drain_phases_but_do_not_extend_the_run(self):
         log = []
-        p1 = _Scripted(1, log, {1: ([], 3), 2: ([], 50)})
+        p1 = _Scripted(1, log, {1: ([], True), 2: ([], True), 3: ([], True)})
         source = _Metronome(log, halt_at=2, sends={2: [(2, WeightOffer(1))]})
         _, metrics, _ = run_protocol(source, {1: p1, 2: _Scripted(2, log)})
         # phase 3 only drains the offer to p2; p1's wake-up for it is kept,
-        # its wake-up for phase 50 is dropped when the run ends
+        # its wake-up for phase 4 is dropped when the run ends
         assert log == [
             (SOURCE, []), (1, []), (2, []),
-            (SOURCE, []),
+            (SOURCE, []), (1, []),
             (1, []), (2, [SOURCE]),
         ]
         assert metrics.phases == 2
 
-    @pytest.mark.parametrize("wake", [3, 2])
-    def test_wake_up_not_in_the_future_faults(self, wake):
-        p1 = _Scripted(1, [], {1: ([], 3), 2: ([], wake)})
-        message = f"p1 asked to wake in phase {wake} during phase 3"
-        with pytest.raises(SimulationFault, match=message):
-            run_protocol(_Metronome([], halt_at=5), {1: p1})
-
     def test_source_wake_up_faults(self):
         class Sleepy(_Metronome):
             def step(self, inbox):
-                self.wake_at = 3
+                self.wake_next = self.phase == 3
                 return super().step(inbox)
 
-        with pytest.raises(SimulationFault, match="S asked for a wake-up"):
-            run_protocol(Sleepy([], halt_at=5), {1: _SilentNode()})
+        log = []
+        with pytest.raises(SimulationFault, match="^S asked for a wake-up; it steps in every phase$"):
+            run_protocol(Sleepy(log, halt_at=5), {1: _SilentNode()})
+        assert log == [(SOURCE, [])] * 3
 
     @pytest.mark.parametrize(
         "preset,plan,woken",
         [
-            (3, {}, [1, 3]),  # taken after the node's step in phase 1
-            (3, {1: ([], 4)}, [1, 4]),  # that step asks for another phase
-            (None, {1: ([], 4)}, [1, 4]),
+            (True, {}, [1, 2]),  # taken after the node's step in phase 1
+            (True, {2: ([], True)}, [1, 2, 3]),  # the woken step asks again
+            (False, {1: ([], True)}, [1, 2]),
+            (False, {}, [1]),
         ],
-        ids=["kept", "replaced in the first step", "none"],
+        ids=["kept", "asked again", "asked in the first step", "none"],
     )
     def test_a_wake_up_set_before_the_run(self, preset, plan, woken):
         phases = []
@@ -815,14 +755,14 @@ class TestActiveStepping:
 
         source = _Metronome([], halt_at=5)
         p1 = Logged(1, [], plan)
-        p1.wake_at = preset
+        p1.wake_next = preset
         run_protocol(source, {1: p1})
         assert phases == woken
-        assert p1.wake_at is None
+        assert p1.wake_next is False
 
     def test_a_wake_up_set_on_the_source_before_the_run_faults(self):
         source = _Metronome([], halt_at=5)
-        source.wake_at = 2
+        source.wake_next = True
         with pytest.raises(SimulationFault, match="^S asked for a wake-up; it steps in every phase$"):
             run_protocol(source, {1: _SilentNode()})
 
@@ -836,22 +776,22 @@ class TestActiveStepping:
         processors = {j: protocol.processor(inst, j, protocol) for j in range(1, n + 1)}
         assert any(p.needs_wake for p in processors.values())
         run_protocol(source, processors)
-        assert [node.wake_at for node in [source, *processors.values()]] == [None] * (n + 1)
+        assert [node.wake_next for node in [source, *processors.values()]] == [False] * (n + 1)
 
     def test_steps_within_a_phase_run_in_ascending_id_order(self):
         log = []
         nodes = {
-            1: _Scripted(1, log, {2: ([], 3)}),
+            1: _Scripted(1, log, {2: ([], True)}),
             2: _Scripted(2, log),
-            3: _Scripted(3, log, {1: ([], 3)}),
+            3: _Scripted(3, log, {1: ([], True), 2: ([], True)}),
             4: _Scripted(
-                4, log, {1: ([(1, CapacityReport(2)), (3, CapacityReport(1))], 2),
-                         2: ([(2, CapacityReport(3))], None)}
+                4, log, {1: ([(1, CapacityReport(2)), (3, CapacityReport(1))], True),
+                         2: ([(2, CapacityReport(3))], False)}
             ),
         }
         run_protocol(_Metronome(log, halt_at=3), nodes)
-        # phase 2: mail for p1 and p3, p4 woken; phase 3: mail for p2, p3 and
-        # p1 woken (asked for in that order)
+        # phase 2: mail for p1 and p3, which p3 also asked to be woken in,
+        # and p4 woken; phase 3: mail for p2, p1 and p3 woken
         assert [j for j, _ in log] == [0, 1, 2, 3, 4, 0, 1, 3, 4, 0, 1, 2, 3]
 
     def test_tree_steps_only_nodes_with_mail_or_a_wake_up(self, monkeypatch):
@@ -884,7 +824,7 @@ class TestActiveStepping:
 
 
 # A plan maps (node id, phase) to what the node does if it steps in that
-# phase: its sends and the phase it asks to be woken in, or None.
+# phase: its sends, and whether it asks to be woken in the next phase.
 
 
 def _pairs(inbox):
@@ -901,21 +841,22 @@ class _PlannedSource(SourceNode):
     def step(self, inbox):
         self.log.append(((self.phase, SOURCE), _pairs(inbox)))
         self.halted = self.phase == self.halt_at
-        return self.plan.get((SOURCE, self.phase), ([], None))[0]
+        return self.plan.get((SOURCE, self.phase), ([], False))[0]
 
 
 class _Planned(Node):
     """Follows the plan, logging (phase, id) and the inbox, as (sender,
     payload) pairs, for each step.  It also works out the phase on its own,
     from its mail, which must all be from the phase before, else as phase 1
-    on its first step, else as its earliest wake-up past its last step: a
-    step with none of them has no phase under the stepping rule and fails
-    the run, as does a step whose phase the engine set otherwise."""
+    on its first step, else as the phase after its last step if that step
+    asked for a wake-up: a step with none of them has no phase under the
+    stepping rule and fails the run, as does a step whose phase the engine
+    set otherwise."""
 
     def __init__(self, j, plan, log):
         self.j, self.plan, self.log = j, plan, log
         self.last = 0  # the phase of its last step, 0 before the first
-        self.asked = []
+        self.asked = False  # whether its last step asked for a wake-up
 
     def step(self, inbox):
         if inbox:
@@ -924,15 +865,13 @@ class _Planned(Node):
         elif self.last == 0:
             phase = 1
         else:
-            phase = min((w for w in self.asked if w > self.last), default=None)
-            assert phase is not None, f"p{self.j} stepped with no mail and no wake-up"
+            assert self.asked, f"p{self.j} stepped with no mail and no wake-up"
+            phase = self.last + 1
         assert self.phase == phase, f"p{self.j} stepped in phase {self.phase}, not {phase}"
         self.last = phase
         self.log.append(((phase, self.j), _pairs(inbox)))
-        sends, wake = self.plan.get((self.j, phase), ([], None))
-        if wake is not None:
-            self.wake_at = wake
-            self.asked.append(wake)
+        sends, self.asked = self.plan.get((self.j, phase), ([], False))
+        self.wake_next = self.asked
         return sends
 
 
@@ -948,7 +887,8 @@ def _planned_run(n, halt_at, plan):
 def _stepping_rule(n, halt_at, plan):
     """The same steps and inboxes from the module docstring's rule alone: S
     steps in every phase until it halts; a processor steps in phase 1, then
-    only in a phase in which it has mail or asked to be woken.  Each send
+    only in a phase in which it has mail or after a step in which it asked
+    to be woken.  Each send
     is fanned out to its recipients one at a time, in the order the nodes
     step and emit; a ``PEERS`` send goes to every processor but its sender.
     The run ends with the first phase from the halt on in which nobody
@@ -966,14 +906,14 @@ def _stepping_rule(n, halt_at, plan):
         sent = False
         for j in sorted(stepping):
             steps.append(((phase, j), boxes.get(j, [])))
-            sends, wake = plan.get((j, phase), ([], None))
+            sends, wake = plan.get((j, phase), ([], False))
             for recipient, payload in sends:
                 ids = [k for k in range(1, n + 1) if k != j] if recipient is PEERS else [recipient]
                 for k in ids:
                     mail.setdefault(phase + 1, {}).setdefault(k, []).append((j, payload))
                     sent = True
-            if wake is not None:
-                woken.setdefault(wake, set()).add(j)
+            if wake:
+                woken.setdefault(phase + 1, set()).add(j)
         if phase >= halt_at and not sent:
             return steps
 
@@ -983,9 +923,9 @@ def _plans(draw):
     """(n, halt phase, plan) for a legal run: random unicasts, ``PEERS``
     sends from S and from processors, messages to S, wake-ups and silent
     steps.  Nobody sends after the halt phase or to S in it, each node's
-    sends come in recipient order, S or a processor with a peer sends
-    ``PEERS`` last and to no processor else, and each send of a node in a
-    phase has its own payload."""
+    sends come in recipient order, a ``PEERS`` send (from S, or from a
+    processor with a peer) is its node's only send in the phase, and each
+    send of a node in a phase has its own payload."""
     n = draw(st.integers(min_value=1, max_value=5))
     halt_at = draw(st.integers(min_value=1, max_value=5))
     plan = {}
@@ -995,18 +935,14 @@ def _plans(draw):
                 continue  # a silent step, if the node steps at all
             sends = []
             if phase <= halt_at:
-                allowed = [k for k in range(n + 1) if k != j and (k or phase < halt_at)]
-                peers = (j == SOURCE or n > 1) and draw(st.booleans())
-                if peers:  # then a node's only other send may go to S
-                    allowed = [k for k in allowed if k == SOURCE]
-                recipients = sorted(draw(st.sets(st.sampled_from(allowed)))) if allowed else []
-                for k in recipients:
-                    sends.append((k, WeightOffer(10 * phase + len(sends))))
-                if peers:
-                    sends.append((PEERS, WeightOffer(10 * phase + len(sends))))
-            wake = None
-            if j != SOURCE and draw(st.booleans()):
-                wake = draw(st.integers(min_value=phase + 1, max_value=halt_at + 3))
+                if (j == SOURCE or n > 1) and draw(st.booleans()):
+                    sends.append((PEERS, WeightOffer(10 * phase)))
+                else:
+                    allowed = [k for k in range(n + 1) if k != j and (k or phase < halt_at)]
+                    recipients = draw(st.sets(st.sampled_from(allowed))) if allowed else ()
+                    for k in sorted(recipients):
+                        sends.append((k, WeightOffer(10 * phase + len(sends))))
+            wake = j != SOURCE and draw(st.booleans())
             plan[j, phase] = (sends, wake)
     return n, halt_at, plan
 
@@ -1023,32 +959,38 @@ class TestSchedulerDifferential:
         [
             # S's PEERS record and p4's unicast land in p2's box
             (4, 2,
-             {(SOURCE, 1): ([(PEERS, WeightOffer(1))], None),
-              (4, 1): ([(2, CapacityReport(4))], None)},
+             {(SOURCE, 1): ([(PEERS, WeightOffer(1))], False),
+              (4, 1): ([(2, CapacityReport(4))], False)},
              [(1, 0), (1, 1), (1, 2), (1, 3), (1, 4), (2, 0), (2, 1), (2, 2), (2, 3), (2, 4)]),
             # a phase of unicasts only, right after a PEERS phase
             (3, 3,
-             {(SOURCE, 1): ([(PEERS, WeightOffer(1))], None),
-              (SOURCE, 2): ([(3, WeightOffer(2))], None),
-              (1, 2): ([(2, CapacityReport(1))], None)},
+             {(SOURCE, 1): ([(PEERS, WeightOffer(1))], False),
+              (SOURCE, 2): ([(3, WeightOffer(2))], False),
+              (1, 2): ([(2, CapacityReport(1))], False)},
              [(1, 0), (1, 1), (1, 2), (1, 3), (2, 0), (2, 1), (2, 2), (2, 3),
               (3, 0), (3, 2), (3, 3)]),
-            # a wake-up with no mail: p1 steps in phase 3 on an empty inbox
+            # a wake-up with no mail: p1 steps in phase 2 on an empty inbox
             (2, 4,
-             {(1, 1): ([], 3), (1, 3): ([(SOURCE, CapacityReport(1))], None)},
-             [(1, 0), (1, 1), (1, 2), (2, 0), (3, 0), (3, 1), (4, 0)]),
+             {(1, 1): ([], True), (1, 2): ([(SOURCE, CapacityReport(1))], False)},
+             [(1, 0), (1, 1), (1, 2), (2, 0), (2, 1), (3, 0), (4, 0)]),
             # a wake-up in a phase that also brings mail steps p1 once
             (2, 4,
-             {(1, 1): ([], 3), (SOURCE, 2): ([(1, WeightOffer(2))], None)},
+             {(1, 2): ([], True), (SOURCE, 2): ([(1, WeightOffer(2))], False)},
              [(1, 0), (1, 1), (1, 2), (2, 0), (3, 0), (3, 1), (4, 0)]),
+            # a wake-up asked in a phase that also sent a PEERS record: the
+            # next phase finds its ready nodes by the scan of every inbox
+            (2, 3,
+             {(1, 1): ([(PEERS, WeightOffer(1))], True), (1, 2): ([], True)},
+             [(1, 0), (1, 1), (1, 2), (2, 0), (2, 1), (2, 2), (3, 0), (3, 1)]),
             # mail for S, and a drain phase after the halt
             (2, 2,
-             {(2, 1): ([(SOURCE, CapacityReport(2))], None),
-              (SOURCE, 2): ([(PEERS, WeightOffer(2))], None)},
+             {(2, 1): ([(SOURCE, CapacityReport(2))], False),
+              (SOURCE, 2): ([(PEERS, WeightOffer(2))], False)},
              [(1, 0), (1, 1), (1, 2), (2, 0), (3, 1), (3, 2)]),
         ],
         ids=["PEERS and unicast in one box", "unicasts after a PEERS phase",
-             "wake-up without mail", "wake-up with mail", "mail for S and a drain"],
+             "wake-up without mail", "wake-up with mail", "wake-up after a PEERS send",
+             "mail for S and a drain"],
     )
     def test_named_cases(self, n, halt_at, plan, steps):
         run = _planned_run(n, halt_at, plan)
@@ -1061,24 +1003,21 @@ class TestSchedulerDifferential:
         "n,plan,inboxes",
         [
             (3,
-             {(2, 1): ([(PEERS, W1)], None)},
+             {(2, 1): ([(PEERS, W1)], False)},
              {1: [(2, W1)], 3: [(2, W1)]}),
             (3,
-             {(SOURCE, 1): ([(1, W1)], None), (2, 1): ([(PEERS, W2)], None)},
+             {(SOURCE, 1): ([(1, W1)], False), (2, 1): ([(PEERS, W2)], False)},
              {1: [(SOURCE, W1), (2, W2)], 3: [(2, W2)]}),
             (3,
-             {(1, 1): ([(PEERS, W1)], None), (2, 1): ([(PEERS, W2)], None),
-              (3, 1): ([(2, W3)], None)},
+             {(1, 1): ([(PEERS, W1)], False), (2, 1): ([(PEERS, W2)], False),
+              (3, 1): ([(2, W3)], False)},
              {1: [(2, W2)], 2: [(1, W1), (3, W3)], 3: [(1, W1), (2, W2)]}),
             (3,
-             {(SOURCE, 1): ([(PEERS, W1)], None), (1, 1): ([(PEERS, W2)], None)},
+             {(SOURCE, 1): ([(PEERS, W1)], False), (1, 1): ([(PEERS, W2)], False)},
              {1: [(SOURCE, W1)], 2: [(SOURCE, W1), (1, W2)], 3: [(SOURCE, W1), (1, W2)]}),
-            (2,
-             {(1, 1): ([(SOURCE, W1), (PEERS, W2)], None)},
-             {2: [(1, W2)]}),
         ],
         ids=["a lone broadcaster", "after S's unicast", "around a higher sender's unicast",
-             "after S's PEERS send", "after a unicast to S"],
+             "after S's PEERS send"],
     )
     def test_named_broadcast_cases(self, n, plan, inboxes):
         # the processors' inboxes in phase 2, after the broadcasts of phase 1:
@@ -1091,13 +1030,16 @@ class TestSchedulerDifferential:
     @pytest.mark.parametrize(
         "n,plan,message",
         [
-            (1, {(1, 1): ([(PEERS, W1)], None)}, "p1 sent to its peers, but it has none"),
-            (3, {(SOURCE, 1): ([(1, W1), (PEERS, W2)], None)},
-             "S sent to p1 by a multicast and another send in one phase"),
-            (3, {(2, 1): ([(3, W1), (PEERS, W2)], None)},
-             "p2 sent to p3 by a multicast and another send in one phase"),
+            (1, {(1, 1): ([(PEERS, W1)], False)}, "p1 sent to its peers, but it has none"),
+            (3, {(SOURCE, 1): ([(1, W1), (PEERS, W2)], False)},
+             "S sent a multicast and another send in one phase"),
+            (3, {(2, 1): ([(3, W1), (PEERS, W2)], False)},
+             "p2 sent a multicast and another send in one phase"),
+            (3, {(2, 1): ([(SOURCE, W1), (PEERS, W2)], False)},
+             "p2 sent a multicast and another send in one phase"),
         ],
-        ids=["no peers", "from S after a unicast", "after a send to a processor"],
+        ids=["no peers", "from S after a unicast", "after a send to a processor",
+             "after a unicast to S"],
     )
     def test_named_broadcast_faults(self, n, plan, message):
         with pytest.raises(SimulationFault, match=f"^{re.escape(message)}$"):
