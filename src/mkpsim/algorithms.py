@@ -45,6 +45,7 @@ from __future__ import annotations
 
 from bisect import bisect_left, insort
 from dataclasses import dataclass
+from itertools import islice
 from typing import Callable
 
 from .core import Assignment, DomainError, Instance, check_feasible, objective
@@ -77,6 +78,15 @@ __all__ = [
 ]
 
 
+def _first_fit(pool: list[tuple[int, int, int]], capacity: int) -> int | None:
+    """Index of the first ``(-cost, id, weight)`` entry in ``pool`` whose
+    weight fits ``capacity``, or ``None``."""
+    for pos, (_, _, weight) in enumerate(pool):
+        if weight <= capacity:
+            return pos
+    return None
+
+
 def final_reassign(
     assignment: Assignment, inst: Instance
 ) -> tuple[Assignment, tuple[int, ...]]:
@@ -93,7 +103,9 @@ def final_reassign(
     of changed knapsack indices.
     The total profit never decreases: a swap happens only when the incoming
     item outweighs everything the knapsack held, and no other knapsack is
-    touched by it.
+    touched by it.  Raises :class:`DomainError` on the first unknown item
+    id or knapsack in ascending id order, as :func:`check_feasible` words
+    it.
 
     Cost, for m items and a pool of p: one pass over the placement in id
     order (O(m) when it is already in id order) that groups the knapsacks'
@@ -101,38 +113,59 @@ def final_reassign(
     (O(p log p)).  Each knapsack then scans that order up to the first item
     that fits it, which is the head of the order unless the most profitable
     items are too heavy (O(p) at worst).  A swap empties its knapsack in
-    place and bisects the evicted items back into the order.
+    place and sets the evicted items aside unsorted, O(1) each, keeping the
+    first of them in pool order.  They are bisected into the order only
+    when a knapsack could pick one of them: when that first one ranks
+    before the knapsack's fit, or nothing in the order fits it.
     """
     result = assignment.copy()
     items, n = inst.items, inst.n
     placement, remaining = result.placement, result.remaining
+    ids = sorted(placement)
+    if ids and ids[0] < 0:
+        raise DomainError(f"unknown item id {ids[0]}")
+    known = bisect_left(ids, len(items))  # ids[known:] are past the last item
     contents: list[list[int]] = [[] for _ in range(n)]
-    pool = []  # as (-cost, id, weight): sorted, most profitable first, ties by id
-    for i in sorted(placement):
+    # as (-cost, id, weight): sorted, most profitable first, ties by id;
+    # evicted items wait in ``aside`` until a knapsack could pick one
+    pool = []
+    for i in islice(ids, known):
         knapsack = placement[i]
         if knapsack is None:
-            item = inst.item(i)
+            item = items[i]
             pool.append((-item.cost, i, item.weight))
         elif 0 <= knapsack < n:
             contents[knapsack].append(i)
         else:
             raise DomainError(f"item {i} assigned to unknown knapsack {knapsack}")
+    if known < len(ids):
+        raise DomainError(f"unknown item id {ids[known]}")
     pool.sort()
+    aside = []  # evicted items not yet in the pool, unsorted, as pool entries
+    top = None  # the first entry of ``aside`` in pool order
     changed = []
     for j, capacity in enumerate(inst.capacities):
-        for pos, (neg_cost, best, weight) in enumerate(pool):
-            if weight <= capacity:
-                break
-        else:
+        fit = _first_fit(pool, capacity)
+        if aside and (fit is None or top < pool[fit]):
+            # an evicted item could be this knapsack's pick: file them all
+            for entry in aside:
+                insort(pool, entry)
+            aside.clear()
+            fit = _first_fit(pool, capacity)
+        if fit is None:
             continue  # nothing in the pool fits this knapsack
+        neg_cost, best, _ = pool[fit]
         held = contents[j]
         if -neg_cost > sum(items[i].cost for i in held):
-            del pool[pos]
-            for i in held:  # knapsack j is emptied into the pool
+            del pool[fit]
+            for i in held:  # knapsack j is emptied aside
                 item = items[i]
                 placement[i] = None
                 remaining[j] += item.weight
-                insort(pool, (-item.cost, i, item.weight))
+                entry = (-item.cost, i, item.weight)
+                if not aside or entry < top:
+                    top = entry
+                aside.append(entry)
             result.assign(inst, best, j)
             changed.append(j)
     return result, tuple(changed)

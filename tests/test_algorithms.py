@@ -164,10 +164,40 @@ def reassign_cases(draw):
     return inst, assignment
 
 
+@st.composite
+def eviction_heavy_cases(draw):
+    """Several cheap light items packed first-fit into each knapsack, a pool
+    of dearer items, costs that tie across the two, and capacities in
+    descending order, so that swaps evict items a later, smaller knapsack
+    may pick."""
+    n = draw(st.integers(2, 5))
+    caps = sorted(draw(st.lists(st.integers(1, 12), min_size=n, max_size=n)), reverse=True)
+    held = st.tuples(st.integers(1, 3), st.integers(1, 3))
+    free = st.tuples(st.integers(1, 8), st.integers(1, 12))
+    tagged = draw(
+        st.permutations(
+            [(pair, True) for pair in draw(st.lists(held, min_size=n, max_size=4 * n))]
+            + [(pair, False) for pair in draw(st.lists(free, min_size=1, max_size=3 * n))]
+        )
+    )
+    inst = Instance.from_pairs([pair for pair, _ in tagged], caps)
+    assignment = Assignment.empty(inst)
+    for item, (_, packed) in zip(inst.items, tagged):
+        fits = [j for j in range(n) if item.weight <= assignment.remaining[j]]
+        if packed and fits:
+            assignment.assign(inst, item.id, fits[0])
+    return inst, assignment
+
+
 class TestReassignDifferential:
     @settings(max_examples=200, deadline=None)
     @given(reassign_cases())
     def test_matches_quadratic_restatement(self, case):
+        assert_reassign_matches_rescan(*case)
+
+    @settings(max_examples=300, deadline=None)
+    @given(eviction_heavy_cases())
+    def test_matches_quadratic_restatement_when_evicting(self, case):
         assert_reassign_matches_rescan(*case)
 
     @settings(max_examples=200, deadline=None)
@@ -212,6 +242,66 @@ class TestReassignDifferential:
         out, changed = assert_reassign_matches_rescan(inst, assignment)
         assert changed == (0, 1, 2, 3)
         assert items_by_knapsack(out, inst) == [[3], [1], [2], [4]]
+
+    def test_an_evicted_item_beats_an_equal_cost_pool_item_on_its_id(self):
+        # knapsack 0 evicts item 0 (cost 4); knapsack 1 must take it, not
+        # the pool's item 1 of the same cost, which ranks first among the
+        # items never set aside
+        inst = Instance.from_pairs([(4, 2), (4, 2), (10, 5)], [5, 2])
+        assignment = Assignment.empty(inst)
+        assignment.assign(inst, 0, 0)
+        out, changed = assert_reassign_matches_rescan(inst, assignment)
+        assert changed == (0, 1)
+        assert items_by_knapsack(out, inst) == [[2], [0]]
+
+    def test_a_later_more_profitable_eviction_ranks_first(self):
+        # knapsack 0 evicts item 0 (cost 3), then knapsack 1 item 1 (cost
+        # 6); knapsack 2 must weigh item 1 against the pool's item 4 (cost
+        # 5), not only the first eviction
+        inst = Instance.from_pairs([(3, 1), (6, 1), (10, 4), (11, 5), (5, 1)], [4, 5, 1])
+        assignment = Assignment.empty(inst)
+        assignment.assign(inst, 0, 0)
+        assignment.assign(inst, 1, 1)
+        out, changed = assert_reassign_matches_rescan(inst, assignment)
+        assert changed == (0, 1, 2)
+        assert items_by_knapsack(out, inst) == [[2], [3], [1]]
+
+    @staticmethod
+    def count_insorts(monkeypatch):
+        import mkpsim.algorithms as algorithms
+
+        calls = []
+        insort = algorithms.insort
+
+        def counted(pool, entry):
+            calls.append(entry)
+            insort(pool, entry)
+
+        monkeypatch.setattr(algorithms, "insort", counted)
+        return calls
+
+    def test_evictions_no_knapsack_could_pick_are_never_filed(self, monkeypatch):
+        # the batch-wide shape: every knapsack holds a light item and
+        # fillers, and swaps them for a heavy item that outranks them all
+        fillers = [(1, 2 + i % 3) for i in range(60)]
+        inst = Instance.from_pairs(
+            [(it.cost, it.weight) for it in gen_adversarial(8, 20).items] + fillers,
+            [20] * 8,
+        )
+        assignment = batch_round_greedy(inst).assignment
+        calls = self.count_insorts(monkeypatch)
+        _, changed = assert_reassign_matches_rescan(inst, assignment)
+        assert changed == tuple(range(8))
+        assert calls == []
+
+    def test_evictions_are_filed_at_most_once(self, monkeypatch):
+        inst = evicting_instance()
+        pre = run_algorithm("modified", inst).pre_final_assignment
+        calls = self.count_insorts(monkeypatch)
+        _, changed = assert_reassign_matches_rescan(inst, pre)
+        evicted = [i for i, k in pre.placement.items() if k in changed]
+        assert 0 < len(calls) <= len(evicted)
+        assert len(set(calls)) == len(calls)
 
 
 class TestSimpleGreedy:
@@ -1260,6 +1350,35 @@ class TestSourceFaults:
         with pytest.raises(DomainError) as fault:
             final_reassign(assignment, inst)
         assert str(fault.value) == f"item 1 assigned to unknown knapsack {knapsack}"
+
+    @pytest.mark.parametrize("item", [-1, 3])
+    @pytest.mark.parametrize(
+        "pool",
+        [{0: None, 1: None, 2: None}, {0: 0, 1: 1, 2: None}],
+        ids=["fitting pool", "nothing fits"],
+    )
+    def test_reassigning_an_unknown_item(self, item, pool):
+        # item 2 fits no knapsack; -1 and 3 = m name no item, in knapsack 0
+        inst = Instance.from_pairs([(3, 2), (9, 5), (1, 6)], [5, 5])
+        assignment = Assignment({**pool, item: 0}, [5, 5])
+        with pytest.raises(DomainError) as fault:
+            final_reassign(assignment, inst)
+        assert str(fault.value) == check_feasible(assignment, inst)
+        assert str(fault.value) == f"unknown item id {item}"
+
+    @pytest.mark.parametrize(
+        "placement, first",
+        [
+            ({-1: 0, 0: 5}, "unknown item id -1"),
+            ({0: 5, 2: 0}, "item 0 assigned to unknown knapsack 5"),
+            ({0: None, 1: 0, 2: 5, 3: 0}, "unknown item id 2"),
+        ],
+    )
+    def test_reassignment_reports_the_first_bad_entry_in_id_order(self, placement, first):
+        assignment = Assignment(placement, [9, 9, 9])
+        with pytest.raises(DomainError) as fault:
+            final_reassign(assignment, self.INST)
+        assert str(fault.value) == check_feasible(assignment, self.INST) == first
 
 
 class TestTreeGreedy:
